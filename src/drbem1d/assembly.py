@@ -25,24 +25,18 @@ class DrbemOperators:
     """Time-independent matrices of the boundary-integral collocation scheme.
 
     Row i collocates at source node x_i.  l_matrix/h_matrix pair endpoint flux and
-    value data; psi_tilde carries the free-term-weighted particular solution at the
-    sources; d_matrix = l_matrix @ psi_x_boundary - h_matrix @ psi_boundary + psi_tilde
-    maps kernel coefficients of an inhomogeneity to its endpoint-identity contribution.
-    e_matrix folds the kernel inverse into d_matrix, p_matrix differentiates nodal
-    data, and ep_matrix = e_matrix @ p_matrix is kept so a time level costs O(N^2).
+    value data, and free_terms holds the free-term coefficients c_i.  e_matrix maps
+    nodal inhomogeneity data to its endpoint-identity contribution, p_matrix
+    differentiates nodal data, and ep_matrix = e_matrix @ p_matrix is kept so a
+    time level costs O(N^2).
     """
 
-    grid: Grid
     l_matrix: np.ndarray
     h_matrix: np.ndarray
-    psi_boundary: np.ndarray
-    psi_x_boundary: np.ndarray
-    psi_tilde: np.ndarray
-    d_matrix: np.ndarray
+    free_terms: np.ndarray
     e_matrix: np.ndarray
     p_matrix: np.ndarray
     ep_matrix: np.ndarray
-    free_terms: np.ndarray
 
 
 def assemble_drbem(grid: Grid, interp: InterpolationOperator) -> DrbemOperators:
@@ -67,8 +61,9 @@ def assemble_drbem(grid: Grid, interp: InterpolationOperator) -> DrbemOperators:
     free_terms = np.ones(n)
     free_terms[0] = 0.5
     free_terms[-1] = 0.5
+    # psi_tilde: the free-term-weighted particular solutions at the sources.  D maps
+    # kernel coefficients of an inhomogeneity to its endpoint-identity contribution.
     psi_tilde = free_terms[:, None] * psi(np.abs(x[:, None] - x[None, :]))
-
     d_matrix = l_matrix @ psi_x_boundary - h_matrix @ psi_boundary + psi_tilde
     # E = D Phi^{-1} and P = Phi_x Phi^{-1}, via transposed solves against the
     # stored factorization rather than an explicit inverse.
@@ -76,21 +71,15 @@ def assemble_drbem(grid: Grid, interp: InterpolationOperator) -> DrbemOperators:
     p_matrix = interp.solve(interp.phi_x_matrix.T, transposed=True).T
     ep_matrix = e_matrix @ p_matrix
 
-    for arr in (l_matrix, h_matrix, psi_boundary, psi_x_boundary, psi_tilde,
-                d_matrix, e_matrix, p_matrix, ep_matrix, free_terms):
+    for arr in (l_matrix, h_matrix, free_terms, e_matrix, p_matrix, ep_matrix):
         arr.setflags(write=False)
     return DrbemOperators(
-        grid=grid,
         l_matrix=l_matrix,
         h_matrix=h_matrix,
-        psi_boundary=psi_boundary,
-        psi_x_boundary=psi_x_boundary,
-        psi_tilde=psi_tilde,
-        d_matrix=d_matrix,
+        free_terms=free_terms,
         e_matrix=e_matrix,
         p_matrix=p_matrix,
         ep_matrix=ep_matrix,
-        free_terms=free_terms,
     )
 
 

@@ -19,48 +19,25 @@ from .assembly import assemble_drbem, harmonic_identity_check
 from .exceptions import ConfigError, DrbemError, SolverError
 from .presets import BENCHMARKS, Benchmark
 from .problems import (
+    REGISTRY,
     PdeProblem,
-    make_allen_cahn,
-    make_fisher,
+    default_domain,
     make_fitzhugh_nagumo,
     make_generalized_fisher,
     make_generalized_fn,
-    make_newell_whitehead,
     residual_check,
     transcribed_fisher_wave,
 )
 from .rbf import Grid, assemble_interpolation, interpolation_coefficients, phi, psi
 from .stepping import StepConfig, level_index, run
-from .verification import compute_errors, fd_oracle, observed_order
+from .verification import compute_errors, fd_oracle, sweep
 
 log = logging.getLogger("drbem1d")
 
 LOG_ENV = "DRBEM1D_LOG"
 
-EQUATIONS = (
-    "fisher",
-    "generalized_fisher",
-    "allen_cahn",
-    "newell_whitehead",
-    "fitzhugh_nagumo",
-    "generalized_fn",
-)
-
-# equations that take a parameter, and the parameter they take
-EQUATION_PARAMS = {
-    "fitzhugh_nagumo": "rho",
-    "generalized_fn": "rho",
-    "generalized_fisher": "alpha",
-}
-
-EQUATION_DOMAINS = {
-    "fisher": (-2.0, 2.0),
-    "generalized_fisher": (-2.0, 2.0),
-    "allen_cahn": (-2.0, 2.0),
-    "newell_whitehead": (-10.0, 10.0),
-    "fitzhugh_nagumo": (-10.0, 10.0),
-    "generalized_fn": (-1.0, 1.0),
-}
+# names of the equation parameters, each one a float config key
+PARAMETERS = tuple(dict.fromkeys(p for _, p in REGISTRY.values() if p is not None))
 
 
 @dataclass
@@ -85,8 +62,7 @@ class RunConfig:
 
 _SCHEMA = {
     "equation": str,
-    "rho": float,
-    "alpha": float,
+    **dict.fromkeys(PARAMETERS, float),
     "a": float,
     "b": float,
     "t_end": float,
@@ -161,28 +137,23 @@ def parse_config(text: str) -> RunConfig:
     equation = take("equation")
     if equation is None:
         raise ConfigError("missing required key", field="equation")
-    if equation not in EQUATIONS:
+    if equation not in REGISTRY:
         raise ConfigError(
-            f"unknown equation {equation!r}; choose one of {', '.join(EQUATIONS)}",
+            f"unknown equation {equation!r}; choose one of {', '.join(REGISTRY)}",
             field="equation",
         )
 
-    params = {}
-    for name in ("rho", "alpha"):
-        if name in raw:
-            params[name] = take(name)
-    wanted = EQUATION_PARAMS.get(equation)
+    params = {name: take(name) for name in PARAMETERS if name in raw}
+    wanted = REGISTRY[equation][1]
     for name in params:
         if name != wanted:
-            owner = ", ".join(eq for eq, p in EQUATION_PARAMS.items() if p == name)
+            owner = ", ".join(eq for eq, (_, p) in REGISTRY.items() if p == name)
             raise ConfigError(
                 f"parameter {name!r} does not apply to {equation!r} (it belongs to {owner})",
                 field=name,
             )
     if wanted is not None and wanted not in params:
         raise ConfigError(f"{equation!r} requires parameter {wanted!r}", field=wanted)
-    if equation == "generalized_fisher" and params["alpha"] <= 0.0:
-        raise ConfigError("alpha must be positive", field="alpha")
 
     t_end = take("t_end")
     tau = take("tau")
@@ -194,7 +165,7 @@ def parse_config(text: str) -> RunConfig:
     if tau <= 0.0:
         raise ConfigError("tau must be positive", field="tau")
 
-    default_a, default_b = EQUATION_DOMAINS[equation]
+    default_a, default_b = default_domain(equation)
     a = take("a", default_a)
     b = take("b", default_b)
     if not a < b:
@@ -253,26 +224,12 @@ def parse_config(text: str) -> RunConfig:
 
 
 def build_problem(config: RunConfig) -> PdeProblem:
+    factory = REGISTRY[config.equation][0]
     horizon = config.t_end if config.t_end > 0.0 else config.tau
     try:
-        if config.equation == "fitzhugh_nagumo":
-            return make_fitzhugh_nagumo(config.params["rho"], a=config.a, b=config.b,
-                                        horizon=horizon)
-        if config.equation == "newell_whitehead":
-            return make_newell_whitehead(a=config.a, b=config.b, horizon=horizon)
-        if config.equation == "generalized_fn":
-            return make_generalized_fn(config.params["rho"], a=config.a, b=config.b,
-                                       horizon=horizon)
-        if config.equation == "fisher":
-            return make_fisher(a=config.a, b=config.b, horizon=horizon)
-        if config.equation == "allen_cahn":
-            return make_allen_cahn(a=config.a, b=config.b, horizon=horizon)
-        if config.equation == "generalized_fisher":
-            return make_generalized_fisher(config.params["alpha"], a=config.a,
-                                           b=config.b, horizon=horizon)
+        return factory(**config.params, a=config.a, b=config.b, horizon=horizon)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    raise AssertionError(f"unhandled equation {config.equation}")
 
 
 def build_grid(config: RunConfig) -> Grid:
@@ -378,52 +335,8 @@ def cmd_solve(config: RunConfig) -> int:
 
 
 def _run_benchmark(bench: Benchmark, out_dir: Path) -> int:
-    results = []
-    ops_cache = {}
-    any_failed = False
-    for row in bench.rows:
-        problem = row.problem
-        try:
-            grid = Grid.with_spacing(problem.a, problem.b, row.h)
-            key = (problem.a, problem.b, grid.n)
-            if key not in ops_cache:
-                ops_cache[key] = (grid, assemble_drbem(grid, assemble_interpolation(grid)))
-            grid, ops = ops_cache[key]
-            cfg = StepConfig(tau=row.tau)
-            if bench.track_peak:
-                n_levels = level_index(bench.t_end, row.tau)
-                snapshots = [k * row.tau for k in range(1, n_levels + 1)]
-            else:
-                snapshots = None
-            trajectory = run(problem, grid, cfg, bench.t_end, snapshots=snapshots, ops=ops)
-            final = trajectory.states[-1]
-            exact_final = np.asarray(problem.exact(grid.nodes, bench.t_end), dtype=float)
-            report = compute_errors(final.u, exact_final, time=bench.t_end)
-            peak = None
-            if bench.track_peak:
-                peak = max(
-                    compute_errors(
-                        s.u, np.asarray(problem.exact(grid.nodes, s.t), dtype=float)
-                    ).l_inf
-                    for s in trajectory.states
-                )
-            results.append(
-                {
-                    "row": row,
-                    "l_inf": report.l_inf,
-                    "rms": report.rms,
-                    "peak": peak,
-                    "iters_max": max(trajectory.level_iterations, default=0),
-                    "status": "ok",
-                }
-            )
-        except DrbemError as exc:
-            log.error("benchmark row %s failed: %s", dict(row.labels), exc)
-            any_failed = True
-            results.append(
-                {"row": row, "l_inf": None, "rms": None, "peak": None,
-                 "iters_max": None, "status": f"error: {exc}"}
-            )
+    results = sweep([(row.problem, row.h, row.tau) for row in bench.rows], bench.t_end,
+                    track_peak=bench.track_peak)
 
     columns = list(bench.label_columns) + ["l_inf", "rms", "observed_order"]
     if bench.track_peak:
@@ -433,33 +346,25 @@ def _run_benchmark(bench: Benchmark, out_dir: Path) -> int:
     columns += ["iters_max", "status"]
 
     csv_rows = []
-    for idx, res in enumerate(results):
-        row = res["row"]
-        order = None
-        if idx > 0:
-            prev_res = results[idx - 1]
-            prev_row = prev_res["row"]
-            if res["status"] == "ok" and prev_res["status"] == "ok":
-                if prev_row.tau == row.tau and prev_row.h != row.h:
-                    order = observed_order(prev_res["l_inf"], res["l_inf"], prev_row.h, row.h)
-                elif prev_row.h == row.h and prev_row.tau != row.tau:
-                    order = observed_order(prev_res["l_inf"], res["l_inf"],
-                                           prev_row.tau, row.tau)
+    for row, res in zip(bench.rows, results):
+        if res.failure is not None:
+            log.error("benchmark row %s failed: %s", dict(row.labels), res.failure)
         cells = [text for _, text in row.labels]
-        cells += [_fmt(res["l_inf"]), _fmt(res["rms"]), _fmt(order)]
+        cells += [_fmt(res.l_inf), _fmt(res.rms), _fmt(res.order)]
         if bench.track_peak:
-            cells.append(_fmt(res["peak"]))
+            cells.append(_fmt(res.peak))
         if bench.with_reference:
             rel_dev = None
-            if res["l_inf"] is not None and row.reference_l_inf:
-                rel_dev = (res["l_inf"] - row.reference_l_inf) / row.reference_l_inf
+            if res.l_inf is not None and row.reference_l_inf:
+                rel_dev = (res.l_inf - row.reference_l_inf) / row.reference_l_inf
             cells += [_fmt(row.reference_l_inf), _fmt(row.reference_rms), _fmt(rel_dev)]
-        cells += ["" if res["iters_max"] is None else str(res["iters_max"]), res["status"]]
+        status = "ok" if res.failure is None else f"error: {res.failure}"
+        cells += ["" if res.iters_max is None else str(res.iters_max), status]
         csv_rows.append(cells)
 
     notes = (f"generated by drbem1d reproduce {bench.name}",) + bench.notes
     _write_csv(out_dir / f"{bench.name}.csv", notes, columns, csv_rows)
-    return 2 if any_failed else 0
+    return 2 if any(res.failure is not None for res in results) else 0
 
 
 def cmd_reproduce(table: str, out_dir=".") -> int:

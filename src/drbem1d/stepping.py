@@ -62,10 +62,10 @@ class TimeLevelSystem:
     """Factored linear system of one time level.
 
     rhs_fixed collects every term that does not involve the lagged iterate; the
-    corrector adds only -(eta/mu) E F_n(u_tilde) per pass.
+    corrector adds only -(eta/mu) E F_n(u_tilde) per pass.  The unknowns are
+    [u_x(a), u_x(b), u_2, ..., u_{N-1}], so rhs_fixed has N entries.
     """
 
-    a_matrix: np.ndarray
     factorization: tuple
     rhs_fixed: np.ndarray
     t_n: float
@@ -77,7 +77,6 @@ class TimeLevelSystem:
     e_matrix: np.ndarray
     w_left_col: np.ndarray
     w_right_col: np.ndarray
-    n: int
 
 
 def build_level_system(
@@ -97,8 +96,8 @@ def build_level_system(
     the u_prev term move into rhs_fixed, and the lagged term stays per-iteration.
 
     When prev_system comes from the same run and the coefficient triple at t_n is
-    unchanged (constant-coefficient problems), its matrix and factorization are
-    carried over and only the right-hand side is rebuilt.
+    unchanged (constant-coefficient problems), its factorization and boundary
+    columns are carried over and only the right-hand side is rebuilt.
     """
     tau = cfg.tau
     nu_n = float(problem.coeffs.nu(t_n))
@@ -119,7 +118,6 @@ def build_level_system(
         prev_system is not None
         and (nu_n, mu_n, eta_n) == (prev_system.nu_n, prev_system.mu_n, prev_system.eta_n)
     ):
-        a_matrix = prev_system.a_matrix
         factorization = prev_system.factorization
         w_left_col = prev_system.w_left_col
         w_right_col = prev_system.w_right_col
@@ -154,7 +152,6 @@ def build_level_system(
         - w_right_col * g_right
     )
     return TimeLevelSystem(
-        a_matrix=a_matrix,
         factorization=factorization,
         rhs_fixed=rhs_fixed,
         t_n=t_n,
@@ -166,7 +163,6 @@ def build_level_system(
         e_matrix=ops.e_matrix,
         w_left_col=w_left_col,
         w_right_col=w_right_col,
-        n=n,
     )
 
 
@@ -174,8 +170,15 @@ def _solve_with_lag(sys: TimeLevelSystem, problem: PdeProblem, u_tilde):
     rhs = sys.rhs_fixed - (sys.eta_n / sys.mu_n) * (
         sys.e_matrix @ problem.reaction.nonlinear(u_tilde)
     )
-    z = lu_solve(sys.factorization, rhs)
-    u = np.empty(sys.n)
+    if not np.isfinite(rhs).all():
+        raise ConvergenceError(
+            f"corrector diverged at t = {sys.t_n:g}: non-finite values in the lagged "
+            "right-hand side (tau too large, reaction too stiff, or bad initial data)",
+            time=sys.t_n,
+        )
+    # lu_factor already refused a non-finite level matrix, so only rhs needs the scan
+    z = lu_solve(sys.factorization, rhs, check_finite=False)
+    u = np.empty(rhs.size)
     u[0] = sys.g_left
     u[-1] = sys.g_right
     u[1:-1] = z[2:]
@@ -312,7 +315,6 @@ def run(
         t_n = k * cfg.tau
         system = build_level_system(problem, grid, ops, cfg, t_n, u, prev_system=system)
         state, iters = corrector_solve(system, problem, cfg, u)
-        state.step_index = k
         level_iterations.append(iters)
         u = state.u
         if k in snap_levels:

@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .exceptions import ConvergenceError, SolverError
+from .exceptions import ConvergenceError, DrbemError, SolverError
 from .problems import PdeProblem
 from .rbf import Grid, assemble_interpolation
 from .assembly import assemble_drbem
@@ -119,10 +119,21 @@ def fd_oracle(problem: PdeProblem, n_nodes, tau, t_end, epsilon=1e-10, max_iters
 
 @dataclass(frozen=True)
 class ConvergenceRow:
+    """Errors of one sweep row at t_end, or the DrbemError that stopped the row.
+
+    h is the spacing of the grid actually built; order is the observed order
+    against the row before; peak (the largest error over every level) is filled
+    only when the sweep tracks it.
+    """
+
     h: float
     tau: float
-    l_inf: float
-    rms: float
+    l_inf: Optional[float] = None
+    rms: Optional[float] = None
+    peak: Optional[float] = None
+    iters_max: Optional[int] = None
+    order: Optional[float] = None
+    failure: Optional[DrbemError] = None
 
 
 @dataclass(frozen=True)
@@ -140,39 +151,68 @@ def observed_order(err_prev, err_cur, param_prev, param_cur) -> Optional[float]:
     return float(math.log(err_prev / err_cur) / math.log(param_prev / param_cur))
 
 
+def _pair_order(prev: Optional[ConvergenceRow], cur: ConvergenceRow) -> Optional[float]:
+    """Observed order in whichever of h or tau changed; None next to a failed row,
+    at the first row, and where both or neither changed."""
+    if prev is None or prev.failure is not None or cur.failure is not None:
+        return None
+    if prev.tau == cur.tau and prev.h != cur.h:
+        return observed_order(prev.l_inf, cur.l_inf, prev.h, cur.h)
+    if prev.h == cur.h and prev.tau != cur.tau:
+        return observed_order(prev.l_inf, cur.l_inf, prev.tau, cur.tau)
+    return None
+
+
+def sweep(rows, t_end, track_peak=False, epsilon=1e-10, max_iters=100) -> list:
+    """One solver run per (problem, h, tau) row, with errors against the exact solution.
+
+    Operators are assembled once per (a, b, N) grid and shared.  A DrbemError is
+    recorded on its row and the sweep goes on; each result carries the observed
+    order against the row before it.
+    """
+    ops_cache = {}
+    results = []
+    for problem, h, tau in rows:
+        if problem.exact is None:
+            raise ValueError("a sweep needs problems with an exact solution")
+        grid = Grid.with_spacing(problem.a, problem.b, h)
+        try:
+            key = (problem.a, problem.b, grid.n)
+            if key not in ops_cache:
+                ops_cache[key] = (grid, assemble_drbem(grid, assemble_interpolation(grid)))
+            grid, ops = ops_cache[key]
+            cfg = StepConfig(tau=tau, epsilon=epsilon, max_corrector_iters=max_iters)
+            snapshots = None
+            if track_peak:
+                snapshots = [k * tau for k in range(1, level_index(t_end, tau) + 1)]
+            traj = run(problem, grid, cfg, t_end, snapshots=snapshots, ops=ops)
+            report = compute_errors(traj.states[-1].u, problem.exact(grid.nodes, t_end),
+                                    time=t_end)
+            peak = None
+            if track_peak:
+                peak = max(compute_errors(s.u, problem.exact(grid.nodes, s.t)).l_inf
+                           for s in traj.states)
+            result = ConvergenceRow(h=grid.h, tau=tau, l_inf=report.l_inf, rms=report.rms,
+                                    peak=peak, iters_max=max(traj.level_iterations, default=0))
+        except DrbemError as exc:
+            result = ConvergenceRow(h=grid.h, tau=tau, failure=exc)
+        order = _pair_order(results[-1] if results else None, result)
+        results.append(replace(result, order=order))
+    return results
+
+
 def convergence_study(problem: PdeProblem, h_list, tau_list, t_end,
                       epsilon=1e-10, max_iters=100) -> ConvergenceTable:
     """One solver run per (tau, h) pair, with errors against the exact solution.
 
     Rows are emitted tau-major in the given order; the observed order between
     consecutive rows refers to whichever of h or tau changed (None at group
-    boundaries or when both changed).
+    boundaries or when both changed).  The first row failure is raised.
     """
-    if problem.exact is None:
-        raise ValueError("convergence study needs a problem with an exact solution")
-
-    ops_cache = {}
-    rows = []
-    for tau in tau_list:
-        cfg = StepConfig(tau=float(tau), epsilon=epsilon, max_corrector_iters=max_iters)
-        for h in h_list:
-            grid = Grid.with_spacing(problem.a, problem.b, float(h))
-            if grid.n not in ops_cache:
-                ops_cache[grid.n] = (grid, assemble_drbem(grid, assemble_interpolation(grid)))
-            grid, ops = ops_cache[grid.n]
-            traj = run(problem, grid, cfg, float(t_end), ops=ops)
-            u = traj.states[-1].u
-            exact = np.asarray(problem.exact(grid.nodes, float(t_end)), dtype=float)
-            report = compute_errors(u, exact, time=float(t_end))
-            rows.append(ConvergenceRow(h=grid.h, tau=float(tau), l_inf=report.l_inf,
-                                       rms=report.rms))
-
-    orders = [None]
-    for prev, cur in zip(rows, rows[1:]):
-        if prev.tau == cur.tau and prev.h != cur.h:
-            orders.append(observed_order(prev.l_inf, cur.l_inf, prev.h, cur.h))
-        elif prev.h == cur.h and prev.tau != cur.tau:
-            orders.append(observed_order(prev.l_inf, cur.l_inf, prev.tau, cur.tau))
-        else:
-            orders.append(None)
-    return ConvergenceTable(rows=tuple(rows), observed_orders=tuple(orders))
+    rows = [(problem, float(h), float(tau)) for tau in tau_list for h in h_list]
+    results = sweep(rows, float(t_end), epsilon=epsilon, max_iters=max_iters)
+    for result in results:
+        if result.failure is not None:
+            raise result.failure
+    return ConvergenceTable(rows=tuple(results),
+                            observed_orders=tuple(r.order for r in results))

@@ -7,12 +7,34 @@ from drbem1d.assembly import (
     fundamental_solution_dx,
     harmonic_identity_check,
 )
-from drbem1d.rbf import Grid, assemble_interpolation, interpolation_coefficients
+from drbem1d.rbf import Grid, assemble_interpolation, psi, psi_x
 
 
 def build(nodes):
     grid = Grid(np.asarray(nodes, dtype=float))
     return grid, assemble_drbem(grid, assemble_interpolation(grid))
+
+
+def psi_tilde(grid):
+    """Free-term-weighted particular solutions psi(|x_i - x_j|) at the sources."""
+    x = grid.nodes
+    c = np.ones(grid.n)
+    c[[0, -1]] = 0.5
+    return c[:, None] * psi(np.abs(x[:, None] - x[None, :]))
+
+
+def d_matrix(grid):
+    """D = L psi_x(endpoints) - H psi(endpoints) + psi_tilde from the public kernels.
+
+    D maps kernel coefficients of an inhomogeneity to its endpoint-identity
+    contribution; the assembled E must equal D Phi^{-1}.
+    """
+    x, a, b = grid.nodes, grid.a, grid.b
+    l_m = np.column_stack([-fundamental_solution(a, x), fundamental_solution(b, x)])
+    h_m = np.column_stack([-fundamental_solution_dx(a, x), fundamental_solution_dx(b, x)])
+    psi_b = np.vstack([psi(np.abs(a - x)), psi(np.abs(b - x))])
+    psi_x_b = np.vstack([psi_x(a, x), psi_x(b, x)])
+    return l_m @ psi_x_b - h_m @ psi_b + psi_tilde(grid)
 
 
 def test_fundamental_solution_values():
@@ -39,32 +61,32 @@ def test_boundary_matrices_on_three_nodes():
 
 
 def test_free_terms_and_psi_tilde_row():
-    _, ops = build([0.0, 0.5, 1.0])
+    grid, ops = build([0.0, 0.5, 1.0])
     np.testing.assert_array_equal(ops.free_terms, [0.5, 1.0, 0.5])
-    # first row: 1/2 * psi at distances (0, 0.5, 1)
+    # first row: 1/2 * psi at distances (0, 0.5, 1); test_d_matrix_composition
+    # ties this psi_tilde to the assembled E
     expected = 0.5 * np.array([0.0, 0.5**2 / 2 + 0.5**3 / 6, 2.0 / 3.0])
-    np.testing.assert_allclose(ops.psi_tilde[0], expected, rtol=1e-15)
-    assert ops.psi_tilde[0, 1] == pytest.approx(0.0729166666666667, rel=1e-12)
+    row = psi_tilde(grid)[0]
+    np.testing.assert_allclose(row, expected, rtol=1e-15)
+    assert row[1] == pytest.approx(0.0729166666666667, rel=1e-12)
 
 
 def test_d_matrix_composition():
-    _, ops = build(np.linspace(-1.0, 2.0, 9))
-    recomposed = (
-        ops.l_matrix @ ops.psi_x_boundary
-        - ops.h_matrix @ ops.psi_boundary
-        + ops.psi_tilde
-    )
-    assert np.max(np.abs(recomposed - ops.d_matrix)) <= 1e-12
+    # E Phi recomposes the D built from the public kernels
+    grid, ops = build(np.linspace(-1.0, 2.0, 9))
+    recomposed = ops.e_matrix @ assemble_interpolation(grid).phi_matrix
+    assert np.max(np.abs(recomposed - d_matrix(grid))) <= 1e-12
 
 
 def test_e_matrix_inverts_phi():
     # with data equal to a kernel column, E (Phi e_k) must reproduce D e_k
     grid, ops = build(np.linspace(0.0, 1.0, 9))
     interp = assemble_interpolation(grid)
-    scale = np.max(np.abs(ops.d_matrix))
+    d_m = d_matrix(grid)
+    scale = np.max(np.abs(d_m))
     for k in (0, 3, 8):
         lhs = ops.e_matrix @ interp.phi_matrix[:, k]
-        rhs = ops.d_matrix[:, k]
+        rhs = d_m[:, k]
         assert np.max(np.abs(lhs - rhs)) < 1e-10 * scale
 
 
@@ -101,13 +123,12 @@ def test_harmonic_identity_nonuniform():
 def test_quadratic_field_identity():
     # u = x^2 has constant curvature 2, which the 1 + r kernel reproduces exactly
     # between nodes, so the full identity holds to roundoff.
+    # E (2 * 1) = D Phi^{-1} (2 * 1) = D alpha, alpha the kernel coefficients of u''.
     grid, ops = build(np.linspace(0.0, 1.0, 9))
-    interp = assemble_interpolation(grid)
     u = grid.nodes**2
-    alpha = interpolation_coefficients(interp, 2.0 * np.ones(grid.n))
     flux = np.array([2.0 * grid.a, 2.0 * grid.b])
     lhs = ops.l_matrix @ flux - ops.h_matrix @ np.array([u[0], u[-1]]) + ops.free_terms * u
-    assert np.max(np.abs(lhs - ops.d_matrix @ alpha)) <= 1e-8
+    assert np.max(np.abs(lhs - ops.e_matrix @ (2.0 * np.ones(grid.n)))) <= 1e-8
 
 
 def test_mismatched_grid_rejected():

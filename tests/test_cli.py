@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,18 @@ from drbem1d.cli import (
 )
 from drbem1d.exceptions import ConfigError
 from drbem1d.presets import Benchmark, BenchmarkRow
-from drbem1d.problems import CoefficientSet, PdeProblem, ReactionTerm
+from drbem1d.problems import (
+    REGISTRY,
+    CoefficientSet,
+    PdeProblem,
+    ReactionTerm,
+    make_allen_cahn,
+    make_fisher,
+    make_fitzhugh_nagumo,
+    make_generalized_fisher,
+    make_generalized_fn,
+    make_newell_whitehead,
+)
 from drbem1d.verification import compute_errors
 
 GOOD_CONFIG = """\
@@ -179,16 +192,28 @@ def test_benchmark_records_row_failures_and_returns_2(tmp_path):
         bc_right=lambda t: 1.0,
         exact=lambda x, t: x + 0.0 * x,
     )
+    # a front with a genuine spatial error, so neighbouring rows have an order
+    fisher = make_fisher(a=0.0, b=1.0, horizon=1.0)
+    broken_fisher = dataclasses.replace(fisher, coeffs=CoefficientSet.constant(0.0, 1e-13, 1.0))
+
+    def row(problem, h_den):
+        return BenchmarkRow(labels=(("h", f"1/{h_den}"), ("tau", "1/100")), problem=problem,
+                            h=1.0 / h_den, tau=0.01)
+
     bench = Benchmark(
         name="synthetic",
         t_end=0.1,
         notes=("synthetic benchmark for failure handling",),
         label_columns=("h", "tau"),
         rows=(
-            BenchmarkRow(labels=(("h", "1/4"), ("tau", "1/100")), problem=healthy,
-                         h=0.25, tau=0.01),
-            BenchmarkRow(labels=(("h", "1/4"), ("tau", "1/100")), problem=broken,
-                         h=0.25, tau=0.01),
+            row(healthy, 4),
+            row(broken, 4),
+            # same tau throughout: rows 3 and 4 would pair with their predecessor
+            # if it had not failed; row 5 pairs with row 4
+            row(fisher, 4),
+            row(broken_fisher, 8),
+            row(fisher, 16),
+            row(fisher, 32),
         ),
         with_reference=False,
     )
@@ -197,6 +222,10 @@ def test_benchmark_records_row_failures_and_returns_2(tmp_path):
     assert rows[0]["status"] == "ok"
     assert rows[1]["status"].startswith("error:")
     assert rows[1]["l_inf"] == ""
+    assert [r["status"] == "ok" for r in rows[2:]] == [True, False, True, True]
+    assert rows[3]["observed_order"] == ""
+    assert rows[4]["observed_order"] == ""
+    assert rows[5]["observed_order"] != ""
 
 
 class TestMainExitCodes:
@@ -223,6 +252,42 @@ class TestMainExitCodes:
         )
         assert main(["solve", str(path)]) == 2
         assert "solver" in capsys.readouterr().err
+
+    def test_diverging_corrector_is_2(self, tmp_path, capsys):
+        path = tmp_path / "diverge.cfg"
+        path.write_text(
+            "equation = generalized_fisher\nalpha = 6\nh = 0.25\ntau = 0.5\nt_end = 1\n"
+            f'output_path = "{tmp_path}"\n'
+        )
+        assert main(["solve", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "solver" in err and "Traceback" not in err
+
+    def test_nan_initial_data_is_2(self, tmp_path, capsys, monkeypatch):
+        def fisher_with_nan(a, b, horizon):
+            problem = make_fisher(a=a, b=b, horizon=horizon)
+            return dataclasses.replace(
+                problem, initial=lambda x: np.where(x == 0.0, np.nan, problem.initial(x))
+            )
+
+        monkeypatch.setitem(REGISTRY, "fisher", (fisher_with_nan, None))
+        path = tmp_path / "nan.cfg"
+        path.write_text(
+            "equation = fisher\na = -2\nb = 2\nn = 9\ntau = 0.01\nt_end = 0.05\n"
+            f'output_path = "{tmp_path}"\n'
+        )
+        assert main(["solve", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "solver" in err and "Traceback" not in err
+
+    def test_nonpositive_alpha_is_1(self, tmp_path, capsys):
+        path = tmp_path / "alpha.cfg"
+        path.write_text(
+            "equation = generalized_fisher\nalpha = 0\nh = 0.25\ntau = 0.01\nt_end = 0.1\n"
+            f'output_path = "{tmp_path}"\n'
+        )
+        assert main(["solve", str(path)]) == 1
+        assert "alpha" in capsys.readouterr().err
 
     def test_good_run_is_0(self, tmp_path, capsys):
         path = tmp_path / "ok.cfg"
@@ -252,3 +317,33 @@ def test_shipped_configs_parse_and_build():
         problem = build_problem(config)
         grid = build_grid(config)
         assert grid.a == problem.a and grid.b == problem.b
+
+
+# the factory each registry name must reach, and a parameter value for it
+DIRECT_FACTORIES = {
+    "fisher": (make_fisher, {}),
+    "generalized_fisher": (make_generalized_fisher, {"alpha": 3.0}),
+    "allen_cahn": (make_allen_cahn, {}),
+    "newell_whitehead": (make_newell_whitehead, {}),
+    "fitzhugh_nagumo": (make_fitzhugh_nagumo, {"rho": 0.75}),
+    "generalized_fn": (make_generalized_fn, {"rho": 1.5}),
+}
+
+
+def test_registry_names_are_all_checked():
+    assert set(REGISTRY) == set(DIRECT_FACTORIES)
+
+
+@pytest.mark.parametrize("equation", list(REGISTRY))
+def test_registry_builds_the_named_problem(equation):
+    factory, params = DIRECT_FACTORIES[equation]
+    text = f"equation = {equation}\nn = 9\ntau = 0.01\nt_end = 0.5\n"
+    text += "".join(f"{name} = {value}\n" for name, value in params.items())
+    problem = build_problem(parse_config(text))
+    direct = factory(**params, horizon=0.5)  # the factory's default domain
+    assert (problem.a, problem.b) == (direct.a, direct.b)
+    u = np.linspace(0.05, 0.95, 7)
+    np.testing.assert_array_equal(problem.reaction.full(u), direct.reaction.full(u))
+    x = np.linspace(direct.a, direct.b, 9)
+    for t in (0.0, 0.25, 0.5):
+        np.testing.assert_array_equal(problem.exact(x, t), direct.exact(x, t))
