@@ -51,7 +51,6 @@ from .stepping import (
 )
 from .verification import (
     ConvergenceRow,
-    ConvergenceTable,
     ErrorReport,
     compute_errors,
     convergence_study,
@@ -65,7 +64,6 @@ __all__ = [
     "ConfigError",
     "ConvergenceError",
     "ConvergenceRow",
-    "ConvergenceTable",
     "DomainError",
     "DrbemError",
     "DrbemOperators",

@@ -52,8 +52,8 @@ class RunConfig:
     tau: float
     h: float | None = None
     n: int | None = None
-    epsilon: float = 1e-10
-    max_iters: int = 100
+    epsilon: float = StepConfig.epsilon
+    max_iters: int = StepConfig.max_corrector_iters
     snapshots: tuple = ()
     output_path: str = "."
     compare_exact: bool = True
@@ -180,8 +180,8 @@ def parse_config(text: str) -> RunConfig:
     if n is not None and n < 3:
         raise ConfigError("n must be at least 3", field="n")
 
-    epsilon = take("epsilon", 1e-10)
-    max_iters = take("max_iters", 100)
+    epsilon = take("epsilon", StepConfig.epsilon)
+    max_iters = take("max_iters", StepConfig.max_corrector_iters)
     if epsilon <= 0.0:
         raise ConfigError("epsilon must be positive", field="epsilon")
     if max_iters < 1:
@@ -307,13 +307,13 @@ def cmd_solve(config: RunConfig) -> int:
         _write_csv(out_dir / f"profile_t{state.t:.6f}.csv", notes, columns, profile_rows)
 
         report = compute_errors(state.u, exact, time=state.t) if exact is not None else None
-        iters_to_here = max(iters[: state.step_index], default=0)
+        k = level_index(state.t, config.tau)  # level k took iters[k - 1] passes
         row = {
             "t": _fmt(state.t),
             "l_inf": _fmt(report.l_inf if report else None),
             "rms": _fmt(report.rms if report else None),
-            "corrector_iters": str(state.corrector_iters_last),
-            "corrector_iters_max_to_t": str(iters_to_here),
+            "corrector_iters": str(iters[k - 1] if k > 0 else 0),
+            "corrector_iters_max_to_t": str(max(iters[:k], default=0)),
         }
         if oracle is not None:
             oracle_report = compute_errors(oracle, exact, time=state.t) if exact is not None else None
@@ -338,10 +338,11 @@ def _run_benchmark(bench: Benchmark, out_dir: Path) -> int:
     results = sweep([(row.problem, row.h, row.tau) for row in bench.rows], bench.t_end,
                     track_peak=bench.track_peak)
 
-    columns = list(bench.label_columns) + ["l_inf", "rms", "observed_order"]
+    with_reference = any(row.reference_l_inf is not None for row in bench.rows)
+    columns = [name for name, _ in bench.rows[0].labels] + ["l_inf", "rms", "observed_order"]
     if bench.track_peak:
         columns.append("l_inf_peak")
-    if bench.with_reference:
+    if with_reference:
         columns += ["l_inf_reference", "rms_reference", "l_inf_rel_dev"]
     columns += ["iters_max", "status"]
 
@@ -353,7 +354,7 @@ def _run_benchmark(bench: Benchmark, out_dir: Path) -> int:
         cells += [_fmt(res.l_inf), _fmt(res.rms), _fmt(res.order)]
         if bench.track_peak:
             cells.append(_fmt(res.peak))
-        if bench.with_reference:
+        if with_reference:
             rel_dev = None
             if res.l_inf is not None and row.reference_l_inf:
                 rel_dev = (res.l_inf - row.reference_l_inf) / row.reference_l_inf

@@ -72,13 +72,14 @@ class BenchmarkRow:
 
 @dataclass(frozen=True)
 class Benchmark:
+    """A named sweep; its CSV label columns are the rows' label names, and the
+    reference columns appear when any row carries a reference."""
+
     name: str
     t_end: float
     notes: tuple
-    label_columns: tuple
     rows: tuple
     track_peak: bool = False
-    with_reference: bool = True
 
 
 def table1_benchmark() -> Benchmark:
@@ -101,7 +102,6 @@ def table1_benchmark() -> Benchmark:
             "ASSUMED parameters: rho = 0.75, domain [-10, 10], t_end = 1.0"
             " (the reference table does not state them); compare trends, not values",
         ),
-        label_columns=("h", "tau"),
         rows=rows,
     )
 
@@ -123,7 +123,6 @@ def table2_benchmark() -> Benchmark:
         name="table2",
         t_end=1.0,
         notes=("rho = 1, domain [-1, 1], tau = 1/1000, errors at t = 1",),
-        label_columns=("h", "tau"),
         rows=rows,
     )
 
@@ -145,7 +144,6 @@ def table3_benchmark() -> Benchmark:
         name="table3",
         t_end=1.0,
         notes=("rho = 1, domain [-1, 1], h = 1/128, errors at t = 1",),
-        label_columns=("h", "tau"),
         rows=rows,
     )
 
@@ -174,10 +172,8 @@ def fig5_benchmark() -> Benchmark:
             " maximum error over all time levels, which does grow monotonically"
             " with alpha",
         ),
-        label_columns=("alpha", "h", "tau"),
         rows=rows,
         track_peak=True,
-        with_reference=False,
     )
 
 

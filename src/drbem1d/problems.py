@@ -106,6 +106,15 @@ def _from_exact(coeffs, reaction, a, b, horizon, exact):
     )
 
 
+def _bistable(rho) -> ReactionTerm:
+    """F(u) = -u(1 - u)(rho - u): slope -rho implicit, (1 + rho) u^2 - u^3 lagged."""
+    return ReactionTerm(
+        linear_slope=-rho,
+        nonlinear=lambda u: (1.0 + rho) * u * u - u**3,
+        full=lambda u: -u * (1.0 - u) * (rho - u),
+    )
+
+
 def make_fitzhugh_nagumo(rho, a=-10.0, b=10.0, horizon=100.0) -> PdeProblem:
     """Bistable kink problem u_t = u_xx - u(1 - u)(rho - u).
 
@@ -119,11 +128,7 @@ def make_fitzhugh_nagumo(rho, a=-10.0, b=10.0, horizon=100.0) -> PdeProblem:
     def exact(x, t):
         return 0.5 + 0.5 * np.tanh((x - speed * t) / width)
 
-    reaction = ReactionTerm(
-        linear_slope=-rho,
-        nonlinear=lambda u: (1.0 + rho) * u * u - u**3,
-        full=lambda u: -u * (1.0 - u) * (rho - u),
-    )
+    reaction = _bistable(rho)
     return _from_exact(CoefficientSet.constant(0.0, 1.0, 1.0), reaction, a, b, horizon, exact)
 
 
@@ -150,11 +155,7 @@ def make_generalized_fn(rho, a=-1.0, b=1.0, horizon=1.0) -> PdeProblem:
     def exact(x, t):
         return rho / 2.0 + rho / 2.0 * np.tanh(rho / 2.0 * (x - (3.0 - rho) * np.sin(t)))
 
-    reaction = ReactionTerm(
-        linear_slope=-rho,
-        nonlinear=lambda u: (1.0 + rho) * u * u - u**3,
-        full=lambda u: -u * (1.0 - u) * (rho - u),
-    )
+    reaction = _bistable(rho)
     coeffs = CoefficientSet(
         nu=lambda t: math.cos(t),
         mu=lambda t: math.cos(t),

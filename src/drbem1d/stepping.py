@@ -53,8 +53,6 @@ class SolverState:
     q_left: float
     q_right: float
     t: float
-    step_index: int
-    corrector_iters_last: int
 
 
 @dataclass
@@ -196,22 +194,23 @@ def corrector_solve(sys: TimeLevelSystem, problem: PdeProblem, cfg: StepConfig, 
     u_tilde = np.asarray(u_prev, dtype=float)
     u_last = None
     diff = math.inf
-    for iters in range(1, cfg.max_corrector_iters + 1):
-        u_new, q_left, q_right = _solve_with_lag(sys, problem, u_tilde)
-        if u_last is not None:
-            diff = float(np.max(np.abs(u_new - u_last)))
-            if diff <= cfg.epsilon:
-                state = SolverState(
-                    u=u_new,
-                    q_left=q_left,
-                    q_right=q_right,
-                    t=sys.t_n,
-                    step_index=int(round(sys.t_n / cfg.tau)),
-                    corrector_iters_last=iters,
-                )
-                return state, iters
-        u_tilde = u_new
-        u_last = u_new
+    # a diverging iterate overflows inside the reaction; the finite check in
+    # _solve_with_lag reports it as ConvergenceError, so numpy's warning is noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        for iters in range(1, cfg.max_corrector_iters + 1):
+            u_new, q_left, q_right = _solve_with_lag(sys, problem, u_tilde)
+            if u_last is not None:
+                diff = float(np.max(np.abs(u_new - u_last)))
+                if diff <= cfg.epsilon:
+                    state = SolverState(
+                        u=u_new,
+                        q_left=q_left,
+                        q_right=q_right,
+                        t=sys.t_n,
+                    )
+                    return state, iters
+            u_tilde = u_new
+            u_last = u_new
     raise ConvergenceError(
         f"corrector stalled at t = {sys.t_n:g}: difference {diff:.3e} after "
         f"{cfg.max_corrector_iters} iterations (tau too large or reaction too stiff)",
@@ -305,8 +304,6 @@ def run(
                 q_left=float(slope[0]),
                 q_right=float(slope[-1]),
                 t=0.0,
-                step_index=0,
-                corrector_iters_last=0,
             )
         )
 

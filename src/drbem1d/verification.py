@@ -136,14 +136,6 @@ class ConvergenceRow:
     failure: Optional[DrbemError] = None
 
 
-@dataclass(frozen=True)
-class ConvergenceTable:
-    """Error rows of a refinement sweep plus observed orders between neighbours."""
-
-    rows: tuple
-    observed_orders: tuple
-
-
 def observed_order(err_prev, err_cur, param_prev, param_cur) -> Optional[float]:
     """log(err ratio) / log(parameter ratio); None when either ratio degenerates."""
     if err_prev <= 0.0 or err_cur <= 0.0 or param_prev == param_cur:
@@ -163,12 +155,13 @@ def _pair_order(prev: Optional[ConvergenceRow], cur: ConvergenceRow) -> Optional
     return None
 
 
-def sweep(rows, t_end, track_peak=False, epsilon=1e-10, max_iters=100) -> list:
+def sweep(rows, t_end, track_peak=False) -> list:
     """One solver run per (problem, h, tau) row, with errors against the exact solution.
 
-    Operators are assembled once per (a, b, N) grid and shared.  A DrbemError is
-    recorded on its row and the sweep goes on; each result carries the observed
-    order against the row before it.
+    Operators are assembled once per (a, b, N) grid and shared, and every row
+    runs the corrector at StepConfig's default tolerance and cap.  A DrbemError
+    is recorded on its row and the sweep goes on; each result carries the
+    observed order against the row before it.
     """
     ops_cache = {}
     results = []
@@ -181,7 +174,7 @@ def sweep(rows, t_end, track_peak=False, epsilon=1e-10, max_iters=100) -> list:
             if key not in ops_cache:
                 ops_cache[key] = (grid, assemble_drbem(grid, assemble_interpolation(grid)))
             grid, ops = ops_cache[key]
-            cfg = StepConfig(tau=tau, epsilon=epsilon, max_corrector_iters=max_iters)
+            cfg = StepConfig(tau=tau)
             snapshots = None
             if track_peak:
                 snapshots = [k * tau for k in range(1, level_index(t_end, tau) + 1)]
@@ -201,18 +194,16 @@ def sweep(rows, t_end, track_peak=False, epsilon=1e-10, max_iters=100) -> list:
     return results
 
 
-def convergence_study(problem: PdeProblem, h_list, tau_list, t_end,
-                      epsilon=1e-10, max_iters=100) -> ConvergenceTable:
+def convergence_study(problem: PdeProblem, h_list, tau_list, t_end) -> tuple:
     """One solver run per (tau, h) pair, with errors against the exact solution.
 
-    Rows are emitted tau-major in the given order; the observed order between
-    consecutive rows refers to whichever of h or tau changed (None at group
-    boundaries or when both changed).  The first row failure is raised.
+    Returns the ConvergenceRow records tau-major in the given order; each row's
+    order refers to whichever of h or tau changed against the row before (None
+    at group boundaries or when both changed).  The first row failure is raised.
     """
     rows = [(problem, float(h), float(tau)) for tau in tau_list for h in h_list]
-    results = sweep(rows, float(t_end), epsilon=epsilon, max_iters=max_iters)
+    results = sweep(rows, float(t_end))
     for result in results:
         if result.failure is not None:
             raise result.failure
-    return ConvergenceTable(rows=tuple(results),
-                            observed_orders=tuple(r.order for r in results))
+    return tuple(results)

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from drbem1d.problems import (
     make_generalized_fn,
     make_newell_whitehead,
 )
+from drbem1d.stepping import StepConfig, run
 from drbem1d.verification import compute_errors
 
 GOOD_CONFIG = """\
@@ -161,6 +163,23 @@ class TestCmdSolve:
             assert "u_oracle" in profile[0]
             assert float(row["drbem_vs_oracle"]) < 1e-2
 
+    def test_summary_corrector_columns_follow_level_iterations(self, tmp_path):
+        config = parse_config(
+            "equation = generalized_fn\nrho = 1.0\nh = 0.25\ntau = 0.02\nt_end = 0.08\n"
+            f'snapshots = 0, 0.04, 0.08\noutput_path = "{tmp_path}"\n'
+        )
+        assert cmd_solve(config) == 0
+        _, summary = load_csv(tmp_path / "summary.csv")
+        traj = run(build_problem(config), build_grid(config), StepConfig(tau=config.tau),
+                   config.t_end)
+        iters = traj.level_iterations
+        # the last level takes fewer passes than the first, so a level's own count
+        # and the running maximum differ at t_end
+        assert len(iters) == 4 and iters[3] < max(iters)
+        expected = [(0, 0), (iters[1], max(iters[:2])), (iters[3], max(iters))]
+        assert [(int(row["corrector_iters"]), int(row["corrector_iters_max_to_t"]))
+                for row in summary] == expected
+
     def test_byte_identical_reruns(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         for out in (out_a, out_b):
@@ -204,7 +223,6 @@ def test_benchmark_records_row_failures_and_returns_2(tmp_path):
         name="synthetic",
         t_end=0.1,
         notes=("synthetic benchmark for failure handling",),
-        label_columns=("h", "tau"),
         rows=(
             row(healthy, 4),
             row(broken, 4),
@@ -215,10 +233,11 @@ def test_benchmark_records_row_failures_and_returns_2(tmp_path):
             row(fisher, 16),
             row(fisher, 32),
         ),
-        with_reference=False,
     )
     assert _run_benchmark(bench, tmp_path) == 2
     _, rows = load_csv(tmp_path / "synthetic.csv")
+    # label columns come from the rows' labels; no row has a reference
+    assert list(rows[0])[:3] == ["h", "tau", "l_inf"] and "l_inf_reference" not in rows[0]
     assert rows[0]["status"] == "ok"
     assert rows[1]["status"].startswith("error:")
     assert rows[1]["l_inf"] == ""
@@ -259,9 +278,12 @@ class TestMainExitCodes:
             "equation = generalized_fisher\nalpha = 6\nh = 0.25\ntau = 0.5\nt_end = 1\n"
             f'output_path = "{tmp_path}"\n'
         )
-        assert main(["solve", str(path)]) == 2
-        err = capsys.readouterr().err
-        assert "solver" in err and "Traceback" not in err
+        # the overflow inside the reaction must not leak out as a numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["solve", str(path)]) == 2
+        err_lines = capsys.readouterr().err.splitlines()
+        assert len(err_lines) == 1 and err_lines[0].startswith("drbem1d: solver failure")
 
     def test_nan_initial_data_is_2(self, tmp_path, capsys, monkeypatch):
         def fisher_with_nan(a, b, horizon):

@@ -214,7 +214,7 @@ def test_run_zero_horizon_returns_sampled_initial():
     traj = run(problem, grid, StepConfig(tau=1e-3), 0.0)
     assert len(traj.states) == 1
     state = traj.states[0]
-    assert state.t == 0.0 and state.step_index == 0
+    assert state.t == 0.0
     np.testing.assert_allclose(state.u, problem.initial(grid.nodes), atol=1e-15)
     assert traj.level_iterations == []
 

@@ -128,31 +128,31 @@ class TestConvergenceStudy:
 
     def test_zero_steps_give_zero_error_rows(self):
         problem = make_generalized_fn(1.0)
-        table = convergence_study(problem, [0.25, 0.125], [1e-3], 0.0)
-        assert all(row.l_inf == 0.0 and row.rms == 0.0 for row in table.rows)
+        rows = convergence_study(problem, [0.25, 0.125], [1e-3], 0.0)
+        assert all(row.l_inf == 0.0 and row.rms == 0.0 for row in rows)
 
     def test_spatial_refinement_against_reference(self):
         # published errors: 1.0914e-3 at h = 1/4 and 3.4491e-4 at h = 1/8
         problem = make_generalized_fn(1.0)
-        table = convergence_study(problem, [0.25, 0.125], [1e-3], 1.0)
-        assert table.rows[0].l_inf == pytest.approx(1.0914e-3, rel=0.25)
-        assert table.rows[1].l_inf == pytest.approx(3.4491e-4, rel=0.25)
-        assert table.observed_orders[0] is None
-        assert table.observed_orders[1] == pytest.approx(
-            math.log2(table.rows[0].l_inf / table.rows[1].l_inf), rel=1e-12
+        rows = convergence_study(problem, [0.25, 0.125], [1e-3], 1.0)
+        assert rows[0].l_inf == pytest.approx(1.0914e-3, rel=0.25)
+        assert rows[1].l_inf == pytest.approx(3.4491e-4, rel=0.25)
+        assert rows[0].order is None
+        assert rows[1].order == pytest.approx(
+            math.log2(rows[0].l_inf / rows[1].l_inf), rel=1e-12
         )
 
     def test_temporal_refinement_shows_first_order(self):
         problem = make_generalized_fn(1.0)
-        table = convergence_study(problem, [1.0 / 16.0], [0.02, 0.01], 1.0)
-        assert table.rows[0].tau == 0.02
-        order = table.observed_orders[1]
+        rows = convergence_study(problem, [1.0 / 16.0], [0.02, 0.01], 1.0)
+        assert rows[0].tau == 0.02
+        order = rows[1].order
         assert order is not None and 0.5 < order < 1.5
 
     def test_rows_are_tau_major(self):
         problem = make_generalized_fn(1.0)
-        table = convergence_study(problem, [0.25, 0.125], [0.05, 0.025], 0.1)
-        taus = [row.tau for row in table.rows]
+        rows = convergence_study(problem, [0.25, 0.125], [0.05, 0.025], 0.1)
+        taus = [row.tau for row in rows]
         assert taus == [0.05, 0.05, 0.025, 0.025]
         # order is None across the tau-group boundary (both parameters change)
-        assert table.observed_orders[2] is None
+        assert rows[2].order is None
