@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -29,7 +30,7 @@ from .problems import (
     transcribed_fisher_wave,
 )
 from .rbf import Grid, assemble_interpolation, interpolation_coefficients, phi, psi
-from .stepping import StepConfig, level_index, run
+from .stepping import StepConfig, level_index, run, time_levels
 from .verification import compute_errors, fd_oracle, sweep
 
 log = logging.getLogger("drbem1d")
@@ -42,18 +43,16 @@ PARAMETERS = tuple(dict.fromkeys(p for _, p in REGISTRY.values() if p is not Non
 
 @dataclass
 class RunConfig:
-    """Validated parameters of one solver run."""
+    """Parsed parameters of one solver run; the domain and grid are checked when built."""
 
     equation: str
     params: dict
     a: float
     b: float
     t_end: float
-    tau: float
+    step: StepConfig
     h: float | None = None
     n: int | None = None
-    epsilon: float = StepConfig.epsilon
-    max_iters: int = StepConfig.max_corrector_iters
     snapshots: tuple = ()
     output_path: str = "."
     compare_exact: bool = True
@@ -78,6 +77,13 @@ _SCHEMA = {
 }
 
 
+def _finite(text):
+    number = float(text)
+    if not math.isfinite(number):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return number
+
+
 def _convert(key, value, lineno):
     kind = _SCHEMA[key]
     try:
@@ -93,9 +99,9 @@ def _convert(key, value, lineno):
         if kind is int:
             return int(value)
         if kind is float:
-            return float(value)
+            return _finite(value)
         if kind == "float_list":
-            return tuple(float(part) for part in value.split(",") if part.strip())
+            return tuple(_finite(part) for part in value.split(",") if part.strip())
     except ValueError as exc:
         raise ConfigError(str(exc), line=lineno, field=key) from exc
     raise AssertionError(f"unhandled schema kind for {key}")
@@ -160,45 +166,21 @@ def parse_config(text: str) -> RunConfig:
     for name, value in (("t_end", t_end), ("tau", tau)):
         if value is None:
             raise ConfigError("missing required key", field=name)
-    if t_end < 0.0:
-        raise ConfigError("t_end must be nonnegative", field="t_end")
-    if tau <= 0.0:
-        raise ConfigError("tau must be positive", field="tau")
+    snapshots = take("snapshots", (t_end,))
+    try:
+        step = StepConfig(tau=tau, epsilon=take("epsilon", StepConfig.epsilon),
+                          max_corrector_iters=take("max_iters", StepConfig.max_corrector_iters))
+        time_levels(tau, t_end, snapshots)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
     default_a, default_b = default_domain(equation)
     a = take("a", default_a)
     b = take("b", default_b)
-    if not a < b:
-        raise ConfigError(f"need a < b, got [{a}, {b}]", field="a")
-
     h = take("h")
     n = take("n")
     if (h is None) == (n is None):
         raise ConfigError("give exactly one of 'h' or 'n'", field="h")
-    if h is not None and h <= 0.0:
-        raise ConfigError("h must be positive", field="h")
-    if n is not None and n < 3:
-        raise ConfigError("n must be at least 3", field="n")
-
-    epsilon = take("epsilon", StepConfig.epsilon)
-    max_iters = take("max_iters", StepConfig.max_corrector_iters)
-    if epsilon <= 0.0:
-        raise ConfigError("epsilon must be positive", field="epsilon")
-    if max_iters < 1:
-        raise ConfigError("max_iters must be at least 1", field="max_iters")
-
-    snapshots = take("snapshots", (t_end,))
-    for s in snapshots:
-        if s < 0.0 or s > t_end + 1e-12 * max(1.0, t_end):
-            raise ConfigError(f"snapshot {s} outside [0, {t_end}]", field="snapshots")
-        try:
-            level_index(s, tau)
-        except ValueError as exc:
-            raise ConfigError(str(exc), field="snapshots") from exc
-    try:
-        level_index(t_end, tau)
-    except ValueError as exc:
-        raise ConfigError(str(exc), field="t_end") from exc
 
     output_path = take("output_path", ".")
     compare_exact = take("compare_exact", True)
@@ -211,11 +193,9 @@ def parse_config(text: str) -> RunConfig:
         a=a,
         b=b,
         t_end=t_end,
-        tau=tau,
+        step=step,
         h=h,
         n=n,
-        epsilon=epsilon,
-        max_iters=max_iters,
         snapshots=tuple(snapshots),
         output_path=output_path,
         compare_exact=compare_exact,
@@ -225,7 +205,7 @@ def parse_config(text: str) -> RunConfig:
 
 def build_problem(config: RunConfig) -> PdeProblem:
     factory = REGISTRY[config.equation][0]
-    horizon = config.t_end if config.t_end > 0.0 else config.tau
+    horizon = config.t_end if config.t_end > 0.0 else config.step.tau
     try:
         return factory(**config.params, a=config.a, b=config.b, horizon=horizon)
     except ValueError as exc:
@@ -260,7 +240,7 @@ def _config_notes(config: RunConfig):
     pieces = [f"equation = {config.equation}"]
     pieces += [f"{k} = {v:g}" for k, v in sorted(config.params.items())]
     pieces.append(f"domain = [{config.a:g}, {config.b:g}]")
-    pieces.append(f"tau = {config.tau:g}")
+    pieces.append(f"tau = {config.step.tau:g}")
     if config.h is not None:
         pieces.append(f"h = {config.h:g}")
     else:
@@ -273,10 +253,9 @@ def cmd_solve(config: RunConfig) -> int:
     """Run one configured problem; write per-snapshot profiles and a summary CSV."""
     problem = build_problem(config)
     grid = build_grid(config)
-    cfg = StepConfig(tau=config.tau, epsilon=config.epsilon,
-                     max_corrector_iters=config.max_iters)
+    step = config.step
     snapshots = config.snapshots or (config.t_end,)
-    trajectory = run(problem, grid, cfg, config.t_end, snapshots=snapshots)
+    trajectory = run(problem, grid, step, config.t_end, snapshots=snapshots)
 
     out_dir = Path(config.output_path)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -290,8 +269,8 @@ def cmd_solve(config: RunConfig) -> int:
             exact = np.asarray(problem.exact(grid.nodes, state.t), dtype=float)
         oracle = None
         if config.run_oracle:
-            oracle = fd_oracle(problem, grid.n, config.tau, state.t,
-                               epsilon=config.epsilon, max_iters=config.max_iters)
+            oracle = fd_oracle(problem, grid.n, step.tau, state.t,
+                               epsilon=step.epsilon, max_iters=step.max_corrector_iters)
 
         columns = ["x", "u_numeric"]
         series = [grid.nodes, state.u]
@@ -307,7 +286,7 @@ def cmd_solve(config: RunConfig) -> int:
         _write_csv(out_dir / f"profile_t{state.t:.6f}.csv", notes, columns, profile_rows)
 
         report = compute_errors(state.u, exact, time=state.t) if exact is not None else None
-        k = level_index(state.t, config.tau)  # level k took iters[k - 1] passes
+        k = level_index(state.t, step.tau)  # level k took iters[k - 1] passes
         row = {
             "t": _fmt(state.t),
             "l_inf": _fmt(report.l_inf if report else None),

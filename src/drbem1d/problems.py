@@ -173,8 +173,8 @@ def make_generalized_fisher(alpha, a=-2.0, b=2.0, horizon=1.0) -> PdeProblem:
     pins both values, and residual_check confirms them to stencil order.
     """
     alpha = float(alpha)
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
+    if not alpha > 0.0:
+        raise ValueError(f"alpha = {alpha} must be positive")
     root = math.sqrt(2.0 * alpha + 4.0)
     wavenumber = alpha / (2.0 * root)
     speed = (alpha + 4.0) / root

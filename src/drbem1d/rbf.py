@@ -7,10 +7,11 @@ which is what lets inhomogeneous terms be moved onto the interval endpoints.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack, lu_factor, lu_solve
+from scipy.linalg import lapack, lu_solve
 
 from .exceptions import SingularMatrixError
 
@@ -45,7 +46,7 @@ class Grid:
     def __post_init__(self):
         nodes = np.array(self.nodes, dtype=float)
         if nodes.ndim != 1 or nodes.size < 3:
-            raise ValueError("a grid needs at least 3 one-dimensional nodes")
+            raise ValueError(f"a grid needs n >= 3 one-dimensional nodes, got shape {nodes.shape}")
         if not np.all(np.diff(nodes) > 0.0):
             raise ValueError("grid nodes must be strictly increasing")
         nodes.setflags(write=False)
@@ -58,6 +59,8 @@ class Grid:
     @classmethod
     def with_spacing(cls, a, b, h):
         """Uniform grid with nominal spacing h; (b - a) must be a whole number of cells."""
+        if not 0.0 < h < math.inf:
+            raise ValueError(f"spacing h = {h} must be positive and finite")
         cells = (float(b) - float(a)) / float(h)
         n_cells = int(round(cells))
         if n_cells < 2 or abs(cells - n_cells) > 1e-9 * max(1.0, abs(cells)):
@@ -101,6 +104,25 @@ class InterpolationOperator:
         return lu_solve(self.factorization, rhs, trans=1 if transposed else 0)
 
 
+def lu_factor_checked(matrix, what):
+    """LU factors (lu, piv) of a square matrix, as scipy.linalg.lu_factor returns them.
+
+    Calls LAPACK getrf, the routine lu_factor wraps, so the factors are the same
+    bits.  A non-finite factor or a pivot below PIVOT_FLOOR raises
+    SingularMatrixError naming `what`; no LinAlgWarning is emitted.
+    """
+    # getrf's info > 0 (an exact zero pivot) is caught by the pivot floor below
+    lu, piv, _ = lapack.dgetrf(matrix)
+    if not np.isfinite(lu).all():
+        raise SingularMatrixError(f"{what} has non-finite LU factors")
+    smallest_pivot = float(np.min(np.abs(np.diag(lu))))
+    if not smallest_pivot >= PIVOT_FLOOR:
+        raise SingularMatrixError(
+            f"{what} is singular: pivot {smallest_pivot:.3e} below {PIVOT_FLOOR:.0e}"
+        )
+    return lu, piv
+
+
 def assemble_interpolation(grid: Grid) -> InterpolationOperator:
     """Build the kernel matrices over the grid and factor phi_matrix once."""
     x = grid.nodes
@@ -108,13 +130,7 @@ def assemble_interpolation(grid: Grid) -> InterpolationOperator:
     phi_matrix = phi(dist)
     phi_x_matrix = np.sign(x[:, None] - x[None, :])
 
-    lu, piv = lu_factor(phi_matrix)
-    smallest_pivot = float(np.min(np.abs(np.diag(lu))))
-    if smallest_pivot < PIVOT_FLOOR:
-        raise SingularMatrixError(
-            f"interpolation matrix pivot {smallest_pivot:.3e} below "
-            f"{PIVOT_FLOOR:.0e}; node set is degenerate"
-        )
+    lu, piv = lu_factor_checked(phi_matrix, "interpolation matrix (degenerate node set)")
 
     anorm = float(np.linalg.norm(phi_matrix, 1))
     rcond, info = lapack.dgecon(lu, anorm, norm="1")

@@ -15,12 +15,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import lu_solve
 
 from .assembly import DrbemOperators, assemble_drbem
-from .exceptions import ConvergenceError, SingularMatrixError, SolverError
+from .exceptions import ConvergenceError, SolverError
 from .problems import PdeProblem
-from .rbf import PIVOT_FLOOR, Grid, assemble_interpolation
+from .rbf import Grid, assemble_interpolation, lu_factor_checked
 
 log = logging.getLogger(__name__)
 
@@ -77,6 +77,16 @@ class TimeLevelSystem:
     w_right_col: np.ndarray
 
 
+def level_coefficients(problem: PdeProblem, t_n: float) -> tuple:
+    """(nu, mu, eta) at t_n, rejecting a diffusion factor too small to divide by."""
+    nu_n = float(problem.coeffs.nu(t_n))
+    mu_n = float(problem.coeffs.mu(t_n))
+    eta_n = float(problem.coeffs.eta(t_n))
+    if not abs(mu_n) > MU_FLOOR:
+        raise SolverError(f"diffusion coefficient mu({t_n:g}) = {mu_n:g} is unusably small")
+    return nu_n, mu_n, eta_n
+
+
 def build_level_system(
     problem: PdeProblem,
     grid: Grid,
@@ -98,11 +108,7 @@ def build_level_system(
     columns are carried over and only the right-hand side is rebuilt.
     """
     tau = cfg.tau
-    nu_n = float(problem.coeffs.nu(t_n))
-    mu_n = float(problem.coeffs.mu(t_n))
-    eta_n = float(problem.coeffs.eta(t_n))
-    if abs(mu_n) <= MU_FLOOR:
-        raise SolverError(f"diffusion coefficient mu({t_n:g}) = {mu_n:g} is unusably small")
+    nu_n, mu_n, eta_n = level_coefficients(problem, t_n)
 
     n = grid.n
     u_prev = np.asarray(u_prev, dtype=float)
@@ -130,16 +136,7 @@ def build_level_system(
         a_matrix = np.column_stack(
             [ops.l_matrix[:, 0], ops.l_matrix[:, 1], w[:, 1 : n - 1]]
         )
-        try:
-            lu, piv = lu_factor(a_matrix)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - scipy raises rarely
-            raise SingularMatrixError(f"level matrix at t = {t_n:g} is singular") from exc
-        smallest_pivot = float(np.min(np.abs(np.diag(lu))))
-        if smallest_pivot < PIVOT_FLOOR:
-            raise SingularMatrixError(
-                f"level matrix pivot {smallest_pivot:.3e} below {PIVOT_FLOOR:.0e} at t = {t_n:g}"
-            )
-        factorization = (lu, piv)
+        factorization = lu_factor_checked(a_matrix, f"level matrix at t = {t_n:g}")
         w_left_col = np.ascontiguousarray(w[:, 0])
         w_right_col = np.ascontiguousarray(w[:, -1])
 
@@ -174,7 +171,7 @@ def _solve_with_lag(sys: TimeLevelSystem, problem: PdeProblem, u_tilde):
             "right-hand side (tau too large, reaction too stiff, or bad initial data)",
             time=sys.t_n,
         )
-    # lu_factor already refused a non-finite level matrix, so only rhs needs the scan
+    # lu_factor_checked already refused non-finite factors, so only rhs needs the scan
     z = lu_solve(sys.factorization, rhs, check_finite=False)
     u = np.empty(rhs.size)
     u[0] = sys.g_left
@@ -238,19 +235,40 @@ class Trajectory:
     level_iterations: list
 
 
-def level_index(t, tau) -> int:
+def level_index(t, tau, name="time") -> int:
     """t / tau rounded to the nearest level, rejecting non-multiples."""
     k = int(round(t / tau))
     if abs(t - k * tau) > TIME_MULTIPLE_TOL * max(1.0, abs(t)):
-        raise ValueError(f"time {t!r} is not an integer multiple of tau = {tau!r}")
+        raise ValueError(f"{name} {t!r} is not an integer multiple of tau = {tau!r}")
     return k
 
 
-def _sample(f, x):
-    values = np.asarray(f(x), dtype=float)
-    if values.shape != x.shape:
-        values = np.array([float(f(xi)) for xi in x])
-    return values
+def time_levels(tau, t_end, snapshots=None) -> tuple:
+    """Level count to t_end and the set of snapshot levels (default: t_end alone).
+
+    t_end must be nonnegative, and t_end and every snapshot time integer
+    multiples of tau within rounding, with the snapshots in [0, t_end].
+    """
+    if not t_end >= 0.0:
+        raise ValueError(f"t_end = {t_end} must be nonnegative")
+    n_levels = level_index(t_end, tau, "t_end")
+    snap_levels = set()
+    for s in (t_end,) if snapshots is None else snapshots:
+        k = level_index(float(s), tau, "snapshot")
+        if not 0 <= k <= n_levels:
+            raise ValueError(f"snapshot {s} outside [0, {t_end}]")
+        snap_levels.add(k)
+    return n_levels, snap_levels
+
+
+def initial_values(problem: PdeProblem, x) -> np.ndarray:
+    """Initial data sampled at the nodes x, with the t = 0 boundary values imposed."""
+    u = np.array(problem.initial(x), dtype=float)
+    if u.shape != x.shape:
+        u = np.array([float(problem.initial(xi)) for xi in x])
+    u[0] = float(problem.bc_left(0.0))
+    u[-1] = float(problem.bc_right(0.0))
+    return u
 
 
 def run(
@@ -272,27 +290,14 @@ def run(
             f"grid [{grid.a}, {grid.b}] does not span the problem interval "
             f"[{problem.a}, {problem.b}]"
         )
-    if t_end < 0.0:
-        raise ValueError("t_end must be nonnegative")
+    n_levels, snap_levels = time_levels(cfg.tau, t_end, snapshots)
     if t_end > problem.horizon * (1.0 + 1e-12):
         raise ValueError(f"t_end = {t_end} exceeds the problem horizon {problem.horizon}")
-
-    n_levels = level_index(t_end, cfg.tau)
-    if snapshots is None:
-        snapshots = (t_end,)
-    snap_levels = set()
-    for s in snapshots:
-        k = level_index(float(s), cfg.tau)
-        if k < 0 or k > n_levels:
-            raise ValueError(f"snapshot time {s} outside [0, {t_end}]")
-        snap_levels.add(k)
 
     if ops is None:
         ops = assemble_drbem(grid, assemble_interpolation(grid))
 
-    u = _sample(problem.initial, grid.nodes).copy()
-    u[0] = float(problem.bc_left(0.0))
-    u[-1] = float(problem.bc_right(0.0))
+    u = initial_values(problem, grid.nodes)
 
     states = []
     level_iterations = []

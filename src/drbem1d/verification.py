@@ -9,11 +9,12 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .exceptions import ConvergenceError, DrbemError, SolverError
+from .exceptions import ConvergenceError, DrbemError
 from .problems import PdeProblem
 from .rbf import Grid, assemble_interpolation
 from .assembly import assemble_drbem
-from .stepping import MU_FLOOR, StepConfig, level_index, run
+from .stepping import (StepConfig, initial_values, level_coefficients, level_index, run,
+                       time_levels)
 
 
 @dataclass(frozen=True)
@@ -47,37 +48,30 @@ def compute_errors(numeric, exact_at_nodes, time=math.nan) -> ErrorReport:
     )
 
 
-def fd_oracle(problem: PdeProblem, n_nodes, tau, t_end, epsilon=1e-10, max_iters=100):
+def fd_oracle(problem: PdeProblem, n_nodes, tau, t_end, epsilon=StepConfig.epsilon,
+              max_iters=StepConfig.max_corrector_iters):
     """Backward-Euler / three-point central-difference solution on a uniform grid.
 
     Completely independent of the boundary-integral pipeline; only the nonlinear
     policy is shared (linear reaction part implicit, remainder lagged under the
     same successive-solve stopping rule), so discrepancies between the two
-    solvers isolate the spatial discretization.
+    solvers isolate the spatial discretization.  The step settings, nodes, time
+    levels, initial values and level coefficients follow the stepper's own rules.
     """
-    n = int(n_nodes)
-    if n < 3:
-        raise ValueError("need at least 3 nodes")
-    x = np.linspace(problem.a, problem.b, n)
-    h = (problem.b - problem.a) / (n - 1)
-    n_levels = level_index(float(t_end), float(tau))
+    tau = float(tau)
+    StepConfig(tau=tau, epsilon=epsilon, max_corrector_iters=max_iters)  # ValueError if bad
+    grid = Grid.uniform(problem.a, problem.b, n_nodes)
+    x, n, h = grid.nodes, grid.n, grid.h
+    n_levels, _ = time_levels(tau, float(t_end))
 
-    u = np.asarray(problem.initial(x), dtype=float).copy()
-    if u.shape != x.shape:
-        u = np.array([float(problem.initial(xi)) for xi in x])
-    u[0] = float(problem.bc_left(0.0))
-    u[-1] = float(problem.bc_right(0.0))
+    u = initial_values(problem, x)
 
     lam = problem.reaction.linear_slope
     nonlinear = problem.reaction.nonlinear
     m = n - 2
     for k in range(1, n_levels + 1):
-        t_n = k * float(tau)
-        nu_n = float(problem.coeffs.nu(t_n))
-        mu_n = float(problem.coeffs.mu(t_n))
-        eta_n = float(problem.coeffs.eta(t_n))
-        if abs(mu_n) <= MU_FLOOR:
-            raise SolverError(f"diffusion coefficient mu({t_n:g}) = {mu_n:g} is unusably small")
+        t_n = k * tau
+        nu_n, mu_n, eta_n = level_coefficients(problem, t_n)
 
         lower = -nu_n / (2.0 * h) - mu_n / (h * h)
         diag = 1.0 / tau + 2.0 * mu_n / (h * h) - eta_n * lam

@@ -1,11 +1,16 @@
 import dataclasses
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from helpers import load_csv
 
+import drbem1d
 from drbem1d.cli import (
     RunConfig,
     _run_benchmark,
@@ -30,7 +35,7 @@ from drbem1d.problems import (
     make_generalized_fn,
     make_newell_whitehead,
 )
-from drbem1d.stepping import StepConfig, run
+from drbem1d.stepping import run
 from drbem1d.verification import compute_errors
 
 GOOD_CONFIG = """\
@@ -51,9 +56,9 @@ class TestParseConfig:
         assert config.params == {"rho": 0.75}
         assert (config.a, config.b) == (-10.0, 10.0)
         assert config.h == 0.125 and config.n is None
-        assert config.tau == 1e-3 and config.t_end == 1.0
+        assert config.step.tau == 1e-3 and config.t_end == 1.0
         assert config.snapshots == (1.0,)
-        assert config.epsilon == 1e-10 and config.max_iters == 100
+        assert config.step.epsilon == 1e-10 and config.step.max_corrector_iters == 100
         assert config.compare_exact and not config.run_oracle
 
     def test_comments_quotes_and_defaults(self):
@@ -111,6 +116,13 @@ class TestParseConfig:
             parse_config("equation = fisher\ntau = fast\n")
         message = str(excinfo.value)
         assert "line 2" in message and "tau" in message
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0.25, nan"])
+    def test_non_finite_number_reports_line_and_field(self, value):
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(f"equation = fisher\nsnapshots = {value}\n")
+        message = str(excinfo.value)
+        assert "line 2" in message and "snapshots" in message and "finite" in message
 
 
 def test_build_problem_rejects_generalized_fn_past_pi_half():
@@ -170,8 +182,7 @@ class TestCmdSolve:
         )
         assert cmd_solve(config) == 0
         _, summary = load_csv(tmp_path / "summary.csv")
-        traj = run(build_problem(config), build_grid(config), StepConfig(tau=config.tau),
-                   config.t_end)
+        traj = run(build_problem(config), build_grid(config), config.step, config.t_end)
         iters = traj.level_iterations
         # the last level takes fewer passes than the first, so a level's own count
         # and the running maximum differ at t_end
@@ -311,6 +322,37 @@ class TestMainExitCodes:
         assert main(["solve", str(path)]) == 1
         assert "alpha" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("settings, code, named", [
+        pytest.param({"tau": "0"}, 1, "tau", id="tau=0"),
+        pytest.param({"tau": "nan"}, 1, "'tau'", id="tau=nan"),
+        pytest.param({"epsilon": "0"}, 1, "epsilon", id="epsilon=0"),
+        pytest.param({"epsilon": "nan"}, 1, "'epsilon'", id="epsilon=nan"),
+        pytest.param({"max_iters": "0"}, 1, "max_corrector_iters", id="max_iters=0"),
+        pytest.param({"a": "3"}, 1, "a < b", id="a>=b"),
+        pytest.param({"n": None, "h": "0"}, 1, "spacing h", id="h=0"),
+        pytest.param({"n": "2"}, 1, "n >= 3", id="n=2"),
+        pytest.param({"t_end": "-1"}, 1, "t_end", id="t_end=-1"),
+        pytest.param({"snapshots": "0.005"}, 1, "snapshot 0.005", id="snapshot-not-multiple"),
+        pytest.param({"snapshots": "0.1"}, 1, "snapshot 0.1", id="snapshot-beyond-t_end"),
+        pytest.param({"equation": "generalized_fisher", "alpha": "nan"}, 1, "'alpha'",
+                     id="alpha=nan"),
+        pytest.param({"equation": "fitzhugh_nagumo", "rho": "inf"}, 1, "'rho'", id="rho=inf"),
+        pytest.param({"tau": "1e-310", "t_end": "1e-310"}, 2, "solver failure",
+                     id="tau=t_end=1e-310"),
+    ])
+    def test_bad_setting_exit_code_table(self, tmp_path, capsys, settings, code, named):
+        # a fisher run with one setting changed (None drops the key)
+        keys = {"equation": "fisher", "n": "9", "tau": "0.01", "t_end": "0.05",
+                "output_path": f'"{tmp_path}"', **settings}
+        path = tmp_path / "run.cfg"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in keys.items() if v is not None))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["solve", str(path)]) == code
+        err_lines = capsys.readouterr().err.splitlines()
+        assert len(err_lines) == 1
+        assert err_lines[0].startswith("drbem1d:") and named in err_lines[0]
+
     def test_good_run_is_0(self, tmp_path, capsys):
         path = tmp_path / "ok.cfg"
         path.write_text(
@@ -319,6 +361,23 @@ class TestMainExitCodes:
         )
         assert main(["solve", str(path)]) == 0
         capsys.readouterr()
+
+
+@pytest.mark.parametrize("settings, status", [
+    pytest.param("tau = 0.01\nt_end = 0.05\nepsilon = nan", 1, id="epsilon=nan"),
+    pytest.param("tau = 1e-310\nt_end = 1e-310", 2, id="tau=t_end=1e-310"),
+])
+def test_exit_status_at_the_process_boundary(tmp_path, settings, status):
+    """`python -m drbem1d.cli` exits with main's code and prints no traceback."""
+    path = tmp_path / "run.cfg"
+    path.write_text(f'equation = fisher\nn = 9\n{settings}\noutput_path = "{tmp_path}"\n')
+    package_root = str(Path(drbem1d.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "drbem1d.cli", "solve", str(path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == status
+    assert proc.stderr.startswith("drbem1d:") and "Traceback" not in proc.stderr
 
 
 def test_cmd_check_passes(capsys):

@@ -83,6 +83,8 @@ def test_generalized_fisher_rejects_bad_alpha():
         make_generalized_fisher(0.0)
     with pytest.raises(ValueError):
         make_generalized_fisher(-1.0)
+    with pytest.raises(ValueError):
+        make_generalized_fisher(math.nan)
 
 
 def test_non_integer_alpha_negative_base_is_domain_error():

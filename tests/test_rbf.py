@@ -1,11 +1,16 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
+from scipy.linalg import lu_factor
 
 from drbem1d.exceptions import SingularMatrixError
 from drbem1d.rbf import (
     Grid,
     assemble_interpolation,
     interpolation_coefficients,
+    lu_factor_checked,
     phi,
     psi,
     psi_x,
@@ -61,6 +66,11 @@ class TestGrid:
     def test_with_spacing_rejects_non_divisor(self):
         with pytest.raises(ValueError):
             Grid.with_spacing(0.0, 1.0, 0.3)
+
+    @pytest.mark.parametrize("h", [0.0, -0.25, math.nan, math.inf])
+    def test_with_spacing_rejects_nonpositive_or_non_finite(self, h):
+        with pytest.raises(ValueError, match="spacing h"):
+            Grid.with_spacing(0.0, 1.0, h)
 
     def test_rejects_unsorted_and_tiny(self):
         with pytest.raises(ValueError):
@@ -158,3 +168,21 @@ def test_nodal_derivative_error_shrinks_with_h():
 def test_degenerate_nodes_raise_singular():
     with pytest.raises(SingularMatrixError):
         assemble_interpolation(Grid(np.array([0.0, 1e-15, 2e-15])))
+
+
+class TestLuFactorChecked:
+    def test_factors_match_scipy_bit_for_bit(self):
+        matrix = np.random.default_rng(7).standard_normal((40, 40))
+        lu, piv = lu_factor_checked(matrix, "test matrix")
+        lu_ref, piv_ref = lu_factor(matrix)
+        np.testing.assert_array_equal(lu, lu_ref)
+        np.testing.assert_array_equal(piv, piv_ref)
+
+    @pytest.mark.parametrize("matrix", [
+        np.zeros((4, 4)), np.full((4, 4), math.nan), np.diag([1.0, math.inf, 1.0]),
+    ], ids=["zero", "nan", "inf-pivot"])
+    def test_singular_or_non_finite_raises_without_warning(self, matrix):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularMatrixError, match="test matrix"):
+                lu_factor_checked(matrix, "test matrix")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from drbem1d.assembly import assemble_drbem
-from drbem1d.exceptions import ConvergenceError, SolverError
+from drbem1d.exceptions import ConvergenceError, SingularMatrixError, SolverError
 from drbem1d.problems import CoefficientSet, PdeProblem, ReactionTerm, make_generalized_fn
 from drbem1d.rbf import Grid, assemble_interpolation
 from drbem1d.stepping import (
@@ -230,6 +230,9 @@ def test_run_validates_inputs():
         run(problem, grid, StepConfig(tau=1e-3), 0.1, snapshots=[0.0505])
     with pytest.raises(ValueError):
         run(problem, grid, StepConfig(tau=1e-3), 0.1, snapshots=[0.2])
+    for t_end in (-0.1, np.nan):
+        with pytest.raises(ValueError):
+            run(problem, grid, StepConfig(tau=1e-3), t_end)
 
 
 def test_run_reproduces_reference_error_on_coarse_grid():
@@ -255,6 +258,22 @@ def test_near_zero_diffusion_rejected():
     )
     grid = Grid.uniform(0.0, 1.0, 5)
     with pytest.raises(SolverError):
+        build_level_system(problem, grid, assemble(grid), StepConfig(tau=0.1), 0.1, np.zeros(5))
+
+
+def test_non_finite_level_coefficient_is_singular():
+    problem = PdeProblem(
+        coeffs=CoefficientSet.constant(0.0, 1.0, np.inf),
+        reaction=fisher_reaction(),
+        a=0.0,
+        b=1.0,
+        horizon=1.0,
+        initial=lambda x: 0.0 * x,
+        bc_left=lambda t: 0.0,
+        bc_right=lambda t: 0.0,
+    )
+    grid = Grid.uniform(0.0, 1.0, 5)
+    with pytest.raises(SingularMatrixError):
         build_level_system(problem, grid, assemble(grid), StepConfig(tau=0.1), 0.1, np.zeros(5))
 
 

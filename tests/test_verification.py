@@ -104,6 +104,15 @@ class TestFdOracle:
         with pytest.raises(ConvergenceError):
             fd_oracle(problem, 17, 0.1, 0.1, max_iters=1)
 
+    @pytest.mark.parametrize("n_nodes, tau, t_end, epsilon", [
+        (2, 0.01, 0.1, 1e-10), (17, 0.0, 0.1, 1e-10), (17, 0.01, 0.1, math.nan),
+        (17, 0.01, -0.1, 1e-10), (17, 0.01, 0.105, 1e-10),
+    ])
+    def test_rejects_what_the_stepper_rejects(self, n_nodes, tau, t_end, epsilon):
+        problem = make_generalized_fisher(1.0)
+        with pytest.raises(ValueError):
+            fd_oracle(problem, n_nodes, tau, t_end, epsilon=epsilon)
+
 
 def test_observed_order_helper():
     assert observed_order(4.0, 1.0, 0.2, 0.1) == pytest.approx(2.0)
