@@ -20,27 +20,147 @@ def fundamental_solution_dx(x, xi):
     return 0.5 * np.sign(x - xi)
 
 
+# Sub- and superdiagonals of the level matrix in spline form.
+LEVEL_BAND = 2
+
+
+def _slopes(h, u):
+    """Cell slopes (u[i+1] - u[i]) / h[i] of the columns of u, shape (N, k)."""
+    return (u[1:] - u[:-1]) / h[:, None]
+
+
+def _moment_load(h, u, q_left, q_right):
+    """6 Delta(u, q): six times the slope jump at each node, q the end slopes."""
+    s = _slopes(h, u)
+    return 6.0 * (np.concatenate([s, q_right]) - np.concatenate([q_left, s]))
+
+
+def _slope(h, kappa, u):
+    """P u: the mean of the slopes left and right of each node.
+
+    Outside [a, b] the interpolant sum_j alpha_j (1 + |x - x_j|) has slope
+    -+sum_j alpha_j = -+2 kappa (u_1 + u_N), so the end rows do not annihilate
+    constants; that is the scheme's P, kept as it is.
+    """
+    s = _slopes(h, u)
+    outer = 2.0 * kappa * (u[:1] + u[-1:])
+    return 0.5 * (np.concatenate([-outer, s]) + np.concatenate([s, outer]))
+
+
+def _apply_band(t_band, v):
+    """T v for the columns of v, T a tridiagonal matrix in gbmv layout."""
+    out = t_band[1][:, None] * v
+    out[:-1] += t_band[0, 1:, None] * v[1:]
+    out[1:] += t_band[2, :-1, None] * v[:-1]
+    return out
+
+
+@dataclass(frozen=True)
+class SplineOperators:
+    """The collocation scheme in clamped cubic-spline form: banded, O(N) throughout.
+
+    With phi = 1 + r, premultiplying the identity L q + c*u - H g = E b by
+    T E^{-1} gives T b = 6 Delta(u, q) exactly: the interpolated load b is the
+    nodal second derivative (moment) of the cubic spline through u with end
+    slopes q = [u_x(a), u_x(b)] (de Boor, A Practical Guide to Splines, ch. IV).
+    T, the moment matrix, gets h_i [2 1; 1 2] in rows and columns i, i+1 from
+    each cell i; P = Phi_x Phi^{-1} is the stencil in `slope`.
+
+    t_band is T in gbmv layout (one sub- and one superdiagonal).  level_pieces
+    holds 6 Delta, T and T P, in that order, on the level unknowns
+    [u_x(a), u_2, ..., u_{N-1}, u_x(b)] in gbtrf layout with LEVEL_BAND sub- and
+    superdiagonals (zero workspace rows first); dirichlet_pieces holds the same
+    three on the imposed values u_1 and u_N.  A level matrix 6 Delta - T (s I +
+    r P) is therefore [1, -s, -r] applied to the pieces.
+    """
+
+    h: np.ndarray
+    kappa: float
+    t_band: np.ndarray
+    level_pieces: np.ndarray
+    dirichlet_pieces: np.ndarray
+
+    def slope(self, u) -> np.ndarray:
+        """P u, the scheme's nodal derivative of the data u."""
+        return _slope(self.h, self.kappa, np.asarray(u, dtype=float)[:, None])[:, 0]
+
+    def moment_load(self, u, q_left, q_right) -> np.ndarray:
+        """6 Delta(u, q), the clamped-spline right-hand side."""
+        u = np.asarray(u, dtype=float)[:, None]
+        return _moment_load(self.h, u, [[q_left]], [[q_right]])[:, 0]
+
+    def apply_t(self, v) -> np.ndarray:
+        """T v."""
+        return _apply_band(self.t_band, np.asarray(v, dtype=float)[:, None])[:, 0]
+
+
+def spline_operators(grid: Grid) -> SplineOperators:
+    """Build the spline form of the operators on the grid in O(N)."""
+    n = grid.n
+    h = np.diff(grid.nodes)
+    kappa = 0.5 / (grid.b - grid.a + 2.0)
+    t_band = np.zeros((3, n))
+    t_band[0, 1:] = h
+    t_band[1, :-1] = 2.0 * h
+    t_band[1, 1:] += 2.0 * h
+    t_band[2, :-1] = h
+
+    # Columns five apart in a matrix with two sub- and two superdiagonals share
+    # no row, so one product with the sum of the u columns of each residue class
+    # mod 5 yields every column of the band (Curtis, Powell and Reid, 1974).
+    # The columns of u_1 and u_N, which P also couples through its corners, are
+    # probed on their own.
+    width = 2 * LEVEL_BAND + 1
+    j = np.arange(n)
+    probes = np.zeros((n, width + 2))
+    probes[j[1:-1], j[1:-1] % width] = 1.0
+    probes[0, width] = probes[-1, width + 1] = 1.0
+    no_flux = np.zeros((1, width + 2))
+    t_images = _apply_band(t_band, np.concatenate([probes, _slope(h, kappa, probes)], axis=1))
+    images = np.stack([
+        _moment_load(h, probes, no_flux, no_flux),
+        t_images[:, :width + 2],
+        t_images[:, width + 2:],
+    ])
+    # Row LEVEL_BAND + r of band column j holds entry (j + r - LEVEL_BAND, j),
+    # found in image column j mod 5; padding the images makes every r in range.
+    # The flux columns gather zeros: no probe covers them.
+    padded = np.zeros((3, n + 2 * LEVEL_BAND, width + 2))
+    padded[:, LEVEL_BAND:n + LEVEL_BAND] = images
+    gather = (j + np.arange(width)[:, None]) * (width + 2) + j % width
+    level_pieces = np.zeros((3, LEVEL_BAND + width, n))
+    level_pieces[:, LEVEL_BAND:] = padded.reshape(3, -1)[:, gather]
+    # the flux unknowns enter 6 Delta alone, in its end rows
+    level_pieces[0, 2 * LEVEL_BAND, 0] = -6.0
+    level_pieces[0, 2 * LEVEL_BAND, -1] = 6.0
+    dirichlet_pieces = np.ascontiguousarray(images[:, :, width:])
+
+    for arr in (h, t_band, level_pieces, dirichlet_pieces):
+        arr.setflags(write=False)
+    return SplineOperators(h=h, kappa=kappa, t_band=t_band, level_pieces=level_pieces,
+                           dirichlet_pieces=dirichlet_pieces)
+
+
 @dataclass(frozen=True)
 class DrbemOperators:
-    """Time-independent matrices of the boundary-integral collocation scheme.
+    """Time-independent operators of the boundary-integral collocation scheme.
 
     Row i collocates at source node x_i.  l_matrix/h_matrix pair endpoint flux and
-    value data, and free_terms holds the free-term coefficients c_i.  e_matrix maps
-    nodal inhomogeneity data to its endpoint-identity contribution, p_matrix
-    differentiates nodal data, and ep_matrix = e_matrix @ p_matrix is kept so a
-    time level costs O(N^2).
+    value data, free_terms holds the free-term coefficients c_i, and e_matrix maps
+    nodal inhomogeneity data to its endpoint-identity contribution.  The time
+    stepper uses only `spline`, the same scheme in banded form; the dense
+    matrices serve the self-checks and the assembly tests.
     """
 
     l_matrix: np.ndarray
     h_matrix: np.ndarray
     free_terms: np.ndarray
     e_matrix: np.ndarray
-    p_matrix: np.ndarray
-    ep_matrix: np.ndarray
+    spline: SplineOperators
 
 
 def assemble_drbem(grid: Grid, interp: InterpolationOperator) -> DrbemOperators:
-    """Assemble every matrix the time stepper needs, reusing interp's factorization."""
+    """Assemble the endpoint matrices, E and the spline form, reusing interp's factorization."""
     if interp.grid is not grid and not np.array_equal(interp.grid.nodes, grid.nodes):
         raise ValueError("interpolation operator was built on a different node set")
 
@@ -65,21 +185,18 @@ def assemble_drbem(grid: Grid, interp: InterpolationOperator) -> DrbemOperators:
     # kernel coefficients of an inhomogeneity to its endpoint-identity contribution.
     psi_tilde = free_terms[:, None] * psi(np.abs(x[:, None] - x[None, :]))
     d_matrix = l_matrix @ psi_x_boundary - h_matrix @ psi_boundary + psi_tilde
-    # E = D Phi^{-1} and P = Phi_x Phi^{-1}, via transposed solves against the
-    # stored factorization rather than an explicit inverse.
+    # E = D Phi^{-1}, via a transposed solve against the stored factorization
+    # rather than an explicit inverse.
     e_matrix = interp.solve(d_matrix.T, transposed=True).T
-    p_matrix = interp.solve(interp.phi_x_matrix.T, transposed=True).T
-    ep_matrix = e_matrix @ p_matrix
 
-    for arr in (l_matrix, h_matrix, free_terms, e_matrix, p_matrix, ep_matrix):
+    for arr in (l_matrix, h_matrix, free_terms, e_matrix):
         arr.setflags(write=False)
     return DrbemOperators(
         l_matrix=l_matrix,
         h_matrix=h_matrix,
         free_terms=free_terms,
         e_matrix=e_matrix,
-        p_matrix=p_matrix,
-        ep_matrix=ep_matrix,
+        spline=spline_operators(grid),
     )
 
 

@@ -256,6 +256,10 @@ def cmd_solve(config: RunConfig) -> int:
     step = config.step
     snapshots = config.snapshots or (config.t_end,)
     trajectory = run(problem, grid, step, config.t_end, snapshots=snapshots)
+    oracles = [None] * len(trajectory.states)
+    if config.run_oracle:
+        oracles = fd_oracle(problem, grid.n, step.tau, config.t_end, epsilon=step.epsilon,
+                            max_iters=step.max_corrector_iters, snapshots=snapshots)
 
     out_dir = Path(config.output_path)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -263,14 +267,10 @@ def cmd_solve(config: RunConfig) -> int:
 
     iters = trajectory.level_iterations
     summary_rows = []
-    for state in trajectory.states:
+    for state, oracle in zip(trajectory.states, oracles):
         exact = None
         if config.compare_exact and problem.exact is not None:
             exact = np.asarray(problem.exact(grid.nodes, state.t), dtype=float)
-        oracle = None
-        if config.run_oracle:
-            oracle = fd_oracle(problem, grid.n, step.tau, state.t,
-                               epsilon=step.epsilon, max_iters=step.max_corrector_iters)
 
         columns = ["x", "u_numeric"]
         series = [grid.nodes, state.u]
@@ -410,6 +410,23 @@ def _check_lines():
         stalls,
         f"residual stalls at {r_fine:.2e} under refinement (validated wave accepted above)",
     )
+
+    # the stepper's spline form against the dense operators it replaces:
+    # T E^{-1} (L q - H g + c*u) must equal 6 Delta(u, q)
+    for n in (9, 33):
+        for kind, jitter in (("uniform", 0.0), ("jittered", 0.1)):
+            nodes = np.linspace(-1.0, 2.0, n)
+            nodes[1:-1] += jitter * (nodes[1] - nodes[0]) * rng.uniform(-1.0, 1.0, n - 2)
+            grid = Grid(nodes)
+            ops = assemble_drbem(grid, assemble_interpolation(grid))
+            u = rng.standard_normal(n)
+            q = rng.standard_normal(2)
+            identity = ops.l_matrix @ q - ops.h_matrix @ u[[0, -1]] + ops.free_terms * u
+            dense = ops.spline.apply_t(np.linalg.solve(ops.e_matrix, identity))
+            closed = ops.spline.moment_load(u, q[0], q[1])
+            rel = float(np.max(np.abs(dense - closed)) / np.max(np.abs(closed)))
+            yield (f"spline form T E^-1 = 6 Delta (N={n}, {kind})", rel <= 1e-9,
+                   f"max rel defect {rel:.2e}")
 
 
 def cmd_check() -> int:

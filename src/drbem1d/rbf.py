@@ -54,6 +54,8 @@ class Grid:
 
     @classmethod
     def uniform(cls, a, b, n):
+        if not float(n).is_integer():
+            raise ValueError(f"node count n = {n!r} must be an integer")
         return cls(np.linspace(float(a), float(b), int(n)))
 
     @classmethod
@@ -104,6 +106,18 @@ class InterpolationOperator:
         return lu_solve(self.factorization, rhs, trans=1 if transposed else 0)
 
 
+def _check_factors(lu, pivots, what):
+    """Raise SingularMatrixError naming `what` on a non-finite factor or a pivot
+    (a diagonal entry of U) below PIVOT_FLOOR."""
+    if not np.isfinite(lu).all():
+        raise SingularMatrixError(f"{what} has non-finite LU factors")
+    smallest_pivot = float(np.min(np.abs(pivots)))
+    if not smallest_pivot >= PIVOT_FLOOR:
+        raise SingularMatrixError(
+            f"{what} is singular: pivot {smallest_pivot:.3e} below {PIVOT_FLOOR:.0e}"
+        )
+
+
 def lu_factor_checked(matrix, what):
     """LU factors (lu, piv) of a square matrix, as scipy.linalg.lu_factor returns them.
 
@@ -113,13 +127,19 @@ def lu_factor_checked(matrix, what):
     """
     # getrf's info > 0 (an exact zero pivot) is caught by the pivot floor below
     lu, piv, _ = lapack.dgetrf(matrix)
-    if not np.isfinite(lu).all():
-        raise SingularMatrixError(f"{what} has non-finite LU factors")
-    smallest_pivot = float(np.min(np.abs(np.diag(lu))))
-    if not smallest_pivot >= PIVOT_FLOOR:
-        raise SingularMatrixError(
-            f"{what} is singular: pivot {smallest_pivot:.3e} below {PIVOT_FLOOR:.0e}"
-        )
+    _check_factors(lu, np.diag(lu), what)
+    return lu, piv
+
+
+def band_lu_factor_checked(band, kl, ku, what):
+    """LAPACK gbtrf factors (lu, piv) of a matrix with kl sub- and ku superdiagonals.
+
+    `band` is in gbtrf's layout, shape (2 kl + ku + 1, N): entry (i, j) of the
+    matrix sits at band[kl + ku + i - j, j], and the first kl rows are zero
+    workspace for the fill-in.  Checked as lu_factor_checked checks.
+    """
+    lu, piv, _ = lapack.dgbtrf(band, kl, ku)
+    _check_factors(lu, lu[kl + ku], what)
     return lu, piv
 
 

@@ -1,9 +1,11 @@
 """Implicit time stepping of the collocation system with a lagged-nonlinearity corrector.
 
-Per time level the unknowns are [u_x(a), u_x(b), u_2, ..., u_{N-1}]; the endpoint
-values are imposed from the boundary data.  The level matrix depends on the level
-only through (nu, mu, eta)(t_n), never on the lagged iterate, so it is factored
-once per level and reused across corrector passes, and carried over whole when the
+Each level is solved in the scheme's clamped-spline form (see
+assembly.SplineOperators): the unknowns are [u_x(a), u_2, ..., u_{N-1}, u_x(b)],
+the endpoint values are imposed from the boundary data, and the level matrix is
+a band with two sub- and two superdiagonals.  It depends on the level only
+through (nu, mu, eta)(t_n), never on the lagged iterate, so it is factored once
+per level and reused across corrector passes, and carried over whole when the
 coefficients are constant in time.
 """
 
@@ -15,12 +17,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import lu_solve
+from scipy.linalg import blas, lapack
 
-from .assembly import DrbemOperators, assemble_drbem
+from .assembly import LEVEL_BAND, DrbemOperators, assemble_drbem
 from .exceptions import ConvergenceError, SolverError
 from .problems import PdeProblem
-from .rbf import Grid, assemble_interpolation, lu_factor_checked
+from .rbf import Grid, assemble_interpolation, band_lu_factor_checked
 
 log = logging.getLogger(__name__)
 
@@ -37,8 +39,8 @@ class StepConfig:
     max_corrector_iters: int = 100
 
     def __post_init__(self):
-        if not self.tau > 0.0:
-            raise ValueError("tau must be positive")
+        if not 0.0 < self.tau < math.inf:
+            raise ValueError("tau must be positive and finite")
         if not self.epsilon > 0.0:
             raise ValueError("epsilon must be positive")
         if self.max_corrector_iters < 1:
@@ -57,11 +59,13 @@ class SolverState:
 
 @dataclass
 class TimeLevelSystem:
-    """Factored linear system of one time level.
+    """Factored banded system of one time level.
 
-    rhs_fixed collects every term that does not involve the lagged iterate; the
-    corrector adds only -(eta/mu) E F_n(u_tilde) per pass.  The unknowns are
-    [u_x(a), u_x(b), u_2, ..., u_{N-1}], so rhs_fixed has N entries.
+    factorization holds the gbtrf factors of 6 Delta - T (s I + (nu/mu) P) on
+    the unknowns [u_x(a), u_2, ..., u_{N-1}, u_x(b)]; dirichlet_columns are that
+    matrix's columns on the imposed values u_1 and u_N.  rhs_fixed collects
+    every term that does not involve the lagged iterate; the corrector adds only
+    -(eta/mu) T F_n(u_tilde) per pass, T given by t_band.
     """
 
     factorization: tuple
@@ -72,9 +76,8 @@ class TimeLevelSystem:
     eta_n: float
     g_left: float
     g_right: float
-    e_matrix: np.ndarray
-    w_left_col: np.ndarray
-    w_right_col: np.ndarray
+    t_band: np.ndarray
+    dirichlet_columns: np.ndarray
 
 
 def level_coefficients(problem: PdeProblem, t_n: float) -> tuple:
@@ -98,13 +101,14 @@ def build_level_system(
 ) -> TimeLevelSystem:
     """Assemble (and factor) the level-n system given the previous-level solution.
 
-    The collocation identity L q + c*u - H g = E b is rearranged with
-    b = (u - u_prev)/(tau mu) + (nu/mu) P u - (eta/mu)(lambda u + F_n(u_tilde)):
-    all u-proportional pieces move into the matrix, the known endpoint values and
-    the u_prev term move into rhs_fixed, and the lagged term stays per-iteration.
+    The collocation identity in spline form, 6 Delta(u, q) = T b, is rearranged
+    with b = (u - u_prev)/(tau mu) + (nu/mu) P u - (eta/mu)(lambda u + F_n(u_tilde)):
+    6 Delta - T (s I + (nu/mu) P) with s = 1/(tau mu) - eta lambda/mu is the
+    matrix, the known endpoint values and the u_prev term move into rhs_fixed,
+    and the lagged term stays per-iteration.  Every piece is O(N).
 
     When prev_system comes from the same run and the coefficient triple at t_n is
-    unchanged (constant-coefficient problems), its factorization and boundary
+    unchanged (constant-coefficient problems), its factorization and Dirichlet
     columns are carried over and only the right-hand side is rebuilt.
     """
     tau = cfg.tau
@@ -118,33 +122,30 @@ def build_level_system(
     g_left = float(problem.bc_left(t_n))
     g_right = float(problem.bc_right(t_n))
 
+    spline = ops.spline
     if (
         prev_system is not None
         and (nu_n, mu_n, eta_n) == (prev_system.nu_n, prev_system.mu_n, prev_system.eta_n)
     ):
         factorization = prev_system.factorization
-        w_left_col = prev_system.w_left_col
-        w_right_col = prev_system.w_right_col
+        dirichlet_columns = prev_system.dirichlet_columns
     else:
         lam = problem.reaction.linear_slope
         implicit_scale = 1.0 / (tau * mu_n) - eta_n * lam / mu_n
-        w = (
-            np.diag(ops.free_terms)
-            - implicit_scale * ops.e_matrix
-            - (nu_n / mu_n) * ops.ep_matrix
+        weights = np.array([1.0, -implicit_scale, -nu_n / mu_n])
+        # a non-finite coefficient times a zero entry is nan, which the factor
+        # check reports as a singular level; numpy's warning would be noise
+        with np.errstate(over="ignore", invalid="ignore"):
+            band = weights @ spline.level_pieces.reshape(3, -1)
+            dirichlet_columns = weights @ spline.dirichlet_pieces.reshape(3, -1)
+        factorization = band_lu_factor_checked(
+            band.reshape(-1, n), LEVEL_BAND, LEVEL_BAND, f"level matrix at t = {t_n:g}"
         )
-        a_matrix = np.column_stack(
-            [ops.l_matrix[:, 0], ops.l_matrix[:, 1], w[:, 1 : n - 1]]
-        )
-        factorization = lu_factor_checked(a_matrix, f"level matrix at t = {t_n:g}")
-        w_left_col = np.ascontiguousarray(w[:, 0])
-        w_right_col = np.ascontiguousarray(w[:, -1])
+        dirichlet_columns = dirichlet_columns.reshape(n, 2)
 
     rhs_fixed = (
-        ops.h_matrix @ np.array([g_left, g_right])
-        - (ops.e_matrix @ u_prev) / (tau * mu_n)
-        - w_left_col * g_left
-        - w_right_col * g_right
+        blas.dgbmv(n, n, 1, 1, -1.0 / (tau * mu_n), spline.t_band, u_prev)
+        - dirichlet_columns @ np.array([g_left, g_right])
     )
     return TimeLevelSystem(
         factorization=factorization,
@@ -155,29 +156,27 @@ def build_level_system(
         eta_n=eta_n,
         g_left=g_left,
         g_right=g_right,
-        e_matrix=ops.e_matrix,
-        w_left_col=w_left_col,
-        w_right_col=w_right_col,
+        t_band=spline.t_band,
+        dirichlet_columns=dirichlet_columns,
     )
 
 
 def _solve_with_lag(sys: TimeLevelSystem, problem: PdeProblem, u_tilde):
-    rhs = sys.rhs_fixed - (sys.eta_n / sys.mu_n) * (
-        sys.e_matrix @ problem.reaction.nonlinear(u_tilde)
-    )
+    n = sys.rhs_fixed.size
+    rhs = blas.dgbmv(n, n, 1, 1, -sys.eta_n / sys.mu_n, sys.t_band,
+                     problem.reaction.nonlinear(u_tilde), beta=1.0, y=sys.rhs_fixed)
     if not np.isfinite(rhs).all():
         raise ConvergenceError(
             f"corrector diverged at t = {sys.t_n:g}: non-finite values in the lagged "
             "right-hand side (tau too large, reaction too stiff, or bad initial data)",
             time=sys.t_n,
         )
-    # lu_factor_checked already refused non-finite factors, so only rhs needs the scan
-    z = lu_solve(sys.factorization, rhs, check_finite=False)
-    u = np.empty(rhs.size)
+    lu, piv = sys.factorization
+    u, _ = lapack.dgbtrs(lu, LEVEL_BAND, LEVEL_BAND, rhs, piv, overwrite_b=1)
+    q_left, q_right = float(u[0]), float(u[-1])
     u[0] = sys.g_left
     u[-1] = sys.g_right
-    u[1:-1] = z[2:]
-    return u, float(z[0]), float(z[1])
+    return u, q_left, q_right
 
 
 def corrector_solve(sys: TimeLevelSystem, problem: PdeProblem, cfg: StepConfig, u_prev):
@@ -302,7 +301,7 @@ def run(
     states = []
     level_iterations = []
     if 0 in snap_levels:
-        slope = ops.p_matrix @ u
+        slope = ops.spline.slope(u)
         states.append(
             SolverState(
                 u=u.copy(),

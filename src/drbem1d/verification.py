@@ -49,7 +49,7 @@ def compute_errors(numeric, exact_at_nodes, time=math.nan) -> ErrorReport:
 
 
 def fd_oracle(problem: PdeProblem, n_nodes, tau, t_end, epsilon=StepConfig.epsilon,
-              max_iters=StepConfig.max_corrector_iters):
+              max_iters=StepConfig.max_corrector_iters, snapshots=None):
     """Backward-Euler / three-point central-difference solution on a uniform grid.
 
     Completely independent of the boundary-integral pipeline; only the nonlinear
@@ -57,14 +57,19 @@ def fd_oracle(problem: PdeProblem, n_nodes, tau, t_end, epsilon=StepConfig.epsil
     same successive-solve stopping rule), so discrepancies between the two
     solvers isolate the spatial discretization.  The step settings, nodes, time
     levels, initial values and level coefficients follow the stepper's own rules.
+
+    Returns the solution at t_end; given snapshot times (checked as `run`
+    checks them), one march returns the list of solutions at the distinct
+    snapshot levels in increasing time, as `run` orders its states.
     """
     tau = float(tau)
     StepConfig(tau=tau, epsilon=epsilon, max_corrector_iters=max_iters)  # ValueError if bad
     grid = Grid.uniform(problem.a, problem.b, n_nodes)
     x, n, h = grid.nodes, grid.n, grid.h
-    n_levels, _ = time_levels(tau, float(t_end))
+    n_levels, snap_levels = time_levels(tau, float(t_end), snapshots)
 
     u = initial_values(problem, x)
+    captured = [u] if 0 in snap_levels else []
 
     lam = problem.reaction.linear_slope
     nonlinear = problem.reaction.nonlinear
@@ -108,7 +113,9 @@ def fd_oracle(problem: PdeProblem, n_nodes, tau, t_end, epsilon=StepConfig.epsil
                 last_diff=diff,
             )
         u = u_last
-    return u
+        if k in snap_levels:
+            captured.append(u)
+    return u if snapshots is None else captured
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from drbem1d.assembly import (
+    LEVEL_BAND,
     assemble_drbem,
     fundamental_solution,
     fundamental_solution_dx,
@@ -90,9 +91,105 @@ def test_e_matrix_inverts_phi():
         assert np.max(np.abs(lhs - rhs)) < 1e-10 * scale
 
 
-def test_ep_matrix_is_e_times_p():
-    _, ops = build(np.linspace(0.0, 1.0, 7))
-    np.testing.assert_allclose(ops.ep_matrix, ops.e_matrix @ ops.p_matrix, atol=1e-14)
+def jittered_nodes(a, b, n, seed):
+    """n nodes on [a, b], each interior one moved by up to 10% of the spacing."""
+    nodes = np.linspace(a, b, n)
+    nodes[1:-1] += 0.1 * (nodes[1] - nodes[0]) * np.random.default_rng(seed).uniform(
+        -1.0, 1.0, n - 2)
+    return nodes
+
+
+@pytest.mark.parametrize("a, b, n", [(0.0, 1.0, 7), (-10.0, 10.0, 33), (-1.0, 1.0, 65)])
+def test_closed_form_p_is_phi_x_phi_inverse(a, b, n):
+    grid, ops = build(jittered_nodes(a, b, n, seed=n))
+    interp = assemble_interpolation(grid)
+    p_dense = interp.solve(interp.phi_x_matrix.T, transposed=True).T
+    p_closed = np.column_stack([ops.spline.slope(e) for e in np.eye(n)])
+    assert np.max(np.abs(p_closed - p_dense)) <= 1e-12 * np.max(np.abs(p_dense))
+
+
+def dense_level_operator(spline, s, r):
+    """6 Delta - T (s I + r P) as an N x (N + 2) matrix on [u, q_a, q_b], column by
+    column from the record's stencils."""
+    n = spline.h.size + 1
+    columns = [spline.moment_load(e, 0.0, 0.0) - spline.apply_t(s * e + r * spline.slope(e))
+               for e in np.eye(n)]
+    columns += [spline.moment_load(np.zeros(n), 1.0, 0.0),
+                spline.moment_load(np.zeros(n), 0.0, 1.0)]
+    return np.column_stack(columns)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 9, 33])
+def test_band_pieces_hold_the_level_operator(n):
+    # the pieces are gathered from residue-class products; every entry of the
+    # level operator must land in its band slot or its Dirichlet column
+    grid, ops = build(jittered_nodes(-1.0, 2.0, n, seed=n))
+    spline = ops.spline
+    s, r = 7.3, -0.6
+    full = dense_level_operator(spline, s, r)
+    weights = np.array([1.0, -s, -r])
+    band = np.tensordot(weights, spline.level_pieces, axes=1)
+    assert np.all(band[:LEVEL_BAND] == 0.0)  # gbtrf's fill-in workspace
+    unknowns = [n, *range(1, n - 1), n + 1]  # [q_a, u_2, ..., u_{N-1}, q_b]
+    for j, source in enumerate(unknowns):
+        rows = np.arange(max(0, j - LEVEL_BAND), min(n, j + LEVEL_BAND + 1))
+        np.testing.assert_allclose(band[2 * LEVEL_BAND + rows - j, j], full[rows, source],
+                                   rtol=1e-13, atol=1e-13 * np.max(np.abs(full)))
+        outside = np.setdiff1d(np.arange(n), rows)
+        assert np.all(full[outside, source] == 0.0)
+    dirichlet = np.tensordot(weights, spline.dirichlet_pieces, axes=1)
+    np.testing.assert_allclose(dirichlet, full[:, [0, n - 1]], rtol=1e-13,
+                               atol=1e-13 * np.max(np.abs(full)))
+
+
+def test_spline_identity_in_extended_precision():
+    """T E^{-1} (L q - H g + c*u) = 6 Delta(u, q) in 50-digit arithmetic: the
+    spline form is the collocation scheme itself, not an approximation of it."""
+    import mpmath
+
+    mp = mpmath.MPContext()  # a private context: the global one keeps its precision
+    mp.dps = 50
+    rng = np.random.default_rng(17)
+    x = [mp.mpf(float(v)) for v in jittered_nodes(-1.0, 2.0, 17, seed=17)]
+    n = len(x)
+    a, b = x[0], x[-1]
+    h = [x[i + 1] - x[i] for i in range(n - 1)]
+    psi_mp = lambda r: r * r / 2 + r**3 / 6
+    psi_x_mp = lambda y, xj: (y - xj) * (1 + abs(y - xj) / 2)
+    sign = lambda v: (v > 0) - (v < 0)
+    c = [mp.mpf(1) / 2 if i in (0, n - 1) else mp.mpf(1) for i in range(n)]
+
+    phi_m = mp.matrix(n, n)
+    d_m = mp.matrix(n, n)
+    for i in range(n):
+        l_row = (-abs(a - x[i]) / 2, abs(b - x[i]) / 2)
+        h_row = (-mp.mpf(sign(a - x[i])) / 2, mp.mpf(sign(b - x[i])) / 2)
+        for j in range(n):
+            phi_m[i, j] = 1 + abs(x[i] - x[j])
+            d_m[i, j] = (l_row[0] * psi_x_mp(a, x[j]) + l_row[1] * psi_x_mp(b, x[j])
+                         - h_row[0] * psi_mp(abs(a - x[j])) - h_row[1] * psi_mp(abs(b - x[j]))
+                         + c[i] * psi_mp(abs(x[i] - x[j])))
+
+    u = [mp.mpf(float(v)) for v in rng.standard_normal(n)]
+    q = [mp.mpf(float(v)) for v in rng.standard_normal(2)]
+    identity = mp.matrix(n, 1)
+    for i in range(n):
+        identity[i] = ((-abs(a - x[i]) / 2) * q[0] + (abs(b - x[i]) / 2) * q[1]
+                       + mp.mpf(sign(a - x[i])) / 2 * u[0] - mp.mpf(sign(b - x[i])) / 2 * u[-1]
+                       + c[i] * u[i])
+    # E = D Phi^{-1}, so E^{-1} y = Phi D^{-1} y
+    b_nodal = phi_m * mp.lu_solve(d_m, identity)
+
+    slopes = [(u[i + 1] - u[i]) / h[i] for i in range(n - 1)]
+    left = [q[0]] + slopes
+    right = slopes + [q[1]]
+    worst = mp.mpf(0)
+    for i in range(n):
+        t_row = (h[i - 1] * b_nodal[i - 1] if i > 0 else 0) + (
+            2 * ((h[i - 1] if i > 0 else 0) + (h[i] if i < n - 1 else 0)) * b_nodal[i]
+        ) + (h[i] * b_nodal[i + 1] if i < n - 1 else 0)
+        worst = max(worst, abs(t_row - 6 * (right[i] - left[i])))
+    assert worst <= mp.mpf("1e-30"), worst
 
 
 @pytest.mark.parametrize("n", [3, 9, 33])

@@ -11,6 +11,7 @@ import pytest
 from helpers import load_csv
 
 import drbem1d
+from drbem1d import cli
 from drbem1d.cli import (
     RunConfig,
     _run_benchmark,
@@ -36,7 +37,7 @@ from drbem1d.problems import (
     make_newell_whitehead,
 )
 from drbem1d.stepping import run
-from drbem1d.verification import compute_errors
+from drbem1d.verification import compute_errors, fd_oracle
 
 GOOD_CONFIG = """\
 equation = fitzhugh_nagumo
@@ -174,6 +175,25 @@ class TestCmdSolve:
             assert int(row["corrector_iters"]) < 100
             assert "u_oracle" in profile[0]
             assert float(row["drbem_vs_oracle"]) < 1e-2
+
+    def test_one_oracle_march_gives_the_per_snapshot_columns(self, tmp_path, monkeypatch):
+        # the u_oracle columns must be the bytes of one fd_oracle march per
+        # snapshot time, as when each snapshot marched again from t = 0
+        config = self.make_config(tmp_path, "snapshots = 0, 0.05, 0.1\nrun_oracle = true\n")
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return fd_oracle(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "fd_oracle", counted)
+        assert cmd_solve(config) == 0
+        assert len(calls) == 1
+        problem, grid = build_problem(config), build_grid(config)
+        for t in (0.0, 0.05, 0.1):
+            _, profile = load_csv(tmp_path / f"profile_t{t:.6f}.csv")
+            expected = fd_oracle(problem, grid.n, config.step.tau, t)
+            assert [row["u_oracle"] for row in profile] == [f"{v:.15e}" for v in expected]
 
     def test_summary_corrector_columns_follow_level_iterations(self, tmp_path):
         config = parse_config(
@@ -385,6 +405,7 @@ def test_cmd_check_passes(capsys):
     out = capsys.readouterr().out
     assert "FAIL" not in out
     assert "transcribed fisher wave rejected" in out
+    assert out.count("spline form T E^-1 = 6 Delta") == 4
 
 
 def test_shipped_configs_parse_and_build():

@@ -3,12 +3,13 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.linalg import lu_factor
+from scipy.linalg import lapack, lu_factor
 
 from drbem1d.exceptions import SingularMatrixError
 from drbem1d.rbf import (
     Grid,
     assemble_interpolation,
+    band_lu_factor_checked,
     interpolation_coefficients,
     lu_factor_checked,
     phi,
@@ -58,6 +59,14 @@ class TestGrid:
         g = Grid.uniform(0.0, 1.0, 5)
         assert g.n == 5 and g.a == 0.0 and g.b == 1.0
         assert g.h == pytest.approx(0.25)
+
+    @pytest.mark.parametrize("n", [3.9, 5.5, math.nan, math.inf])
+    def test_uniform_rejects_a_non_integral_node_count(self, n):
+        with pytest.raises(ValueError, match="node count"):
+            Grid.uniform(0.0, 1.0, n)
+
+    def test_uniform_accepts_an_integral_float(self):
+        assert Grid.uniform(0.0, 1.0, 5.0).n == 5
 
     def test_with_spacing(self):
         g = Grid.with_spacing(-1.0, 1.0, 1.0 / 128.0)
@@ -186,3 +195,35 @@ class TestLuFactorChecked:
             warnings.simplefilter("error")
             with pytest.raises(SingularMatrixError, match="test matrix"):
                 lu_factor_checked(matrix, "test matrix")
+
+
+class TestBandLuFactorChecked:
+    @staticmethod
+    def tridiagonal_band(lower, diag, upper):
+        """gbtrf layout (kl = ku = 1) of the tridiagonal matrix, workspace row zero."""
+        band = np.zeros((4, len(diag)))
+        band[1, 1:] = upper
+        band[2] = diag
+        band[3, :-1] = lower
+        return band
+
+    def test_solves_like_the_dense_factors(self):
+        rng = np.random.default_rng(7)
+        lower, upper = rng.standard_normal(11), rng.standard_normal(11)
+        diag = rng.standard_normal(12)
+        matrix = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
+        lu, piv = band_lu_factor_checked(self.tridiagonal_band(lower, diag, upper), 1, 1,
+                                         "test band")
+        rhs = rng.standard_normal(12)
+        x, _ = lapack.dgbtrs(lu, 1, 1, rhs, piv)
+        np.testing.assert_allclose(matrix @ x, rhs, atol=1e-12)
+
+    @pytest.mark.parametrize("diag", [
+        [0.0, 0.0, 0.0, 0.0], [math.nan, 1.0, 1.0, 1.0], [1.0, math.inf, 1.0, 1.0],
+    ], ids=["zero", "nan", "inf-pivot"])
+    def test_singular_or_non_finite_raises_without_warning(self, diag):
+        band = self.tridiagonal_band(np.zeros(3), np.array(diag), np.zeros(3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularMatrixError, match="test band"):
+                band_lu_factor_checked(band, 1, 1, "test band")

@@ -1,19 +1,26 @@
+import math
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from drbem1d.assembly import assemble_drbem
+from drbem1d.assembly import LEVEL_BAND, assemble_drbem, spline_operators
 from drbem1d.exceptions import ConvergenceError, SingularMatrixError, SolverError
-from drbem1d.problems import CoefficientSet, PdeProblem, ReactionTerm, make_generalized_fn
-from drbem1d.rbf import Grid, assemble_interpolation
+from drbem1d.problems import (REGISTRY, CoefficientSet, PdeProblem, ReactionTerm,
+                              make_fisher, make_generalized_fn)
+from drbem1d.rbf import Grid, assemble_interpolation, band_lu_factor_checked
 from drbem1d.stepping import (
     StepConfig,
     back_substitution_gap,
     build_level_system,
     corrector_solve,
+    initial_values,
     level_index,
     run,
 )
 from drbem1d.verification import compute_errors
+from helpers import dense_level_solve
 
 
 def zero_reaction():
@@ -35,13 +42,33 @@ def heat_problem(p, q, a=0.0, b=1.0):
     )
 
 
-def factored_matrix(factorization):
-    """The matrix that scipy's lu_factor factored: L U with the row swaps undone."""
+def band_factored_matrix(factorization, kl=LEVEL_BAND, ku=LEVEL_BAND):
+    """The matrix LAPACK gbtrf factored, A = P_1 L_1 ... P_{N-1} L_{N-1} U: U from
+    the band's top rows, then each column's multipliers and row swap undone."""
     lu, piv = factorization
-    product = (np.tril(lu, -1) + np.eye(lu.shape[0])) @ np.triu(lu)
-    for i in reversed(range(len(piv))):
-        product[[i, piv[i]]] = product[[piv[i], i]]
+    n = lu.shape[1]
+    product = np.zeros((n, n))
+    for j in range(n):
+        for i in range(max(0, j - kl - ku), j + 1):
+            product[i, j] = lu[kl + ku + i - j, j]
+    for j in reversed(range(n - 1)):
+        for i in range(j + 1, min(n, j + kl + 1)):
+            product[i] += lu[kl + ku + i - j, j] * product[j]
+        product[[j, piv[j]]] = product[[piv[j], j]]
     return product
+
+
+def test_band_factored_matrix_undoes_pivoting():
+    rng = np.random.default_rng(3)
+    n = 9
+    rows, cols = np.indices((n, n))
+    inside = np.abs(rows - cols) <= 2
+    matrix = np.where(inside, rng.standard_normal((n, n)), 0.0)
+    band = np.zeros((7, n))
+    band[(4 + rows - cols)[inside], cols[inside]] = matrix[inside]
+    factorization = band_lu_factor_checked(band, 2, 2, "test band")
+    assert np.any(factorization[1] != np.arange(n))  # this matrix pivots
+    np.testing.assert_allclose(band_factored_matrix(factorization), matrix, atol=1e-14)
 
 
 def fisher_reaction():
@@ -60,12 +87,17 @@ class TestStepConfig:
         assert cfg.max_corrector_iters == 100
 
     @pytest.mark.parametrize("kwargs", [
-        dict(tau=0.0), dict(tau=-1.0), dict(tau=0.1, epsilon=0.0),
+        dict(tau=0.0), dict(tau=-1.0), dict(tau=math.inf), dict(tau=0.1, epsilon=0.0),
         dict(tau=0.1, max_corrector_iters=0),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             StepConfig(**kwargs)
+
+    def test_infinite_tau_cannot_reach_run(self):
+        # an infinite step would put every time at level 0: one t = 0 state, no error
+        with pytest.raises(ValueError, match="tau must be positive and finite"):
+            run(make_fisher(), Grid.uniform(-2.0, 2.0, 9), StepConfig(tau=math.inf), 0.5)
 
 
 def test_level_index_rejects_non_multiples():
@@ -119,14 +151,26 @@ def test_steady_harmonic_preserved_100_levels():
 
 
 def test_hand_assembled_three_node_system():
-    """Brute-force assembly of the 3-node level system, kept independent of the
-    production path (explicit inverse, explicit formulas)."""
+    """The 3-node level system by hand, in spline form for the band and by
+    brute-force dense DRBEM assembly (explicit inverse, explicit formulas) for
+    the fixed point, both kept independent of the production path."""
     nodes = np.array([0.0, 0.5, 1.0])
     tau, g = 0.1, 0.5
     u_prev = np.full(3, 0.5)
 
+    # nu = 0, mu = 1, eta = 1, Fisher split: lambda = 1, F_n(u) = -u^2, so
+    # s = 1/tau - 1 = 9.  With h = 1/2: T = [[1, 1/2, 0], [1/2, 2, 1/2], [0, 1/2, 1]]
+    # and 6 Delta(u, q) = [12 (u2 - u1) - 6 q_a, 12 (u1 - 2 u2 + u3), 6 q_b - 12 (u3 - u2)].
+    t_m = np.array([[1.0, 0.5, 0.0], [0.5, 2.0, 0.5], [0.0, 0.5, 1.0]])
+    delta6_u = np.array([[-12.0, 12.0, 0.0], [12.0, -24.0, 12.0], [0.0, 12.0, -12.0]])
+    k_m = delta6_u - 9.0 * t_m  # the level matrix on (u1, u2, u3)
+    # unknowns [q_a, u2, q_b]: the flux columns come from 6 Delta alone
+    band_expected = np.array([[-6.0, 7.5, 0.0], [0.0, -42.0, 0.0], [0.0, 7.5, 6.0]])
+    np.testing.assert_array_equal(band_expected[:, 1], k_m[:, 1])
+    dirichlet_expected = k_m[:, [0, 2]]
+    rhs_fixed_spline = -t_m @ u_prev / tau - dirichlet_expected @ np.array([g, g])
+
     phi_m = np.array([[1.0, 1.5, 2.0], [1.5, 1.0, 1.5], [2.0, 1.5, 1.0]])
-    phix_m = np.array([[0.0, -1.0, -1.0], [1.0, 0.0, -1.0], [1.0, 1.0, 0.0]])
     l_m = np.array([[0.0, 0.5], [-0.25, 0.25], [-0.5, 0.0]])
     h_m = np.array([[0.0, 0.5], [0.5, 0.5], [0.5, 0.0]])
     psi = lambda r: r * r / 2.0 + r**3 / 6.0
@@ -138,7 +182,6 @@ def test_hand_assembled_three_node_system():
     d_m = l_m @ psix_b - h_m @ psi_b + psi_t
     e_m = d_m @ np.linalg.inv(phi_m)
 
-    # nu = 0, mu = 1, eta = 1, Fisher split: lambda = 1, F_n(u) = -u^2
     m_m = np.eye(3) / tau - np.eye(3)
     w_m = np.diag(c) - e_m @ m_m
     a_expected = np.column_stack([l_m[:, 0], l_m[:, 1], w_m[:, 1]])
@@ -160,8 +203,10 @@ def test_hand_assembled_three_node_system():
     cfg = StepConfig(tau=tau)
     system = build_level_system(problem, grid, assemble(grid), cfg, tau, u_prev)
 
-    np.testing.assert_allclose(factored_matrix(system.factorization), a_expected, atol=1e-13)
-    np.testing.assert_allclose(system.rhs_fixed, rhs_fixed_expected, atol=1e-13)
+    np.testing.assert_allclose(band_factored_matrix(system.factorization), band_expected,
+                               atol=1e-13)
+    np.testing.assert_allclose(system.dirichlet_columns, dirichlet_expected, atol=1e-13)
+    np.testing.assert_allclose(system.rhs_fixed, rhs_fixed_spline, atol=1e-13)
 
     # replicate the corrector with plain dense solves and compare the fixed point
     u_tilde = u_prev.copy()
@@ -186,7 +231,7 @@ def test_factorization_reuse_constant_vs_varying_coefficients():
     constant = heat_problem(1.0, 0.0)
     sys1 = build_level_system(constant, grid, ops, cfg, 0.01, grid.nodes)
     sys2 = build_level_system(constant, grid, ops, cfg, 0.02, grid.nodes, prev_system=sys1)
-    assert sys2.w_left_col is sys1.w_left_col and sys2.w_right_col is sys1.w_right_col
+    assert sys2.dirichlet_columns is sys1.dirichlet_columns
     assert sys2.factorization is sys1.factorization
 
     varying = make_generalized_fn(1.0)
@@ -196,6 +241,70 @@ def test_factorization_reuse_constant_vs_varying_coefficients():
     sys3 = build_level_system(varying, grid_v, ops_v, cfg, 0.01, u0)
     sys4 = build_level_system(varying, grid_v, ops_v, cfg, 0.02, u0, prev_system=sys3)
     assert sys4.factorization is not sys3.factorization
+
+
+def registry_problem(name):
+    """The named problem at a representative parameter, on its default domain."""
+    factory, param = REGISTRY[name]
+    values = {"alpha": 2.5, "rho": 0.75}
+    return factory(**({param: values[param]} if param else {}))
+
+
+def jittered(grid, seed):
+    """The grid with every interior node moved by up to 10% of its spacing."""
+    nodes = grid.nodes.copy()
+    nodes[1:-1] += 0.1 * grid.h * np.random.default_rng(seed).uniform(-1.0, 1.0, grid.n - 2)
+    return Grid(nodes)
+
+
+@pytest.mark.parametrize("spacing", ["uniform", "jittered"])
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_banded_level_solve_matches_the_dense_reference(name, spacing):
+    # each level is solved both ways from the same previous state
+    problem = registry_problem(name)
+    grid = Grid.uniform(problem.a, problem.b, 33)
+    if spacing == "jittered":
+        grid = jittered(grid, seed=len(name))
+    interp = assemble_interpolation(grid)
+    ops = assemble_drbem(grid, interp)
+    p_matrix = interp.solve(interp.phi_x_matrix.T, transposed=True).T
+    cfg = StepConfig(tau=0.01)
+    u = initial_values(problem, grid.nodes)
+    system = None
+    for k in range(1, 11):
+        t_n = k * cfg.tau
+        system = build_level_system(problem, grid, ops, cfg, t_n, u, prev_system=system)
+        state, passes = corrector_solve(system, problem, cfg, u)
+        u_ref, q_left, q_right, passes_ref = dense_level_solve(problem, ops, p_matrix, cfg,
+                                                               t_n, u)
+        assert np.max(np.abs(state.u - u_ref)) <= 1e-9 * np.max(np.abs(u_ref))
+        # fluxes relative to the solution's steepest slope: the kinks' tails
+        # leave endpoint fluxes near 1e-4, below the dense form's own rounding
+        slope_scale = max(abs(q_left), abs(q_right),
+                          np.max(np.abs(np.diff(u_ref) / np.diff(grid.nodes))))
+        for q, q_ref in ((state.q_left, q_left), (state.q_right, q_right)):
+            assert abs(q - q_ref) <= 1e-9 * slope_scale
+        assert abs(passes - passes_ref) <= 1
+        u = state.u
+
+
+def test_level_solve_allocates_no_n_by_n_array():
+    # the level build and corrector read only the spline record, so a stand-in
+    # holding it alone spares the dense assembly at this size
+    problem = make_generalized_fn(1.0)
+    grid = Grid.uniform(-1.0, 1.0, 2049)
+    ops = SimpleNamespace(spline=spline_operators(grid))
+    cfg = StepConfig(tau=1e-3)
+    u = initial_values(problem, grid.nodes)
+    tracemalloc.start()
+    try:
+        system = build_level_system(problem, grid, ops, cfg, cfg.tau, u)
+        corrector_solve(system, problem, cfg, u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 64 vectors of N doubles; one N x N array would be 2049 times 8 vectors
+    assert peak <= 64 * grid.n * 8
 
 
 def test_dirichlet_values_imposed_exactly():

@@ -99,6 +99,13 @@ class TestFdOracle:
         assert mutual <= err_main + err_fd + 1e-12
         assert 1.0 / 30.0 < err_main / err_fd < 30.0
 
+    def test_snapshots_share_one_march(self):
+        problem = make_generalized_fn(1.0)
+        marched = fd_oracle(problem, 17, 0.01, 0.1, snapshots=[0.1, 0.0, 0.05, 0.05])
+        assert len(marched) == 3  # distinct levels, in increasing time
+        for u, t in zip(marched, (0.0, 0.05, 0.1)):
+            np.testing.assert_array_equal(u, fd_oracle(problem, 17, 0.01, t))
+
     def test_cap_of_one_cannot_converge(self):
         problem = make_generalized_fisher(1.0)
         with pytest.raises(ConvergenceError):
@@ -106,7 +113,8 @@ class TestFdOracle:
 
     @pytest.mark.parametrize("n_nodes, tau, t_end, epsilon", [
         (2, 0.01, 0.1, 1e-10), (17, 0.0, 0.1, 1e-10), (17, 0.01, 0.1, math.nan),
-        (17, 0.01, -0.1, 1e-10), (17, 0.01, 0.105, 1e-10),
+        (17, 0.01, -0.1, 1e-10), (17, 0.01, 0.105, 1e-10), (3.9, 0.01, 0.1, 1e-10),
+        (17, math.inf, 0.1, 1e-10),
     ])
     def test_rejects_what_the_stepper_rejects(self, n_nodes, tau, t_end, epsilon):
         problem = make_generalized_fisher(1.0)
