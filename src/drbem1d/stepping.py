@@ -7,6 +7,13 @@ a band with two sub- and two superdiagonals.  It depends on the level only
 through (nu, mu, eta)(t_n), never on the lagged iterate, so it is factored once
 per level and reused across corrector passes, and carried over whole when the
 coefficients are constant in time.
+
+A corrector pass is the reaction F_n(u_tilde), one dgbmv that adds the
+-(eta/mu) T F_n stencil to the level's fixed right-hand side, and one dgbtrs;
+the pass then takes the sup-norm gap to the previous iterate in place.  The
+per-level constants (-eta/mu, the band factors, the reaction) are bound once
+per level, and the gap doubles as the divergence guard: it is non-finite
+exactly when an iterate is, so no right-hand side is scanned.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ import numpy as np
 from scipy.linalg import blas, lapack
 
 from .assembly import LEVEL_BAND, DrbemOperators, assemble_drbem
-from .exceptions import ConvergenceError, SolverError
+from .exceptions import ConvergenceError, DomainError, SolverError
 from .problems import PdeProblem
 from .rbf import Grid, assemble_interpolation, band_lu_factor_checked
 
@@ -161,22 +168,64 @@ def build_level_system(
     )
 
 
-def _solve_with_lag(sys: TimeLevelSystem, problem: PdeProblem, u_tilde):
+def _level_pass(sys: TimeLevelSystem, problem: PdeProblem):
+    """The corrector pass of one level, u_tilde -> (u, q_left, q_right).
+
+    A pass is the reaction, one dgbmv for rhs_fixed - (eta/mu) T F_n(u_tilde) and
+    one dgbtrs against the level's band factors; the solve's end entries are the
+    fluxes, which the imposed boundary values then replace.  Everything a pass
+    reads is bound here once per level.
+    """
     n = sys.rhs_fixed.size
-    rhs = blas.dgbmv(n, n, 1, 1, -sys.eta_n / sys.mu_n, sys.t_band,
-                     problem.reaction.nonlinear(u_tilde), beta=1.0, y=sys.rhs_fixed)
-    if not np.isfinite(rhs).all():
-        raise ConvergenceError(
-            f"corrector diverged at t = {sys.t_n:g}: non-finite values in the lagged "
-            "right-hand side (tau too large, reaction too stiff, or bad initial data)",
-            time=sys.t_n,
-        )
+    scale = -sys.eta_n / sys.mu_n
+    t_band, rhs_fixed = sys.t_band, sys.rhs_fixed
     lu, piv = sys.factorization
-    u, _ = lapack.dgbtrs(lu, LEVEL_BAND, LEVEL_BAND, rhs, piv, overwrite_b=1)
-    q_left, q_right = float(u[0]), float(u[-1])
-    u[0] = sys.g_left
-    u[-1] = sys.g_right
-    return u, q_left, q_right
+    g_left, g_right = sys.g_left, sys.g_right
+    nonlinear = problem.reaction.nonlinear
+    dgbmv, dgbtrs = blas.dgbmv, lapack.dgbtrs
+
+    # positional arguments: f2py parses keywords at a cost comparable to the work
+    def solve(u_tilde):
+        # incx = 1, offx = 0, beta = 1, y = rhs_fixed (copied, not overwritten)
+        rhs = dgbmv(n, n, 1, 1, scale, t_band, nonlinear(u_tilde), 1, 0, 1.0, rhs_fixed)
+        u, _ = dgbtrs(lu, LEVEL_BAND, LEVEL_BAND, rhs, piv)
+        q_left, q_right = float(u[0]), float(u[-1])
+        u[0] = g_left
+        u[-1] = g_right
+        return u, q_left, q_right
+
+    return solve
+
+
+def _diverged(t_n) -> ConvergenceError:
+    return ConvergenceError(
+        f"corrector diverged at t = {t_n:g}: non-finite values in the lagged "
+        "right-hand side (tau too large, reaction too stiff, or bad initial data)",
+        time=t_n,
+    )
+
+
+def _sup_gap(u_new, u_last, t_n) -> float:
+    """max |u_new - u_last|, raising the divergence error when it is not finite.
+
+    The gap is non-finite exactly when either iterate has a non-finite entry, and
+    a non-finite right-hand side always solves to a non-finite iterate, so this
+    one scalar stands in for a scan of every right-hand side.
+    """
+    d = u_new - u_last
+    gap = float(np.abs(d, out=d).max())
+    if not gap < math.inf:
+        raise _diverged(t_n)
+    return gap
+
+
+def _domain_error(exc: DomainError, t_n, u_tilde) -> DomainError:
+    """exc with the level time and the first negative node of the lag it met."""
+    negative = np.flatnonzero(u_tilde < 0.0)
+    if not negative.size:
+        return DomainError(f"{exc} at t = {t_n:g}")
+    i = negative[0]
+    return DomainError(f"{exc} at t = {t_n:g}: first negative node u[{i}] = {u_tilde[i]:.6g}")
 
 
 def corrector_solve(sys: TimeLevelSystem, problem: PdeProblem, cfg: StepConfig, u_prev):
@@ -186,31 +235,36 @@ def corrector_solve(sys: TimeLevelSystem, problem: PdeProblem, cfg: StepConfig, 
     are compared, so the minimum count is two; with a vanishing nonlinear part the
     second solve reproduces the first bit for bit and the loop exits at zero
     difference.  Returns the converged state and the number of solves.
+
+    A non-finite iterate raises ConvergenceError ("corrector diverged"): at the
+    first gap it enters, or at the cap when no gap was taken.  A DomainError from
+    the reaction is raised again naming the level time and the lag's first
+    negative node.
     """
-    u_tilde = np.asarray(u_prev, dtype=float)
-    u_last = None
+    solve = _level_pass(sys, problem)
+    epsilon = cfg.epsilon
+    t_n = sys.t_n
+    u_last = np.asarray(u_prev, dtype=float)  # the lag of the pass under way
     diff = math.inf
-    # a diverging iterate overflows inside the reaction; the finite check in
-    # _solve_with_lag reports it as ConvergenceError, so numpy's warning is noise
-    with np.errstate(over="ignore", invalid="ignore"):
-        for iters in range(1, cfg.max_corrector_iters + 1):
-            u_new, q_left, q_right = _solve_with_lag(sys, problem, u_tilde)
-            if u_last is not None:
-                diff = float(np.max(np.abs(u_new - u_last)))
-                if diff <= cfg.epsilon:
-                    state = SolverState(
-                        u=u_new,
-                        q_left=q_left,
-                        q_right=q_right,
-                        t=sys.t_n,
-                    )
-                    return state, iters
-            u_tilde = u_new
-            u_last = u_new
+    try:
+        # a diverging iterate overflows inside the reaction and is reported as
+        # ConvergenceError, so numpy's warning is noise
+        with np.errstate(over="ignore", invalid="ignore"):
+            u_new, q_left, q_right = solve(u_last)
+            for iters in range(2, cfg.max_corrector_iters + 1):
+                u_last = u_new
+                u_new, q_left, q_right = solve(u_last)
+                diff = _sup_gap(u_new, u_last, t_n)
+                if diff <= epsilon:
+                    return SolverState(u=u_new, q_left=q_left, q_right=q_right, t=t_n), iters
+    except DomainError as exc:
+        raise _domain_error(exc, t_n, u_last) from exc
+    if not np.isfinite(u_new).all():
+        raise _diverged(t_n)
     raise ConvergenceError(
-        f"corrector stalled at t = {sys.t_n:g}: difference {diff:.3e} after "
+        f"corrector stalled at t = {t_n:g}: difference {diff:.3e} after "
         f"{cfg.max_corrector_iters} iterations (tau too large or reaction too stiff)",
-        time=sys.t_n,
+        time=t_n,
         last_diff=diff,
     )
 
@@ -220,10 +274,12 @@ def back_substitution_gap(sys: TimeLevelSystem, problem: PdeProblem, state: Solv
 
     Measures how far the returned solution sits from the fixed point of the full
     nonlinear discrete system; a converged level should stay within a small
-    multiple of the corrector tolerance.
+    multiple of the corrector tolerance.  A non-finite pass raises as the
+    corrector does.
     """
-    u_again, _, _ = _solve_with_lag(sys, problem, state.u)
-    return float(np.max(np.abs(u_again - state.u)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        u_again, _, _ = _level_pass(sys, problem)(state.u)
+        return _sup_gap(u_again, state.u, sys.t_n)
 
 
 @dataclass

@@ -7,9 +7,9 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import lapack, solve_banded
 
-from .exceptions import ConvergenceError, DrbemError
+from .exceptions import ConvergenceError, DrbemError, SingularMatrixError
 from .problems import PdeProblem
 from .rbf import Grid, assemble_interpolation
 from .assembly import assemble_drbem
@@ -40,12 +40,32 @@ def compute_errors(numeric, exact_at_nodes, time=math.nan) -> ErrorReport:
     if numeric.ndim != 1 or numeric.size < 3:
         raise ValueError("need at least 3 nodes")
     e = exact[1:-1] - numeric[1:-1]
+    np.abs(e, out=e)
+    # np.mean is this sum over the count, so the norms keep np.mean's bits
     return ErrorReport(
-        l_inf=float(np.max(np.abs(e))),
-        rms=float(np.sqrt(np.mean(e * e))),
-        n_interior=int(e.size),
+        l_inf=float(e.max()),
+        rms=math.sqrt(np.add.reduce(e * e) / e.size),
+        n_interior=e.size,
         time=float(time),
     )
+
+
+def _oracle_diverged(t_n) -> ConvergenceError:
+    return ConvergenceError(f"oracle corrector diverged at t = {t_n:g}: non-finite iterate",
+                            time=t_n)
+
+
+def _tridiagonal_solver(lower, diag, upper, m, t_n):
+    """rhs -> the solution of the m x m tridiagonal system with constant diagonals,
+    factored once here (LAPACK gttrf) and solved per call (gttrs)."""
+    if m < 3:  # the gttrf wrapper cannot size du2 below three unknowns
+        banded = np.array([[0.0] + [upper] * (m - 1), [diag] * m, [lower] * (m - 1) + [0.0]])
+        return lambda rhs: solve_banded((1, 1), banded, rhs, check_finite=False)
+    dl, d, du, du2, ipiv, info = lapack.dgttrf(np.full(m - 1, lower), np.full(m, diag),
+                                               np.full(m - 1, upper))
+    if info > 0:
+        raise SingularMatrixError(f"oracle level matrix at t = {t_n:g} is singular")
+    return lambda rhs: lapack.dgttrs(dl, d, du, du2, ipiv, rhs, overwrite_b=1)[0]
 
 
 def fd_oracle(problem: PdeProblem, n_nodes, tau, t_end, epsilon=StepConfig.epsilon,
@@ -81,10 +101,7 @@ def fd_oracle(problem: PdeProblem, n_nodes, tau, t_end, epsilon=StepConfig.epsil
         lower = -nu_n / (2.0 * h) - mu_n / (h * h)
         diag = 1.0 / tau + 2.0 * mu_n / (h * h) - eta_n * lam
         upper = nu_n / (2.0 * h) - mu_n / (h * h)
-        banded = np.zeros((3, m))
-        banded[0, 1:] = upper
-        banded[1, :] = diag
-        banded[2, :-1] = lower
+        solve = _tridiagonal_solver(lower, diag, upper, m, t_n)
 
         g_left = float(problem.bc_left(t_n))
         g_right = float(problem.bc_right(t_n))
@@ -92,27 +109,30 @@ def fd_oracle(problem: PdeProblem, n_nodes, tau, t_end, epsilon=StepConfig.epsil
         base[0] -= lower * g_left
         base[-1] -= upper * g_right
 
-        u_tilde = u
-        u_last = None
+        # the iterates differ only in the interior, so the corrector works there
+        w_tilde, w_last = u[1:-1], None
         diff = math.inf
-        for _ in range(max_iters):
-            rhs = base + eta_n * nonlinear(u_tilde[1:-1])
-            interior = solve_banded((1, 1), banded, rhs)
-            u_new = np.concatenate([[g_left], interior, [g_right]])
-            if u_last is not None:
-                diff = float(np.max(np.abs(u_new - u_last)))
-                if diff <= epsilon:
-                    u_last = u_new
-                    break
-            u_tilde = u_new
-            u_last = u_new
-        else:
-            raise ConvergenceError(
-                f"oracle corrector stalled at t = {t_n:g} (difference {diff:.3e})",
-                time=t_n,
-                last_diff=diff,
-            )
-        u = u_last
+        # a diverging iterate is reported as ConvergenceError, so numpy's warning is noise
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(max_iters):
+                w_new = solve(base + eta_n * nonlinear(w_tilde))
+                if w_last is not None:
+                    gap = w_new - w_last
+                    diff = float(np.abs(gap, out=gap).max())
+                    if diff <= epsilon:
+                        break
+                    if not diff < math.inf:
+                        raise _oracle_diverged(t_n)
+                w_tilde = w_last = w_new
+            else:
+                if not np.isfinite(w_new).all():
+                    raise _oracle_diverged(t_n)
+                raise ConvergenceError(
+                    f"oracle corrector stalled at t = {t_n:g} (difference {diff:.3e})",
+                    time=t_n,
+                    last_diff=diff,
+                )
+        u = np.concatenate([[g_left], w_new, [g_right]])
         if k in snap_levels:
             captured.append(u)
     return u if snapshots is None else captured

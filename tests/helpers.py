@@ -1,9 +1,14 @@
 """Shared helpers for the test suite."""
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import blas, lapack, lu_factor, lu_solve, solve_banded
+
+from drbem1d.assembly import LEVEL_BAND
+from drbem1d.problems import make_generalized_fisher
+from drbem1d.stepping import initial_values, level_coefficients
 
 
 def load_csv(path):
@@ -57,3 +62,68 @@ def dense_level_solve(problem, ops, p_matrix, cfg, t_n, u_prev):
             return u_new, z[0], z[1], passes
         u_tilde = u_last = u_new
     raise AssertionError(f"dense reference corrector stalled at t = {t_n}")
+
+
+def reference_corrector(sys, problem, cfg, u_prev):
+    """The corrector as a plain loop of lagged band solves, as the stepper first
+    ran it: per pass one dgbmv and one dgbtrs, the end entries read as fluxes and
+    replaced by the boundary values, successive solves compared by np.max.
+    Returns (u, q_left, q_right, passes).  A test reference only.
+    """
+    n = sys.rhs_fixed.size
+    lu, piv = sys.factorization
+    u_tilde, u_last = np.asarray(u_prev, dtype=float), None
+    for passes in range(1, cfg.max_corrector_iters + 1):
+        rhs = blas.dgbmv(n, n, 1, 1, -sys.eta_n / sys.mu_n, sys.t_band,
+                         problem.reaction.nonlinear(u_tilde), beta=1.0, y=sys.rhs_fixed)
+        u, _ = lapack.dgbtrs(lu, LEVEL_BAND, LEVEL_BAND, rhs, piv, overwrite_b=1)
+        q_left, q_right = float(u[0]), float(u[-1])
+        u[0], u[-1] = sys.g_left, sys.g_right
+        if u_last is not None and float(np.max(np.abs(u - u_last))) <= cfg.epsilon:
+            return u, q_left, q_right, passes
+        u_tilde = u_last = u
+    raise AssertionError(f"reference corrector stalled at t = {sys.t_n}")
+
+
+def reference_oracle(problem, n_nodes, tau, t_end, epsilon=1e-10, max_iters=100):
+    """fd_oracle's march with one solve_banded, a factorization and a solve, per
+    corrector pass, as the oracle first ran it.  A test reference only."""
+    x = np.linspace(problem.a, problem.b, n_nodes)
+    h = (x[-1] - x[0]) / (n_nodes - 1)
+    u = initial_values(problem, x)
+    lam, m = problem.reaction.linear_slope, n_nodes - 2
+    for k in range(1, int(round(t_end / tau)) + 1):
+        t_n = k * tau
+        nu, mu, eta = level_coefficients(problem, t_n)
+        lower = -nu / (2.0 * h) - mu / (h * h)
+        upper = nu / (2.0 * h) - mu / (h * h)
+        banded = np.zeros((3, m))
+        banded[0, 1:] = upper
+        banded[1, :] = 1.0 / tau + 2.0 * mu / (h * h) - eta * lam
+        banded[2, :-1] = lower
+        g_left, g_right = float(problem.bc_left(t_n)), float(problem.bc_right(t_n))
+        base = u[1:-1] / tau
+        base[0] -= lower * g_left
+        base[-1] -= upper * g_right
+        u_tilde, u_last = u, None
+        for _ in range(max_iters):
+            interior = solve_banded((1, 1), banded, base + eta * problem.reaction.nonlinear(
+                u_tilde[1:-1]))
+            u_new = np.concatenate([[g_left], interior, [g_right]])
+            if u_last is not None and float(np.max(np.abs(u_new - u_last))) <= epsilon:
+                break
+            u_tilde = u_last = u_new
+        else:
+            raise AssertionError(f"reference oracle stalled at t = {t_n}")
+        u = u_new
+    return u
+
+
+def dipping_generalized_fisher(alpha, a=-2.0, b=2.0, horizon=1.0):
+    """make_generalized_fisher whose initial data dips to about -1 at x = 0.5 and
+    stays positive at every node 0.25 or more away from it."""
+    problem = make_generalized_fisher(alpha, a=a, b=b, horizon=horizon)
+    return dataclasses.replace(
+        problem,
+        initial=lambda x: problem.initial(x) - 1.5 * np.exp(-(((x - 0.5) / 0.05) ** 2)),
+    )

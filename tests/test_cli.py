@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import load_csv
+from helpers import dipping_generalized_fisher, load_csv
 
 import drbem1d
 from drbem1d import cli
@@ -332,6 +332,19 @@ class TestMainExitCodes:
         assert main(["solve", str(path)]) == 2
         err = capsys.readouterr().err
         assert "solver" in err and "Traceback" not in err
+
+    def test_negative_base_is_2_naming_the_level_and_node(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setitem(REGISTRY, "generalized_fisher",
+                            (dipping_generalized_fisher, "alpha"))
+        path = tmp_path / "dip.cfg"
+        path.write_text(
+            "equation = generalized_fisher\nalpha = 2.5\nh = 0.25\ntau = 0.01\nt_end = 0.05\n"
+            f'output_path = "{tmp_path}"\n'
+        )
+        assert main(["solve", str(path)]) == 2
+        err_lines = capsys.readouterr().err.splitlines()
+        assert len(err_lines) == 1 and err_lines[0].startswith("drbem1d: negative base")
+        assert "at t = 0.01: first negative node u[10] = " in err_lines[0]
 
     def test_nonpositive_alpha_is_1(self, tmp_path, capsys):
         path = tmp_path / "alpha.cfg"

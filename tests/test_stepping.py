@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from types import SimpleNamespace
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from drbem1d.assembly import LEVEL_BAND, assemble_drbem, spline_operators
-from drbem1d.exceptions import ConvergenceError, SingularMatrixError, SolverError
+from drbem1d.exceptions import ConvergenceError, DomainError, SingularMatrixError, SolverError
 from drbem1d.problems import (REGISTRY, CoefficientSet, PdeProblem, ReactionTerm,
                               make_fisher, make_generalized_fn)
 from drbem1d.rbf import Grid, assemble_interpolation, band_lu_factor_checked
@@ -20,7 +21,7 @@ from drbem1d.stepping import (
     run,
 )
 from drbem1d.verification import compute_errors
-from helpers import dense_level_solve
+from helpers import dense_level_solve, dipping_generalized_fisher, reference_corrector
 
 
 def zero_reaction():
@@ -260,7 +261,7 @@ def jittered(grid, seed):
 @pytest.mark.parametrize("spacing", ["uniform", "jittered"])
 @pytest.mark.parametrize("name", sorted(REGISTRY))
 def test_banded_level_solve_matches_the_dense_reference(name, spacing):
-    # each level is solved both ways from the same previous state
+    # each level is solved three ways from the same previous state
     problem = registry_problem(name)
     grid = Grid.uniform(problem.a, problem.b, 33)
     if spacing == "jittered":
@@ -275,6 +276,10 @@ def test_banded_level_solve_matches_the_dense_reference(name, spacing):
         t_n = k * cfg.tau
         system = build_level_system(problem, grid, ops, cfg, t_n, u, prev_system=system)
         state, passes = corrector_solve(system, problem, cfg, u)
+        # the corrector keeps the bits of the plain loop of band solves
+        u_plain, *plain_rest = reference_corrector(system, problem, cfg, u)
+        assert state.u.tobytes() == u_plain.tobytes()
+        assert [state.q_left, state.q_right, passes] == plain_rest
         u_ref, q_left, q_right, passes_ref = dense_level_solve(problem, ops, p_matrix, cfg,
                                                                t_n, u)
         assert np.max(np.abs(state.u - u_ref)) <= 1e-9 * np.max(np.abs(u_ref))
@@ -406,3 +411,68 @@ def test_back_substitution_gap_small_after_convergence():
     state, _ = corrector_solve(system, problem, cfg, prev.u)
     np.testing.assert_allclose(state.u, final.u, atol=1e-13)
     assert back_substitution_gap(system, problem, state) <= 10.0 * cfg.epsilon
+
+
+def nan_first_reaction(calls):
+    """A reaction term whose remainder is nan on the first call and 0 after it."""
+    def nonlinear(u):
+        calls.append(1)
+        return np.full_like(u, np.nan) if len(calls) == 1 else 0.0 * u
+    return ReactionTerm(0.0, nonlinear, nonlinear)
+
+
+def reacting_heat_problem(reaction):
+    problem = heat_problem(1.0, 0.0)
+    return dataclasses.replace(problem, coeffs=CoefficientSet.constant(0.0, 1.0, 1.0),
+                               reaction=reaction)
+
+
+@pytest.mark.parametrize("cap", [1, 100])
+def test_nan_reaction_on_the_first_pass_diverges(cap):
+    # the first iterate is nan: with a cap of one the final check reports it, and
+    # otherwise the first gap does, so no pass after the second is spent on it
+    calls = []
+    problem = reacting_heat_problem(nan_first_reaction(calls))
+    grid = Grid.uniform(0.0, 1.0, 9)
+    cfg = StepConfig(tau=0.1, max_corrector_iters=cap)
+    system = build_level_system(problem, grid, assemble(grid), cfg, 0.1, grid.nodes)
+    with pytest.raises(ConvergenceError, match="corrector diverged at t = 0.1") as excinfo:
+        corrector_solve(system, problem, cfg, grid.nodes)
+    assert excinfo.value.time == pytest.approx(0.1)
+    assert len(calls) == min(cap, 2)
+
+
+def test_back_substitution_gap_raises_on_a_non_finite_pass():
+    problem = reacting_heat_problem(fisher_reaction())
+    grid = Grid.uniform(0.0, 1.0, 9)
+    cfg = StepConfig(tau=0.1)
+    system = build_level_system(problem, grid, assemble(grid), cfg, 0.1, grid.nodes)
+    state, _ = corrector_solve(system, problem, cfg, grid.nodes)
+    assert back_substitution_gap(system, problem, state) <= 10.0 * cfg.epsilon
+    poisoned = dataclasses.replace(problem, reaction=nan_first_reaction([]))
+    with pytest.raises(ConvergenceError, match="corrector diverged"):
+        back_substitution_gap(system, poisoned, state)
+
+
+def test_negative_base_names_the_level_and_the_node():
+    # alpha = 2.5 lags u^3.5, which has no real value at the dip below 0 (node 10)
+    problem = dipping_generalized_fisher(2.5)
+    grid = Grid.with_spacing(-2.0, 2.0, 0.25)
+    assert np.flatnonzero(initial_values(problem, grid.nodes) < 0.0).tolist() == [10]
+    with pytest.raises(DomainError, match=r"exponent 3\.5 at t = 0\.01: first negative "
+                                          r"node u\[10\] = -1\.0"):
+        run(problem, grid, StepConfig(tau=0.01), 0.05)
+
+
+def test_run_builds_no_dense_e_matrix():
+    problem = make_fisher()
+    grid = Grid.uniform(problem.a, problem.b, 17)
+    ops = assemble(grid)
+    run(problem, grid, StepConfig(tau=0.01), 0.05, ops=ops)
+    assert "e_matrix" not in vars(ops)
+    # the first read builds E and keeps it, read-only
+    e_matrix = ops.e_matrix
+    assert vars(ops)["e_matrix"] is e_matrix and ops.e_matrix is e_matrix
+    assert not e_matrix.flags.writeable
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ops.e_matrix = np.zeros((grid.n, grid.n))

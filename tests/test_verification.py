@@ -1,10 +1,14 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from helpers import reference_oracle
+
 from drbem1d.exceptions import ConvergenceError
 from drbem1d.problems import (
+    REGISTRY,
     CoefficientSet,
     PdeProblem,
     ReactionTerm,
@@ -19,6 +23,16 @@ from drbem1d.verification import (
     fd_oracle,
     observed_order,
 )
+
+
+def test_compute_errors_keeps_the_numpy_reductions_bits():
+    rng = np.random.default_rng(7)
+    for n in (3, 65, 1001):
+        numeric, exact = rng.standard_normal((2, n))
+        e = exact[1:-1] - numeric[1:-1]
+        report = compute_errors(numeric, exact)
+        assert report.l_inf == float(np.max(np.abs(e)))
+        assert report.rms == float(np.sqrt(np.mean(e * e)))
 
 
 def test_compute_errors_hand_case():
@@ -105,6 +119,33 @@ class TestFdOracle:
         assert len(marched) == 3  # distinct levels, in increasing time
         for u, t in zip(marched, (0.0, 0.05, 0.1)):
             np.testing.assert_array_equal(u, fd_oracle(problem, 17, 0.01, t))
+
+    @pytest.mark.parametrize("name, params, n, tau, t_end", [
+        ("generalized_fisher", {"alpha": 2.5}, 65, 1e-3, 0.3),
+        ("generalized_fn", {"rho": 1.0}, 33, 1e-3, 0.3),
+        ("fitzhugh_nagumo", {"rho": 0.75}, 81, 1e-2, 1.0),
+        ("fisher", {}, 3, 0.01, 0.2),
+        ("fisher", {}, 4, 0.01, 0.2),
+    ])
+    def test_matches_a_solve_banded_per_pass_bit_for_bit(self, name, params, n, tau, t_end):
+        problem = REGISTRY[name][0](**params)
+        u = fd_oracle(problem, n, tau, t_end)
+        assert u.tobytes() == reference_oracle(problem, n, tau, t_end).tobytes()
+
+    def test_non_finite_iterate_diverges(self):
+        problem = make_generalized_fisher(1.0)
+        calls = []
+
+        def nonlinear(u):
+            calls.append(1)
+            return np.full_like(u, np.nan) if len(calls) == 1 else 0.0 * u
+
+        poisoned = dataclasses.replace(
+            problem, reaction=ReactionTerm(1.0, nonlinear, problem.reaction.full))
+        for cap in (1, 100):
+            calls.clear()
+            with pytest.raises(ConvergenceError, match="oracle corrector diverged at t = 0.1"):
+                fd_oracle(poisoned, 17, 0.1, 0.1, max_iters=cap)
 
     def test_cap_of_one_cannot_converge(self):
         problem = make_generalized_fisher(1.0)
