@@ -4,7 +4,6 @@ transfer matrix that moves interpolated interior data onto the endpoints."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -147,39 +146,21 @@ class DrbemOperators:
     """Time-independent operators of the boundary-integral collocation scheme.
 
     Row i collocates at source node x_i.  l_matrix/h_matrix pair endpoint flux and
-    value data, free_terms holds the free-term coefficients c_i, and interp is the
-    interpolation operator the set was assembled from.  The time stepper uses
-    only `spline`, the same scheme in banded form; the dense matrices serve the
-    self-checks and the assembly tests.
+    value data, free_terms holds the free-term coefficients c_i, and e_matrix maps
+    nodal inhomogeneity data to its endpoint-identity contribution.  The time
+    stepper uses only `spline`, the same scheme in banded form; the dense
+    matrices serve the self-checks and the assembly tests.
     """
 
     l_matrix: np.ndarray
     h_matrix: np.ndarray
     free_terms: np.ndarray
-    interp: InterpolationOperator
+    e_matrix: np.ndarray
     spline: SplineOperators
-
-    @cached_property
-    def e_matrix(self) -> np.ndarray:
-        """E = D Phi^{-1}, mapping nodal inhomogeneity data to its endpoint-identity
-        contribution; built on first read from interp's stored factorization."""
-        x = self.interp.grid.nodes
-        a, b = x[0], x[-1]
-        psi_boundary = np.vstack([psi(np.abs(a - x)), psi(np.abs(b - x))])
-        psi_x_boundary = np.vstack([psi_x(a, x), psi_x(b, x)])
-        # psi_tilde: the free-term-weighted particular solutions at the sources.  D
-        # maps kernel coefficients of an inhomogeneity to its endpoint-identity
-        # contribution.
-        psi_tilde = self.free_terms[:, None] * psi(np.abs(x[:, None] - x[None, :]))
-        d_matrix = self.l_matrix @ psi_x_boundary - self.h_matrix @ psi_boundary + psi_tilde
-        # a transposed solve against the stored factorization, not an explicit inverse
-        e_matrix = self.interp.solve(d_matrix.T, transposed=True).T
-        e_matrix.setflags(write=False)
-        return e_matrix
 
 
 def assemble_drbem(grid: Grid, interp: InterpolationOperator) -> DrbemOperators:
-    """Assemble the endpoint matrices and the spline form; E waits for its first read."""
+    """Assemble the endpoint matrices, E and the spline form, reusing interp's factorization."""
     if interp.grid is not grid and not np.array_equal(interp.grid.nodes, grid.nodes):
         raise ValueError("interpolation operator was built on a different node set")
 
@@ -193,17 +174,28 @@ def assemble_drbem(grid: Grid, interp: InterpolationOperator) -> DrbemOperators:
     h_matrix = np.column_stack(
         [-fundamental_solution_dx(a, x), fundamental_solution_dx(b, x)]
     )
+
+    psi_boundary = np.vstack([psi(np.abs(a - x)), psi(np.abs(b - x))])
+    psi_x_boundary = np.vstack([psi_x(a, x), psi_x(b, x)])
+
     free_terms = np.ones(n)
     free_terms[0] = 0.5
     free_terms[-1] = 0.5
+    # psi_tilde: the free-term-weighted particular solutions at the sources.  D maps
+    # kernel coefficients of an inhomogeneity to its endpoint-identity contribution.
+    psi_tilde = free_terms[:, None] * psi(np.abs(x[:, None] - x[None, :]))
+    d_matrix = l_matrix @ psi_x_boundary - h_matrix @ psi_boundary + psi_tilde
+    # E = D Phi^{-1}, via a transposed solve against the stored factorization
+    # rather than an explicit inverse.
+    e_matrix = interp.solve(d_matrix.T, transposed=True).T
 
-    for arr in (l_matrix, h_matrix, free_terms):
+    for arr in (l_matrix, h_matrix, free_terms, e_matrix):
         arr.setflags(write=False)
     return DrbemOperators(
         l_matrix=l_matrix,
         h_matrix=h_matrix,
         free_terms=free_terms,
-        interp=interp,
+        e_matrix=e_matrix,
         spline=spline_operators(grid),
     )
 

@@ -13,7 +13,8 @@ A corrector pass is the reaction F_n(u_tilde), one dgbmv that adds the
 the pass then takes the sup-norm gap to the previous iterate in place.  The
 per-level constants (-eta/mu, the band factors, the reaction) are bound once
 per level, and the gap doubles as the divergence guard: it is non-finite
-exactly when an iterate is, so no right-hand side is scanned.
+exactly when an iterate is, so no right-hand side is scanned.  A non-finite
+lag that the reaction rejects before its gap is taken is reported the same way.
 """
 
 from __future__ import annotations
@@ -180,6 +181,7 @@ def _level_pass(sys: TimeLevelSystem, problem: PdeProblem):
     scale = -sys.eta_n / sys.mu_n
     t_band, rhs_fixed = sys.t_band, sys.rhs_fixed
     lu, piv = sys.factorization
+    ldab = lu.shape[0]
     g_left, g_right = sys.g_left, sys.g_right
     nonlinear = problem.reaction.nonlinear
     dgbmv, dgbtrs = blas.dgbmv, lapack.dgbtrs
@@ -188,7 +190,8 @@ def _level_pass(sys: TimeLevelSystem, problem: PdeProblem):
     def solve(u_tilde):
         # incx = 1, offx = 0, beta = 1, y = rhs_fixed (copied, not overwritten)
         rhs = dgbmv(n, n, 1, 1, scale, t_band, nonlinear(u_tilde), 1, 0, 1.0, rhs_fixed)
-        u, _ = dgbtrs(lu, LEVEL_BAND, LEVEL_BAND, rhs, piv)
+        # trans = 0, n, ldab, ldb = n, overwrite_b = 1: rhs is this pass's own array
+        u, _ = dgbtrs(lu, LEVEL_BAND, LEVEL_BAND, rhs, piv, 0, n, ldab, n, 1)
         q_left, q_right = float(u[0]), float(u[-1])
         u[0] = g_left
         u[-1] = g_right
@@ -237,9 +240,9 @@ def corrector_solve(sys: TimeLevelSystem, problem: PdeProblem, cfg: StepConfig, 
     difference.  Returns the converged state and the number of solves.
 
     A non-finite iterate raises ConvergenceError ("corrector diverged"): at the
-    first gap it enters, or at the cap when no gap was taken.  A DomainError from
-    the reaction is raised again naming the level time and the lag's first
-    negative node.
+    first gap it enters, at the cap when no gap was taken, or when the reaction
+    rejects it first.  A DomainError from the reaction on a finite lag is raised
+    again naming the level time and the lag's first negative node.
     """
     solve = _level_pass(sys, problem)
     epsilon = cfg.epsilon
@@ -258,6 +261,9 @@ def corrector_solve(sys: TimeLevelSystem, problem: PdeProblem, cfg: StepConfig, 
                 if diff <= epsilon:
                     return SolverState(u=u_new, q_left=q_left, q_right=q_right, t=t_n), iters
     except DomainError as exc:
+        # an overflowed iterate (-inf, nan) reaches the reaction before its gap
+        if not np.isfinite(u_last).all():
+            raise _diverged(t_n) from exc
         raise _domain_error(exc, t_n, u_last) from exc
     if not np.isfinite(u_new).all():
         raise _diverged(t_n)

@@ -116,17 +116,16 @@ def fd_oracle(problem: PdeProblem, n_nodes, tau, t_end, epsilon=StepConfig.epsil
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(max_iters):
                 w_new = solve(base + eta_n * nonlinear(w_tilde))
+                # checked before the next reaction, which may reject -inf or nan
+                if not np.isfinite(w_new).all():
+                    raise _oracle_diverged(t_n)
                 if w_last is not None:
                     gap = w_new - w_last
                     diff = float(np.abs(gap, out=gap).max())
                     if diff <= epsilon:
                         break
-                    if not diff < math.inf:
-                        raise _oracle_diverged(t_n)
                 w_tilde = w_last = w_new
             else:
-                if not np.isfinite(w_new).all():
-                    raise _oracle_diverged(t_n)
                 raise ConvergenceError(
                     f"oracle corrector stalled at t = {t_n:g} (difference {diff:.3e})",
                     time=t_n,

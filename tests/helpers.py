@@ -119,11 +119,12 @@ def reference_oracle(problem, n_nodes, tau, t_end, epsilon=1e-10, max_iters=100)
     return u
 
 
-def dipping_generalized_fisher(alpha, a=-2.0, b=2.0, horizon=1.0):
-    """make_generalized_fisher whose initial data dips to about -1 at x = 0.5 and
-    stays positive at every node 0.25 or more away from it."""
+def bumped_generalized_fisher(alpha, height=-1.5, a=-2.0, b=2.0, horizon=1.0):
+    """make_generalized_fisher whose initial data gains `height` at x = 0.5 and
+    keeps its values at every node 0.25 or more away from it.  The default dips
+    the initial data to about -1 there."""
     problem = make_generalized_fisher(alpha, a=a, b=b, horizon=horizon)
     return dataclasses.replace(
         problem,
-        initial=lambda x: problem.initial(x) - 1.5 * np.exp(-(((x - 0.5) / 0.05) ** 2)),
+        initial=lambda x: problem.initial(x) + height * np.exp(-(((x - 0.5) / 0.05) ** 2)),
     )

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import dipping_generalized_fisher, load_csv
+from helpers import bumped_generalized_fisher, load_csv
 
 import drbem1d
 from drbem1d import cli
@@ -335,7 +335,7 @@ class TestMainExitCodes:
 
     def test_negative_base_is_2_naming_the_level_and_node(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setitem(REGISTRY, "generalized_fisher",
-                            (dipping_generalized_fisher, "alpha"))
+                            (bumped_generalized_fisher, "alpha"))
         path = tmp_path / "dip.cfg"
         path.write_text(
             "equation = generalized_fisher\nalpha = 2.5\nh = 0.25\ntau = 0.01\nt_end = 0.05\n"

@@ -21,7 +21,7 @@ from drbem1d.stepping import (
     run,
 )
 from drbem1d.verification import compute_errors
-from helpers import dense_level_solve, dipping_generalized_fisher, reference_corrector
+from helpers import bumped_generalized_fisher, dense_level_solve, reference_corrector
 
 
 def zero_reaction():
@@ -456,7 +456,7 @@ def test_back_substitution_gap_raises_on_a_non_finite_pass():
 
 def test_negative_base_names_the_level_and_the_node():
     # alpha = 2.5 lags u^3.5, which has no real value at the dip below 0 (node 10)
-    problem = dipping_generalized_fisher(2.5)
+    problem = bumped_generalized_fisher(2.5)
     grid = Grid.with_spacing(-2.0, 2.0, 0.25)
     assert np.flatnonzero(initial_values(problem, grid.nodes) < 0.0).tolist() == [10]
     with pytest.raises(DomainError, match=r"exponent 3\.5 at t = 0\.01: first negative "
@@ -464,15 +464,12 @@ def test_negative_base_names_the_level_and_the_node():
         run(problem, grid, StepConfig(tau=0.01), 0.05)
 
 
-def test_run_builds_no_dense_e_matrix():
-    problem = make_fisher()
-    grid = Grid.uniform(problem.a, problem.b, 17)
-    ops = assemble(grid)
-    run(problem, grid, StepConfig(tau=0.01), 0.05, ops=ops)
-    assert "e_matrix" not in vars(ops)
-    # the first read builds E and keeps it, read-only
-    e_matrix = ops.e_matrix
-    assert vars(ops)["e_matrix"] is e_matrix and ops.e_matrix is e_matrix
-    assert not e_matrix.flags.writeable
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        ops.e_matrix = np.zeros((grid.n, grid.n))
+
+@pytest.mark.parametrize("cap", [2, 100])
+def test_overflow_seen_by_the_reaction_first_diverges(cap):
+    # u^3.5 of the 1e88 spike overflows: the first iterate holds -inf and nan,
+    # which the next pass's reaction meets before any gap is taken
+    problem = bumped_generalized_fisher(2.5, height=1e88)
+    grid = Grid.with_spacing(-2.0, 2.0, 0.25)
+    with pytest.raises(ConvergenceError, match="corrector diverged at t = 1"):
+        run(problem, grid, StepConfig(tau=1.0, max_corrector_iters=cap), 1.0)

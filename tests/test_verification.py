@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import reference_oracle
+from helpers import bumped_generalized_fisher, reference_oracle
 
 from drbem1d.exceptions import ConvergenceError
 from drbem1d.problems import (
@@ -146,6 +146,13 @@ class TestFdOracle:
             calls.clear()
             with pytest.raises(ConvergenceError, match="oracle corrector diverged at t = 0.1"):
                 fd_oracle(poisoned, 17, 0.1, 0.1, max_iters=cap)
+
+    @pytest.mark.parametrize("cap", [2, 100])
+    def test_overflow_seen_by_the_reaction_first_diverges(self, cap):
+        # the first iterate holds -inf, which u^3.5 rejects before any gap is taken
+        problem = bumped_generalized_fisher(2.5, height=1e88)
+        with pytest.raises(ConvergenceError, match="oracle corrector diverged at t = 1"):
+            fd_oracle(problem, 17, 1.0, 1.0, max_iters=cap)
 
     def test_cap_of_one_cannot_converge(self):
         problem = make_generalized_fisher(1.0)
