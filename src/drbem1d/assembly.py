@@ -4,10 +4,12 @@ transfer matrix that moves interpolated interior data onto the endpoints."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
-from .rbf import Grid, InterpolationOperator, psi, psi_x
+from .rbf import Grid, InterpolationOperator, assemble_interpolation, psi, psi_x
 
 
 def fundamental_solution(x, xi):
@@ -24,15 +26,24 @@ def fundamental_solution_dx(x, xi):
 LEVEL_BAND = 2
 
 
+# The slope helpers work in place on the array they return, so that building the
+# spline record holds at most two N x k temporaries at a time.
+
 def _slopes(h, u):
     """Cell slopes (u[i+1] - u[i]) / h[i] of the columns of u, shape (N, k)."""
-    return (u[1:] - u[:-1]) / h[:, None]
+    s = u[1:] - u[:-1]
+    s /= h[:, None]
+    return s
 
 
 def _moment_load(h, u, q_left, q_right):
     """6 Delta(u, q): six times the slope jump at each node, q the end slopes."""
     s = _slopes(h, u)
-    return 6.0 * (np.concatenate([s, q_right]) - np.concatenate([q_left, s]))
+    load = np.concatenate([s, q_right])  # right slopes; minus the left slopes:
+    load[:1] -= q_left
+    load[1:] -= s
+    load *= 6.0
+    return load
 
 
 def _slope(h, kappa, u):
@@ -44,7 +55,11 @@ def _slope(h, kappa, u):
     """
     s = _slopes(h, u)
     outer = 2.0 * kappa * (u[:1] + u[-1:])
-    return 0.5 * (np.concatenate([-outer, s]) + np.concatenate([s, outer]))
+    mean = np.concatenate([-outer, s])  # left slopes; plus the right slopes:
+    mean[:-1] += s
+    mean[-1:] += outer
+    mean *= 0.5
+    return mean
 
 
 def _apply_band(t_band, v):
@@ -94,6 +109,26 @@ class SplineOperators:
         return _apply_band(self.t_band, np.asarray(v, dtype=float)[:, None])[:, 0]
 
 
+def _gather_band(level_piece, dirichlet_piece, image):
+    """Fill one piece's band rows and Dirichlet columns from its image of the probes.
+
+    Row LEVEL_BAND + r of band column j holds entry (j + r - LEVEL_BAND, j),
+    found in image column j mod 5.  Rows outside the matrix hold zeros, and so
+    do the flux columns: no probe covers them.
+    """
+    n = image.shape[0]
+    width = 2 * LEVEL_BAND + 1
+    j = np.arange(n)
+    index = j + np.arange(-LEVEL_BAND, LEVEL_BAND + 1)[:, None]
+    outside = (index < 0) | (index >= n)
+    index *= image.shape[1]
+    index += j % width
+    # mode="clip" keeps the outside entries' indices in range and spares a buffer
+    np.take(image, index, out=level_piece[LEVEL_BAND:], mode="clip")
+    level_piece[LEVEL_BAND:][outside] = 0.0
+    dirichlet_piece[:] = image[:, width:]
+
+
 def spline_operators(grid: Grid) -> SplineOperators:
     """Build the spline form of the operators on the grid in O(N)."""
     n = grid.n
@@ -116,24 +151,17 @@ def spline_operators(grid: Grid) -> SplineOperators:
     probes[j[1:-1], j[1:-1] % width] = 1.0
     probes[0, width] = probes[-1, width + 1] = 1.0
     no_flux = np.zeros((1, width + 2))
-    t_images = _apply_band(t_band, np.concatenate([probes, _slope(h, kappa, probes)], axis=1))
-    images = np.stack([
-        _moment_load(h, probes, no_flux, no_flux),
-        t_images[:, :width + 2],
-        t_images[:, width + 2:],
-    ])
-    # Row LEVEL_BAND + r of band column j holds entry (j + r - LEVEL_BAND, j),
-    # found in image column j mod 5; padding the images makes every r in range.
-    # The flux columns gather zeros: no probe covers them.
-    padded = np.zeros((3, n + 2 * LEVEL_BAND, width + 2))
-    padded[:, LEVEL_BAND:n + LEVEL_BAND] = images
-    gather = (j + np.arange(width)[:, None]) * (width + 2) + j % width
+    # one N x 7 image at a time, each dropped once gathered
     level_pieces = np.zeros((3, LEVEL_BAND + width, n))
-    level_pieces[:, LEVEL_BAND:] = padded.reshape(3, -1)[:, gather]
+    dirichlet_pieces = np.empty((3, n, 2))
+    _gather_band(level_pieces[0], dirichlet_pieces[0], _moment_load(h, probes, no_flux, no_flux))
+    _gather_band(level_pieces[1], dirichlet_pieces[1], _apply_band(t_band, probes))
+    slopes = _slope(h, kappa, probes)
+    del probes
+    _gather_band(level_pieces[2], dirichlet_pieces[2], _apply_band(t_band, slopes))
     # the flux unknowns enter 6 Delta alone, in its end rows
     level_pieces[0, 2 * LEVEL_BAND, 0] = -6.0
     level_pieces[0, 2 * LEVEL_BAND, -1] = 6.0
-    dirichlet_pieces = np.ascontiguousarray(images[:, :, width:])
 
     for arr in (h, t_band, level_pieces, dirichlet_pieces):
         arr.setflags(write=False)
@@ -146,24 +174,51 @@ class DrbemOperators:
     """Time-independent operators of the boundary-integral collocation scheme.
 
     Row i collocates at source node x_i.  l_matrix/h_matrix pair endpoint flux and
-    value data, free_terms holds the free-term coefficients c_i, and e_matrix maps
-    nodal inhomogeneity data to its endpoint-identity contribution.  The time
-    stepper uses only `spline`, the same scheme in banded form; the dense
-    matrices serve the self-checks and the assembly tests.
+    value data, and free_terms holds the free-term coefficients c_i.  The time
+    stepper uses only `spline`, the same scheme in banded form.  The dense
+    e_matrix serves the self-checks and the assembly tests and is built on
+    first read, from interp when one was given.
     """
 
+    grid: Grid
     l_matrix: np.ndarray
     h_matrix: np.ndarray
     free_terms: np.ndarray
-    e_matrix: np.ndarray
     spline: SplineOperators
+    interp: Optional[InterpolationOperator] = None
+
+    @cached_property
+    def e_matrix(self) -> np.ndarray:
+        """E = D Phi^{-1}: maps nodal inhomogeneity data to its endpoint-identity
+        contribution.  An N x N array, built once, on first read."""
+        grid = self.grid
+        interp = self.interp if self.interp is not None else assemble_interpolation(grid)
+        x = grid.nodes
+        a, b = grid.a, grid.b
+        psi_boundary = np.vstack([psi(np.abs(a - x)), psi(np.abs(b - x))])
+        psi_x_boundary = np.vstack([psi_x(a, x), psi_x(b, x)])
+        # psi_tilde: the free-term-weighted particular solutions at the sources.  D
+        # maps kernel coefficients of an inhomogeneity to its endpoint-identity
+        # contribution.
+        psi_tilde = self.free_terms[:, None] * psi(np.abs(x[:, None] - x[None, :]))
+        d_matrix = self.l_matrix @ psi_x_boundary - self.h_matrix @ psi_boundary + psi_tilde
+        # a transposed solve against the stored factorization, not an explicit inverse
+        e_matrix = interp.solve(d_matrix.T, transposed=True).T
+        e_matrix.setflags(write=False)
+        return e_matrix
 
 
-def assemble_drbem(grid: Grid, interp: InterpolationOperator) -> DrbemOperators:
-    """Assemble the endpoint matrices, E and the spline form, reusing interp's factorization."""
-    if interp.grid is not grid and not np.array_equal(interp.grid.nodes, grid.nodes):
+def assemble_drbem(grid: Grid, interp: Optional[InterpolationOperator] = None) -> DrbemOperators:
+    """Assemble the endpoint matrices and the spline form in O(N).
+
+    E waits for its first read; pass interp to have it built from that
+    operator's factorization instead of a new one.
+    """
+    if interp is not None and not np.array_equal(interp.grid.nodes, grid.nodes):
         raise ValueError("interpolation operator was built on a different node set")
 
+    # the spline record first: its build is the peak of the assembly's memory
+    spline = spline_operators(grid)
     x = grid.nodes
     n = grid.n
     a, b = grid.a, grid.b
@@ -174,29 +229,19 @@ def assemble_drbem(grid: Grid, interp: InterpolationOperator) -> DrbemOperators:
     h_matrix = np.column_stack(
         [-fundamental_solution_dx(a, x), fundamental_solution_dx(b, x)]
     )
-
-    psi_boundary = np.vstack([psi(np.abs(a - x)), psi(np.abs(b - x))])
-    psi_x_boundary = np.vstack([psi_x(a, x), psi_x(b, x)])
-
     free_terms = np.ones(n)
     free_terms[0] = 0.5
     free_terms[-1] = 0.5
-    # psi_tilde: the free-term-weighted particular solutions at the sources.  D maps
-    # kernel coefficients of an inhomogeneity to its endpoint-identity contribution.
-    psi_tilde = free_terms[:, None] * psi(np.abs(x[:, None] - x[None, :]))
-    d_matrix = l_matrix @ psi_x_boundary - h_matrix @ psi_boundary + psi_tilde
-    # E = D Phi^{-1}, via a transposed solve against the stored factorization
-    # rather than an explicit inverse.
-    e_matrix = interp.solve(d_matrix.T, transposed=True).T
 
-    for arr in (l_matrix, h_matrix, free_terms, e_matrix):
+    for arr in (l_matrix, h_matrix, free_terms):
         arr.setflags(write=False)
     return DrbemOperators(
+        grid=grid,
         l_matrix=l_matrix,
         h_matrix=h_matrix,
         free_terms=free_terms,
-        e_matrix=e_matrix,
-        spline=spline_operators(grid),
+        spline=spline,
+        interp=interp,
     )
 
 

@@ -368,7 +368,7 @@ def _check_lines():
         for _ in range(10):
             p, q = rng.uniform(-3.0, 3.0, size=2)
             grid = Grid.uniform(0.0, 1.0, n)
-            ops = assemble_drbem(grid, assemble_interpolation(grid))
+            ops = assemble_drbem(grid)
             worst = max(worst, harmonic_identity_check(ops, grid, p=p, q=q))
         yield f"harmonic identity (N={n})", worst <= 1e-12, f"max residual {worst:.2e}"
 
@@ -418,7 +418,7 @@ def _check_lines():
             nodes = np.linspace(-1.0, 2.0, n)
             nodes[1:-1] += jitter * (nodes[1] - nodes[0]) * rng.uniform(-1.0, 1.0, n - 2)
             grid = Grid(nodes)
-            ops = assemble_drbem(grid, assemble_interpolation(grid))
+            ops = assemble_drbem(grid)
             u = rng.standard_normal(n)
             q = rng.standard_normal(2)
             identity = ops.l_matrix @ q - ops.h_matrix @ u[[0, -1]] + ops.free_terms * u

@@ -146,9 +146,9 @@ def band_lu_factor_checked(band, kl, ku, what):
 def assemble_interpolation(grid: Grid) -> InterpolationOperator:
     """Build the kernel matrices over the grid and factor phi_matrix once."""
     x = grid.nodes
-    dist = np.abs(x[:, None] - x[None, :])
-    phi_matrix = phi(dist)
-    phi_x_matrix = np.sign(x[:, None] - x[None, :])
+    d = x[:, None] - x[None, :]
+    phi_matrix = phi(np.abs(d))
+    phi_x_matrix = np.sign(d)
 
     lu, piv = lu_factor_checked(phi_matrix, "interpolation matrix (degenerate node set)")
 

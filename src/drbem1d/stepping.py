@@ -30,7 +30,7 @@ from scipy.linalg import blas, lapack
 from .assembly import LEVEL_BAND, DrbemOperators, assemble_drbem
 from .exceptions import ConvergenceError, DomainError, SolverError
 from .problems import PdeProblem
-from .rbf import Grid, assemble_interpolation, band_lu_factor_checked
+from .rbf import Grid, band_lu_factor_checked
 
 log = logging.getLogger(__name__)
 
@@ -356,7 +356,7 @@ def run(
         raise ValueError(f"t_end = {t_end} exceeds the problem horizon {problem.horizon}")
 
     if ops is None:
-        ops = assemble_drbem(grid, assemble_interpolation(grid))
+        ops = assemble_drbem(grid)
 
     u = initial_values(problem, grid.nodes)
 

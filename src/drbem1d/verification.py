@@ -11,7 +11,7 @@ from scipy.linalg import lapack, solve_banded
 
 from .exceptions import ConvergenceError, DrbemError, SingularMatrixError
 from .problems import PdeProblem
-from .rbf import Grid, assemble_interpolation
+from .rbf import Grid
 from .assembly import assemble_drbem
 from .stepping import (StepConfig, initial_values, level_coefficients, level_index, run,
                        time_levels)
@@ -192,7 +192,7 @@ def sweep(rows, t_end, track_peak=False) -> list:
         try:
             key = (problem.a, problem.b, grid.n)
             if key not in ops_cache:
-                ops_cache[key] = (grid, assemble_drbem(grid, assemble_interpolation(grid)))
+                ops_cache[key] = (grid, assemble_drbem(grid))
             grid, ops = ops_cache[key]
             cfg = StepConfig(tau=tau)
             snapshots = None

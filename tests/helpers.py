@@ -6,8 +6,9 @@ from fractions import Fraction
 import numpy as np
 from scipy.linalg import blas, lapack, lu_factor, lu_solve, solve_banded
 
-from drbem1d.assembly import LEVEL_BAND
+from drbem1d.assembly import LEVEL_BAND, fundamental_solution, fundamental_solution_dx
 from drbem1d.problems import make_generalized_fisher
+from drbem1d.rbf import psi, psi_x
 from drbem1d.stepping import initial_values, level_coefficients
 
 
@@ -29,6 +30,25 @@ def load_csv(path):
 def frac(text):
     """Parse '1/128' style labels to float."""
     return float(Fraction(text))
+
+
+def eager_e_matrix(grid, interp):
+    """E = D Phi^{-1} written out from the public kernels, operation for operation
+    as an operator set evaluates it, so ops.e_matrix must match it bit for bit.
+    A test reference only.
+    """
+    x = grid.nodes
+    a, b = grid.a, grid.b
+    l_matrix = np.column_stack([-fundamental_solution(a, x), fundamental_solution(b, x)])
+    h_matrix = np.column_stack([-fundamental_solution_dx(a, x), fundamental_solution_dx(b, x)])
+    psi_boundary = np.vstack([psi(np.abs(a - x)), psi(np.abs(b - x))])
+    psi_x_boundary = np.vstack([psi_x(a, x), psi_x(b, x)])
+    free_terms = np.ones(grid.n)
+    free_terms[0] = 0.5
+    free_terms[-1] = 0.5
+    psi_tilde = free_terms[:, None] * psi(np.abs(x[:, None] - x[None, :]))
+    d_matrix = l_matrix @ psi_x_boundary - h_matrix @ psi_boundary + psi_tilde
+    return interp.solve(d_matrix.T, transposed=True).T
 
 
 def dense_level_solve(problem, ops, p_matrix, cfg, t_n, u_prev):

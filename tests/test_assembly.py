@@ -1,19 +1,24 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+import drbem1d.assembly
 from drbem1d.assembly import (
     LEVEL_BAND,
+    SplineOperators,
     assemble_drbem,
     fundamental_solution,
     fundamental_solution_dx,
     harmonic_identity_check,
 )
 from drbem1d.rbf import Grid, assemble_interpolation, psi, psi_x
+from helpers import eager_e_matrix
 
 
 def build(nodes):
     grid = Grid(np.asarray(nodes, dtype=float))
-    return grid, assemble_drbem(grid, assemble_interpolation(grid))
+    return grid, assemble_drbem(grid)
 
 
 def psi_tilde(grid):
@@ -234,3 +239,50 @@ def test_mismatched_grid_rejected():
     interp = assemble_interpolation(grid_a)
     with pytest.raises(ValueError):
         assemble_drbem(grid_b, interp)
+
+
+def test_mismatched_nodes_rejected_at_assembly():
+    # same node count, other nodes: the check runs at assembly, not at E's first read
+    grid = Grid.uniform(-1.0, 2.0, 9)
+    interp = assemble_interpolation(Grid(jittered_nodes(-1.0, 2.0, 9, seed=9)))
+    with pytest.raises(ValueError):
+        assemble_drbem(grid, interp)
+
+
+def test_interp_only_feeds_e():
+    # an interpolation operator changes nothing an operator set holds but E's source
+    grid = Grid(jittered_nodes(-1.0, 2.0, 33, seed=33))
+    interp = assemble_interpolation(grid)
+    bare, fed = assemble_drbem(grid), assemble_drbem(grid, interp)
+    assert bare.interp is None and fed.interp is interp
+    for name in ("l_matrix", "h_matrix", "free_terms"):
+        assert getattr(bare, name).tobytes() == getattr(fed, name).tobytes()
+    for field in dataclasses.fields(SplineOperators):
+        mine, theirs = getattr(bare.spline, field.name), getattr(fed.spline, field.name)
+        assert np.asarray(mine).tobytes() == np.asarray(theirs).tobytes(), field.name
+
+
+@pytest.mark.parametrize("with_interp", [False, True], ids=["bare", "fed"])
+@pytest.mark.parametrize("spacing", ["uniform", "jittered"])
+@pytest.mark.parametrize("n", [9, 33])
+def test_e_matrix_on_first_read_is_the_eager_formula(n, spacing, with_interp, monkeypatch):
+    nodes = np.linspace(-1.0, 2.0, n) if spacing == "uniform" else jittered_nodes(-1.0, 2.0, n,
+                                                                                   seed=n)
+    grid = Grid(nodes)
+    interp = assemble_interpolation(grid)
+    builds = []
+
+    def counted(g):
+        builds.append(g)
+        return assemble_interpolation(g)
+
+    monkeypatch.setattr(drbem1d.assembly, "assemble_interpolation", counted)
+    ops = assemble_drbem(grid, interp if with_interp else None)
+    assert "e_matrix" not in vars(ops) and builds == []
+    e_matrix = ops.e_matrix
+    # built once, from the operator passed in or from one built at the first read
+    assert ops.e_matrix is e_matrix
+    assert len(builds) == (0 if with_interp else 1)
+    assert not e_matrix.flags.writeable
+    expected = eager_e_matrix(grid, interp)
+    assert e_matrix.shape == expected.shape and e_matrix.tobytes() == expected.tobytes()

@@ -227,3 +227,23 @@ class TestBandLuFactorChecked:
             warnings.simplefilter("error")
             with pytest.raises(SingularMatrixError, match="test band"):
                 band_lu_factor_checked(band, 1, 1, "test band")
+
+
+@pytest.mark.parametrize("spacing", ["uniform", "jittered"])
+@pytest.mark.parametrize("n", [9, 33])
+def test_kernel_matrices_keep_their_bits(n, spacing):
+    # Phi, Phi_x, the LU and the condition estimate against the kernel matrices
+    # written out with a node difference each
+    x = np.linspace(-1.0, 2.0, n)
+    if spacing == "jittered":
+        x[1:-1] += 0.1 * (x[1] - x[0]) * np.random.default_rng(n).uniform(-1.0, 1.0, n - 2)
+    op = assemble_interpolation(Grid(x))
+    phi_matrix = phi(np.abs(x[:, None] - x[None, :]))
+    phi_x_matrix = np.sign(x[:, None] - x[None, :])
+    lu, piv, _ = lapack.dgetrf(phi_matrix)
+    rcond, _ = lapack.dgecon(lu, float(np.linalg.norm(phi_matrix, 1)), norm="1")
+    assert op.phi_matrix.tobytes() == phi_matrix.tobytes()
+    assert op.phi_x_matrix.tobytes() == phi_x_matrix.tobytes()
+    assert op.factorization[0].tobytes() == lu.tobytes()
+    assert op.factorization[1].tobytes() == piv.tobytes()
+    assert op.cond_estimate == 1.0 / rcond

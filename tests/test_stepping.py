@@ -1,15 +1,14 @@
 import dataclasses
 import math
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from drbem1d.assembly import LEVEL_BAND, assemble_drbem, spline_operators
+from drbem1d.assembly import LEVEL_BAND, assemble_drbem
 from drbem1d.exceptions import ConvergenceError, DomainError, SingularMatrixError, SolverError
 from drbem1d.problems import (REGISTRY, CoefficientSet, PdeProblem, ReactionTerm,
-                              make_fisher, make_generalized_fn)
+                              make_fisher, make_fitzhugh_nagumo, make_generalized_fn)
 from drbem1d.rbf import Grid, assemble_interpolation, band_lu_factor_checked
 from drbem1d.stepping import (
     StepConfig,
@@ -77,10 +76,6 @@ def fisher_reaction():
     return ReactionTerm(1.0, lambda u: -u * u, lambda u: u * (1.0 - u))
 
 
-def assemble(grid):
-    return assemble_drbem(grid, assemble_interpolation(grid))
-
-
 class TestStepConfig:
     def test_defaults(self):
         cfg = StepConfig(tau=0.1)
@@ -112,7 +107,7 @@ def test_steady_linear_profile_single_level():
     # harmonic steady state: the time-derivative load vanishes at the fixed point
     problem = heat_problem(1.0, 0.0)
     grid = Grid.uniform(0.0, 1.0, 9)
-    ops = assemble(grid)
+    ops = assemble_drbem(grid)
     cfg = StepConfig(tau=0.1)
     u_prev = grid.nodes.copy()
     system = build_level_system(problem, grid, ops, cfg, 0.1, u_prev)
@@ -128,7 +123,7 @@ def test_zero_data_gives_zero_solution():
     problem = heat_problem(0.0, 0.0)
     grid = Grid.uniform(0.0, 1.0, 9)
     cfg = StepConfig(tau=0.1)
-    system = build_level_system(problem, grid, assemble(grid), cfg, 0.1, np.zeros(9))
+    system = build_level_system(problem, grid, assemble_drbem(grid), cfg, 0.1, np.zeros(9))
     state, _ = corrector_solve(system, problem, cfg, np.zeros(9))
     assert np.max(np.abs(state.u)) < 1e-14
 
@@ -202,7 +197,7 @@ def test_hand_assembled_three_node_system():
     )
     grid = Grid(nodes)
     cfg = StepConfig(tau=tau)
-    system = build_level_system(problem, grid, assemble(grid), cfg, tau, u_prev)
+    system = build_level_system(problem, grid, assemble_drbem(grid), cfg, tau, u_prev)
 
     np.testing.assert_allclose(band_factored_matrix(system.factorization), band_expected,
                                atol=1e-13)
@@ -226,7 +221,7 @@ def test_hand_assembled_three_node_system():
 
 def test_factorization_reuse_constant_vs_varying_coefficients():
     grid = Grid.uniform(0.0, 1.0, 9)
-    ops = assemble(grid)
+    ops = assemble_drbem(grid)
     cfg = StepConfig(tau=0.01)
 
     constant = heat_problem(1.0, 0.0)
@@ -237,7 +232,7 @@ def test_factorization_reuse_constant_vs_varying_coefficients():
 
     varying = make_generalized_fn(1.0)
     grid_v = Grid.uniform(-1.0, 1.0, 9)
-    ops_v = assemble(grid_v)
+    ops_v = assemble_drbem(grid_v)
     u0 = np.asarray(varying.initial(grid_v.nodes))
     sys3 = build_level_system(varying, grid_v, ops_v, cfg, 0.01, u0)
     sys4 = build_level_system(varying, grid_v, ops_v, cfg, 0.02, u0, prev_system=sys3)
@@ -293,23 +288,54 @@ def test_banded_level_solve_matches_the_dense_reference(name, spacing):
         u = state.u
 
 
-def test_level_solve_allocates_no_n_by_n_array():
-    # the level build and corrector read only the spline record, so a stand-in
-    # holding it alone spares the dense assembly at this size
-    problem = make_generalized_fn(1.0)
-    grid = Grid.uniform(-1.0, 1.0, 2049)
-    ops = SimpleNamespace(spline=spline_operators(grid))
-    cfg = StepConfig(tau=1e-3)
-    u = initial_values(problem, grid.nodes)
+def traced(fn, *args, **kwargs):
+    """fn's result and the peak bytes that tracemalloc sees while it runs."""
     tracemalloc.start()
     try:
-        system = build_level_system(problem, grid, ops, cfg, cfg.tau, u)
-        corrector_solve(system, problem, cfg, u)
-        peak = tracemalloc.get_traced_memory()[1]
+        result = fn(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_level_solve_allocates_no_n_by_n_array():
+    problem = make_generalized_fn(1.0)
+    grid = Grid.uniform(-1.0, 1.0, 2049)
+    ops = assemble_drbem(grid)
+    cfg = StepConfig(tau=1e-3)
+    u = initial_values(problem, grid.nodes)
+
+    def one_level():
+        system = build_level_system(problem, grid, ops, cfg, cfg.tau, u)
+        corrector_solve(system, problem, cfg, u)
+
     # 64 vectors of N doubles; one N x N array would be 2049 times 8 vectors
+    _, peak = traced(one_level)
     assert peak <= 64 * grid.n * 8
+
+
+def test_run_allocates_no_n_by_n_array():
+    # the level test above with the operator assembly inside: run builds its own
+    # operator set, which must hold no dense E, Phi or LU
+    problem = make_generalized_fn(1.0)
+    grid = Grid.uniform(-1.0, 1.0, 2049)
+    cfg = StepConfig(tau=1e-3)
+    _, peak = traced(run, problem, grid, cfg, cfg.tau, ops=None)
+    assert peak <= 64 * grid.n * 8
+
+
+def test_run_marches_a_hundred_thousand_nodes():
+    # one N x N array of doubles would take 80 GB here
+    problem = make_fitzhugh_nagumo(0.75)
+    grid = Grid.uniform(problem.a, problem.b, 100_001)
+    cfg = StepConfig(tau=1e-3)
+    t_end = 5 * cfg.tau
+    trajectory, peak = traced(run, problem, grid, cfg, t_end)
+    assert len(trajectory.level_iterations) == 5
+    u = trajectory.states[-1].u
+    assert np.isfinite(u).all()
+    assert np.max(np.abs(u - problem.exact(grid.nodes, t_end))) <= 1e-7
+    assert peak <= 256 * grid.n * 8
 
 
 def test_dirichlet_values_imposed_exactly():
@@ -372,7 +398,8 @@ def test_near_zero_diffusion_rejected():
     )
     grid = Grid.uniform(0.0, 1.0, 5)
     with pytest.raises(SolverError):
-        build_level_system(problem, grid, assemble(grid), StepConfig(tau=0.1), 0.1, np.zeros(5))
+        build_level_system(problem, grid, assemble_drbem(grid), StepConfig(tau=0.1), 0.1,
+                           np.zeros(5))
 
 
 def test_non_finite_level_coefficient_is_singular():
@@ -388,14 +415,15 @@ def test_non_finite_level_coefficient_is_singular():
     )
     grid = Grid.uniform(0.0, 1.0, 5)
     with pytest.raises(SingularMatrixError):
-        build_level_system(problem, grid, assemble(grid), StepConfig(tau=0.1), 0.1, np.zeros(5))
+        build_level_system(problem, grid, assemble_drbem(grid), StepConfig(tau=0.1), 0.1,
+                           np.zeros(5))
 
 
 def test_corrector_cap_raises_with_context():
     problem = heat_problem(1.0, 0.0)
     grid = Grid.uniform(0.0, 1.0, 5)
     cfg = StepConfig(tau=0.1, max_corrector_iters=1)
-    system = build_level_system(problem, grid, assemble(grid), cfg, 0.1, grid.nodes)
+    system = build_level_system(problem, grid, assemble_drbem(grid), cfg, 0.1, grid.nodes)
     with pytest.raises(ConvergenceError) as excinfo:
         corrector_solve(system, problem, cfg, grid.nodes)
     assert excinfo.value.time == pytest.approx(0.1)
@@ -407,7 +435,7 @@ def test_back_substitution_gap_small_after_convergence():
     cfg = StepConfig(tau=1e-3)
     traj = run(problem, grid, cfg, 0.05, snapshots=[0.049, 0.05])
     prev, final = traj.states
-    system = build_level_system(problem, grid, assemble(grid), cfg, 0.05, prev.u)
+    system = build_level_system(problem, grid, assemble_drbem(grid), cfg, 0.05, prev.u)
     state, _ = corrector_solve(system, problem, cfg, prev.u)
     np.testing.assert_allclose(state.u, final.u, atol=1e-13)
     assert back_substitution_gap(system, problem, state) <= 10.0 * cfg.epsilon
@@ -435,7 +463,7 @@ def test_nan_reaction_on_the_first_pass_diverges(cap):
     problem = reacting_heat_problem(nan_first_reaction(calls))
     grid = Grid.uniform(0.0, 1.0, 9)
     cfg = StepConfig(tau=0.1, max_corrector_iters=cap)
-    system = build_level_system(problem, grid, assemble(grid), cfg, 0.1, grid.nodes)
+    system = build_level_system(problem, grid, assemble_drbem(grid), cfg, 0.1, grid.nodes)
     with pytest.raises(ConvergenceError, match="corrector diverged at t = 0.1") as excinfo:
         corrector_solve(system, problem, cfg, grid.nodes)
     assert excinfo.value.time == pytest.approx(0.1)
@@ -446,7 +474,7 @@ def test_back_substitution_gap_raises_on_a_non_finite_pass():
     problem = reacting_heat_problem(fisher_reaction())
     grid = Grid.uniform(0.0, 1.0, 9)
     cfg = StepConfig(tau=0.1)
-    system = build_level_system(problem, grid, assemble(grid), cfg, 0.1, grid.nodes)
+    system = build_level_system(problem, grid, assemble_drbem(grid), cfg, 0.1, grid.nodes)
     state, _ = corrector_solve(system, problem, cfg, grid.nodes)
     assert back_substitution_gap(system, problem, state) <= 10.0 * cfg.epsilon
     poisoned = dataclasses.replace(problem, reaction=nan_first_reaction([]))
