@@ -3,13 +3,7 @@ parabolic PDEs of the form u_t + nu(t) u_x - mu(t) u_xx - eta(t) F(u) = 0,
 with traveling-wave verification problems, a finite-difference oracle, and
 convergence-study tooling."""
 
-from .assembly import (
-    DrbemOperators,
-    assemble_drbem,
-    fundamental_solution,
-    fundamental_solution_dx,
-    harmonic_identity_check,
-)
+from .assembly import DrbemOperators, Grid, assemble_drbem
 from .exceptions import (
     ConfigError,
     ConvergenceError,
@@ -30,11 +24,12 @@ from .problems import (
     make_newell_whitehead,
     residual_check,
 )
-from .rbf import (
-    Grid,
+from .reference import (
     InterpolationOperator,
     assemble_interpolation,
-    interpolation_coefficients,
+    fundamental_solution,
+    fundamental_solution_dx,
+    harmonic_identity_check,
     phi,
     psi,
     psi_x,
@@ -89,7 +84,6 @@ __all__ = [
     "fundamental_solution",
     "fundamental_solution_dx",
     "harmonic_identity_check",
-    "interpolation_coefficients",
     "make_allen_cahn",
     "make_fisher",
     "make_fitzhugh_nagumo",

@@ -1,33 +1,112 @@
-"""Boundary-integral machinery: point-source solution, endpoint matrices, and the
-transfer matrix that moves interpolated interior data onto the endpoints."""
+"""Grids and the collocation scheme's operators in banded clamped-spline form.
+
+With the radial basis function phi(r) = 1 + r, the dual reciprocity scheme is
+exactly clamped cubic-spline collocation, so every operator the time stepper
+needs is a band built in O(N).  The dense formulation it replaces lives in
+`reference`, which nothing here imports.
+"""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Optional
 
 import numpy as np
+from scipy.linalg import lapack
 
-from .rbf import Grid, InterpolationOperator, assemble_interpolation, psi, psi_x
+from .exceptions import SingularMatrixError
 
-
-def fundamental_solution(x, xi):
-    """Point-source solution of d2/dx2: |x - xi| / 2."""
-    return 0.5 * np.abs(x - xi)
-
-
-def fundamental_solution_dx(x, xi):
-    """x-derivative sgn(x - xi) / 2, with the symmetric convention sgn(0) = 0."""
-    return 0.5 * np.sign(x - xi)
-
+# Pivots below this magnitude signal a degenerate node set.
+PIVOT_FLOOR = 1e-14
 
 # Sub- and superdiagonals of the level matrix in spline form.
 LEVEL_BAND = 2
 
 
+@dataclass(frozen=True)
+class Grid:
+    """Ordered collocation nodes x_1 < ... < x_N spanning the working interval."""
+
+    nodes: np.ndarray
+
+    def __post_init__(self):
+        nodes = np.array(self.nodes, dtype=float)
+        if nodes.ndim != 1 or nodes.size < 3:
+            raise ValueError(f"a grid needs n >= 3 one-dimensional nodes, got shape {nodes.shape}")
+        if not np.isfinite(nodes).all():
+            raise ValueError("grid nodes must be finite")
+        if not np.all(np.diff(nodes) > 0.0):
+            raise ValueError("grid nodes must be strictly increasing")
+        nodes.setflags(write=False)
+        object.__setattr__(self, "nodes", nodes)
+
+    @classmethod
+    def uniform(cls, a, b, n):
+        if not float(n).is_integer():
+            raise ValueError(f"node count n = {n!r} must be an integer")
+        if not math.isfinite(float(b) - float(a)):
+            raise ValueError(f"interval [{a}, {b}] must be finite")
+        return cls(np.linspace(float(a), float(b), int(n)))
+
+    @classmethod
+    def with_spacing(cls, a, b, h):
+        """Uniform grid with nominal spacing h; (b - a) must be a whole number of cells."""
+        if not 0.0 < h < math.inf:
+            raise ValueError(f"spacing h = {h} must be positive and finite")
+        cells = (float(b) - float(a)) / float(h)
+        if not math.isfinite(cells):
+            raise ValueError(f"interval [{a}, {b}] over spacing {h} is not a finite cell count")
+        n_cells = int(round(cells))
+        if n_cells < 2 or abs(cells - n_cells) > 1e-9 * max(1.0, abs(cells)):
+            raise ValueError(f"spacing {h} does not evenly divide [{a}, {b}]")
+        return cls.uniform(a, b, n_cells + 1)
+
+    @property
+    def n(self) -> int:
+        return self.nodes.size
+
+    @property
+    def a(self) -> float:
+        return float(self.nodes[0])
+
+    @property
+    def b(self) -> float:
+        return float(self.nodes[-1])
+
+    @property
+    def h(self) -> float:
+        """Nominal spacing (b - a)/(N - 1)."""
+        return (self.b - self.a) / (self.n - 1)
+
+
+def _check_factors(lu, pivots, what):
+    """Raise SingularMatrixError naming `what` on a non-finite factor or a pivot
+    (a diagonal entry of U) below PIVOT_FLOOR."""
+    if not np.isfinite(lu).all():
+        raise SingularMatrixError(f"{what} has non-finite LU factors")
+    smallest_pivot = float(np.min(np.abs(pivots)))
+    if not smallest_pivot >= PIVOT_FLOOR:
+        raise SingularMatrixError(
+            f"{what} is singular: pivot {smallest_pivot:.3e} below {PIVOT_FLOOR:.0e}"
+        )
+
+
+def band_lu_factor_checked(band, kl, ku, what):
+    """LAPACK gbtrf factors (lu, piv) of a matrix with kl sub- and ku superdiagonals.
+
+    `band` is in gbtrf's layout, shape (2 kl + ku + 1, N): entry (i, j) of the
+    matrix sits at band[kl + ku + i - j, j], and the first kl rows are zero
+    workspace for the fill-in.  A non-finite factor or a pivot below
+    PIVOT_FLOOR raises SingularMatrixError naming `what`; no warning is emitted.
+    """
+    # gbtrf's info > 0 (an exact zero pivot) is caught by the pivot floor
+    lu, piv, _ = lapack.dgbtrf(band, kl, ku)
+    _check_factors(lu, lu[kl + ku], what)
+    return lu, piv
+
+
 # The slope helpers work in place on the array they return, so that building the
-# spline record holds at most two N x k temporaries at a time.
+# operator record holds at most two N x k temporaries at a time.
 
 def _slopes(h, u):
     """Cell slopes (u[i+1] - u[i]) / h[i] of the columns of u, shape (N, k)."""
@@ -71,11 +150,11 @@ def _apply_band(t_band, v):
 
 
 @dataclass(frozen=True)
-class SplineOperators:
-    """The collocation scheme in clamped cubic-spline form: banded, O(N) throughout.
+class DrbemOperators:
+    """The collocation scheme's operators on one grid, in clamped cubic-spline form.
 
-    With phi = 1 + r, premultiplying the identity L q + c*u - H g = E b by
-    T E^{-1} gives T b = 6 Delta(u, q) exactly: the interpolated load b is the
+    With phi = 1 + r, premultiplying the collocation identity L q + c*u - H g = E b
+    by T E^{-1} gives T b = 6 Delta(u, q) exactly: the interpolated load b is the
     nodal second derivative (moment) of the cubic spline through u with end
     slopes q = [u_x(a), u_x(b)] (de Boor, A Practical Guide to Splines, ch. IV).
     T, the moment matrix, gets h_i [2 1; 1 2] in rows and columns i, i+1 from
@@ -86,14 +165,18 @@ class SplineOperators:
     [u_x(a), u_2, ..., u_{N-1}, u_x(b)] in gbtrf layout with LEVEL_BAND sub- and
     superdiagonals (zero workspace rows first); dirichlet_pieces holds the same
     three on the imposed values u_1 and u_N.  A level matrix 6 Delta - T (s I +
-    r P) is therefore [1, -s, -r] applied to the pieces.
+    r P) is therefore [1, -s, -r] applied to the pieces.  interp is the dense
+    reference InterpolationOperator the caller passed, if any; only
+    reference.e_matrix reads it.
     """
 
+    grid: Grid
     h: np.ndarray
     kappa: float
     t_band: np.ndarray
     level_pieces: np.ndarray
     dirichlet_pieces: np.ndarray
+    interp: object = None
 
     def slope(self, u) -> np.ndarray:
         """P u, the scheme's nodal derivative of the data u."""
@@ -129,8 +212,15 @@ def _gather_band(level_piece, dirichlet_piece, image):
     dirichlet_piece[:] = image[:, width:]
 
 
-def spline_operators(grid: Grid) -> SplineOperators:
-    """Build the spline form of the operators on the grid in O(N)."""
+def assemble_drbem(grid: Grid, interp=None) -> DrbemOperators:
+    """Build the operators on the grid in O(N).
+
+    interp, a reference InterpolationOperator on the same nodes, is only kept for
+    reference.e_matrix; one on other nodes raises ValueError.
+    """
+    if interp is not None and not np.array_equal(interp.grid.nodes, grid.nodes):
+        raise ValueError("interpolation operator was built on a different node set")
+
     n = grid.n
     h = np.diff(grid.nodes)
     kappa = 0.5 / (grid.b - grid.a + 2.0)
@@ -165,95 +255,6 @@ def spline_operators(grid: Grid) -> SplineOperators:
 
     for arr in (h, t_band, level_pieces, dirichlet_pieces):
         arr.setflags(write=False)
-    return SplineOperators(h=h, kappa=kappa, t_band=t_band, level_pieces=level_pieces,
-                           dirichlet_pieces=dirichlet_pieces)
-
-
-@dataclass(frozen=True)
-class DrbemOperators:
-    """Time-independent operators of the boundary-integral collocation scheme.
-
-    Row i collocates at source node x_i.  l_matrix/h_matrix pair endpoint flux and
-    value data, and free_terms holds the free-term coefficients c_i.  The time
-    stepper uses only `spline`, the same scheme in banded form.  The dense
-    e_matrix serves the self-checks and the assembly tests and is built on
-    first read, from interp when one was given.
-    """
-
-    grid: Grid
-    l_matrix: np.ndarray
-    h_matrix: np.ndarray
-    free_terms: np.ndarray
-    spline: SplineOperators
-    interp: Optional[InterpolationOperator] = None
-
-    @cached_property
-    def e_matrix(self) -> np.ndarray:
-        """E = D Phi^{-1}: maps nodal inhomogeneity data to its endpoint-identity
-        contribution.  An N x N array, built once, on first read."""
-        grid = self.grid
-        interp = self.interp if self.interp is not None else assemble_interpolation(grid)
-        x = grid.nodes
-        a, b = grid.a, grid.b
-        psi_boundary = np.vstack([psi(np.abs(a - x)), psi(np.abs(b - x))])
-        psi_x_boundary = np.vstack([psi_x(a, x), psi_x(b, x)])
-        # psi_tilde: the free-term-weighted particular solutions at the sources.  D
-        # maps kernel coefficients of an inhomogeneity to its endpoint-identity
-        # contribution.
-        psi_tilde = self.free_terms[:, None] * psi(np.abs(x[:, None] - x[None, :]))
-        d_matrix = self.l_matrix @ psi_x_boundary - self.h_matrix @ psi_boundary + psi_tilde
-        # a transposed solve against the stored factorization, not an explicit inverse
-        e_matrix = interp.solve(d_matrix.T, transposed=True).T
-        e_matrix.setflags(write=False)
-        return e_matrix
-
-
-def assemble_drbem(grid: Grid, interp: Optional[InterpolationOperator] = None) -> DrbemOperators:
-    """Assemble the endpoint matrices and the spline form in O(N).
-
-    E waits for its first read; pass interp to have it built from that
-    operator's factorization instead of a new one.
-    """
-    if interp is not None and not np.array_equal(interp.grid.nodes, grid.nodes):
-        raise ValueError("interpolation operator was built on a different node set")
-
-    # the spline record first: its build is the peak of the assembly's memory
-    spline = spline_operators(grid)
-    x = grid.nodes
-    n = grid.n
-    a, b = grid.a, grid.b
-
-    l_matrix = np.column_stack(
-        [-fundamental_solution(a, x), fundamental_solution(b, x)]
-    )
-    h_matrix = np.column_stack(
-        [-fundamental_solution_dx(a, x), fundamental_solution_dx(b, x)]
-    )
-    free_terms = np.ones(n)
-    free_terms[0] = 0.5
-    free_terms[-1] = 0.5
-
-    for arr in (l_matrix, h_matrix, free_terms):
-        arr.setflags(write=False)
-    return DrbemOperators(
-        grid=grid,
-        l_matrix=l_matrix,
-        h_matrix=h_matrix,
-        free_terms=free_terms,
-        spline=spline,
-        interp=interp,
-    )
-
-
-def harmonic_identity_check(ops: DrbemOperators, grid: Grid, p=1.0, q=0.0) -> float:
-    """Max endpoint-identity residual for the linear field u = p x + q.
-
-    Linear fields have zero second derivative, so the identity
-    L [u_x(a); u_x(b)] - H [u(a); u(b)] + c * u must vanish row by row;
-    anything above roundoff flags a mis-assembled operator set.
-    """
-    u = p * grid.nodes + q
-    flux = np.array([p, p], dtype=float)
-    endpoint_values = np.array([u[0], u[-1]])
-    residual = ops.l_matrix @ flux - ops.h_matrix @ endpoint_values + ops.free_terms * u
-    return float(np.max(np.abs(residual)))
+    return DrbemOperators(grid=grid, h=h, kappa=kappa, t_band=t_band,
+                          level_pieces=level_pieces, dirichlet_pieces=dirichlet_pieces,
+                          interp=interp)

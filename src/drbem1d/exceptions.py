@@ -29,7 +29,7 @@ class DomainError(DrbemError, ValueError):
 
 
 class SingularMatrixError(SolverError):
-    """A pivot fell below the usable threshold during a dense factorization."""
+    """A factorization met a singular matrix or a pivot below the usable threshold."""
 
 
 class ConvergenceError(SolverError):

@@ -37,24 +37,24 @@ TABLE1_REFERENCE = (
     (64, 2000, 3.1454e-07, 1.9998e-07),
 )
 
-# (1/h, l_inf, rms) at rho = 1, [-1, 1], tau = 1/1000, t = 1.
+# (1/h, 1/tau, l_inf, rms) at rho = 1, [-1, 1], t = 1.
 TABLE2_REFERENCE = (
-    (4, 1.0914e-03, 9.5674e-04),
-    (8, 3.4491e-04, 2.9281e-04),
-    (16, 1.5805e-04, 1.2422e-04),
-    (32, 1.1082e-04, 8.2027e-05),
-    (64, 9.8895e-05, 7.1495e-05),
-    (128, 9.5897e-05, 6.8814e-05),
+    (4, 1000, 1.0914e-03, 9.5674e-04),
+    (8, 1000, 3.4491e-04, 2.9281e-04),
+    (16, 1000, 1.5805e-04, 1.2422e-04),
+    (32, 1000, 1.1082e-04, 8.2027e-05),
+    (64, 1000, 9.8895e-05, 7.1495e-05),
+    (128, 1000, 9.5897e-05, 6.8814e-05),
 )
 
-# (1/tau, l_inf, rms) at rho = 1, [-1, 1], h = 1/128, t = 1.
+# (1/h, 1/tau, l_inf, rms) at rho = 1, [-1, 1], t = 1.
 TABLE3_REFERENCE = (
-    (100, 9.5923e-04, 6.8834e-04),
-    (200, 4.7752e-04, 3.4244e-04),
-    (400, 2.3862e-04, 1.7109e-04),
-    (800, 1.1965e-04, 8.5833e-05),
-    (1600, 6.0287e-05, 4.3306e-05),
-    (3200, 3.0634e-05, 2.2068e-05),
+    (128, 100, 9.5923e-04, 6.8834e-04),
+    (128, 200, 4.7752e-04, 3.4244e-04),
+    (128, 400, 2.3862e-04, 1.7109e-04),
+    (128, 800, 1.1965e-04, 8.5833e-05),
+    (128, 1600, 6.0287e-05, 4.3306e-05),
+    (128, 3200, 3.0634e-05, 2.2068e-05),
 )
 
 FIG5_ALPHAS = (1, 2, 3, 4, 5, 6)
@@ -82,70 +82,14 @@ class Benchmark:
     track_peak: bool = False
 
 
-def table1_benchmark() -> Benchmark:
-    problem = make_fitzhugh_nagumo(0.75, a=-10.0, b=10.0, horizon=1.0)
+def reference_benchmark(name, problem, note, reference) -> Benchmark:
+    """The sweep to t = 1 over the reference rows (1/h, 1/tau, l_inf, rms)."""
     rows = tuple(
-        BenchmarkRow(
-            labels=(("h", f"1/{hd}"), ("tau", f"1/{td}")),
-            problem=problem,
-            h=1.0 / hd,
-            tau=1.0 / td,
-            reference_l_inf=linf,
-            reference_rms=rms,
-        )
-        for hd, td, linf, rms in TABLE1_REFERENCE
+        BenchmarkRow(labels=(("h", f"1/{hd}"), ("tau", f"1/{td}")), problem=problem,
+                     h=1.0 / hd, tau=1.0 / td, reference_l_inf=linf, reference_rms=rms)
+        for hd, td, linf, rms in reference
     )
-    return Benchmark(
-        name="table1",
-        t_end=1.0,
-        notes=(
-            "ASSUMED parameters: rho = 0.75, domain [-10, 10], t_end = 1.0"
-            " (the reference table does not state them); compare trends, not values",
-        ),
-        rows=rows,
-    )
-
-
-def table2_benchmark() -> Benchmark:
-    problem = make_generalized_fn(1.0, a=-1.0, b=1.0, horizon=1.0)
-    rows = tuple(
-        BenchmarkRow(
-            labels=(("h", f"1/{hd}"), ("tau", "1/1000")),
-            problem=problem,
-            h=1.0 / hd,
-            tau=1.0e-3,
-            reference_l_inf=linf,
-            reference_rms=rms,
-        )
-        for hd, linf, rms in TABLE2_REFERENCE
-    )
-    return Benchmark(
-        name="table2",
-        t_end=1.0,
-        notes=("rho = 1, domain [-1, 1], tau = 1/1000, errors at t = 1",),
-        rows=rows,
-    )
-
-
-def table3_benchmark() -> Benchmark:
-    problem = make_generalized_fn(1.0, a=-1.0, b=1.0, horizon=1.0)
-    rows = tuple(
-        BenchmarkRow(
-            labels=(("h", "1/128"), ("tau", f"1/{td}")),
-            problem=problem,
-            h=1.0 / 128.0,
-            tau=1.0 / td,
-            reference_l_inf=linf,
-            reference_rms=rms,
-        )
-        for td, linf, rms in TABLE3_REFERENCE
-    )
-    return Benchmark(
-        name="table3",
-        t_end=1.0,
-        notes=("rho = 1, domain [-1, 1], h = 1/128, errors at t = 1",),
-        rows=rows,
-    )
+    return Benchmark(name=name, t_end=1.0, notes=(note,), rows=rows)
 
 
 def fig5_benchmark() -> Benchmark:
@@ -178,8 +122,16 @@ def fig5_benchmark() -> Benchmark:
 
 
 BENCHMARKS = {
-    "table1": table1_benchmark,
-    "table2": table2_benchmark,
-    "table3": table3_benchmark,
+    "table1": lambda: reference_benchmark(
+        "table1", make_fitzhugh_nagumo(0.75, a=-10.0, b=10.0, horizon=1.0),
+        "ASSUMED parameters: rho = 0.75, domain [-10, 10], t_end = 1.0"
+        " (the reference table does not state them); compare trends, not values",
+        TABLE1_REFERENCE),
+    "table2": lambda: reference_benchmark(
+        "table2", make_generalized_fn(1.0, a=-1.0, b=1.0, horizon=1.0),
+        "rho = 1, domain [-1, 1], tau = 1/1000, errors at t = 1", TABLE2_REFERENCE),
+    "table3": lambda: reference_benchmark(
+        "table3", make_generalized_fn(1.0, a=-1.0, b=1.0, horizon=1.0),
+        "rho = 1, domain [-1, 1], h = 1/128, errors at t = 1", TABLE3_REFERENCE),
     "fig5": fig5_benchmark,
 }

@@ -1,0 +1,131 @@
+"""The dense DRBEM formulation: the reference the banded spline form is checked against.
+
+The kernel is phi(r) = 1 + r.  Its particular solution psi satisfies psi'' = phi,
+which is what lets inhomogeneous terms be moved onto the interval endpoints
+through the point-source solution |x - xi| / 2.  The operators here are N x N;
+the `check` battery and the tests read them, and the run path never imports
+this module.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+from scipy.linalg import lapack, lu_solve
+
+from .assembly import DrbemOperators, Grid, _check_factors
+
+
+def phi(r):
+    """Kernel value 1 + r at distance r >= 0."""
+    return 1.0 + r
+
+
+def psi(r):
+    """r**2/2 + r**3/6, the radial profile whose second derivative is phi."""
+    return r * r / 2.0 + r**3 / 6.0
+
+
+def psi_x(x, xj):
+    """d/dx of psi(|x - xj|): odd about xj and zero there."""
+    d = x - xj
+    return d * (1.0 + np.abs(d) / 2.0)
+
+
+def fundamental_solution(x, xi):
+    """Point-source solution of d2/dx2: |x - xi| / 2."""
+    return 0.5 * np.abs(x - xi)
+
+
+def fundamental_solution_dx(x, xi):
+    """x-derivative sgn(x - xi) / 2, with the symmetric convention sgn(0) = 0."""
+    return 0.5 * np.sign(x - xi)
+
+
+@dataclass(frozen=True)
+class InterpolationOperator:
+    """Dense collocation matrices for the 1 + r kernel with a reusable factorization.
+
+    phi_matrix[i, j] = phi(|x_i - x_j|) and phi_x_matrix[i, j] is the x-derivative
+    of the j-th kernel at x_i, i.e. sgn(x_i - x_j) with sgn(0) = 0.
+    """
+
+    grid: Grid
+    phi_matrix: np.ndarray
+    phi_x_matrix: np.ndarray
+    factorization: tuple
+
+    def solve(self, rhs, transposed=False):
+        """Apply the inverse of phi_matrix (or of its transpose) to vectors/columns."""
+        return lu_solve(self.factorization, rhs, trans=1 if transposed else 0)
+
+
+def assemble_interpolation(grid: Grid) -> InterpolationOperator:
+    """Build the kernel matrices over the grid and factor phi_matrix once.
+
+    The factors are LAPACK getrf's, the routine scipy's lu_factor wraps, so they
+    are the same bits; a non-finite factor or a pivot below PIVOT_FLOOR raises
+    SingularMatrixError.
+    """
+    x = grid.nodes
+    d = x[:, None] - x[None, :]
+    phi_matrix = phi(np.abs(d))
+    phi_x_matrix = np.sign(d)
+    # getrf's info > 0 (an exact zero pivot) is caught by the pivot floor
+    lu, piv, _ = lapack.dgetrf(phi_matrix)
+    _check_factors(lu, np.diag(lu), "interpolation matrix (degenerate node set)")
+    phi_matrix.setflags(write=False)
+    phi_x_matrix.setflags(write=False)
+    return InterpolationOperator(grid=grid, phi_matrix=phi_matrix, phi_x_matrix=phi_x_matrix,
+                                 factorization=(lu, piv))
+
+
+def endpoint_matrices(grid: Grid) -> tuple:
+    """(L, H, c): the endpoint flux and value matrices (N x 2) and the free terms.
+
+    Row i collocates at source node x_i; c_i is 1/2 at the endpoints and 1 inside.
+    """
+    x = grid.nodes
+    a, b = grid.a, grid.b
+    l_matrix = np.column_stack([-fundamental_solution(a, x), fundamental_solution(b, x)])
+    h_matrix = np.column_stack([-fundamental_solution_dx(a, x), fundamental_solution_dx(b, x)])
+    free_terms = np.ones(grid.n)
+    free_terms[0] = 0.5
+    free_terms[-1] = 0.5
+    return l_matrix, h_matrix, free_terms
+
+
+def e_matrix(ops: DrbemOperators) -> np.ndarray:
+    """E = D Phi^{-1}: maps nodal inhomogeneity data to its endpoint-identity
+    contribution.  An N x N array, from ops.interp's factorization when the
+    operator set holds one and from a new assemble_interpolation otherwise."""
+    grid = ops.grid
+    interp = ops.interp if ops.interp is not None else assemble_interpolation(grid)
+    l_matrix, h_matrix, free_terms = endpoint_matrices(grid)
+    x = grid.nodes
+    a, b = grid.a, grid.b
+    psi_boundary = np.vstack([psi(np.abs(a - x)), psi(np.abs(b - x))])
+    psi_x_boundary = np.vstack([psi_x(a, x), psi_x(b, x)])
+    # psi_tilde: the free-term-weighted particular solutions at the sources.  D
+    # maps kernel coefficients of an inhomogeneity to its endpoint-identity
+    # contribution.
+    psi_tilde = free_terms[:, None] * psi(np.abs(x[:, None] - x[None, :]))
+    d_matrix = l_matrix @ psi_x_boundary - h_matrix @ psi_boundary + psi_tilde
+    # a transposed solve against the stored factorization, not an explicit inverse
+    return interp.solve(d_matrix.T, transposed=True).T
+
+
+def harmonic_identity_check(grid: Grid, p=1.0, q=0.0) -> float:
+    """Max endpoint-identity residual for the linear field u = p x + q.
+
+    Linear fields have zero second derivative, so the identity
+    L [u_x(a); u_x(b)] - H [u(a); u(b)] + c * u must vanish row by row;
+    anything above roundoff flags mis-assembled endpoint matrices.
+    """
+    l_matrix, h_matrix, free_terms = endpoint_matrices(grid)
+    u = p * grid.nodes + q
+    flux = np.array([p, p], dtype=float)
+    endpoint_values = np.array([u[0], u[-1]])
+    residual = l_matrix @ flux - h_matrix @ endpoint_values + free_terms * u
+    return float(np.max(np.abs(residual)))

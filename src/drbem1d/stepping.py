@@ -1,7 +1,7 @@
 """Implicit time stepping of the collocation system with a lagged-nonlinearity corrector.
 
 Each level is solved in the scheme's clamped-spline form (see
-assembly.SplineOperators): the unknowns are [u_x(a), u_2, ..., u_{N-1}, u_x(b)],
+assembly.DrbemOperators): the unknowns are [u_x(a), u_2, ..., u_{N-1}, u_x(b)],
 the endpoint values are imposed from the boundary data, and the level matrix is
 a band with two sub- and two superdiagonals.  It depends on the level only
 through (nu, mu, eta)(t_n), never on the lagged iterate, so it is factored once
@@ -27,10 +27,9 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import blas, lapack
 
-from .assembly import LEVEL_BAND, DrbemOperators, assemble_drbem
+from .assembly import LEVEL_BAND, DrbemOperators, Grid, assemble_drbem, band_lu_factor_checked
 from .exceptions import ConvergenceError, DomainError, SolverError
 from .problems import PdeProblem
-from .rbf import Grid, band_lu_factor_checked
 
 log = logging.getLogger(__name__)
 
@@ -130,7 +129,6 @@ def build_level_system(
     g_left = float(problem.bc_left(t_n))
     g_right = float(problem.bc_right(t_n))
 
-    spline = ops.spline
     if (
         prev_system is not None
         and (nu_n, mu_n, eta_n) == (prev_system.nu_n, prev_system.mu_n, prev_system.eta_n)
@@ -144,15 +142,15 @@ def build_level_system(
         # a non-finite coefficient times a zero entry is nan, which the factor
         # check reports as a singular level; numpy's warning would be noise
         with np.errstate(over="ignore", invalid="ignore"):
-            band = weights @ spline.level_pieces.reshape(3, -1)
-            dirichlet_columns = weights @ spline.dirichlet_pieces.reshape(3, -1)
+            band = weights @ ops.level_pieces.reshape(3, -1)
+            dirichlet_columns = weights @ ops.dirichlet_pieces.reshape(3, -1)
         factorization = band_lu_factor_checked(
             band.reshape(-1, n), LEVEL_BAND, LEVEL_BAND, f"level matrix at t = {t_n:g}"
         )
         dirichlet_columns = dirichlet_columns.reshape(n, 2)
 
     rhs_fixed = (
-        blas.dgbmv(n, n, 1, 1, -1.0 / (tau * mu_n), spline.t_band, u_prev)
+        blas.dgbmv(n, n, 1, 1, -1.0 / (tau * mu_n), ops.t_band, u_prev)
         - dirichlet_columns @ np.array([g_left, g_right])
     )
     return TimeLevelSystem(
@@ -164,7 +162,7 @@ def build_level_system(
         eta_n=eta_n,
         g_left=g_left,
         g_right=g_right,
-        t_band=spline.t_band,
+        t_band=ops.t_band,
         dirichlet_columns=dirichlet_columns,
     )
 
@@ -363,7 +361,7 @@ def run(
     states = []
     level_iterations = []
     if 0 in snap_levels:
-        slope = ops.spline.slope(u)
+        slope = ops.slope(u)
         states.append(
             SolverState(
                 u=u.copy(),

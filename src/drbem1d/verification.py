@@ -7,12 +7,11 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import lapack, solve_banded
+from scipy.linalg import LinAlgError, lapack, solve_banded
 
 from .exceptions import ConvergenceError, DrbemError, SingularMatrixError
 from .problems import PdeProblem
-from .rbf import Grid
-from .assembly import assemble_drbem
+from .assembly import Grid, assemble_drbem
 from .stepping import (StepConfig, initial_values, level_coefficients, level_index, run,
                        time_levels)
 
@@ -55,16 +54,29 @@ def _oracle_diverged(t_n) -> ConvergenceError:
                             time=t_n)
 
 
+def _oracle_singular(t_n) -> SingularMatrixError:
+    return SingularMatrixError(f"oracle level matrix at t = {t_n:g} is singular")
+
+
 def _tridiagonal_solver(lower, diag, upper, m, t_n):
     """rhs -> the solution of the m x m tridiagonal system with constant diagonals,
-    factored once here (LAPACK gttrf) and solved per call (gttrs)."""
+    factored once here (LAPACK gttrf) and solved per call (gttrs).  A singular
+    matrix raises SingularMatrixError."""
     if m < 3:  # the gttrf wrapper cannot size du2 below three unknowns
+        if m == 1 and diag == 0.0:  # solve_banded divides by a 1 x 1 matrix unchecked
+            raise _oracle_singular(t_n)
         banded = np.array([[0.0] + [upper] * (m - 1), [diag] * m, [lower] * (m - 1) + [0.0]])
-        return lambda rhs: solve_banded((1, 1), banded, rhs, check_finite=False)
+
+        def solve(rhs):
+            try:
+                return solve_banded((1, 1), banded, rhs, check_finite=False)
+            except LinAlgError:  # gtsv met a zero pivot
+                raise _oracle_singular(t_n) from None
+        return solve
     dl, d, du, du2, ipiv, info = lapack.dgttrf(np.full(m - 1, lower), np.full(m, diag),
                                                np.full(m - 1, upper))
     if info > 0:
-        raise SingularMatrixError(f"oracle level matrix at t = {t_n:g} is singular")
+        raise _oracle_singular(t_n)
     return lambda rhs: lapack.dgttrs(dl, d, du, du2, ipiv, rhs, overwrite_b=1)[0]
 
 

@@ -6,9 +6,10 @@ from fractions import Fraction
 import numpy as np
 from scipy.linalg import blas, lapack, lu_factor, lu_solve, solve_banded
 
-from drbem1d.assembly import LEVEL_BAND, fundamental_solution, fundamental_solution_dx
+from drbem1d.assembly import LEVEL_BAND
 from drbem1d.problems import make_generalized_fisher
-from drbem1d.rbf import psi, psi_x
+from drbem1d.reference import (e_matrix, endpoint_matrices, fundamental_solution,
+                               fundamental_solution_dx, psi, psi_x)
 from drbem1d.stepping import initial_values, level_coefficients
 
 
@@ -34,7 +35,7 @@ def frac(text):
 
 def eager_e_matrix(grid, interp):
     """E = D Phi^{-1} written out from the public kernels, operation for operation
-    as an operator set evaluates it, so ops.e_matrix must match it bit for bit.
+    as reference.e_matrix evaluates it, so that must match it bit for bit.
     A test reference only.
     """
     x = grid.nodes
@@ -65,17 +66,17 @@ def dense_level_solve(problem, ops, p_matrix, cfg, t_n, u_prev):
     n = u_prev.size
     g_left, g_right = float(problem.bc_left(t_n)), float(problem.bc_right(t_n))
     implicit_scale = 1.0 / (tau * mu) - eta * problem.reaction.linear_slope / mu
-    w = (np.diag(ops.free_terms) - implicit_scale * ops.e_matrix
-         - (nu / mu) * ops.e_matrix @ p_matrix)
-    factorization = lu_factor(
-        np.column_stack([ops.l_matrix[:, 0], ops.l_matrix[:, 1], w[:, 1:n - 1]]))
-    rhs_fixed = (ops.h_matrix @ np.array([g_left, g_right])
-                 - (ops.e_matrix @ u_prev) / (tau * mu)
+    l_matrix, h_matrix, free_terms = endpoint_matrices(ops.grid)
+    e_m = e_matrix(ops)
+    w = np.diag(free_terms) - implicit_scale * e_m - (nu / mu) * e_m @ p_matrix
+    factorization = lu_factor(np.column_stack([l_matrix[:, 0], l_matrix[:, 1], w[:, 1:n - 1]]))
+    rhs_fixed = (h_matrix @ np.array([g_left, g_right])
+                 - (e_m @ u_prev) / (tau * mu)
                  - w[:, 0] * g_left - w[:, -1] * g_right)
 
     u_tilde, u_last = u_prev, None
     for passes in range(1, cfg.max_corrector_iters + 1):
-        rhs = rhs_fixed - (eta / mu) * (ops.e_matrix @ problem.reaction.nonlinear(u_tilde))
+        rhs = rhs_fixed - (eta / mu) * (e_m @ problem.reaction.nonlinear(u_tilde))
         z = lu_solve(factorization, rhs)
         u_new = np.concatenate([[g_left], z[2:], [g_right]])
         if u_last is not None and np.max(np.abs(u_new - u_last)) <= cfg.epsilon:

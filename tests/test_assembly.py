@@ -1,18 +1,23 @@
+import ast
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-import drbem1d.assembly
-from drbem1d.assembly import (
-    LEVEL_BAND,
-    SplineOperators,
-    assemble_drbem,
+import drbem1d
+import drbem1d.reference
+from drbem1d.assembly import LEVEL_BAND, DrbemOperators, Grid, assemble_drbem
+from drbem1d.reference import (
+    assemble_interpolation,
+    e_matrix,
+    endpoint_matrices,
     fundamental_solution,
     fundamental_solution_dx,
     harmonic_identity_check,
+    psi,
+    psi_x,
 )
-from drbem1d.rbf import Grid, assemble_interpolation, psi, psi_x
 from helpers import eager_e_matrix
 
 
@@ -57,18 +62,18 @@ def test_fundamental_solution_dx_values():
 
 
 def test_boundary_matrices_on_three_nodes():
-    _, ops = build([0.0, 0.5, 1.0])
+    l_matrix, h_matrix, _ = endpoint_matrices(Grid(np.array([0.0, 0.5, 1.0])))
     np.testing.assert_allclose(
-        ops.l_matrix, [[0.0, 0.5], [-0.25, 0.25], [-0.5, 0.0]], atol=0.0
+        l_matrix, [[0.0, 0.5], [-0.25, 0.25], [-0.5, 0.0]], atol=0.0
     )
     np.testing.assert_allclose(
-        ops.h_matrix, [[0.0, 0.5], [0.5, 0.5], [0.5, 0.0]], atol=0.0
+        h_matrix, [[0.0, 0.5], [0.5, 0.5], [0.5, 0.0]], atol=0.0
     )
 
 
 def test_free_terms_and_psi_tilde_row():
-    grid, ops = build([0.0, 0.5, 1.0])
-    np.testing.assert_array_equal(ops.free_terms, [0.5, 1.0, 0.5])
+    grid = Grid(np.array([0.0, 0.5, 1.0]))
+    np.testing.assert_array_equal(endpoint_matrices(grid)[2], [0.5, 1.0, 0.5])
     # first row: 1/2 * psi at distances (0, 0.5, 1); test_d_matrix_composition
     # ties this psi_tilde to the assembled E
     expected = 0.5 * np.array([0.0, 0.5**2 / 2 + 0.5**3 / 6, 2.0 / 3.0])
@@ -80,7 +85,7 @@ def test_free_terms_and_psi_tilde_row():
 def test_d_matrix_composition():
     # E Phi recomposes the D built from the public kernels
     grid, ops = build(np.linspace(-1.0, 2.0, 9))
-    recomposed = ops.e_matrix @ assemble_interpolation(grid).phi_matrix
+    recomposed = e_matrix(ops) @ assemble_interpolation(grid).phi_matrix
     assert np.max(np.abs(recomposed - d_matrix(grid))) <= 1e-12
 
 
@@ -90,8 +95,9 @@ def test_e_matrix_inverts_phi():
     interp = assemble_interpolation(grid)
     d_m = d_matrix(grid)
     scale = np.max(np.abs(d_m))
+    e_m = e_matrix(ops)
     for k in (0, 3, 8):
-        lhs = ops.e_matrix @ interp.phi_matrix[:, k]
+        lhs = e_m @ interp.phi_matrix[:, k]
         rhs = d_m[:, k]
         assert np.max(np.abs(lhs - rhs)) < 1e-10 * scale
 
@@ -109,18 +115,18 @@ def test_closed_form_p_is_phi_x_phi_inverse(a, b, n):
     grid, ops = build(jittered_nodes(a, b, n, seed=n))
     interp = assemble_interpolation(grid)
     p_dense = interp.solve(interp.phi_x_matrix.T, transposed=True).T
-    p_closed = np.column_stack([ops.spline.slope(e) for e in np.eye(n)])
+    p_closed = np.column_stack([ops.slope(e) for e in np.eye(n)])
     assert np.max(np.abs(p_closed - p_dense)) <= 1e-12 * np.max(np.abs(p_dense))
 
 
-def dense_level_operator(spline, s, r):
+def dense_level_operator(ops, s, r):
     """6 Delta - T (s I + r P) as an N x (N + 2) matrix on [u, q_a, q_b], column by
     column from the record's stencils."""
-    n = spline.h.size + 1
-    columns = [spline.moment_load(e, 0.0, 0.0) - spline.apply_t(s * e + r * spline.slope(e))
+    n = ops.grid.n
+    columns = [ops.moment_load(e, 0.0, 0.0) - ops.apply_t(s * e + r * ops.slope(e))
                for e in np.eye(n)]
-    columns += [spline.moment_load(np.zeros(n), 1.0, 0.0),
-                spline.moment_load(np.zeros(n), 0.0, 1.0)]
+    columns += [ops.moment_load(np.zeros(n), 1.0, 0.0),
+                ops.moment_load(np.zeros(n), 0.0, 1.0)]
     return np.column_stack(columns)
 
 
@@ -129,11 +135,10 @@ def test_band_pieces_hold_the_level_operator(n):
     # the pieces are gathered from residue-class products; every entry of the
     # level operator must land in its band slot or its Dirichlet column
     grid, ops = build(jittered_nodes(-1.0, 2.0, n, seed=n))
-    spline = ops.spline
     s, r = 7.3, -0.6
-    full = dense_level_operator(spline, s, r)
+    full = dense_level_operator(ops, s, r)
     weights = np.array([1.0, -s, -r])
-    band = np.tensordot(weights, spline.level_pieces, axes=1)
+    band = np.tensordot(weights, ops.level_pieces, axes=1)
     assert np.all(band[:LEVEL_BAND] == 0.0)  # gbtrf's fill-in workspace
     unknowns = [n, *range(1, n - 1), n + 1]  # [q_a, u_2, ..., u_{N-1}, q_b]
     for j, source in enumerate(unknowns):
@@ -142,7 +147,7 @@ def test_band_pieces_hold_the_level_operator(n):
                                    rtol=1e-13, atol=1e-13 * np.max(np.abs(full)))
         outside = np.setdiff1d(np.arange(n), rows)
         assert np.all(full[outside, source] == 0.0)
-    dirichlet = np.tensordot(weights, spline.dirichlet_pieces, axes=1)
+    dirichlet = np.tensordot(weights, ops.dirichlet_pieces, axes=1)
     np.testing.assert_allclose(dirichlet, full[:, [0, n - 1]], rtol=1e-13,
                                atol=1e-13 * np.max(np.abs(full)))
 
@@ -200,26 +205,25 @@ def test_spline_identity_in_extended_precision():
 @pytest.mark.parametrize("n", [3, 9, 33])
 def test_harmonic_identity_uniform(n):
     rng = np.random.default_rng(n)
-    grid, ops = build(np.linspace(0.0, 1.0, n))
+    grid = Grid(np.linspace(0.0, 1.0, n))
     for _ in range(10):
         p, q = rng.uniform(-5.0, 5.0, size=2)
-        assert harmonic_identity_check(ops, grid, p=p, q=q) <= 1e-12
+        assert harmonic_identity_check(grid, p=p, q=q) <= 1e-12
 
 
 def test_harmonic_identity_specific_fields():
-    grid, ops = build([0.0, 0.5, 1.0])
-    assert harmonic_identity_check(ops, grid, p=0.0, q=1.0) <= 1e-12
-    assert harmonic_identity_check(ops, grid, p=1.0, q=0.0) <= 1e-12
-    grid2, ops2 = build(np.linspace(-4.0, 7.0, 21))
-    assert harmonic_identity_check(ops2, grid2, p=2.0, q=-3.0) <= 1e-12
+    grid = Grid(np.array([0.0, 0.5, 1.0]))
+    assert harmonic_identity_check(grid, p=0.0, q=1.0) <= 1e-12
+    assert harmonic_identity_check(grid, p=1.0, q=0.0) <= 1e-12
+    grid2 = Grid(np.linspace(-4.0, 7.0, 21))
+    assert harmonic_identity_check(grid2, p=2.0, q=-3.0) <= 1e-12
 
 
 def test_harmonic_identity_nonuniform():
     rng = np.random.default_rng(5)
     nodes = np.sort(rng.uniform(0.0, 2.0, size=15))
     nodes[0], nodes[-1] = 0.0, 2.0
-    grid, ops = build(nodes)
-    assert harmonic_identity_check(ops, grid, p=1.3, q=0.7) <= 1e-12
+    assert harmonic_identity_check(Grid(nodes), p=1.3, q=0.7) <= 1e-12
 
 
 def test_quadratic_field_identity():
@@ -227,10 +231,11 @@ def test_quadratic_field_identity():
     # between nodes, so the full identity holds to roundoff.
     # E (2 * 1) = D Phi^{-1} (2 * 1) = D alpha, alpha the kernel coefficients of u''.
     grid, ops = build(np.linspace(0.0, 1.0, 9))
+    l_matrix, h_matrix, free_terms = endpoint_matrices(grid)
     u = grid.nodes**2
     flux = np.array([2.0 * grid.a, 2.0 * grid.b])
-    lhs = ops.l_matrix @ flux - ops.h_matrix @ np.array([u[0], u[-1]]) + ops.free_terms * u
-    assert np.max(np.abs(lhs - ops.e_matrix @ (2.0 * np.ones(grid.n)))) <= 1e-8
+    lhs = l_matrix @ flux - h_matrix @ np.array([u[0], u[-1]]) + free_terms * u
+    assert np.max(np.abs(lhs - e_matrix(ops) @ (2.0 * np.ones(grid.n)))) <= 1e-8
 
 
 def test_mismatched_grid_rejected():
@@ -242,7 +247,7 @@ def test_mismatched_grid_rejected():
 
 
 def test_mismatched_nodes_rejected_at_assembly():
-    # same node count, other nodes: the check runs at assembly, not at E's first read
+    # same node count, other nodes: the check runs at assembly, not when E is built
     grid = Grid.uniform(-1.0, 2.0, 9)
     interp = assemble_interpolation(Grid(jittered_nodes(-1.0, 2.0, 9, seed=9)))
     with pytest.raises(ValueError):
@@ -255,10 +260,10 @@ def test_interp_only_feeds_e():
     interp = assemble_interpolation(grid)
     bare, fed = assemble_drbem(grid), assemble_drbem(grid, interp)
     assert bare.interp is None and fed.interp is interp
-    for name in ("l_matrix", "h_matrix", "free_terms"):
-        assert getattr(bare, name).tobytes() == getattr(fed, name).tobytes()
-    for field in dataclasses.fields(SplineOperators):
-        mine, theirs = getattr(bare.spline, field.name), getattr(fed.spline, field.name)
+    for field in dataclasses.fields(DrbemOperators):
+        if field.name in ("grid", "interp"):
+            continue
+        mine, theirs = getattr(bare, field.name), getattr(fed, field.name)
         assert np.asarray(mine).tobytes() == np.asarray(theirs).tobytes(), field.name
 
 
@@ -276,13 +281,31 @@ def test_e_matrix_on_first_read_is_the_eager_formula(n, spacing, with_interp, mo
         builds.append(g)
         return assemble_interpolation(g)
 
-    monkeypatch.setattr(drbem1d.assembly, "assemble_interpolation", counted)
+    monkeypatch.setattr(drbem1d.reference, "assemble_interpolation", counted)
     ops = assemble_drbem(grid, interp if with_interp else None)
-    assert "e_matrix" not in vars(ops) and builds == []
-    e_matrix = ops.e_matrix
-    # built once, from the operator passed in or from one built at the first read
-    assert ops.e_matrix is e_matrix
+    assert builds == []
+    e_m = e_matrix(ops)
+    # from the operator passed in, or from one built for this call
     assert len(builds) == (0 if with_interp else 1)
-    assert not e_matrix.flags.writeable
     expected = eager_e_matrix(grid, interp)
-    assert e_matrix.shape == expected.shape and e_matrix.tobytes() == expected.tobytes()
+    assert e_m.shape == expected.shape and e_m.tobytes() == expected.tobytes()
+
+
+RUN_PATH = ("assembly", "stepping", "verification", "problems", "presets")
+
+
+@pytest.mark.parametrize("module", RUN_PATH)
+def test_run_path_imports_no_reference(module):
+    # the dense formulation stays behind `reference`: only cli (for check) and
+    # the package's re-exports may import it
+    source = Path(drbem1d.__file__).with_name(f"{module}.py")
+    tree = ast.parse(source.read_text(), filename=str(source))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            imported.add(base)
+            imported.update(f"{base}.{alias.name}" for alias in node.names)
+    assert not [name for name in imported if "reference" in name.split(".")], module

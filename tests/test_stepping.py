@@ -5,11 +5,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from drbem1d.assembly import LEVEL_BAND, assemble_drbem
+from drbem1d.assembly import LEVEL_BAND, Grid, assemble_drbem, band_lu_factor_checked
 from drbem1d.exceptions import ConvergenceError, DomainError, SingularMatrixError, SolverError
 from drbem1d.problems import (REGISTRY, CoefficientSet, PdeProblem, ReactionTerm,
                               make_fisher, make_fitzhugh_nagumo, make_generalized_fn)
-from drbem1d.rbf import Grid, assemble_interpolation, band_lu_factor_checked
+from drbem1d.reference import assemble_interpolation
 from drbem1d.stepping import (
     StepConfig,
     back_substitution_gap,

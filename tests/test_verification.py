@@ -1,12 +1,13 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from helpers import bumped_generalized_fisher, reference_oracle
 
-from drbem1d.exceptions import ConvergenceError
+from drbem1d.exceptions import ConvergenceError, SingularMatrixError
 from drbem1d.problems import (
     REGISTRY,
     CoefficientSet,
@@ -15,7 +16,7 @@ from drbem1d.problems import (
     make_generalized_fisher,
     make_generalized_fn,
 )
-from drbem1d.rbf import Grid
+from drbem1d.assembly import Grid
 from drbem1d.stepping import StepConfig, run
 from drbem1d.verification import (
     compute_errors,
@@ -131,6 +132,25 @@ class TestFdOracle:
         problem = REGISTRY[name][0](**params)
         u = fd_oracle(problem, n, tau, t_end)
         assert u.tobytes() == reference_oracle(problem, n, tau, t_end).tobytes()
+
+    @pytest.mark.parametrize("n, mu", [(3, -1.0 / 8.0), (4, -1.0 / 9.0), (5, -1.0 / 32.0)])
+    def test_singular_level_matrix_raises_singular_matrix_error(self, n, mu):
+        # tau = 1/2 and eta lambda = 1 leave 2 mu / h^2 times the second
+        # difference, which these mu make singular on [0, 1]
+        problem = PdeProblem(
+            coeffs=CoefficientSet.constant(0.0, mu, 1.0),
+            reaction=ReactionTerm(1.0, lambda u: 0.0 * u, lambda u: u),
+            a=0.0,
+            b=1.0,
+            horizon=1.0,
+            initial=lambda x: 0.0 * x + 1.0,
+            bc_left=lambda t: 1.0,
+            bc_right=lambda t: 1.0,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularMatrixError, match="oracle level matrix at t = 0.5"):
+                fd_oracle(problem, n, 0.5, 0.5)
 
     def test_non_finite_iterate_diverges(self):
         problem = make_generalized_fisher(1.0)
