@@ -35,8 +35,14 @@ class Grid:
             raise ValueError(f"a grid needs n >= 3 one-dimensional nodes, got shape {nodes.shape}")
         if not np.isfinite(nodes).all():
             raise ValueError("grid nodes must be finite")
-        if not np.all(np.diff(nodes) > 0.0):
+        with np.errstate(over="ignore"):  # an overflowed spacing fails the span check
+            h = np.diff(nodes)
+        if not np.all(h > 0.0):
             raise ValueError("grid nodes must be strictly increasing")
+        # the operators' entries grow like the span, 1 / h and h_max / h_min
+        span, h_min = float(nodes[-1]) - float(nodes[0]), float(h.min())
+        if not math.isfinite(16.0 * span + 16.0 * (1.0 + span) / h_min):
+            raise ValueError(f"grid span {span:g} over spacing {h_min:g} is not finite")
         nodes.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
 

@@ -9,12 +9,12 @@ per level and reused across corrector passes, and carried over whole when the
 coefficients are constant in time.
 
 A corrector pass is the reaction F_n(u_tilde), one dgbmv that adds the
--(eta/mu) T F_n stencil to the level's fixed right-hand side, and one dgbtrs;
-the pass then takes the sup-norm gap to the previous iterate in place.  The
-per-level constants (-eta/mu, the band factors, the reaction) are bound once
-per level, and the gap doubles as the divergence guard: it is non-finite
-exactly when an iterate is, so no right-hand side is scanned.  A non-finite
-lag that the reaction rejects before its gap is taken is reported the same way.
+-(eta/mu) T F_n stencil to the level's fixed right-hand side, and one dgbtrs.
+`fixed_point`, the corrector loop that verification.fd_oracle shares, takes the
+sup-norm gap between successive iterates in place; it doubles as the divergence
+guard, being non-finite exactly when an iterate is, so no right-hand side is
+scanned.  A non-finite lag that the reaction rejects before its gap is taken is
+reported the same way.
 """
 
 from __future__ import annotations
@@ -198,15 +198,15 @@ def _level_pass(sys: TimeLevelSystem, problem: PdeProblem):
     return solve
 
 
-def _diverged(t_n) -> ConvergenceError:
+def _diverged(t_n, who) -> ConvergenceError:
     return ConvergenceError(
-        f"corrector diverged at t = {t_n:g}: non-finite values in the lagged "
+        f"{who} diverged at t = {t_n:g}: non-finite values in the lagged "
         "right-hand side (tau too large, reaction too stiff, or bad initial data)",
         time=t_n,
     )
 
 
-def _sup_gap(u_new, u_last, t_n) -> float:
+def _sup_gap(u_new, u_last, t_n, who) -> float:
     """max |u_new - u_last|, raising the divergence error when it is not finite.
 
     The gap is non-finite exactly when either iterate has a non-finite entry, and
@@ -216,7 +216,7 @@ def _sup_gap(u_new, u_last, t_n) -> float:
     d = u_new - u_last
     gap = float(np.abs(d, out=d).max())
     if not gap < math.inf:
-        raise _diverged(t_n)
+        raise _diverged(t_n, who)
     return gap
 
 
@@ -229,48 +229,54 @@ def _domain_error(exc: DomainError, t_n, u_tilde) -> DomainError:
     return DomainError(f"{exc} at t = {t_n:g}: first negative node u[{i}] = {u_tilde[i]:.6g}")
 
 
-def corrector_solve(sys: TimeLevelSystem, problem: PdeProblem, cfg: StepConfig, u_prev):
-    """Fixed-point iteration on the lagged nonlinear term at one level.
+def fixed_point(solve, lag, cfg: StepConfig, t_n, who):
+    """Fixed-point iteration on the lagged nonlinear term at the level t_n.
 
-    The lag is seeded with the previous-level solution and only successive solves
-    are compared, so the minimum count is two; with a vanishing nonlinear part the
-    second solve reproduces the first bit for bit and the loop exits at zero
-    difference.  Returns the converged state and the number of solves.
+    solve maps the lag to a tuple whose first entry is the next iterate.  Only
+    successive solves are compared, so the minimum count is two; with a vanishing
+    nonlinear part the second solve reproduces the first bit for bit and the loop
+    exits at zero difference.  Returns the last tuple and the number of solves.
 
-    A non-finite iterate raises ConvergenceError ("corrector diverged"): at the
-    first gap it enters, at the cap when no gap was taken, or when the reaction
-    rejects it first.  A DomainError from the reaction on a finite lag is raised
-    again naming the level time and the lag's first negative node.
+    A non-finite iterate raises ConvergenceError ("<who> diverged"): at the first
+    gap it enters, at the cap when no gap was taken, or when the reaction rejects
+    it first.  A DomainError from the reaction on a finite lag is raised again
+    naming t_n and the lag's first negative node.  The cap raises "<who> stalled".
     """
-    solve = _level_pass(sys, problem)
     epsilon = cfg.epsilon
-    t_n = sys.t_n
-    u_last = np.asarray(u_prev, dtype=float)  # the lag of the pass under way
+    u_last = lag  # the lag of the pass under way
     diff = math.inf
     try:
         # a diverging iterate overflows inside the reaction and is reported as
         # ConvergenceError, so numpy's warning is noise
         with np.errstate(over="ignore", invalid="ignore"):
-            u_new, q_left, q_right = solve(u_last)
+            out = solve(u_last)
             for iters in range(2, cfg.max_corrector_iters + 1):
-                u_last = u_new
-                u_new, q_left, q_right = solve(u_last)
-                diff = _sup_gap(u_new, u_last, t_n)
+                u_last = out[0]
+                out = solve(u_last)
+                diff = _sup_gap(out[0], u_last, t_n, who)
                 if diff <= epsilon:
-                    return SolverState(u=u_new, q_left=q_left, q_right=q_right, t=t_n), iters
+                    return out, iters
     except DomainError as exc:
         # an overflowed iterate (-inf, nan) reaches the reaction before its gap
         if not np.isfinite(u_last).all():
-            raise _diverged(t_n) from exc
+            raise _diverged(t_n, who) from exc
         raise _domain_error(exc, t_n, u_last) from exc
-    if not np.isfinite(u_new).all():
-        raise _diverged(t_n)
+    if not np.isfinite(out[0]).all():
+        raise _diverged(t_n, who)
     raise ConvergenceError(
-        f"corrector stalled at t = {t_n:g}: difference {diff:.3e} after "
+        f"{who} stalled at t = {t_n:g}: difference {diff:.3e} after "
         f"{cfg.max_corrector_iters} iterations (tau too large or reaction too stiff)",
         time=t_n,
         last_diff=diff,
     )
+
+
+def corrector_solve(sys: TimeLevelSystem, problem: PdeProblem, cfg: StepConfig, u_prev):
+    """The level's fixed point from the lag u_prev: the converged state and the
+    number of solves.  Failures are fixed_point's."""
+    (u, q_left, q_right), iters = fixed_point(
+        _level_pass(sys, problem), np.asarray(u_prev, dtype=float), cfg, sys.t_n, "corrector")
+    return SolverState(u=u, q_left=q_left, q_right=q_right, t=sys.t_n), iters
 
 
 def back_substitution_gap(sys: TimeLevelSystem, problem: PdeProblem, state: SolverState) -> float:
@@ -283,7 +289,7 @@ def back_substitution_gap(sys: TimeLevelSystem, problem: PdeProblem, state: Solv
     """
     with np.errstate(over="ignore", invalid="ignore"):
         u_again, _, _ = _level_pass(sys, problem)(state.u)
-        return _sup_gap(u_again, state.u, sys.t_n)
+        return _sup_gap(u_again, state.u, sys.t_n, "corrector")
 
 
 @dataclass

@@ -1,4 +1,9 @@
-"""Error metrics, an independent finite-difference oracle, and convergence sweeps."""
+"""Error metrics, an independent finite-difference oracle, and convergence sweeps.
+
+The oracle shares the stepper's nonlinear policy by running each level through
+stepping.fixed_point, so it stops, diverges, stalls and meets a DomainError
+exactly as `run` does, under its own label ("oracle corrector").
+"""
 
 from __future__ import annotations
 
@@ -9,11 +14,11 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import LinAlgError, lapack, solve_banded
 
-from .exceptions import ConvergenceError, DrbemError, SingularMatrixError
+from .exceptions import DrbemError, SingularMatrixError
 from .problems import PdeProblem
 from .assembly import Grid, assemble_drbem
-from .stepping import (StepConfig, initial_values, level_coefficients, level_index, run,
-                       time_levels)
+from .stepping import (StepConfig, fixed_point, initial_values, level_coefficients, level_index,
+                       run, time_levels)
 
 
 @dataclass(frozen=True)
@@ -49,11 +54,6 @@ def compute_errors(numeric, exact_at_nodes, time=math.nan) -> ErrorReport:
     )
 
 
-def _oracle_diverged(t_n) -> ConvergenceError:
-    return ConvergenceError(f"oracle corrector diverged at t = {t_n:g}: non-finite iterate",
-                            time=t_n)
-
-
 def _oracle_singular(t_n) -> SingularMatrixError:
     return SingularMatrixError(f"oracle level matrix at t = {t_n:g} is singular")
 
@@ -86,16 +86,18 @@ def fd_oracle(problem: PdeProblem, n_nodes, tau, t_end, epsilon=StepConfig.epsil
 
     Completely independent of the boundary-integral pipeline; only the nonlinear
     policy is shared (linear reaction part implicit, remainder lagged under the
-    same successive-solve stopping rule), so discrepancies between the two
-    solvers isolate the spatial discretization.  The step settings, nodes, time
-    levels, initial values and level coefficients follow the stepper's own rules.
+    same successive-solve stopping rule, stepping.fixed_point), so discrepancies
+    between the two solvers isolate the spatial discretization.  The step
+    settings, nodes, time levels, initial values, level coefficients and
+    failures follow the stepper's own rules; the iterate is the full node vector,
+    so a DomainError names the node as `run` does.
 
     Returns the solution at t_end; given snapshot times (checked as `run`
     checks them), one march returns the list of solutions at the distinct
     snapshot levels in increasing time, as `run` orders its states.
     """
     tau = float(tau)
-    StepConfig(tau=tau, epsilon=epsilon, max_corrector_iters=max_iters)  # ValueError if bad
+    cfg = StepConfig(tau=tau, epsilon=epsilon, max_corrector_iters=max_iters)  # ValueError if bad
     grid = Grid.uniform(problem.a, problem.b, n_nodes)
     x, n, h = grid.nodes, grid.n, grid.h
     n_levels, snap_levels = time_levels(tau, float(t_end), snapshots)
@@ -121,29 +123,11 @@ def fd_oracle(problem: PdeProblem, n_nodes, tau, t_end, epsilon=StepConfig.epsil
         base[0] -= lower * g_left
         base[-1] -= upper * g_right
 
-        # the iterates differ only in the interior, so the corrector works there
-        w_tilde, w_last = u[1:-1], None
-        diff = math.inf
-        # a diverging iterate is reported as ConvergenceError, so numpy's warning is noise
-        with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(max_iters):
-                w_new = solve(base + eta_n * nonlinear(w_tilde))
-                # checked before the next reaction, which may reject -inf or nan
-                if not np.isfinite(w_new).all():
-                    raise _oracle_diverged(t_n)
-                if w_last is not None:
-                    gap = w_new - w_last
-                    diff = float(np.abs(gap, out=gap).max())
-                    if diff <= epsilon:
-                        break
-                w_tilde = w_last = w_new
-            else:
-                raise ConvergenceError(
-                    f"oracle corrector stalled at t = {t_n:g} (difference {diff:.3e})",
-                    time=t_n,
-                    last_diff=diff,
-                )
-        u = np.concatenate([[g_left], w_new, [g_right]])
+        def oracle_pass(u_tilde):
+            w = solve(base + eta_n * nonlinear(u_tilde[1:-1]))
+            return (np.concatenate([[g_left], w, [g_right]]),)
+
+        (u,), _ = fixed_point(oracle_pass, u, cfg, t_n, "oracle corrector")
         if k in snap_levels:
             captured.append(u)
     return u if snapshots is None else captured
@@ -154,8 +138,8 @@ class ConvergenceRow:
     """Errors of one sweep row at t_end, or the DrbemError that stopped the row.
 
     h is the spacing of the grid actually built; order is the observed order
-    against the row before; peak (the largest error over every level) is filled
-    only when the sweep tracks it.
+    against the row before; peak (the largest error over every level, level 0
+    included) is filled only when the sweep tracks it.
     """
 
     h: float
@@ -209,7 +193,7 @@ def sweep(rows, t_end, track_peak=False) -> list:
             cfg = StepConfig(tau=tau)
             snapshots = None
             if track_peak:
-                snapshots = [k * tau for k in range(1, level_index(t_end, tau) + 1)]
+                snapshots = [k * tau for k in range(level_index(t_end, tau) + 1)]
             traj = run(problem, grid, cfg, t_end, snapshots=snapshots, ops=ops)
             report = compute_errors(traj.states[-1].u, problem.exact(grid.nodes, t_end),
                                     time=t_end)

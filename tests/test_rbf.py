@@ -88,8 +88,12 @@ class TestGrid:
         lambda: Grid.uniform(0.0, math.inf, 5),
         lambda: Grid.uniform(-math.inf, 0.0, 5),
         lambda: Grid.uniform(-1e308, 1e308, 5),
+        lambda: Grid(np.array([-1e308, 0.0, 1e308])),
+        lambda: Grid(np.array([0.0, 1e-320, 1.0])),
+        lambda: Grid(np.array([-1e308, 9e307, 1e308])),
     ], ids=["inf-node", "nan-node", "spacing-inf-end", "spacing-nan-end", "spacing-overflow",
-            "uniform-inf-end", "uniform-minus-inf-end", "uniform-overflow"])
+            "uniform-inf-end", "uniform-minus-inf-end", "uniform-overflow", "span-overflow",
+            "reciprocal-spacing-overflow", "spacing-difference-overflow"])
     def test_rejects_non_finite_input_without_warning(self, build):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

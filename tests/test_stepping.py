@@ -314,13 +314,15 @@ def test_level_solve_allocates_no_n_by_n_array():
     assert peak <= 64 * grid.n * 8
 
 
-def test_run_allocates_no_n_by_n_array():
+@pytest.mark.parametrize("levels", [1, 5])
+def test_run_allocates_no_n_by_n_array(levels):
     # the level test above with the operator assembly inside: run builds its own
-    # operator set, which must hold no dense E, Phi or LU
+    # operator set, which must hold no dense E, Phi or LU; from the second level
+    # on, the previous level's factors are alive while the next are built
     problem = make_generalized_fn(1.0)
     grid = Grid.uniform(-1.0, 1.0, 2049)
     cfg = StepConfig(tau=1e-3)
-    _, peak = traced(run, problem, grid, cfg, cfg.tau, ops=None)
+    _, peak = traced(run, problem, grid, cfg, levels * cfg.tau, ops=None)
     assert peak <= 64 * grid.n * 8
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from helpers import bumped_generalized_fisher, reference_oracle
 
-from drbem1d.exceptions import ConvergenceError, SingularMatrixError
+from drbem1d.exceptions import ConvergenceError, DomainError, SingularMatrixError
 from drbem1d.problems import (
     REGISTRY,
     CoefficientSet,
@@ -23,6 +23,7 @@ from drbem1d.verification import (
     convergence_study,
     fd_oracle,
     observed_order,
+    sweep,
 )
 
 
@@ -152,32 +153,12 @@ class TestFdOracle:
             with pytest.raises(SingularMatrixError, match="oracle level matrix at t = 0.5"):
                 fd_oracle(problem, n, 0.5, 0.5)
 
-    def test_non_finite_iterate_diverges(self):
-        problem = make_generalized_fisher(1.0)
-        calls = []
-
-        def nonlinear(u):
-            calls.append(1)
-            return np.full_like(u, np.nan) if len(calls) == 1 else 0.0 * u
-
-        poisoned = dataclasses.replace(
-            problem, reaction=ReactionTerm(1.0, nonlinear, problem.reaction.full))
-        for cap in (1, 100):
-            calls.clear()
-            with pytest.raises(ConvergenceError, match="oracle corrector diverged at t = 0.1"):
-                fd_oracle(poisoned, 17, 0.1, 0.1, max_iters=cap)
-
     @pytest.mark.parametrize("cap", [2, 100])
     def test_overflow_seen_by_the_reaction_first_diverges(self, cap):
         # the first iterate holds -inf, which u^3.5 rejects before any gap is taken
         problem = bumped_generalized_fisher(2.5, height=1e88)
         with pytest.raises(ConvergenceError, match="oracle corrector diverged at t = 1"):
             fd_oracle(problem, 17, 1.0, 1.0, max_iters=cap)
-
-    def test_cap_of_one_cannot_converge(self):
-        problem = make_generalized_fisher(1.0)
-        with pytest.raises(ConvergenceError):
-            fd_oracle(problem, 17, 0.1, 0.1, max_iters=1)
 
     @pytest.mark.parametrize("n_nodes, tau, t_end, epsilon", [
         (2, 0.01, 0.1, 1e-10), (17, 0.0, 0.1, 1e-10), (17, 0.01, 0.1, math.nan),
@@ -188,6 +169,51 @@ class TestFdOracle:
         problem = make_generalized_fisher(1.0)
         with pytest.raises(ValueError):
             fd_oracle(problem, n_nodes, tau, t_end, epsilon=epsilon)
+
+
+def nan_first_fisher():
+    """make_generalized_fisher(1.0) whose lagged remainder is nan on the first call."""
+    problem = make_generalized_fisher(1.0)
+    calls = []
+
+    def nonlinear(u):
+        calls.append(1)
+        return np.full_like(u, np.nan) if len(calls) == 1 else 0.0 * u
+
+    return dataclasses.replace(
+        problem, reaction=ReactionTerm(1.0, nonlinear, problem.reaction.full))
+
+
+def drbem_run(problem, n_nodes, tau, t_end, max_iters=100):
+    grid = Grid.uniform(problem.a, problem.b, n_nodes)
+    return run(problem, grid, StepConfig(tau=tau, max_corrector_iters=max_iters), t_end)
+
+
+DIVERGED = ("{who} diverged at t = 0.1: non-finite values in the lagged right-hand side "
+            "(tau too large, reaction too stiff, or bad initial data)")
+
+
+@pytest.mark.parametrize("solver, who", [(drbem_run, "corrector"),
+                                         (fd_oracle, "oracle corrector")],
+                         ids=["run", "fd_oracle"])
+@pytest.mark.parametrize("make_problem, tau, t_end, cap, error, text", [
+    # alpha = 2.5 lags u^3.5, which has no real value at the dip below 0 (node 10)
+    (lambda: bumped_generalized_fisher(2.5), 0.01, 0.05, 100, DomainError,
+     "negative base with non-integer exponent 3.5 at t = 0.01: first negative node "
+     "u[10] = -1.02213"),
+    (nan_first_fisher, 0.1, 0.1, 1, ConvergenceError, DIVERGED),
+    (nan_first_fisher, 0.1, 0.1, 100, ConvergenceError, DIVERGED),
+    (lambda: make_generalized_fisher(1.0), 0.1, 0.1, 1, ConvergenceError,
+     "{who} stalled at t = 0.1: difference inf after 1 iterations "
+     "(tau too large or reaction too stiff)"),
+], ids=["negative-base", "nan-first-reaction-cap-1", "nan-first-reaction", "cap-of-one"])
+def test_run_and_the_oracle_share_the_failure_contract(solver, who, make_problem, tau, t_end,
+                                                       cap, error, text):
+    # both march 17 nodes on [-2, 2]; only the solver label differs
+    with pytest.raises(error) as excinfo:
+        solver(make_problem(), 17, tau, t_end, max_iters=cap)
+    assert type(excinfo.value) is error
+    assert str(excinfo.value) == text.format(who=who)
 
 
 def test_observed_order_helper():
@@ -215,6 +241,21 @@ class TestConvergenceStudy:
         problem = make_generalized_fn(1.0)
         rows = convergence_study(problem, [0.25, 0.125], [1e-3], 0.0)
         assert all(row.l_inf == 0.0 and row.rms == 0.0 for row in rows)
+
+    def test_zero_steps_track_the_peak_at_level_zero(self):
+        # the initial data are the exact solution at t = 0, so level 0's error is 0
+        problem = make_generalized_fn(1.0)
+        rows = sweep([(problem, 0.25, 1e-3), (problem, 0.125, 1e-3)], 0.0, track_peak=True)
+        assert all(row.failure is None and row.peak == row.l_inf == 0.0 for row in rows)
+
+    def test_peak_covers_every_level(self):
+        problem = make_generalized_fn(1.0)
+        (row,) = sweep([(problem, 0.25, 0.01)], 0.1, track_peak=True)
+        grid = Grid.with_spacing(problem.a, problem.b, 0.25)
+        times = [k * 0.01 for k in range(11)]
+        traj = run(problem, grid, StepConfig(tau=0.01), 0.1, snapshots=times)
+        assert row.peak == max(compute_errors(s.u, problem.exact(grid.nodes, s.t)).l_inf
+                               for s in traj.states)
 
     def test_spatial_refinement_against_reference(self):
         # published errors: 1.0914e-3 at h = 1/4 and 3.4491e-4 at h = 1/8
