@@ -1,6 +1,7 @@
 """Command-line front end: config-driven runs, benchmark reproduction, self checks.
 
-Exit codes: 0 success, 1 usage or configuration, 2 solver failure, 3 I/O failure.
+Exit codes: 0 success, 1 usage or configuration, 2 solver failure or out of memory,
+3 I/O failure.
 Log verbosity comes from the DRBEM1D_LOG environment variable (DEBUG..CRITICAL).
 """
 
@@ -54,28 +55,13 @@ class RunConfig:
     step: StepConfig
     h: float | None = None
     n: int | None = None
-    snapshots: tuple = ()
+    snapshots: tuple = ()  # empty: t_end alone
     output_path: str = "."
     compare_exact: bool = True
     run_oracle: bool = False
 
-
-_SCHEMA = {
-    "equation": str,
-    **dict.fromkeys(PARAMETERS, float),
-    "a": float,
-    "b": float,
-    "t_end": float,
-    "h": float,
-    "n": int,
-    "tau": float,
-    "epsilon": float,
-    "max_iters": int,
-    "snapshots": "float_list",
-    "output_path": str,
-    "compare_exact": bool,
-    "run_oracle": bool,
-}
+    def __post_init__(self):
+        self.snapshots = self.snapshots or (self.t_end,)
 
 
 def _finite(text):
@@ -85,27 +71,41 @@ def _finite(text):
     return number
 
 
-def _convert(key, value, lineno):
-    kind = _SCHEMA[key]
-    try:
-        if kind is str:
-            return value
-        if kind is bool:
-            lowered = value.lower()
-            if lowered in ("true", "yes", "1"):
-                return True
-            if lowered in ("false", "no", "0"):
-                return False
-            raise ValueError(f"expected true/false, got {value!r}")
-        if kind is int:
-            return int(value)
-        if kind is float:
-            return _finite(value)
-        if kind == "float_list":
-            return tuple(_finite(part) for part in value.split(",") if part.strip())
-    except ValueError as exc:
-        raise ConfigError(str(exc), line=lineno, field=key) from exc
-    raise AssertionError(f"unhandled schema kind for {key}")
+def _bool(text):
+    lowered = text.lower()
+    if lowered in ("true", "yes", "1"):
+        return True
+    if lowered in ("false", "no", "0"):
+        return False
+    raise ValueError(f"expected true/false, got {text!r}")
+
+
+def _finite_list(text):
+    return tuple(_finite(part) for part in text.split(",") if part.strip())
+
+
+# each config key and the converter of its value text
+_SCHEMA = {
+    "equation": str,
+    **dict.fromkeys(PARAMETERS, _finite),
+    "a": _finite,
+    "b": _finite,
+    "t_end": _finite,
+    "h": _finite,
+    "n": int,
+    "tau": _finite,
+    "epsilon": _finite,
+    "max_iters": int,
+    "snapshots": _finite_list,
+    "output_path": str,
+    "compare_exact": _bool,
+    "run_oracle": _bool,
+}
+
+
+def _profile_name(t) -> str:
+    """File name of the profile that `solve` writes for the state at time t."""
+    return f"profile_t{t:.6f}.csv"
 
 
 def parse_config(text: str) -> RunConfig:
@@ -136,12 +136,12 @@ def parse_config(text: str) -> RunConfig:
             value = value.split("#", 1)[0].strip()
             if not value:
                 raise ConfigError("empty value", line=lineno, field=key)
-        raw[key] = (_convert(key, value, lineno), lineno)
+        try:
+            raw[key] = _SCHEMA[key](value)
+        except ValueError as exc:
+            raise ConfigError(str(exc), line=lineno, field=key) from exc
 
-    def take(key, default=None):
-        return raw.pop(key)[0] if key in raw else default
-
-    equation = take("equation")
+    equation = raw.pop("equation", None)
     if equation is None:
         raise ConfigError("missing required key", field="equation")
     if equation not in REGISTRY:
@@ -150,7 +150,7 @@ def parse_config(text: str) -> RunConfig:
             field="equation",
         )
 
-    params = {name: take(name) for name in PARAMETERS if name in raw}
+    params = {name: raw.pop(name) for name in PARAMETERS if name in raw}
     wanted = REGISTRY[equation][1]
     for name in params:
         if name != wanted:
@@ -162,46 +162,28 @@ def parse_config(text: str) -> RunConfig:
     if wanted is not None and wanted not in params:
         raise ConfigError(f"{equation!r} requires parameter {wanted!r}", field=wanted)
 
-    t_end = take("t_end")
-    tau = take("tau")
-    for name, value in (("t_end", t_end), ("tau", tau)):
-        if value is None:
+    for name in ("t_end", "tau"):
+        if name not in raw:
             raise ConfigError("missing required key", field=name)
-    snapshots = take("snapshots", (t_end,))
     try:
-        step = StepConfig(tau=tau, epsilon=take("epsilon", StepConfig.epsilon),
-                          max_corrector_iters=take("max_iters", StepConfig.max_corrector_iters))
-        time_levels(tau, t_end, snapshots)
+        step = StepConfig(raw.pop("tau"), raw.pop("epsilon", StepConfig.epsilon),
+                          raw.pop("max_iters", StepConfig.max_corrector_iters))
+        time_levels(step.tau, raw["t_end"], raw.get("snapshots"))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    written = {}  # profile file name -> (level, snapshot time)
+    for t in raw.get("snapshots", ()):
+        k = level_index(t, step.tau)
+        name = _profile_name(k * step.tau)  # run's state time at level k
+        level, first = written.setdefault(name, (k, t))
+        if level != k:
+            raise ConfigError(f"snapshots {first!r} and {t!r} would both write {name}",
+                              field="snapshots")
 
-    default_a, default_b = default_domain(equation)
-    a = take("a", default_a)
-    b = take("b", default_b)
-    h = take("h")
-    n = take("n")
-    if (h is None) == (n is None):
+    if ("h" in raw) == ("n" in raw):
         raise ConfigError("give exactly one of 'h' or 'n'", field="h")
-
-    output_path = take("output_path", ".")
-    compare_exact = take("compare_exact", True)
-    run_oracle = take("run_oracle", False)
-    assert not raw, f"schema drift: {sorted(raw)}"
-
-    return RunConfig(
-        equation=equation,
-        params=params,
-        a=a,
-        b=b,
-        t_end=t_end,
-        step=step,
-        h=h,
-        n=n,
-        snapshots=tuple(snapshots),
-        output_path=output_path,
-        compare_exact=compare_exact,
-        run_oracle=run_oracle,
-    )
+    domain = dict(zip(("a", "b"), default_domain(equation)))
+    return RunConfig(equation=equation, params=params, step=step, **{**domain, **raw})
 
 
 def build_problem(config: RunConfig) -> PdeProblem:
@@ -255,12 +237,10 @@ def cmd_solve(config: RunConfig) -> int:
     problem = build_problem(config)
     grid = build_grid(config)
     step = config.step
-    snapshots = config.snapshots or (config.t_end,)
-    trajectory = run(problem, grid, step, config.t_end, snapshots=snapshots)
+    trajectory = run(problem, grid, step, config.t_end, snapshots=config.snapshots)
     oracles = [None] * len(trajectory.states)
     if config.run_oracle:
-        oracles = fd_oracle(problem, grid.n, step.tau, config.t_end, epsilon=step.epsilon,
-                            max_iters=step.max_corrector_iters, snapshots=snapshots)
+        oracles = fd_oracle(problem, grid.n, step, config.t_end, snapshots=config.snapshots)
 
     out_dir = Path(config.output_path)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -284,7 +264,7 @@ def cmd_solve(config: RunConfig) -> int:
         profile_rows = [
             [_fmt(col[i]) for col in series] for i in range(grid.n)
         ]
-        _write_csv(out_dir / f"profile_t{state.t:.6f}.csv", notes, columns, profile_rows)
+        _write_csv(out_dir / _profile_name(state.t), notes, columns, profile_rows)
 
         report = compute_errors(state.u, exact, time=state.t) if exact is not None else None
         k = level_index(state.t, step.tau)  # level k took iters[k - 1] passes
@@ -444,18 +424,31 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _read_config(path) -> str:
+    """The text of a config file: UTF-8, a leading byte-order mark dropped."""
+    data = Path(path).read_bytes()
+    try:  # utf-8-sig, but with error offsets counted from the start of the file
+        return data.decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text (byte 0x{data[exc.start]:02x} "
+                          f"at offset {exc.start})") from None
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="drbem1d", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_solve = sub.add_parser("solve", help="run a problem described by a config file")
     p_solve.add_argument("config", help="path to a key = value run configuration")
+    p_solve.set_defaults(handler=lambda args: cmd_solve(parse_config(_read_config(args.config))))
 
     p_repro = sub.add_parser("reproduce", help="run a named benchmark sweep")
     p_repro.add_argument("table", choices=sorted(BENCHMARKS))
     p_repro.add_argument("--out", default=".", help="output directory (default: .)")
+    p_repro.set_defaults(handler=lambda args: cmd_reproduce(args.table, args.out))
 
-    sub.add_parser("check", help="run the invariant self-test battery")
+    p_check = sub.add_parser("check", help="run the invariant self-test battery")
+    p_check.set_defaults(handler=lambda args: cmd_check())
     return parser
 
 
@@ -472,18 +465,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "solve":
-            try:
-                text = Path(args.config).read_text()
-            except OSError as exc:
-                print(f"drbem1d: {exc}", file=sys.stderr)
-                return 3
-            return cmd_solve(parse_config(text))
-        if args.command == "reproduce":
-            return cmd_reproduce(args.table, args.out)
-        if args.command == "check":
-            return cmd_check()
-        raise ConfigError(f"unknown command {args.command!r}")
+        return args.handler(args)
     except ConfigError as exc:
         print(f"drbem1d: {exc}", file=sys.stderr)
         return 1
@@ -492,6 +474,9 @@ def main(argv=None) -> int:
         return 2
     except DrbemError as exc:
         print(f"drbem1d: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"drbem1d: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"drbem1d: {exc}", file=sys.stderr)

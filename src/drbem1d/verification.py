@@ -80,24 +80,22 @@ def _tridiagonal_solver(lower, diag, upper, m, t_n):
     return lambda rhs: lapack.dgttrs(dl, d, du, du2, ipiv, rhs, overwrite_b=1)[0]
 
 
-def fd_oracle(problem: PdeProblem, n_nodes, tau, t_end, epsilon=StepConfig.epsilon,
-              max_iters=StepConfig.max_corrector_iters, snapshots=None):
+def fd_oracle(problem: PdeProblem, n_nodes, cfg: StepConfig, t_end, snapshots=None):
     """Backward-Euler / three-point central-difference solution on a uniform grid.
 
     Completely independent of the boundary-integral pipeline; only the nonlinear
     policy is shared (linear reaction part implicit, remainder lagged under the
     same successive-solve stopping rule, stepping.fixed_point), so discrepancies
-    between the two solvers isolate the spatial discretization.  The step
-    settings, nodes, time levels, initial values, level coefficients and
-    failures follow the stepper's own rules; the iterate is the full node vector,
-    so a DomainError names the node as `run` does.
+    between the two solvers isolate the spatial discretization.  It takes the
+    StepConfig that `run` takes, and its nodes, time levels, initial values,
+    level coefficients and failures follow the stepper's own rules; the iterate
+    is the full node vector, so a DomainError names the node as `run` does.
 
     Returns the solution at t_end; given snapshot times (checked as `run`
     checks them), one march returns the list of solutions at the distinct
     snapshot levels in increasing time, as `run` orders its states.
     """
-    tau = float(tau)
-    cfg = StepConfig(tau=tau, epsilon=epsilon, max_corrector_iters=max_iters)  # ValueError if bad
+    tau = cfg.tau
     grid = Grid.uniform(problem.a, problem.b, n_nodes)
     x, n, h = grid.nodes, grid.n, grid.h
     n_levels, snap_levels = time_levels(tau, float(t_end), snapshots)

@@ -85,7 +85,7 @@ def cross_runs():
         traj = run(problem, grid, cfg, 1.0, snapshots=[1.0 - TAU, 1.0], ops=ops)
         state_prev, state_final = traj.states
         exact = np.asarray(problem.exact(grid.nodes, 1.0), dtype=float)
-        oracle = fd_oracle(problem, grid.n, TAU, 1.0)
+        oracle = fd_oracle(problem, grid.n, cfg, 1.0)
         out[name] = {
             "problem": problem,
             "grid": grid,
@@ -332,14 +332,14 @@ def _fig5_sweep():
     errors, oracle = [], []
     for row in bench.rows:
         problem = row.problem
-        traj = run(problem, grid, StepConfig(tau=row.tau), times[-1],
-                   snapshots=times, ops=ops)
+        cfg = StepConfig(tau=row.tau)
+        traj = run(problem, grid, cfg, times[-1], snapshots=times, ops=ops)
         errors.append([
             compute_errors(s.u, np.asarray(problem.exact(grid.nodes, s.t), dtype=float)).l_inf
             for s in traj.states
         ])
         exact_final = np.asarray(problem.exact(grid.nodes, bench.t_end), dtype=float)
-        u_fd = fd_oracle(problem, grid.n, row.tau, bench.t_end)
+        u_fd = fd_oracle(problem, grid.n, cfg, bench.t_end)
         oracle.append(compute_errors(u_fd, exact_final).l_inf)
     return alphas, exits, times, np.asarray(errors), oracle
 

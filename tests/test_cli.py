@@ -125,6 +125,21 @@ class TestParseConfig:
         message = str(excinfo.value)
         assert "line 2" in message and "snapshots" in message and "finite" in message
 
+    def test_snapshots_of_one_level_share_their_profile(self):
+        config = parse_config("equation = fisher\nn = 9\ntau = 0.01\nt_end = 0.1\n"
+                              "snapshots = 0.05, 0.1, 0.05\n")
+        assert config.snapshots == (0.05, 0.1, 0.05)
+
+    def test_readme_config_example_parses(self):
+        # the documented keys cannot drift from the schema unnoticed
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        section = readme.split("### Config format", 1)[1]
+        example = section.split("```", 2)[1]
+        config = parse_config(example)
+        assert config.equation == "fitzhugh_nagumo" and config.params == {"rho": 0.75}
+        assert config.snapshots == (0.25, 0.5, 1.0) and config.output_path == "out/run1"
+        assert config.compare_exact and not config.run_oracle
+
 
 def test_build_problem_rejects_generalized_fn_past_pi_half():
     config = parse_config(
@@ -192,7 +207,7 @@ class TestCmdSolve:
         problem, grid = build_problem(config), build_grid(config)
         for t in (0.0, 0.05, 0.1):
             _, profile = load_csv(tmp_path / f"profile_t{t:.6f}.csv")
-            expected = fd_oracle(problem, grid.n, config.step.tau, t)
+            expected = fd_oracle(problem, grid.n, config.step, t)
             assert [row["u_oracle"] for row in profile] == [f"{v:.15e}" for v in expected]
 
     def test_summary_corrector_columns_follow_level_iterations(self, tmp_path):
@@ -385,6 +400,55 @@ class TestMainExitCodes:
         err_lines = capsys.readouterr().err.splitlines()
         assert len(err_lines) == 1
         assert err_lines[0].startswith("drbem1d:") and named in err_lines[0]
+
+    @pytest.mark.parametrize("data, offset", [
+        # 18 bytes of the first line and 5 of "# caf" come before the Latin-1 e-acute
+        pytest.param(b"equation = fisher\n# caf\xe9\n", 23, id="latin-1"),
+        # the offset counts the byte-order mark too
+        pytest.param(b"\xef\xbb\xbfequation = \xe9\n", 14, id="after-bom"),
+    ])
+    def test_undecodable_config_is_1_naming_the_path_and_offset(self, tmp_path, capsys, data,
+                                                                offset):
+        path = tmp_path / "undecodable.cfg"
+        path.write_bytes(data)
+        assert main(["solve", str(path)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"drbem1d: {path}: not UTF-8 text (byte 0xe9 at offset {offset})"]
+
+    def test_byte_order_mark_is_dropped(self, tmp_path, capsys):
+        path = tmp_path / "bom.cfg"
+        text = f'equation = fisher\nn = 9\ntau = 0.01\nt_end = 0.05\noutput_path = "{tmp_path}"\n'
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert main(["solve", str(path)]) == 0
+        assert capsys.readouterr().err == ""
+        assert (tmp_path / "profile_t0.050000.csv").exists()
+
+    @pytest.mark.parametrize("message, shown", [
+        ("Unable to allocate 72.8 TiB for an array", "Unable to allocate 72.8 TiB for an array"),
+        ("", "allocation failed"),  # the interpreter's own MemoryError carries no text
+    ], ids=["numpy", "bare"])
+    def test_running_out_of_memory_is_2(self, tmp_path, capsys, monkeypatch, message, shown):
+        # stands in for an allocation failure; no real allocation is attempted
+        def exhausted(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "run", exhausted)
+        path = tmp_path / "huge.cfg"
+        path.write_text(f'equation = fisher\nn = 9\ntau = 0.01\nt_end = 0.05\n'
+                        f'output_path = "{tmp_path}"\n')
+        assert main(["solve", str(path)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"drbem1d: out of memory: {shown}"]
+
+    def test_colliding_snapshot_names_are_1(self, tmp_path, capsys):
+        path = tmp_path / "close.cfg"
+        path.write_text("equation = fisher\nn = 9\ntau = 1e-7\nt_end = 2e-7\n"
+                        f'snapshots = 1e-7, 2e-7\noutput_path = "{tmp_path}"\n')
+        assert main(["solve", str(path)]) == 1
+        # levels 1 and 2 of tau = 1e-7 both print as t = 0.000000
+        assert capsys.readouterr().err.splitlines() == [
+            "drbem1d: field 'snapshots': snapshots 1e-07 and 2e-07 would both write "
+            "profile_t0.000000.csv"]
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_good_run_is_0(self, tmp_path, capsys):
         path = tmp_path / "ok.cfg"

@@ -84,7 +84,7 @@ class TestStepConfig:
 
     @pytest.mark.parametrize("kwargs", [
         dict(tau=0.0), dict(tau=-1.0), dict(tau=math.inf), dict(tau=0.1, epsilon=0.0),
-        dict(tau=0.1, max_corrector_iters=0),
+        dict(tau=0.1, max_corrector_iters=0), dict(tau=0.1, epsilon=math.nan),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):

@@ -83,7 +83,7 @@ class TestFdOracle:
             bc_left=lambda t: -3.0,
             bc_right=lambda t: -1.0,
         )
-        u = fd_oracle(problem, 17, 0.01, 1.0)
+        u = fd_oracle(problem, 17, StepConfig(tau=0.01), 1.0)
         x = np.linspace(0.0, 1.0, 17)
         assert np.max(np.abs(u - (2.0 * x - 3.0))) < 1e-8
 
@@ -93,7 +93,7 @@ class TestFdOracle:
         problem = make_generalized_fisher(1.0)
         errors = []
         for n, tau in ((65, 1e-3), (129, 5e-4)):
-            u = fd_oracle(problem, n, tau, 1.0)
+            u = fd_oracle(problem, n, StepConfig(tau=tau), 1.0)
             x = np.linspace(problem.a, problem.b, n)
             errors.append(compute_errors(u, problem.exact(x, 1.0)).l_inf)
         assert errors[0] < 1e-2
@@ -107,7 +107,7 @@ class TestFdOracle:
         grid = Grid.with_spacing(-1.0, 1.0, 0.25)
         traj = run(problem, grid, StepConfig(tau=1e-3), 1.0)
         exact = problem.exact(grid.nodes, 1.0)
-        u_fd = fd_oracle(problem, grid.n, 1e-3, 1.0)
+        u_fd = fd_oracle(problem, grid.n, StepConfig(tau=1e-3), 1.0)
         err_main = compute_errors(traj.states[-1].u, exact).l_inf
         err_fd = compute_errors(u_fd, exact).l_inf
         assert err_main < 5e-3 and err_fd < 5e-3
@@ -117,10 +117,11 @@ class TestFdOracle:
 
     def test_snapshots_share_one_march(self):
         problem = make_generalized_fn(1.0)
-        marched = fd_oracle(problem, 17, 0.01, 0.1, snapshots=[0.1, 0.0, 0.05, 0.05])
+        cfg = StepConfig(tau=0.01)
+        marched = fd_oracle(problem, 17, cfg, 0.1, snapshots=[0.1, 0.0, 0.05, 0.05])
         assert len(marched) == 3  # distinct levels, in increasing time
         for u, t in zip(marched, (0.0, 0.05, 0.1)):
-            np.testing.assert_array_equal(u, fd_oracle(problem, 17, 0.01, t))
+            np.testing.assert_array_equal(u, fd_oracle(problem, 17, cfg, t))
 
     @pytest.mark.parametrize("name, params, n, tau, t_end", [
         ("generalized_fisher", {"alpha": 2.5}, 65, 1e-3, 0.3),
@@ -131,7 +132,7 @@ class TestFdOracle:
     ])
     def test_matches_a_solve_banded_per_pass_bit_for_bit(self, name, params, n, tau, t_end):
         problem = REGISTRY[name][0](**params)
-        u = fd_oracle(problem, n, tau, t_end)
+        u = fd_oracle(problem, n, StepConfig(tau=tau), t_end)
         assert u.tobytes() == reference_oracle(problem, n, tau, t_end).tobytes()
 
     @pytest.mark.parametrize("n, mu", [(3, -1.0 / 8.0), (4, -1.0 / 9.0), (5, -1.0 / 32.0)])
@@ -151,24 +152,25 @@ class TestFdOracle:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SingularMatrixError, match="oracle level matrix at t = 0.5"):
-                fd_oracle(problem, n, 0.5, 0.5)
+                fd_oracle(problem, n, StepConfig(tau=0.5), 0.5)
 
     @pytest.mark.parametrize("cap", [2, 100])
     def test_overflow_seen_by_the_reaction_first_diverges(self, cap):
         # the first iterate holds -inf, which u^3.5 rejects before any gap is taken
         problem = bumped_generalized_fisher(2.5, height=1e88)
         with pytest.raises(ConvergenceError, match="oracle corrector diverged at t = 1"):
-            fd_oracle(problem, 17, 1.0, 1.0, max_iters=cap)
+            fd_oracle(problem, 17, StepConfig(tau=1.0, max_corrector_iters=cap), 1.0)
 
+    # the step settings themselves are StepConfig's to check (test_stepping.TestStepConfig)
     @pytest.mark.parametrize("n_nodes, tau, t_end, epsilon", [
-        (2, 0.01, 0.1, 1e-10), (17, 0.0, 0.1, 1e-10), (17, 0.01, 0.1, math.nan),
-        (17, 0.01, -0.1, 1e-10), (17, 0.01, 0.105, 1e-10), (3.9, 0.01, 0.1, 1e-10),
-        (17, math.inf, 0.1, 1e-10),
+        (2, 0.01, 0.1, 1e-10), (17, 0.01, -0.1, 1e-10), (17, 0.01, 0.105, 1e-10),
+        (3.9, 0.01, 0.1, 1e-10),
     ])
     def test_rejects_what_the_stepper_rejects(self, n_nodes, tau, t_end, epsilon):
         problem = make_generalized_fisher(1.0)
+        cfg = StepConfig(tau=tau, epsilon=epsilon)
         with pytest.raises(ValueError):
-            fd_oracle(problem, n_nodes, tau, t_end, epsilon=epsilon)
+            fd_oracle(problem, n_nodes, cfg, t_end)
 
 
 def nan_first_fisher():
@@ -184,9 +186,8 @@ def nan_first_fisher():
         problem, reaction=ReactionTerm(1.0, nonlinear, problem.reaction.full))
 
 
-def drbem_run(problem, n_nodes, tau, t_end, max_iters=100):
-    grid = Grid.uniform(problem.a, problem.b, n_nodes)
-    return run(problem, grid, StepConfig(tau=tau, max_corrector_iters=max_iters), t_end)
+def drbem_run(problem, n_nodes, cfg, t_end):
+    return run(problem, Grid.uniform(problem.a, problem.b, n_nodes), cfg, t_end)
 
 
 DIVERGED = ("{who} diverged at t = 0.1: non-finite values in the lagged right-hand side "
@@ -209,9 +210,10 @@ DIVERGED = ("{who} diverged at t = 0.1: non-finite values in the lagged right-ha
 ], ids=["negative-base", "nan-first-reaction-cap-1", "nan-first-reaction", "cap-of-one"])
 def test_run_and_the_oracle_share_the_failure_contract(solver, who, make_problem, tau, t_end,
                                                        cap, error, text):
-    # both march 17 nodes on [-2, 2]; only the solver label differs
+    # both march 17 nodes on [-2, 2] under one StepConfig; only the solver label differs
+    cfg = StepConfig(tau=tau, max_corrector_iters=cap)
     with pytest.raises(error) as excinfo:
-        solver(make_problem(), 17, tau, t_end, max_iters=cap)
+        solver(make_problem(), 17, cfg, t_end)
     assert type(excinfo.value) is error
     assert str(excinfo.value) == text.format(who=who)
 
