@@ -161,16 +161,16 @@ class TestFdOracle:
         with pytest.raises(ConvergenceError, match="oracle corrector diverged at t = 1"):
             fd_oracle(problem, 17, StepConfig(tau=1.0, max_corrector_iters=cap), 1.0)
 
-    # the step settings themselves are StepConfig's to check (test_stepping.TestStepConfig)
+    # bad step settings are refused by the StepConfig that both solvers take
     @pytest.mark.parametrize("n_nodes, tau, t_end, epsilon", [
-        (2, 0.01, 0.1, 1e-10), (17, 0.01, -0.1, 1e-10), (17, 0.01, 0.105, 1e-10),
-        (3.9, 0.01, 0.1, 1e-10),
+        (2, 0.01, 0.1, 1e-10), (17, 0.0, 0.1, 1e-10), (17, 0.01, 0.1, math.nan),
+        (17, 0.01, -0.1, 1e-10), (17, 0.01, 0.105, 1e-10), (3.9, 0.01, 0.1, 1e-10),
+        (17, math.inf, 0.1, 1e-10),
     ])
     def test_rejects_what_the_stepper_rejects(self, n_nodes, tau, t_end, epsilon):
         problem = make_generalized_fisher(1.0)
-        cfg = StepConfig(tau=tau, epsilon=epsilon)
         with pytest.raises(ValueError):
-            fd_oracle(problem, n_nodes, cfg, t_end)
+            fd_oracle(problem, n_nodes, StepConfig(tau=tau, epsilon=epsilon), t_end)
 
 
 def nan_first_fisher():
