@@ -21,6 +21,8 @@ PIVOT_FLOOR = 1e-14
 
 # Sub- and superdiagonals of the level matrix in spline form.
 LEVEL_BAND = 2
+# The most nodes numpy can hold in one array of doubles.
+MAX_NODES = np.iinfo(np.intp).max // 8
 
 
 @dataclass(frozen=True)
@@ -52,6 +54,8 @@ class Grid:
             raise ValueError(f"node count n = {n!r} must be an integer")
         if not math.isfinite(float(b) - float(a)):
             raise ValueError(f"interval [{a}, {b}] must be finite")
+        if not int(n) <= MAX_NODES:
+            raise ValueError(f"node count n = {n!r} is more than an array holds ({MAX_NODES})")
         return cls(np.linspace(float(a), float(b), int(n)))
 
     @classmethod
@@ -65,6 +69,8 @@ class Grid:
         n_cells = int(round(cells))
         if n_cells < 2 or abs(cells - n_cells) > 1e-9 * max(1.0, abs(cells)):
             raise ValueError(f"spacing {h} does not evenly divide [{a}, {b}]")
+        if not n_cells < MAX_NODES:
+            raise ValueError(f"spacing h = {h} gives {cells:.3g} cells, more than an array holds")
         return cls.uniform(a, b, n_cells + 1)
 
     @property

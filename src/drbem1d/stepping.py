@@ -8,8 +8,14 @@ through (nu, mu, eta)(t_n), never on the lagged iterate, so it is factored once
 per level and reused across corrector passes, and carried over whole when the
 coefficients are constant in time.
 
+Without advection (nu_n = 0) and with s > 0, the rows of u_2..u_{N-1} are the
+strictly diagonally dominant clamped-spline system -(6 Delta - s T): dpttrf
+factors it, dpttrs solves it, and the fluxes come back from the end rows once
+the level has converged.  Any other level, or one whose dpttrf factors are not
+clean, takes the band: dgbtrf once, dgbtrs a pass.
+
 A corrector pass is the reaction F_n(u_tilde), one dgbmv that adds the
--(eta/mu) T F_n stencil to the level's fixed right-hand side, and one dgbtrs.
+-(eta/mu) T F_n stencil to the level's fixed right-hand side, and one solve.
 `fixed_point`, the corrector loop that verification.fd_oracle shares, takes the
 sup-norm gap between successive iterates in place; it doubles as the divergence
 guard, being non-finite exactly when an iterate is, so no right-hand side is
@@ -22,12 +28,13 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.linalg import blas, lapack
 
-from .assembly import LEVEL_BAND, DrbemOperators, Grid, assemble_drbem, band_lu_factor_checked
+from .assembly import (LEVEL_BAND, PIVOT_FLOOR, DrbemOperators, Grid, assemble_drbem,
+                       band_lu_factor_checked)
 from .exceptions import ConvergenceError, DomainError, SolverError
 from .problems import PdeProblem
 
@@ -66,13 +73,13 @@ class SolverState:
 
 @dataclass
 class TimeLevelSystem:
-    """Factored banded system of one time level.
+    """Factored system of one time level.
 
     factorization holds the gbtrf factors of 6 Delta - T (s I + (nu/mu) P) on
-    the unknowns [u_x(a), u_2, ..., u_{N-1}, u_x(b)]; dirichlet_columns are that
-    matrix's columns on the imposed values u_1 and u_N.  rhs_fixed collects
-    every term that does not involve the lagged iterate; the corrector adds only
-    -(eta/mu) T F_n(u_tilde) per pass, T given by t_band.
+    the unknowns [u_x(a), u_2, ..., u_{N-1}, u_x(b)], or InteriorFactors for a
+    level without advection; dirichlet_columns are that matrix's columns on the
+    imposed values u_1 and u_N.  rhs_fixed collects every term that does not involve the
+    lagged iterate; the corrector adds only -(eta/mu) T F_n(u_tilde) per pass.
     """
 
     factorization: tuple
@@ -85,6 +92,27 @@ class TimeLevelSystem:
     g_right: float
     t_band: np.ndarray
     dirichlet_columns: np.ndarray
+
+
+class InteriorFactors(NamedTuple):
+    """dpttrf factors (d, e) of -(6 Delta - s T) on u_2..u_{N-1}; ends holds the
+    level matrix's entries (1, 1), (1, 2), (N, N-1) and (N, N)."""
+
+    d: np.ndarray
+    e: np.ndarray
+    ends: tuple
+
+
+def _interior_factors(level_pieces, implicit_scale):
+    """InteriorFactors of 6 Delta - s T; None on a non-positive leading minor, a
+    non-finite factor or a pivot below PIVOT_FLOOR."""
+    pieces = level_pieces[:2, 2 * LEVEL_BAND - 1:2 * LEVEL_BAND + 2]  # rows of 6 Delta and T
+    sup, diag, sub = pieces[0] - implicit_scale * pieces[1]
+    # one interior node still takes one off-diagonal slot: the q_b column's zero
+    d, e, info = lapack.dpttrf(-diag[1:-1], -sup[2:max(diag.size - 1, 3)], 1, 1)
+    if info or not (np.isfinite(d).all() and np.isfinite(e).all() and d.min() >= PIVOT_FLOOR):
+        return None
+    return InteriorFactors(d, e, (diag[0], sup[1], sub[-2], diag[-1]))
 
 
 def level_coefficients(problem: PdeProblem, t_n: float) -> tuple:
@@ -142,17 +170,22 @@ def build_level_system(
         # a non-finite coefficient times a zero entry is nan, which the factor
         # check reports as a singular level; numpy's warning would be noise
         with np.errstate(over="ignore", invalid="ignore"):
-            band = weights @ ops.level_pieces.reshape(3, -1)
-            dirichlet_columns = weights @ ops.dirichlet_pieces.reshape(3, -1)
-        factorization = band_lu_factor_checked(
-            band.reshape(-1, n), LEVEL_BAND, LEVEL_BAND, f"level matrix at t = {t_n:g}"
-        )
-        dirichlet_columns = dirichlet_columns.reshape(n, 2)
+            dirichlet_columns = (weights @ ops.dirichlet_pieces.reshape(3, -1)).reshape(n, 2)
+            factorization = nu_n == 0.0 < implicit_scale and _interior_factors(
+                ops.level_pieces, implicit_scale)
+            if not factorization:
+                band = (weights @ ops.level_pieces.reshape(3, -1)).reshape(-1, n)
+                factorization = band_lu_factor_checked(band, LEVEL_BAND, LEVEL_BAND,
+                                                       f"level matrix at t = {t_n:g}")
 
-    rhs_fixed = (
-        blas.dgbmv(n, n, 1, 1, -1.0 / (tau * mu_n), ops.t_band, u_prev)
-        - dirichlet_columns @ np.array([g_left, g_right])
-    )
+    rhs_fixed = blas.dgbmv(n, n, 1, 1, -1.0 / (tau * mu_n), ops.t_band, u_prev)
+    if isinstance(factorization, InteriorFactors):  # u_1, u_N reach only the rows beside them
+        rhs_fixed[0] -= dirichlet_columns[0, 0] * g_left
+        rhs_fixed[1] -= dirichlet_columns[1, 0] * g_left
+        rhs_fixed[-2] -= dirichlet_columns[-2, 1] * g_right
+        rhs_fixed[-1] -= dirichlet_columns[-1, 1] * g_right
+    else:
+        rhs_fixed -= dirichlet_columns @ np.array([g_left, g_right])
     return TimeLevelSystem(
         factorization=factorization,
         rhs_fixed=rhs_fixed,
@@ -168,32 +201,37 @@ def build_level_system(
 
 
 def _level_pass(sys: TimeLevelSystem, problem: PdeProblem):
-    """The corrector pass of one level, u_tilde -> (u, q_left, q_right).
+    """The corrector pass of one level, u_tilde -> (u, r_left, r_right).
 
     A pass is the reaction, one dgbmv for rhs_fixed - (eta/mu) T F_n(u_tilde) and
-    one dgbtrs against the level's band factors; the solve's end entries are the
-    fluxes, which the imposed boundary values then replace.  Everything a pass
-    reads is bound here once per level.
+    one solve: dgbtrs against band factors, whose end entries r are the fluxes,
+    or an in-place dpttrs on entries 2..N-1 of the negated right-hand side, whose
+    end entries r are kept for corrector_solve.  The imposed boundary values then
+    replace the end entries.  Everything a pass reads is bound here once per level.
     """
     n = sys.rhs_fixed.size
     scale = -sys.eta_n / sys.mu_n
-    t_band, rhs_fixed = sys.t_band, sys.rhs_fixed
-    lu, piv = sys.factorization
-    ldab = lu.shape[0]
+    t_band, rhs_fixed, factors = sys.t_band, sys.rhs_fixed, sys.factorization
     g_left, g_right = sys.g_left, sys.g_right
     nonlinear = problem.reaction.nonlinear
-    dgbmv, dgbtrs = blas.dgbmv, lapack.dgbtrs
+    dgbmv, dgbtrs, dpttrs = blas.dgbmv, lapack.dgbtrs, lapack.dpttrs
+    interior = isinstance(factors, InteriorFactors)
+    alpha, beta = (-scale, -1.0) if interior else (scale, 1.0)
+    lu, piv = (None, None) if interior else factors
 
     # positional arguments: f2py parses keywords at a cost comparable to the work
     def solve(u_tilde):
-        # incx = 1, offx = 0, beta = 1, y = rhs_fixed (copied, not overwritten)
-        rhs = dgbmv(n, n, 1, 1, scale, t_band, nonlinear(u_tilde), 1, 0, 1.0, rhs_fixed)
-        # trans = 0, n, ldab, ldb = n, overwrite_b = 1: rhs is this pass's own array
-        u, _ = dgbtrs(lu, LEVEL_BAND, LEVEL_BAND, rhs, piv, 0, n, ldab, n, 1)
-        q_left, q_right = float(u[0]), float(u[-1])
+        # incx = 1, offx = 0, y = rhs_fixed (copied, not overwritten)
+        u = dgbmv(n, n, 1, 1, alpha, t_band, nonlinear(u_tilde), 1, 0, beta, rhs_fixed)
+        if interior:
+            dpttrs(factors.d, factors.e, u[1:-1], 1)  # overwrite_b: in place on the view
+        else:
+            # trans = 0, n, ldab = 2 kl + ku + 1, ldb = n, overwrite_b = 1: u is this pass's own
+            u, _ = dgbtrs(lu, LEVEL_BAND, LEVEL_BAND, u, piv, 0, n, 3 * LEVEL_BAND + 1, n, 1)
+        r_left, r_right = float(u[0]), float(u[-1])
         u[0] = g_left
         u[-1] = g_right
-        return u, q_left, q_right
+        return u, r_left, r_right
 
     return solve
 
@@ -276,6 +314,10 @@ def corrector_solve(sys: TimeLevelSystem, problem: PdeProblem, cfg: StepConfig, 
     number of solves.  Failures are fixed_point's."""
     (u, q_left, q_right), iters = fixed_point(
         _level_pass(sys, problem), np.asarray(u_prev, dtype=float), cfg, sys.t_n, "corrector")
+    if isinstance(sys.factorization, InteriorFactors):  # the end rows with r = -rhs
+        a_11, a_12, a_nm, a_nn = sys.factorization.ends
+        q_left = float(-(q_left + a_12 * u[1]) / a_11)
+        q_right = float(-(q_right + a_nm * u[-2]) / a_nn)
     return SolverState(u=u, q_left=q_left, q_right=q_right, t=sys.t_n), iters
 
 

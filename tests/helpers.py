@@ -6,11 +6,11 @@ from fractions import Fraction
 import numpy as np
 from scipy.linalg import blas, lapack, lu_factor, lu_solve, solve_banded
 
-from drbem1d.assembly import LEVEL_BAND
+from drbem1d.assembly import LEVEL_BAND, band_lu_factor_checked
 from drbem1d.problems import make_generalized_fisher
 from drbem1d.reference import (e_matrix, endpoint_matrices, fundamental_solution,
                                fundamental_solution_dx, psi, psi_x)
-from drbem1d.stepping import initial_values, level_coefficients
+from drbem1d.stepping import TimeLevelSystem, initial_values, level_coefficients
 
 
 def load_csv(path):
@@ -83,6 +83,51 @@ def dense_level_solve(problem, ops, p_matrix, cfg, t_n, u_prev):
             return u_new, z[0], z[1], passes
         u_tilde = u_last = u_new
     raise AssertionError(f"dense reference corrector stalled at t = {t_n}")
+
+
+def band_level_system(problem, ops, cfg, t_n, u_prev):
+    """The level's system on the (2, 2) band whatever its advection: gbtrf factors of
+    [1, -s, -nu/mu] applied to ops.level_pieces, the Dirichlet columns likewise,
+    and rhs_fixed with the full Dirichlet product, as the stepper built every level
+    before advection-free levels took the interior solve.  A test reference only.
+    """
+    nu, mu, eta = level_coefficients(problem, t_n)
+    n = u_prev.size
+    implicit_scale = 1.0 / (cfg.tau * mu) - eta * problem.reaction.linear_slope / mu
+    weights = np.array([1.0, -implicit_scale, -nu / mu])
+    with np.errstate(over="ignore", invalid="ignore"):  # the factor check reports nan
+        band = (weights @ ops.level_pieces.reshape(3, -1)).reshape(-1, n)
+        dirichlet_columns = (weights @ ops.dirichlet_pieces.reshape(3, -1)).reshape(n, 2)
+    factorization = band_lu_factor_checked(band, LEVEL_BAND, LEVEL_BAND,
+                                           f"level matrix at t = {t_n:g}")
+    g_left, g_right = float(problem.bc_left(t_n)), float(problem.bc_right(t_n))
+    rhs_fixed = (blas.dgbmv(n, n, 1, 1, -1.0 / (cfg.tau * mu), ops.t_band, u_prev)
+                 - dirichlet_columns @ np.array([g_left, g_right]))
+    return TimeLevelSystem(factorization, rhs_fixed, t_n, nu, mu, eta, g_left, g_right,
+                           ops.t_band, dirichlet_columns)
+
+
+def reference_interior_corrector(sys, problem, cfg, u_prev):
+    """The corrector of an advection-free level as a plain loop: per pass one dgbmv
+    for the negated right-hand side and one dpttrs on its entries 2..N-1 against
+    sys.factorization (InteriorFactors), successive solves compared by np.max,
+    then each flux from its end row.  Returns (u, q_left, q_right, passes).  A
+    test reference only.
+    """
+    n = sys.rhs_fixed.size
+    d, e, (a_11, a_12, a_nm, a_nn) = sys.factorization
+    u_tilde, u_last = np.asarray(u_prev, dtype=float), None
+    for passes in range(1, cfg.max_corrector_iters + 1):
+        neg_rhs = blas.dgbmv(n, n, 1, 1, sys.eta_n / sys.mu_n, sys.t_band,
+                             problem.reaction.nonlinear(u_tilde), beta=-1.0, y=sys.rhs_fixed)
+        interior, _ = lapack.dpttrs(d, e, neg_rhs[1:-1])
+        u = np.concatenate([[sys.g_left], interior, [sys.g_right]])
+        if u_last is not None and float(np.max(np.abs(u - u_last))) <= cfg.epsilon:
+            q_left = float(-(neg_rhs[0] + a_12 * u[1]) / a_11)
+            q_right = float(-(neg_rhs[-1] + a_nm * u[-2]) / a_nn)
+            return u, q_left, q_right, passes
+        u_tilde = u_last = u
+    raise AssertionError(f"reference interior corrector stalled at t = {sys.t_n}")
 
 
 def reference_corrector(sys, problem, cfg, u_prev):

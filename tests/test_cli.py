@@ -379,6 +379,10 @@ class TestMainExitCodes:
         pytest.param({"a": "3"}, 1, "a < b", id="a>=b"),
         pytest.param({"n": None, "h": "0"}, 1, "spacing h", id="h=0"),
         pytest.param({"n": "2"}, 1, "n >= 3", id="n=2"),
+        # node counts past numpy's largest array, given and implied
+        pytest.param({"n": "99999999999999999999999999"}, 1,
+                     "node count n = 99999999999999999999999999", id="n=1e26"),
+        pytest.param({"n": None, "h": "1e-300"}, 1, "spacing h = 1e-300", id="h=1e-300"),
         pytest.param({"t_end": "-1"}, 1, "t_end", id="t_end=-1"),
         pytest.param({"snapshots": "0.005"}, 1, "snapshot 0.005", id="snapshot-not-multiple"),
         pytest.param({"snapshots": "0.1"}, 1, "snapshot 0.1", id="snapshot-beyond-t_end"),
@@ -483,6 +487,7 @@ def test_cmd_check_passes(capsys):
     assert "FAIL" not in out
     assert "transcribed fisher wave rejected" in out
     assert out.count("spline form T E^-1 = 6 Delta") == 4
+    assert out.count("interior dpttrs = band dgbtrs") == 4
 
 
 def test_shipped_configs_parse_and_build():

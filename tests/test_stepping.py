@@ -11,6 +11,7 @@ from drbem1d.problems import (REGISTRY, CoefficientSet, PdeProblem, ReactionTerm
                               make_fisher, make_fitzhugh_nagumo, make_generalized_fn)
 from drbem1d.reference import assemble_interpolation
 from drbem1d.stepping import (
+    InteriorFactors,
     StepConfig,
     back_substitution_gap,
     build_level_system,
@@ -20,7 +21,8 @@ from drbem1d.stepping import (
     run,
 )
 from drbem1d.verification import compute_errors
-from helpers import bumped_generalized_fisher, dense_level_solve, reference_corrector
+from helpers import (band_level_system, bumped_generalized_fisher, dense_level_solve,
+                     reference_corrector, reference_interior_corrector)
 
 
 def zero_reaction():
@@ -196,13 +198,22 @@ def test_hand_assembled_three_node_system():
         bc_right=lambda t: g,
     )
     grid = Grid(nodes)
+    ops = assemble_drbem(grid)
     cfg = StepConfig(tau=tau)
-    system = build_level_system(problem, grid, assemble_drbem(grid), cfg, tau, u_prev)
+    system = build_level_system(problem, grid, ops, cfg, tau, u_prev)
+    band = band_level_system(problem, ops, cfg, tau, u_prev)
 
-    np.testing.assert_allclose(band_factored_matrix(system.factorization), band_expected,
+    # the stepper factors the one interior row and keeps the end rows' entries;
+    # the band reference holds the whole matrix
+    assert isinstance(system.factorization, InteriorFactors)
+    d, _, ends = system.factorization
+    np.testing.assert_allclose(d, [-band_expected[1, 1]], atol=1e-13)
+    np.testing.assert_allclose(ends, band_expected[[0, 0, 2, 2], [0, 1, 1, 2]], atol=1e-13)
+    np.testing.assert_allclose(band_factored_matrix(band.factorization), band_expected,
                                atol=1e-13)
-    np.testing.assert_allclose(system.dirichlet_columns, dirichlet_expected, atol=1e-13)
-    np.testing.assert_allclose(system.rhs_fixed, rhs_fixed_spline, atol=1e-13)
+    for level in (system, band):
+        np.testing.assert_allclose(level.dirichlet_columns, dirichlet_expected, atol=1e-13)
+        np.testing.assert_allclose(level.rhs_fixed, rhs_fixed_spline, atol=1e-13)
 
     # replicate the corrector with plain dense solves and compare the fixed point
     u_tilde = u_prev.copy()
@@ -216,7 +227,10 @@ def test_hand_assembled_three_node_system():
         u_tilde = u_new
         u_last = u_new
     state, _ = corrector_solve(system, problem, cfg, u_prev)
-    np.testing.assert_allclose(state.u, u_new, atol=1e-12)
+    u_band, *band_fluxes, _ = reference_corrector(band, problem, cfg, u_prev)
+    for u, fluxes in ((state.u, [state.q_left, state.q_right]), (u_band, band_fluxes)):
+        np.testing.assert_allclose(u, u_new, atol=1e-12)
+        np.testing.assert_allclose(fluxes, z[:2], atol=1e-12)
 
 
 def test_factorization_reuse_constant_vs_varying_coefficients():
@@ -256,7 +270,8 @@ def jittered(grid, seed):
 @pytest.mark.parametrize("spacing", ["uniform", "jittered"])
 @pytest.mark.parametrize("name", sorted(REGISTRY))
 def test_banded_level_solve_matches_the_dense_reference(name, spacing):
-    # each level is solved three ways from the same previous state
+    # each level is solved by the stepper, by the plain loop of its own solves, by
+    # the band reference and by the dense form, all from the same previous state
     problem = registry_problem(name)
     grid = Grid.uniform(problem.a, problem.b, 33)
     if spacing == "jittered":
@@ -271,19 +286,27 @@ def test_banded_level_solve_matches_the_dense_reference(name, spacing):
         t_n = k * cfg.tau
         system = build_level_system(problem, grid, ops, cfg, t_n, u, prev_system=system)
         state, passes = corrector_solve(system, problem, cfg, u)
-        # the corrector keeps the bits of the plain loop of band solves
-        u_plain, *plain_rest = reference_corrector(system, problem, cfg, u)
-        assert state.u.tobytes() == u_plain.tobytes()
-        assert [state.q_left, state.q_right, passes] == plain_rest
+        band = band_level_system(problem, ops, cfg, t_n, u)
+        u_band, *band_rest = reference_corrector(band, problem, cfg, u)
+        # every advection-free level takes the interior solve, every other the band
+        interior = isinstance(system.factorization, InteriorFactors)
+        assert interior == (system.nu_n == 0.0)
+        # the corrector keeps the bits of the plain loop of its own solves
+        plain = reference_interior_corrector(system, problem, cfg, u) if interior else (
+            u_band, *band_rest)
+        assert state.u.tobytes() == plain[0].tobytes()
+        assert [state.q_left, state.q_right, passes] == list(plain[1:])
         u_ref, q_left, q_right, passes_ref = dense_level_solve(problem, ops, p_matrix, cfg,
                                                                t_n, u)
-        assert np.max(np.abs(state.u - u_ref)) <= 1e-9 * np.max(np.abs(u_ref))
         # fluxes relative to the solution's steepest slope: the kinks' tails
         # leave endpoint fluxes near 1e-4, below the dense form's own rounding
         slope_scale = max(abs(q_left), abs(q_right),
                           np.max(np.abs(np.diff(u_ref) / np.diff(grid.nodes))))
-        for q, q_ref in ((state.q_left, q_left), (state.q_right, q_right)):
-            assert abs(q - q_ref) <= 1e-9 * slope_scale
+        for u_other, fluxes in ((u_band, band_rest[:2]), (u_ref, [q_left, q_right])):
+            assert np.max(np.abs(state.u - u_other)) <= 1e-9 * np.max(np.abs(u_other))
+            for q, q_other in zip((state.q_left, state.q_right), fluxes):
+                assert abs(q - q_other) <= 1e-9 * slope_scale
+        assert abs(passes - band_rest[2]) <= 1
         assert abs(passes - passes_ref) <= 1
         u = state.u
 
@@ -318,12 +341,13 @@ def test_level_solve_allocates_no_n_by_n_array():
 def test_run_allocates_no_n_by_n_array(levels):
     # the level test above with the operator assembly inside: run builds its own
     # operator set, which must hold no dense E, Phi or LU; from the second level
-    # on, the previous level's factors are alive while the next are built
-    problem = make_generalized_fn(1.0)
-    grid = Grid.uniform(-1.0, 1.0, 2049)
-    cfg = StepConfig(tau=1e-3)
-    _, peak = traced(run, problem, grid, cfg, levels * cfg.tau, ops=None)
-    assert peak <= 64 * grid.n * 8
+    # on, the previous level's factors are alive while the next are built.  Both
+    # level solves: the band (advection) and the interior one (none)
+    for problem in (make_generalized_fn(1.0), make_fisher(-1.0, 1.0)):
+        grid = Grid.uniform(-1.0, 1.0, 2049)
+        cfg = StepConfig(tau=1e-3)
+        _, peak = traced(run, problem, grid, cfg, levels * cfg.tau, ops=None)
+        assert peak <= 64 * grid.n * 8
 
 
 def test_run_marches_a_hundred_thousand_nodes():
@@ -419,6 +443,68 @@ def test_non_finite_level_coefficient_is_singular():
     with pytest.raises(SingularMatrixError):
         build_level_system(problem, grid, assemble_drbem(grid), StepConfig(tau=0.1), 0.1,
                            np.zeros(5))
+
+
+def linear_problem(slope):
+    """u_t = u_xx + slope u - u^3 on [0, 1] with small sine data and zero ends."""
+    return PdeProblem(
+        coeffs=CoefficientSet.constant(0.0, 1.0, 1.0),
+        reaction=ReactionTerm(slope, lambda u: -u**3, lambda u: slope * u - u**3),
+        a=0.0,
+        b=1.0,
+        horizon=1.0,
+        initial=lambda x: 0.01 * np.sin(np.pi * x),
+        bc_left=lambda t: 0.0,
+        bc_right=lambda t: 0.0,
+    )
+
+
+# tau = 0.01: s = 100 - slope is zero, or so negative that -(6 Delta - s T) is indefinite
+@pytest.mark.parametrize("slope", [100.0, 1e4])
+def test_level_without_a_positive_implicit_scale_takes_the_band(slope):
+    problem = linear_problem(slope)
+    grid = Grid.uniform(0.0, 1.0, 17)
+    ops = assemble_drbem(grid)
+    cfg = StepConfig(tau=0.01)
+    u = initial_values(problem, grid.nodes)
+    system = build_level_system(problem, grid, ops, cfg, cfg.tau, u)
+    assert not isinstance(system.factorization, InteriorFactors)
+    band = band_level_system(problem, ops, cfg, cfg.tau, u)
+    for got, want in zip((*system.factorization, system.rhs_fixed, system.dirichlet_columns),
+                         (*band.factorization, band.rhs_fixed, band.dirichlet_columns)):
+        assert got.tobytes() == want.tobytes()
+    state, passes = corrector_solve(system, problem, cfg, u)
+    u_band, *rest = reference_corrector(band, problem, cfg, u)
+    assert state.u.tobytes() == u_band.tobytes()
+    assert [state.q_left, state.q_right, passes] == rest
+
+
+@pytest.mark.parametrize("kind", ["non-finite", "pivot"])
+def test_unusable_interior_factors_raise_the_band_error(kind):
+    # eta = -inf makes s = +inf: on three nodes the one pivot is inf and the
+    # off-diagonal slot nan; on a 1e16-wide grid without reaction, s = 1 / tau =
+    # 1e-31 leaves pivots near 12 / h + 4 s h = 6e-15
+    span, eta, tau, n = (1.0, -np.inf, 0.1, 3) if kind == "non-finite" else (1e16, 0.0, 1e31, 5)
+    problem = PdeProblem(
+        coeffs=CoefficientSet.constant(0.0, 1.0, eta),
+        reaction=fisher_reaction(),
+        a=0.0,
+        b=span,
+        horizon=tau,
+        initial=lambda x: 0.0 * x,
+        bc_left=lambda t: 0.0,
+        bc_right=lambda t: 0.0,
+    )
+    grid = Grid.uniform(0.0, span, n)
+    ops = assemble_drbem(grid)
+    cfg = StepConfig(tau=tau)
+    with pytest.raises(SingularMatrixError) as band_error:
+        band_level_system(problem, ops, cfg, tau, np.zeros(n))
+    with pytest.raises(SingularMatrixError) as error:
+        build_level_system(problem, grid, ops, cfg, tau, np.zeros(n))
+    assert str(error.value) == str(band_error.value)
+    assert ("non-finite LU factors" if kind == "non-finite" else "is singular: pivot") in str(
+        error.value)
 
 
 def test_corrector_cap_raises_with_context():
