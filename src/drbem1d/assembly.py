@@ -54,8 +54,8 @@ class Grid:
             raise ValueError(f"node count n = {n!r} must be an integer")
         if not math.isfinite(float(b) - float(a)):
             raise ValueError(f"interval [{a}, {b}] must be finite")
-        if not int(n) <= MAX_NODES:
-            raise ValueError(f"node count n = {n!r} is more than an array holds ({MAX_NODES})")
+        if not 3 <= int(n) <= MAX_NODES:
+            raise ValueError(f"node count n = {n!r}: need n >= 3 and n <= {MAX_NODES}")
         return cls(np.linspace(float(a), float(b), int(n)))
 
     @classmethod
@@ -173,11 +173,12 @@ class DrbemOperators:
     each cell i; P = Phi_x Phi^{-1} is the stencil in `slope`.
 
     t_band is T in gbmv layout (one sub- and one superdiagonal).  level_pieces
-    holds 6 Delta, T and T P, in that order, on the level unknowns
-    [u_x(a), u_2, ..., u_{N-1}, u_x(b)] in gbtrf layout with LEVEL_BAND sub- and
-    superdiagonals (zero workspace rows first); dirichlet_pieces holds the same
-    three on the imposed values u_1 and u_N.  A level matrix 6 Delta - T (s I +
-    r P) is therefore [1, -s, -r] applied to the pieces.  interp is the dense
+    holds 6 Delta, T and T P, in that order, on [u_x(a), u_2, ..., u_{N-1}, u_x(b)]
+    in gbtrf layout with LEVEL_BAND sub- and superdiagonals (zero workspace rows
+    first); dirichlet_pieces holds the same three on the imposed values u_1 and
+    u_N.  A level matrix 6 Delta - T (s I + r P) is therefore [1, -s, -r] applied
+    to the pieces; the fluxes enter only its end rows, and the stepper factors its
+    interior columns 2..N-1.  interp is the dense
     reference InterpolationOperator the caller passed, if any; only
     reference.e_matrix reads it.
     """

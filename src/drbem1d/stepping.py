@@ -1,26 +1,24 @@
 """Implicit time stepping of the collocation system with a lagged-nonlinearity corrector.
 
 Each level is solved in the scheme's clamped-spline form (see
-assembly.DrbemOperators): the unknowns are [u_x(a), u_2, ..., u_{N-1}, u_x(b)],
-the endpoint values are imposed from the boundary data, and the level matrix is
-a band with two sub- and two superdiagonals.  It depends on the level only
+assembly.DrbemOperators).  The fluxes u_x(a) and u_x(b) enter only the level
+matrix's end rows, so every level eliminates them: the unknowns are u_2, ...,
+u_{N-1}, the endpoint values are imposed, and the fluxes come back from the end
+rows once the level has converged.  The matrix depends on the level only
 through (nu, mu, eta)(t_n), never on the lagged iterate, so it is factored once
-per level and reused across corrector passes, and carried over whole when the
-coefficients are constant in time.
-
-Without advection (nu_n = 0) and with s > 0, the rows of u_2..u_{N-1} are the
-strictly diagonally dominant clamped-spline system -(6 Delta - s T): dpttrf
-factors it, dpttrs solves it, and the fluxes come back from the end rows once
-the level has converged.  Any other level, or one whose dpttrf factors are not
-clean, takes the band: dgbtrf once, dgbtrs a pass.
+per level, reused across corrector passes, and carried over whole when the
+coefficients are constant in time.  Without advection (nu_n = 0) and with s > 0
+the interior is the strictly diagonally dominant clamped-spline system
+-(6 Delta - s T), which dpttrf factors; any other level, or one whose dpttrf
+factors are not clean, factors its (2, 2) interior band with dgbtrf.
 
 A corrector pass is the reaction F_n(u_tilde), one dgbmv that adds the
--(eta/mu) T F_n stencil to the level's fixed right-hand side, and one solve.
-`fixed_point`, the corrector loop that verification.fd_oracle shares, takes the
-sup-norm gap between successive iterates in place; it doubles as the divergence
-guard, being non-finite exactly when an iterate is, so no right-hand side is
-scanned.  A non-finite lag that the reaction rejects before its gap is taken is
-reported the same way.
+-(eta/mu) T F_n stencil to the level's fixed right-hand side, and one in-place
+solve on the interior.  `fixed_point`, the corrector loop that
+verification.fd_oracle shares, takes the sup-norm gap between successive
+iterates in place; it doubles as the divergence guard, being non-finite exactly
+when an iterate is, so no right-hand side is scanned.  A non-finite lag that the
+reaction rejects before its gap is taken is reported the same way.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 from scipy.linalg import blas, lapack
@@ -75,11 +73,11 @@ class SolverState:
 class TimeLevelSystem:
     """Factored system of one time level.
 
-    factorization holds the gbtrf factors of 6 Delta - T (s I + (nu/mu) P) on
-    the unknowns [u_x(a), u_2, ..., u_{N-1}, u_x(b)], or InteriorFactors for a
-    level without advection; dirichlet_columns are that matrix's columns on the
-    imposed values u_1 and u_N.  rhs_fixed collects every term that does not involve the
-    lagged iterate; the corrector adds only -(eta/mu) T F_n(u_tilde) per pass.
+    factorization holds the LevelFactors of the level matrix 6 Delta - T (s I +
+    (nu/mu) P) on [u_x(a), u_2, ..., u_{N-1}, u_x(b)]; dirichlet_columns are that
+    matrix's columns on the imposed values u_1 and u_N.  rhs_fixed collects every
+    term that does not involve the lagged iterate; the corrector adds only
+    -(eta/mu) T F_n(u_tilde) per pass.
     """
 
     factorization: tuple
@@ -94,25 +92,47 @@ class TimeLevelSystem:
     dirichlet_columns: np.ndarray
 
 
-class InteriorFactors(NamedTuple):
-    """dpttrf factors (d, e) of -(6 Delta - s T) on u_2..u_{N-1}; ends holds the
-    level matrix's entries (1, 1), (1, 2), (N, N-1) and (N, N)."""
+class LevelFactors(NamedTuple):
+    """dpttrf's (d, e) or dgbtrf's (lu, piv) factors of minus a level matrix A on
+    u_2..u_{N-1}; solve(b) overwrites b with (-A)^{-1} b there.  ends holds A's
+    entries (1, 1), (1, 2), (1, 3), (N, N-2), (N, N-1) and (N, N) for the fluxes."""
 
-    d: np.ndarray
-    e: np.ndarray
+    factors: tuple
+    solve: Callable
     ends: tuple
 
 
-def _interior_factors(level_pieces, implicit_scale):
-    """InteriorFactors of 6 Delta - s T; None on a non-positive leading minor, a
-    non-finite factor or a pivot below PIVOT_FLOOR."""
-    pieces = level_pieces[:2, 2 * LEVEL_BAND - 1:2 * LEVEL_BAND + 2]  # rows of 6 Delta and T
-    sup, diag, sub = pieces[0] - implicit_scale * pieces[1]
+# the entries (i, j) that LevelFactors.ends holds, at their places in gbtrf layout
+_ENDS = tuple((2 * LEVEL_BAND + i - j, j)
+              for i, j in ((0, 0), (0, 1), (0, 2), (-1, -3), (-1, -2), (-1, -1)))
+
+
+def spd_factors(level_pieces, implicit_scale):
+    """dpttrf's LevelFactors of 6 Delta - s T; None on a non-positive leading minor,
+    a non-finite factor or a pivot below PIVOT_FLOOR."""
+    band = level_pieces[0] - implicit_scale * level_pieces[1]
+    sup, diag = band[2 * LEVEL_BAND - 1], band[2 * LEVEL_BAND]
     # one interior node still takes one off-diagonal slot: the q_b column's zero
     d, e, info = lapack.dpttrf(-diag[1:-1], -sup[2:max(diag.size - 1, 3)], 1, 1)
     if info or not (np.isfinite(d).all() and np.isfinite(e).all() and d.min() >= PIVOT_FLOOR):
         return None
-    return InteriorFactors(d, e, (diag[0], sup[1], sub[-2], diag[-1]))
+    return LevelFactors((d, e), lambda b, dpttrs=lapack.dpttrs: dpttrs(d, e, b, 1),
+                        tuple(band.item(ij) for ij in _ENDS))
+
+
+def band_factors(level_pieces, weights, what):
+    """dgbtrf's LevelFactors of the level matrix weights @ level_pieces; a
+    non-finite factor or a pivot below PIVOT_FLOOR raises SingularMatrixError
+    naming `what`."""
+    n = level_pieces.shape[-1]
+    band = (-weights @ level_pieces.reshape(3, -1)).reshape(-1, n)
+    ends = tuple(-band.item(ij) for ij in _ENDS)
+    for ij in _ENDS:  # the interior rows are all that is factored
+        band[ij] = 0.0
+    lu, piv = band_lu_factor_checked(band[:, 1:-1], LEVEL_BAND, LEVEL_BAND, what)
+    # trans = 0, n = ldb = N - 2, ldab = 2 kl + ku + 1, overwrite_b = 1: in place on b
+    return LevelFactors((lu, piv), lambda b, dgbtrs=lapack.dgbtrs: dgbtrs(
+        lu, LEVEL_BAND, LEVEL_BAND, b, piv, 0, n - 2, 3 * LEVEL_BAND + 1, n - 2, 1), ends)
 
 
 def level_coefficients(problem: PdeProblem, t_n: float) -> tuple:
@@ -154,13 +174,10 @@ def build_level_system(
     if u_prev.shape != (n,):
         raise ValueError(f"u_prev must have shape ({n},), got {u_prev.shape}")
 
-    g_left = float(problem.bc_left(t_n))
-    g_right = float(problem.bc_right(t_n))
+    g_left, g_right = float(problem.bc_left(t_n)), float(problem.bc_right(t_n))
 
-    if (
-        prev_system is not None
-        and (nu_n, mu_n, eta_n) == (prev_system.nu_n, prev_system.mu_n, prev_system.eta_n)
-    ):
+    if prev_system is not None and (nu_n, mu_n, eta_n) == (
+            prev_system.nu_n, prev_system.mu_n, prev_system.eta_n):
         factorization = prev_system.factorization
         dirichlet_columns = prev_system.dirichlet_columns
     else:
@@ -171,15 +188,12 @@ def build_level_system(
         # check reports as a singular level; numpy's warning would be noise
         with np.errstate(over="ignore", invalid="ignore"):
             dirichlet_columns = (weights @ ops.dirichlet_pieces.reshape(3, -1)).reshape(n, 2)
-            factorization = nu_n == 0.0 < implicit_scale and _interior_factors(
-                ops.level_pieces, implicit_scale)
-            if not factorization:
-                band = (weights @ ops.level_pieces.reshape(3, -1)).reshape(-1, n)
-                factorization = band_lu_factor_checked(band, LEVEL_BAND, LEVEL_BAND,
-                                                       f"level matrix at t = {t_n:g}")
+            factorization = (
+                nu_n == 0.0 < implicit_scale and spd_factors(ops.level_pieces, implicit_scale)
+                or band_factors(ops.level_pieces, weights, f"level matrix at t = {t_n:g}"))
 
     rhs_fixed = blas.dgbmv(n, n, 1, 1, -1.0 / (tau * mu_n), ops.t_band, u_prev)
-    if isinstance(factorization, InteriorFactors):  # u_1, u_N reach only the rows beside them
+    if nu_n == 0.0:  # without T P, u_1 and u_N reach only the two rows beside them
         rhs_fixed[0] -= dirichlet_columns[0, 0] * g_left
         rhs_fixed[1] -= dirichlet_columns[1, 0] * g_left
         rhs_fixed[-2] -= dirichlet_columns[-2, 1] * g_right
@@ -203,31 +217,24 @@ def build_level_system(
 def _level_pass(sys: TimeLevelSystem, problem: PdeProblem):
     """The corrector pass of one level, u_tilde -> (u, r_left, r_right).
 
-    A pass is the reaction, one dgbmv for rhs_fixed - (eta/mu) T F_n(u_tilde) and
-    one solve: dgbtrs against band factors, whose end entries r are the fluxes,
-    or an in-place dpttrs on entries 2..N-1 of the negated right-hand side, whose
-    end entries r are kept for corrector_solve.  The imposed boundary values then
-    replace the end entries.  Everything a pass reads is bound here once per level.
+    A pass is the reaction, one dgbmv for the negated right-hand side
+    -(rhs_fixed - (eta/mu) T F_n(u_tilde)) and the factors' in-place solve on its
+    entries 2..N-1.  The end entries r are kept for the flux recovery and the
+    imposed boundary values replace them.  Everything a pass reads is bound here
+    once per level.
     """
     n = sys.rhs_fixed.size
-    scale = -sys.eta_n / sys.mu_n
-    t_band, rhs_fixed, factors = sys.t_band, sys.rhs_fixed, sys.factorization
+    alpha = sys.eta_n / sys.mu_n
+    t_band, rhs_fixed, solve_interior = sys.t_band, sys.rhs_fixed, sys.factorization.solve
     g_left, g_right = sys.g_left, sys.g_right
     nonlinear = problem.reaction.nonlinear
-    dgbmv, dgbtrs, dpttrs = blas.dgbmv, lapack.dgbtrs, lapack.dpttrs
-    interior = isinstance(factors, InteriorFactors)
-    alpha, beta = (-scale, -1.0) if interior else (scale, 1.0)
-    lu, piv = (None, None) if interior else factors
+    dgbmv = blas.dgbmv
 
     # positional arguments: f2py parses keywords at a cost comparable to the work
     def solve(u_tilde):
-        # incx = 1, offx = 0, y = rhs_fixed (copied, not overwritten)
-        u = dgbmv(n, n, 1, 1, alpha, t_band, nonlinear(u_tilde), 1, 0, beta, rhs_fixed)
-        if interior:
-            dpttrs(factors.d, factors.e, u[1:-1], 1)  # overwrite_b: in place on the view
-        else:
-            # trans = 0, n, ldab = 2 kl + ku + 1, ldb = n, overwrite_b = 1: u is this pass's own
-            u, _ = dgbtrs(lu, LEVEL_BAND, LEVEL_BAND, u, piv, 0, n, 3 * LEVEL_BAND + 1, n, 1)
+        # incx = 1, offx = 0, beta = -1, y = rhs_fixed (copied, not overwritten)
+        u = dgbmv(n, n, 1, 1, alpha, t_band, nonlinear(u_tilde), 1, 0, -1.0, rhs_fixed)
+        solve_interior(u[1:-1])
         r_left, r_right = float(u[0]), float(u[-1])
         u[0] = g_left
         u[-1] = g_right
@@ -312,12 +319,12 @@ def fixed_point(solve, lag, cfg: StepConfig, t_n, who):
 def corrector_solve(sys: TimeLevelSystem, problem: PdeProblem, cfg: StepConfig, u_prev):
     """The level's fixed point from the lag u_prev: the converged state and the
     number of solves.  Failures are fixed_point's."""
-    (u, q_left, q_right), iters = fixed_point(
+    (u, r_left, r_right), iters = fixed_point(
         _level_pass(sys, problem), np.asarray(u_prev, dtype=float), cfg, sys.t_n, "corrector")
-    if isinstance(sys.factorization, InteriorFactors):  # the end rows with r = -rhs
-        a_11, a_12, a_nm, a_nn = sys.factorization.ends
-        q_left = float(-(q_left + a_12 * u[1]) / a_11)
-        q_right = float(-(q_right + a_nm * u[-2]) / a_nn)
+    # the end rows of the level matrix, with r the negated right-hand side
+    a_11, a_12, a_13, a_nl, a_nm, a_nn = sys.factorization.ends
+    q_left = float(-(r_left + a_12 * u[1] + a_13 * u[2]) / a_11)
+    q_right = float(-(r_right + a_nm * u[-2] + a_nl * u[-3]) / a_nn)
     return SolverState(u=u, q_left=q_left, q_right=q_right, t=sys.t_n), iters
 
 
@@ -410,14 +417,8 @@ def run(
     level_iterations = []
     if 0 in snap_levels:
         slope = ops.slope(u)
-        states.append(
-            SolverState(
-                u=u.copy(),
-                q_left=float(slope[0]),
-                q_right=float(slope[-1]),
-                t=0.0,
-            )
-        )
+        states.append(SolverState(u=u.copy(), q_left=float(slope[0]), q_right=float(slope[-1]),
+                                  t=0.0))
 
     system = None
     for k in range(1, n_levels + 1):
@@ -429,9 +430,6 @@ def run(
         if k in snap_levels:
             states.append(state)
 
-    log.info(
-        "run finished: %d levels, corrector iters max %s",
-        n_levels,
-        max(level_iterations, default=0),
-    )
+    log.info("run finished: %d levels, corrector iters max %s", n_levels,
+             max(level_iterations, default=0))
     return Trajectory(states=states, level_iterations=level_iterations)

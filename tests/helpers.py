@@ -85,19 +85,29 @@ def dense_level_solve(problem, ops, p_matrix, cfg, t_n, u_prev):
     raise AssertionError(f"dense reference corrector stalled at t = {t_n}")
 
 
-def band_level_system(problem, ops, cfg, t_n, u_prev):
-    """The level's system on the (2, 2) band whatever its advection: gbtrf factors of
-    [1, -s, -nu/mu] applied to ops.level_pieces, the Dirichlet columns likewise,
-    and rhs_fixed with the full Dirichlet product, as the stepper built every level
-    before advection-free levels took the interior solve.  A test reference only.
-    """
+def level_band(problem, ops, cfg, t_n):
+    """The level matrix A = [1, -s, -nu/mu] applied to ops.level_pieces, on the
+    unknowns [u_x(a), u_2, ..., u_{N-1}, u_x(b)] in gbtrf layout, and its
+    Dirichlet columns likewise.  A test reference only."""
     nu, mu, eta = level_coefficients(problem, t_n)
-    n = u_prev.size
+    n = ops.grid.n
     implicit_scale = 1.0 / (cfg.tau * mu) - eta * problem.reaction.linear_slope / mu
     weights = np.array([1.0, -implicit_scale, -nu / mu])
     with np.errstate(over="ignore", invalid="ignore"):  # the factor check reports nan
         band = (weights @ ops.level_pieces.reshape(3, -1)).reshape(-1, n)
         dirichlet_columns = (weights @ ops.dirichlet_pieces.reshape(3, -1)).reshape(n, 2)
+    return band, dirichlet_columns
+
+
+def band_level_system(problem, ops, cfg, t_n, u_prev):
+    """The level's system on the (2, 2) band with the fluxes among its unknowns,
+    whatever its advection: gbtrf factors of level_band's A, and rhs_fixed with the
+    full Dirichlet product, as the stepper built every level before it eliminated
+    the fluxes.  A test reference only.
+    """
+    nu, mu, eta = level_coefficients(problem, t_n)
+    n = u_prev.size
+    band, dirichlet_columns = level_band(problem, ops, cfg, t_n)
     factorization = band_lu_factor_checked(band, LEVEL_BAND, LEVEL_BAND,
                                            f"level matrix at t = {t_n:g}")
     g_left, g_right = float(problem.bc_left(t_n)), float(problem.bc_right(t_n))
@@ -107,34 +117,53 @@ def band_level_system(problem, ops, cfg, t_n, u_prev):
                            ops.t_band, dirichlet_columns)
 
 
+def interior_band_factors(problem, ops, cfg, t_n):
+    """gbtrf factors of -A on u_2..u_{N-1}, A from level_band, the interior band
+    copied entry by entry.  A test reference only."""
+    band, _ = level_band(problem, ops, cfg, t_n)
+    kl = ku = LEVEL_BAND
+    n = band.shape[1]
+    interior = np.zeros((2 * kl + ku + 1, n - 2))
+    for i in range(1, n - 1):
+        for j in range(max(1, i - kl), min(n - 1, i + ku + 1)):
+            interior[kl + ku + i - j, j - 1] = -band[kl + ku + i - j, j]
+    return band_lu_factor_checked(interior, kl, ku, f"level matrix at t = {t_n:g}")
+
+
 def reference_interior_corrector(sys, problem, cfg, u_prev):
-    """The corrector of an advection-free level as a plain loop: per pass one dgbmv
-    for the negated right-hand side and one dpttrs on its entries 2..N-1 against
-    sys.factorization (InteriorFactors), successive solves compared by np.max,
-    then each flux from its end row.  Returns (u, q_left, q_right, passes).  A
-    test reference only.
+    """The corrector as a plain loop of interior solves: per pass one dgbmv for the
+    negated right-hand side and one dpttrs or dgbtrs, as sys.factorization.factors
+    are dpttrf's or dgbtrf's, on its entries 2..N-1; successive solves compared by
+    np.max, then each flux from its end row.  Returns (u, q_left, q_right, passes).
+    A test reference only.
     """
     n = sys.rhs_fixed.size
-    d, e, (a_11, a_12, a_nm, a_nn) = sys.factorization
+    factors = sys.factorization.factors
+    a_11, a_12, a_13, a_nl, a_nm, a_nn = sys.factorization.ends
     u_tilde, u_last = np.asarray(u_prev, dtype=float), None
     for passes in range(1, cfg.max_corrector_iters + 1):
         neg_rhs = blas.dgbmv(n, n, 1, 1, sys.eta_n / sys.mu_n, sys.t_band,
                              problem.reaction.nonlinear(u_tilde), beta=-1.0, y=sys.rhs_fixed)
-        interior, _ = lapack.dpttrs(d, e, neg_rhs[1:-1])
+        if factors[0].ndim == 1:
+            interior, _ = lapack.dpttrs(*factors, neg_rhs[1:-1])
+        else:
+            lu, piv = factors
+            interior, _ = lapack.dgbtrs(lu, LEVEL_BAND, LEVEL_BAND, neg_rhs[1:-1], piv)
         u = np.concatenate([[sys.g_left], interior, [sys.g_right]])
         if u_last is not None and float(np.max(np.abs(u - u_last))) <= cfg.epsilon:
-            q_left = float(-(neg_rhs[0] + a_12 * u[1]) / a_11)
-            q_right = float(-(neg_rhs[-1] + a_nm * u[-2]) / a_nn)
+            q_left = float(-(neg_rhs[0] + a_12 * u[1] + a_13 * u[2]) / a_11)
+            q_right = float(-(neg_rhs[-1] + a_nm * u[-2] + a_nl * u[-3]) / a_nn)
             return u, q_left, q_right, passes
         u_tilde = u_last = u
     raise AssertionError(f"reference interior corrector stalled at t = {sys.t_n}")
 
 
 def reference_corrector(sys, problem, cfg, u_prev):
-    """The corrector as a plain loop of lagged band solves, as the stepper first
-    ran it: per pass one dgbmv and one dgbtrs, the end entries read as fluxes and
-    replaced by the boundary values, successive solves compared by np.max.
-    Returns (u, q_left, q_right, passes).  A test reference only.
+    """The corrector as a plain loop of lagged band solves on band_level_system's
+    factors, as the stepper first ran it: per pass one dgbmv and one dgbtrs, the
+    end entries read as fluxes and replaced by the boundary values, successive
+    solves compared by np.max.  Returns (u, q_left, q_right, passes).  A test
+    reference only.
     """
     n = sys.rhs_fixed.size
     lu, piv = sys.factorization

@@ -379,6 +379,7 @@ class TestMainExitCodes:
         pytest.param({"a": "3"}, 1, "a < b", id="a>=b"),
         pytest.param({"n": None, "h": "0"}, 1, "spacing h", id="h=0"),
         pytest.param({"n": "2"}, 1, "n >= 3", id="n=2"),
+        pytest.param({"n": "-1"}, 1, "node count n = -1", id="n=-1"),
         # node counts past numpy's largest array, given and implied
         pytest.param({"n": "99999999999999999999999999"}, 1,
                      "node count n = 99999999999999999999999999", id="n=1e26"),

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drbem1d.assembly import LEVEL_BAND, Grid, assemble_drbem, band_lu_factor_checked
 from drbem1d.exceptions import ConvergenceError, DomainError, SingularMatrixError, SolverError
@@ -11,7 +13,6 @@ from drbem1d.problems import (REGISTRY, CoefficientSet, PdeProblem, ReactionTerm
                               make_fisher, make_fitzhugh_nagumo, make_generalized_fn)
 from drbem1d.reference import assemble_interpolation
 from drbem1d.stepping import (
-    InteriorFactors,
     StepConfig,
     back_substitution_gap,
     build_level_system,
@@ -22,7 +23,7 @@ from drbem1d.stepping import (
 )
 from drbem1d.verification import compute_errors
 from helpers import (band_level_system, bumped_generalized_fisher, dense_level_solve,
-                     reference_corrector, reference_interior_corrector)
+                     interior_band_factors, reference_corrector, reference_interior_corrector)
 
 
 def zero_reaction():
@@ -71,6 +72,19 @@ def test_band_factored_matrix_undoes_pivoting():
     factorization = band_lu_factor_checked(band, 2, 2, "test band")
     assert np.any(factorization[1] != np.arange(n))  # this matrix pivots
     np.testing.assert_allclose(band_factored_matrix(factorization), matrix, atol=1e-14)
+
+
+def takes_dpttrs(system):
+    """Whether the level's factors are dpttrf's (d, e) rather than dgbtrf's (lu, piv)."""
+    return system.factorization.factors[0].ndim == 1
+
+
+def assert_same_factors(system, problem, ops, cfg, t_n):
+    """The level's dgbtrf factors equal those of the reference interior band, entry
+    for entry; a structural zero may differ in sign, (-w) @ pieces against -(w @ pieces)."""
+    for got, want in zip(system.factorization.factors,
+                         interior_band_factors(problem, ops, cfg, t_n), strict=True):
+        np.testing.assert_array_equal(got, want)
 
 
 def fisher_reaction():
@@ -203,12 +217,13 @@ def test_hand_assembled_three_node_system():
     system = build_level_system(problem, grid, ops, cfg, tau, u_prev)
     band = band_level_system(problem, ops, cfg, tau, u_prev)
 
-    # the stepper factors the one interior row and keeps the end rows' entries;
-    # the band reference holds the whole matrix
-    assert isinstance(system.factorization, InteriorFactors)
-    d, _, ends = system.factorization
-    np.testing.assert_allclose(d, [-band_expected[1, 1]], atol=1e-13)
-    np.testing.assert_allclose(ends, band_expected[[0, 0, 2, 2], [0, 1, 1, 2]], atol=1e-13)
+    # the stepper factors minus the one interior row and keeps the end rows'
+    # entries; the band reference holds the whole matrix
+    assert takes_dpttrs(system)
+    np.testing.assert_allclose(system.factorization.factors[0], [-band_expected[1, 1]],
+                               atol=1e-13)
+    np.testing.assert_allclose(system.factorization.ends,
+                               band_expected[[0, 0, 0, 2, 2, 2], [0, 1, 2, 0, 1, 2]], atol=1e-13)
     np.testing.assert_allclose(band_factored_matrix(band.factorization), band_expected,
                                atol=1e-13)
     for level in (system, band):
@@ -271,7 +286,7 @@ def jittered(grid, seed):
 @pytest.mark.parametrize("name", sorted(REGISTRY))
 def test_banded_level_solve_matches_the_dense_reference(name, spacing):
     # each level is solved by the stepper, by the plain loop of its own solves, by
-    # the band reference and by the dense form, all from the same previous state
+    # the full-band reference and by the dense form, all from the same previous state
     problem = registry_problem(name)
     grid = Grid.uniform(problem.a, problem.b, 33)
     if spacing == "jittered":
@@ -288,12 +303,12 @@ def test_banded_level_solve_matches_the_dense_reference(name, spacing):
         state, passes = corrector_solve(system, problem, cfg, u)
         band = band_level_system(problem, ops, cfg, t_n, u)
         u_band, *band_rest = reference_corrector(band, problem, cfg, u)
-        # every advection-free level takes the interior solve, every other the band
-        interior = isinstance(system.factorization, InteriorFactors)
-        assert interior == (system.nu_n == 0.0)
+        # every advection-free level takes dpttrs, every other the interior band
+        assert takes_dpttrs(system) == (system.nu_n == 0.0)
+        if not takes_dpttrs(system):
+            assert_same_factors(system, problem, ops, cfg, t_n)
         # the corrector keeps the bits of the plain loop of its own solves
-        plain = reference_interior_corrector(system, problem, cfg, u) if interior else (
-            u_band, *band_rest)
+        plain = reference_interior_corrector(system, problem, cfg, u)
         assert state.u.tobytes() == plain[0].tobytes()
         assert [state.q_left, state.q_right, passes] == list(plain[1:])
         u_ref, q_left, q_right, passes_ref = dense_level_solve(problem, ops, p_matrix, cfg,
@@ -309,6 +324,50 @@ def test_banded_level_solve_matches_the_dense_reference(name, spacing):
         assert abs(passes - band_rest[2]) <= 1
         assert abs(passes - passes_ref) <= 1
         u = state.u
+
+
+@st.composite
+def level_settings(draw):
+    """A grid on [0, 1] whose spacings differ by at most a factor of 4, previous
+    values, (nu, mu, eta, lambda) and tau, with nu = 0 or not and s of either sign.
+    s stays above half of -pi^2, where the level matrix on [0, 1] turns singular."""
+    n = draw(st.integers(4, 40))
+    spacings = np.array(draw(st.lists(st.floats(1.0, 4.0), min_size=n - 1, max_size=n - 1)))
+    nodes = np.concatenate([[0.0], np.cumsum(spacings) / spacings.sum()])
+    nodes[-1] = 1.0
+    u_prev = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+    nu = draw(st.one_of(st.just(0.0), st.floats(-1.0, 1.0)))
+    mu, eta, tau = (draw(st.floats(lo, hi)) for lo, hi in ((0.5, 2.0), (0.5, 2.0), (0.01, 1.0)))
+    s = draw(st.floats(-0.5 * np.pi**2, 200.0))
+    lam = (1.0 / (tau * mu) - s) * mu / eta  # s = 1 / (tau mu) - eta lambda / mu
+    return Grid(nodes), u_prev, nu, mu, eta, lam, tau
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(level_settings())
+def test_level_solve_agrees_with_the_full_band(setting):
+    grid, u_prev, nu, mu, eta, lam, tau = setting
+    g_left, g_right = u_prev[0], u_prev[-1]
+    problem = PdeProblem(
+        coeffs=CoefficientSet.constant(nu, mu, eta),
+        reaction=ReactionTerm(lam, lambda u: -0.1 * u**2, lambda u: lam * u - 0.1 * u**2),
+        a=0.0,
+        b=1.0,
+        horizon=1.0,
+        initial=lambda x: g_left + (g_right - g_left) * x,
+        bc_left=lambda t: g_left,
+        bc_right=lambda t: g_right,
+    )
+    ops = assemble_drbem(grid)
+    cfg = StepConfig(tau=tau, epsilon=1e-13)
+    system = build_level_system(problem, grid, ops, cfg, tau, u_prev)
+    state, _ = corrector_solve(system, problem, cfg, u_prev)
+    band = band_level_system(problem, ops, cfg, tau, u_prev)
+    u_band, *band_fluxes, _ = reference_corrector(band, problem, cfg, u_prev)
+    assert np.max(np.abs(state.u - u_band)) <= 1e-9 * np.max(np.abs(u_band))
+    slope_scale = max(*map(abs, band_fluxes), np.max(np.abs(np.diff(u_band) / np.diff(grid.nodes))))
+    for q, q_band in zip((state.q_left, state.q_right), band_fluxes):
+        assert abs(q - q_band) <= 1e-9 * slope_scale
 
 
 def traced(fn, *args, **kwargs):
@@ -337,12 +396,13 @@ def test_level_solve_allocates_no_n_by_n_array():
     assert peak <= 64 * grid.n * 8
 
 
-@pytest.mark.parametrize("levels", [1, 5])
+@pytest.mark.parametrize("levels", [1, 3, 5])
 def test_run_allocates_no_n_by_n_array(levels):
     # the level test above with the operator assembly inside: run builds its own
     # operator set, which must hold no dense E, Phi or LU; from the second level
-    # on, the previous level's factors are alive while the next are built.  Both
-    # level solves: the band (advection) and the interior one (none)
+    # on, the previous level's factors are alive while the next are built, and
+    # generalized_fn refactors at every level.  Both kernels: the band
+    # (advection) and dpttrs (none)
     for problem in (make_generalized_fn(1.0), make_fisher(-1.0, 1.0)):
         grid = Grid.uniform(-1.0, 1.0, 2049)
         cfg = StepConfig(tau=1e-3)
@@ -468,15 +528,21 @@ def test_level_without_a_positive_implicit_scale_takes_the_band(slope):
     cfg = StepConfig(tau=0.01)
     u = initial_values(problem, grid.nodes)
     system = build_level_system(problem, grid, ops, cfg, cfg.tau, u)
-    assert not isinstance(system.factorization, InteriorFactors)
+    assert not takes_dpttrs(system)
     band = band_level_system(problem, ops, cfg, cfg.tau, u)
-    for got, want in zip((*system.factorization, system.rhs_fixed, system.dirichlet_columns),
-                         (*band.factorization, band.rhs_fixed, band.dirichlet_columns)):
+    assert_same_factors(system, problem, ops, cfg, cfg.tau)
+    for got, want in zip((system.rhs_fixed, system.dirichlet_columns),
+                         (band.rhs_fixed, band.dirichlet_columns)):
         assert got.tobytes() == want.tobytes()
+    # bit for bit the interior band's plain loop, and the full band's fixed point
     state, passes = corrector_solve(system, problem, cfg, u)
-    u_band, *rest = reference_corrector(band, problem, cfg, u)
-    assert state.u.tobytes() == u_band.tobytes()
+    u_plain, *rest = reference_interior_corrector(system, problem, cfg, u)
+    assert state.u.tobytes() == u_plain.tobytes()
     assert [state.q_left, state.q_right, passes] == rest
+    u_band, *band_fluxes, _ = reference_corrector(band, problem, cfg, u)
+    assert np.max(np.abs(state.u - u_band)) <= 1e-9 * np.max(np.abs(u_band))
+    for q, q_band in zip((state.q_left, state.q_right), band_fluxes):
+        assert abs(q - q_band) <= 1e-9 * max(map(abs, band_fluxes))
 
 
 @pytest.mark.parametrize("kind", ["non-finite", "pivot"])
@@ -499,7 +565,7 @@ def test_unusable_interior_factors_raise_the_band_error(kind):
     ops = assemble_drbem(grid)
     cfg = StepConfig(tau=tau)
     with pytest.raises(SingularMatrixError) as band_error:
-        band_level_system(problem, ops, cfg, tau, np.zeros(n))
+        interior_band_factors(problem, ops, cfg, tau)
     with pytest.raises(SingularMatrixError) as error:
         build_level_system(problem, grid, ops, cfg, tau, np.zeros(n))
     assert str(error.value) == str(band_error.value)
