@@ -94,7 +94,7 @@ class TimeLevelSystem:
 
 class LevelFactors(NamedTuple):
     """dpttrf's (d, e) or dgbtrf's (lu, piv) factors of minus a level matrix A on
-    u_2..u_{N-1}; solve(b) overwrites b with (-A)^{-1} b there.  ends holds A's
+    u_2..u_{N-1}; solve(b) overwrites b with (-A)^{-1} b there.  ends holds -A's
     entries (1, 1), (1, 2), (1, 3), (N, N-2), (N, N-1) and (N, N) for the fluxes."""
 
     factors: tuple
@@ -117,7 +117,7 @@ def spd_factors(level_pieces, implicit_scale):
     if info or not (np.isfinite(d).all() and np.isfinite(e).all() and d.min() >= PIVOT_FLOOR):
         return None
     return LevelFactors((d, e), lambda b, dpttrs=lapack.dpttrs: dpttrs(d, e, b, 1),
-                        tuple(band.item(ij) for ij in _ENDS))
+                        tuple(-band.item(ij) for ij in _ENDS))
 
 
 def band_factors(level_pieces, weights, what):
@@ -126,7 +126,7 @@ def band_factors(level_pieces, weights, what):
     naming `what`."""
     n = level_pieces.shape[-1]
     band = (-weights @ level_pieces.reshape(3, -1)).reshape(-1, n)
-    ends = tuple(-band.item(ij) for ij in _ENDS)
+    ends = tuple(map(band.item, _ENDS))
     for ij in _ENDS:  # the interior rows are all that is factored
         band[ij] = 0.0
     lu, piv = band_lu_factor_checked(band[:, 1:-1], LEVEL_BAND, LEVEL_BAND, what)
@@ -321,10 +321,10 @@ def corrector_solve(sys: TimeLevelSystem, problem: PdeProblem, cfg: StepConfig, 
     number of solves.  Failures are fixed_point's."""
     (u, r_left, r_right), iters = fixed_point(
         _level_pass(sys, problem), np.asarray(u_prev, dtype=float), cfg, sys.t_n, "corrector")
-    # the end rows of the level matrix, with r the negated right-hand side
-    a_11, a_12, a_13, a_nl, a_nm, a_nn = sys.factorization.ends
-    q_left = float(-(r_left + a_12 * u[1] + a_13 * u[2]) / a_11)
-    q_right = float(-(r_right + a_nm * u[-2] + a_nl * u[-3]) / a_nn)
+    # the end rows of -A, whose right-hand side r is the pass's negated one
+    b_11, b_12, b_13, b_nl, b_nm, b_nn = sys.factorization.ends
+    q_left = (r_left - b_12 * u.item(1) - b_13 * u.item(2)) / b_11
+    q_right = (r_right - b_nm * u.item(-2) - b_nl * u.item(-3)) / b_nn
     return SolverState(u=u, q_left=q_left, q_right=q_right, t=sys.t_n), iters
 
 

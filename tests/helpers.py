@@ -139,7 +139,7 @@ def reference_interior_corrector(sys, problem, cfg, u_prev):
     """
     n = sys.rhs_fixed.size
     factors = sys.factorization.factors
-    a_11, a_12, a_13, a_nl, a_nm, a_nn = sys.factorization.ends
+    b_11, b_12, b_13, b_nl, b_nm, b_nn = sys.factorization.ends  # of minus the level matrix
     u_tilde, u_last = np.asarray(u_prev, dtype=float), None
     for passes in range(1, cfg.max_corrector_iters + 1):
         neg_rhs = blas.dgbmv(n, n, 1, 1, sys.eta_n / sys.mu_n, sys.t_band,
@@ -151,8 +151,8 @@ def reference_interior_corrector(sys, problem, cfg, u_prev):
             interior, _ = lapack.dgbtrs(lu, LEVEL_BAND, LEVEL_BAND, neg_rhs[1:-1], piv)
         u = np.concatenate([[sys.g_left], interior, [sys.g_right]])
         if u_last is not None and float(np.max(np.abs(u - u_last))) <= cfg.epsilon:
-            q_left = float(-(neg_rhs[0] + a_12 * u[1] + a_13 * u[2]) / a_11)
-            q_right = float(-(neg_rhs[-1] + a_nm * u[-2] + a_nl * u[-3]) / a_nn)
+            q_left = float((neg_rhs[0] - b_12 * u[1] - b_13 * u[2]) / b_11)
+            q_right = float((neg_rhs[-1] - b_nm * u[-2] - b_nl * u[-3]) / b_nn)
             return u, q_left, q_right, passes
         u_tilde = u_last = u
     raise AssertionError(f"reference interior corrector stalled at t = {sys.t_n}")

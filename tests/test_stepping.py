@@ -217,13 +217,13 @@ def test_hand_assembled_three_node_system():
     system = build_level_system(problem, grid, ops, cfg, tau, u_prev)
     band = band_level_system(problem, ops, cfg, tau, u_prev)
 
-    # the stepper factors minus the one interior row and keeps the end rows'
-    # entries; the band reference holds the whole matrix
+    # the stepper factors minus the one interior row and keeps minus the end
+    # rows' entries; the band reference holds the whole matrix
     assert takes_dpttrs(system)
     np.testing.assert_allclose(system.factorization.factors[0], [-band_expected[1, 1]],
                                atol=1e-13)
     np.testing.assert_allclose(system.factorization.ends,
-                               band_expected[[0, 0, 0, 2, 2, 2], [0, 1, 2, 0, 1, 2]], atol=1e-13)
+                               -band_expected[[0, 0, 0, 2, 2, 2], [0, 1, 2, 0, 1, 2]], atol=1e-13)
     np.testing.assert_allclose(band_factored_matrix(band.factorization), band_expected,
                                atol=1e-13)
     for level in (system, band):
