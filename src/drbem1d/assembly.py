@@ -108,11 +108,12 @@ def band_lu_factor_checked(band, kl, ku, what):
 
     `band` is in gbtrf's layout, shape (2 kl + ku + 1, N): entry (i, j) of the
     matrix sits at band[kl + ku + i - j, j], and the first kl rows are zero
-    workspace for the fill-in.  A non-finite factor or a pivot below
+    workspace for the fill-in.  A Fortran-ordered band is factored in place and
+    any other is copied first.  A non-finite factor or a pivot below
     PIVOT_FLOOR raises SingularMatrixError naming `what`; no warning is emitted.
     """
     # gbtrf's info > 0 (an exact zero pivot) is caught by the pivot floor
-    lu, piv, _ = lapack.dgbtrf(band, kl, ku)
+    lu, piv, _ = lapack.dgbtrf(band, kl, ku, overwrite_ab=1)
     _check_factors(lu, lu[kl + ku], what)
     return lu, piv
 
@@ -175,10 +176,11 @@ class DrbemOperators:
     t_band is T in gbmv layout (one sub- and one superdiagonal).  level_pieces
     holds 6 Delta, T and T P, in that order, on [u_x(a), u_2, ..., u_{N-1}, u_x(b)]
     in gbtrf layout with LEVEL_BAND sub- and superdiagonals (zero workspace rows
-    first); dirichlet_pieces holds the same three on the imposed values u_1 and
-    u_N.  A level matrix 6 Delta - T (s I + r P) is therefore [1, -s, -r] applied
-    to the pieces; the fluxes enter only its end rows, and the stepper factors its
-    interior columns 2..N-1.  interp is the dense
+    first), each piece in Fortran order; dirichlet_pieces holds the same three on
+    the imposed values u_1 and u_N.  A level matrix 6 Delta - T (s I + r P) is
+    therefore [1, -s, -r] applied to the pieces; the fluxes enter only its end
+    rows, and the stepper factors its interior columns 2..N-1, which are
+    contiguous in that order.  interp is the dense
     reference InterpolationOperator the caller passed, if any; only
     reference.e_matrix reads it.
     """
@@ -205,24 +207,35 @@ class DrbemOperators:
         return _apply_band(self.t_band, np.asarray(v, dtype=float)[:, None])[:, 0]
 
 
-def _gather_band(level_piece, dirichlet_piece, image):
-    """Fill one piece's band rows and Dirichlet columns from its image of the probes.
+def _gather_index(n, image_width):
+    """Where each entry of a band piece sits in an N x image_width image of the
+    probes: flat indices into the image, shaped as the transposed band (N, rows),
+    and the mask of the entries that hold zeros.
 
-    Row LEVEL_BAND + r of band column j holds entry (j + r - LEVEL_BAND, j),
-    found in image column j mod 5.  Rows outside the matrix hold zeros, and so
-    do the flux columns: no probe covers them.
+    Row r of band column j holds entry (j + r - 2 LEVEL_BAND, j), found in image
+    column j mod 5.  The fill-in rows and the rows outside the matrix hold
+    zeros, and so do the flux columns: no probe covers them.
     """
-    n = image.shape[0]
-    width = 2 * LEVEL_BAND + 1
-    j = np.arange(n)
-    index = j + np.arange(-LEVEL_BAND, LEVEL_BAND + 1)[:, None]
-    outside = (index < 0) | (index >= n)
-    index *= image.shape[1]
-    index += j % width
-    # mode="clip" keeps the outside entries' indices in range and spares a buffer
-    np.take(image, index, out=level_piece[LEVEL_BAND:], mode="clip")
-    level_piece[LEVEL_BAND:][outside] = 0.0
-    dirichlet_piece[:] = image[:, width:]
+    # int32 where it holds every index halves what the assembly keeps alive;
+    # np.take widens it per call
+    dtype = np.int32 if (n + LEVEL_BAND) * image_width <= np.iinfo(np.int32).max else np.intp
+    j = np.arange(n, dtype=dtype)[:, None]
+    index = j + np.arange(-2 * LEVEL_BAND, LEVEL_BAND + 1, dtype=dtype)
+    zero = (index < 0) | (index >= n)
+    zero[:, :LEVEL_BAND] = True
+    index *= image_width
+    index += j % (2 * LEVEL_BAND + 1)
+    return index, zero
+
+
+def _gather_band(level_piece, dirichlet_piece, image, gather):
+    """Fill one Fortran-ordered band piece and its Dirichlet columns from its
+    image of the probes, at the places _gather_index gives."""
+    index, zero = gather
+    # mode="clip" keeps the zero entries' indices in range; out= writes in place
+    np.take(image, index, out=level_piece.T, mode="clip")
+    level_piece.T[zero] = 0.0
+    dirichlet_piece[:] = image[:, 2 * LEVEL_BAND + 1:]
 
 
 def assemble_drbem(grid: Grid, interp=None) -> DrbemOperators:
@@ -255,13 +268,15 @@ def assemble_drbem(grid: Grid, interp=None) -> DrbemOperators:
     probes[0, width] = probes[-1, width + 1] = 1.0
     no_flux = np.zeros((1, width + 2))
     # one N x 7 image at a time, each dropped once gathered
-    level_pieces = np.zeros((3, LEVEL_BAND + width, n))
+    level_pieces = np.empty((3, n, LEVEL_BAND + width)).transpose(0, 2, 1)
     dirichlet_pieces = np.empty((3, n, 2))
-    _gather_band(level_pieces[0], dirichlet_pieces[0], _moment_load(h, probes, no_flux, no_flux))
-    _gather_band(level_pieces[1], dirichlet_pieces[1], _apply_band(t_band, probes))
+    gather = _gather_index(n, width + 2)
+    _gather_band(level_pieces[0], dirichlet_pieces[0], _moment_load(h, probes, no_flux, no_flux),
+                 gather)
+    _gather_band(level_pieces[1], dirichlet_pieces[1], _apply_band(t_band, probes), gather)
     slopes = _slope(h, kappa, probes)
     del probes
-    _gather_band(level_pieces[2], dirichlet_pieces[2], _apply_band(t_band, slopes))
+    _gather_band(level_pieces[2], dirichlet_pieces[2], _apply_band(t_band, slopes), gather)
     # the flux unknowns enter 6 Delta alone, in its end rows
     level_pieces[0, 2 * LEVEL_BAND, 0] = -6.0
     level_pieces[0, 2 * LEVEL_BAND, -1] = 6.0

@@ -1,4 +1,4 @@
-"""Implicit time stepping of the collocation system with a lagged-nonlinearity corrector.
+"""Implicit time stepping of the collocation system with a fixed-point corrector.
 
 Each level is solved in the scheme's clamped-spline form (see
 assembly.DrbemOperators).  The fluxes u_x(a) and u_x(b) enter only the level
@@ -11,6 +11,14 @@ coefficients are constant in time.  Without advection (nu_n = 0) and with s > 0
 the interior is the strictly diagonally dominant clamped-spline system
 -(6 Delta - s T), which dpttrf factors; any other level, or one whose dpttrf
 factors are not clean, factors its (2, 2) interior band with dgbtrf.
+
+The nonlinear term is lagged: each pass solves with F_n at the previous
+iterate, until two successive iterates agree within epsilon.  The first lag of a
+level is the linear extrapolation 2 u_n - u_{n-1} of the two levels before it
+(u_n alone at the first level, or when the system was built without a previous
+one), kept at u_n wherever u_n >= 0 and the extrapolation is negative.  The
+seed changes only where, within epsilon of the level's fixed point, the loop
+stops, not the fixed point itself.
 
 A corrector pass is the reaction F_n(u_tilde), one dgbmv that adds the
 -(eta/mu) T F_n stencil to the level's fixed right-hand side, and one in-place
@@ -74,10 +82,15 @@ class TimeLevelSystem:
     """Factored system of one time level.
 
     factorization holds the LevelFactors of the level matrix 6 Delta - T (s I +
-    (nu/mu) P) on [u_x(a), u_2, ..., u_{N-1}, u_x(b)]; dirichlet_columns are that
-    matrix's columns on the imposed values u_1 and u_N.  rhs_fixed collects every
-    term that does not involve the lagged iterate; the corrector adds only
-    -(eta/mu) T F_n(u_tilde) per pass.
+    (nu/mu) P) on [u_x(a), u_2, ..., u_{N-1}, u_x(b)].  That matrix's columns on
+    the imposed values u_1 and u_N are nonzero only in its first three and last
+    three rows (all of them below six nodes); dirichlet_rows holds each such row
+    as (row index, entry on u_1, entry on u_N).  rhs_fixed collects every term
+    that does not involve the lagged iterate; the corrector adds only
+    -(eta/mu) T F_n(u_tilde) per pass.  u_prev is the level the system was built
+    from and u_older the one before it (None without a previous system); both
+    are references, not copies, and the corrector's first lag is extrapolated
+    from them.
     """
 
     factorization: tuple
@@ -89,7 +102,9 @@ class TimeLevelSystem:
     g_left: float
     g_right: float
     t_band: np.ndarray
-    dirichlet_columns: np.ndarray
+    dirichlet_rows: tuple
+    u_prev: np.ndarray
+    u_older: Optional[np.ndarray] = None
 
 
 class LevelFactors(NamedTuple):
@@ -125,7 +140,9 @@ def band_factors(level_pieces, weights, what):
     non-finite factor or a pivot below PIVOT_FLOOR raises SingularMatrixError
     naming `what`."""
     n = level_pieces.shape[-1]
-    band = (-weights @ level_pieces.reshape(3, -1)).reshape(-1, n)
+    # Fortran-ordered pieces give a Fortran-ordered band, whose interior columns
+    # dgbtrf factors in place
+    band = (-weights @ level_pieces.transpose(0, 2, 1).reshape(3, -1)).reshape(n, -1).T
     ends = tuple(map(band.item, _ENDS))
     for ij in _ENDS:  # the interior rows are all that is factored
         band[ij] = 0.0
@@ -164,7 +181,8 @@ def build_level_system(
 
     When prev_system comes from the same run and the coefficient triple at t_n is
     unchanged (constant-coefficient problems), its factorization and Dirichlet
-    columns are carried over and only the right-hand side is rebuilt.
+    rows are carried over and only the right-hand side is rebuilt.  Its u_prev
+    becomes this system's u_older, from which corrector_solve extrapolates.
     """
     tau = cfg.tau
     nu_n, mu_n, eta_n = level_coefficients(problem, t_n)
@@ -179,7 +197,7 @@ def build_level_system(
     if prev_system is not None and (nu_n, mu_n, eta_n) == (
             prev_system.nu_n, prev_system.mu_n, prev_system.eta_n):
         factorization = prev_system.factorization
-        dirichlet_columns = prev_system.dirichlet_columns
+        dirichlet_rows = prev_system.dirichlet_rows
     else:
         lam = problem.reaction.linear_slope
         implicit_scale = 1.0 / (tau * mu_n) - eta_n * lam / mu_n
@@ -187,19 +205,18 @@ def build_level_system(
         # a non-finite coefficient times a zero entry is nan, which the factor
         # check reports as a singular level; numpy's warning would be noise
         with np.errstate(over="ignore", invalid="ignore"):
-            dirichlet_columns = (weights @ ops.dirichlet_pieces.reshape(3, -1)).reshape(n, 2)
+            # a product over every row: dgemv rounds the tail of its output
+            # apart, so one over the six rows alone would move the (N, N) entry
+            columns = (weights @ ops.dirichlet_pieces.reshape(3, -1)).reshape(n, 2)
+            dirichlet_rows = tuple((i, columns.item(i, 0), columns.item(i, 1))
+                                   for i in (0, 1, 2, *range(max(3, n - 3), n)))
             factorization = (
                 nu_n == 0.0 < implicit_scale and spd_factors(ops.level_pieces, implicit_scale)
                 or band_factors(ops.level_pieces, weights, f"level matrix at t = {t_n:g}"))
 
     rhs_fixed = blas.dgbmv(n, n, 1, 1, -1.0 / (tau * mu_n), ops.t_band, u_prev)
-    if nu_n == 0.0:  # without T P, u_1 and u_N reach only the two rows beside them
-        rhs_fixed[0] -= dirichlet_columns[0, 0] * g_left
-        rhs_fixed[1] -= dirichlet_columns[1, 0] * g_left
-        rhs_fixed[-2] -= dirichlet_columns[-2, 1] * g_right
-        rhs_fixed[-1] -= dirichlet_columns[-1, 1] * g_right
-    else:
-        rhs_fixed -= dirichlet_columns @ np.array([g_left, g_right])
+    for i, on_left, on_right in dirichlet_rows:  # six scalar updates cost less than a product
+        rhs_fixed[i] -= on_left * g_left + on_right * g_right
     return TimeLevelSystem(
         factorization=factorization,
         rhs_fixed=rhs_fixed,
@@ -210,7 +227,9 @@ def build_level_system(
         g_left=g_left,
         g_right=g_right,
         t_band=ops.t_band,
-        dirichlet_columns=dirichlet_columns,
+        dirichlet_rows=dirichlet_rows,
+        u_prev=u_prev,
+        u_older=None if prev_system is None else prev_system.u_prev,
     )
 
 
@@ -316,11 +335,28 @@ def fixed_point(solve, lag, cfg: StepConfig, t_n, who):
     )
 
 
+def extrapolated_lag(u_prev, u_older) -> np.ndarray:
+    """2 u_prev - u_older, with u_prev kept at every node where u_prev >= 0 and the
+    extrapolation is negative, so that the lag never leaves a reaction's domain
+    of nonnegative values where u_prev is inside it."""
+    lag = 2.0 * u_prev
+    lag -= u_older
+    if lag.min() < 0.0:  # the masks cost more than the extrapolation
+        np.copyto(lag, u_prev, where=(lag < 0.0) & (u_prev >= 0.0))
+    return lag
+
+
 def corrector_solve(sys: TimeLevelSystem, problem: PdeProblem, cfg: StepConfig, u_prev):
-    """The level's fixed point from the lag u_prev: the converged state and the
-    number of solves.  Failures are fixed_point's."""
+    """The level's fixed point from the previous level u_prev: the converged state
+    and the number of solves.
+
+    The first lag is extrapolated_lag(u_prev, sys.u_older), or u_prev itself when
+    the system was built without a previous one.  Failures are fixed_point's.
+    """
+    u_prev = np.asarray(u_prev, dtype=float)
+    lag = u_prev if sys.u_older is None else extrapolated_lag(u_prev, sys.u_older)
     (u, r_left, r_right), iters = fixed_point(
-        _level_pass(sys, problem), np.asarray(u_prev, dtype=float), cfg, sys.t_n, "corrector")
+        _level_pass(sys, problem), lag, cfg, sys.t_n, "corrector")
     # the end rows of -A, whose right-hand side r is the pass's negated one
     b_11, b_12, b_13, b_nl, b_nm, b_nn = sys.factorization.ends
     q_left = (r_left - b_12 * u.item(1) - b_13 * u.item(2)) / b_11

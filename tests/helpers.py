@@ -52,13 +52,14 @@ def eager_e_matrix(grid, interp):
     return interp.solve(d_matrix.T, transposed=True).T
 
 
-def dense_level_solve(problem, ops, p_matrix, cfg, t_n, u_prev):
+def dense_level_solve(problem, ops, p_matrix, cfg, t_n, u_prev, lag):
     """One level on the dense N x N form the stepper solved before its spline form.
 
     The collocation identity L q + c*u - H g = E b with
     b = (u - u_prev)/(tau mu) + (nu/mu) P u - (eta/mu)(lambda u + F_n(u_tilde)),
     solved for [u_x(a), u_x(b), u_2, ..., u_{N-1}] by one LU and the lagged
-    corrector.  Returns (u, q_left, q_right, passes).  A test reference only.
+    corrector from the first lag `lag`.  Returns (u, q_left, q_right, passes).
+    A test reference only.
     """
     tau = cfg.tau
     nu, mu, eta = (float(f(t_n)) for f in (problem.coeffs.nu, problem.coeffs.mu,
@@ -74,7 +75,7 @@ def dense_level_solve(problem, ops, p_matrix, cfg, t_n, u_prev):
                  - (e_m @ u_prev) / (tau * mu)
                  - w[:, 0] * g_left - w[:, -1] * g_right)
 
-    u_tilde, u_last = u_prev, None
+    u_tilde, u_last = lag, None
     for passes in range(1, cfg.max_corrector_iters + 1):
         rhs = rhs_fixed - (eta / mu) * (e_m @ problem.reaction.nonlinear(u_tilde))
         z = lu_solve(factorization, rhs)
@@ -103,7 +104,8 @@ def band_level_system(problem, ops, cfg, t_n, u_prev):
     """The level's system on the (2, 2) band with the fluxes among its unknowns,
     whatever its advection: gbtrf factors of level_band's A, and rhs_fixed with the
     full Dirichlet product, as the stepper built every level before it eliminated
-    the fluxes.  A test reference only.
+    the fluxes.  dirichlet_rows holds the full Dirichlet columns' first and last
+    three rows as (row index, entry on u_1, entry on u_N).  A test reference only.
     """
     nu, mu, eta = level_coefficients(problem, t_n)
     n = u_prev.size
@@ -113,8 +115,10 @@ def band_level_system(problem, ops, cfg, t_n, u_prev):
     g_left, g_right = float(problem.bc_left(t_n)), float(problem.bc_right(t_n))
     rhs_fixed = (blas.dgbmv(n, n, 1, 1, -1.0 / (cfg.tau * mu), ops.t_band, u_prev)
                  - dirichlet_columns @ np.array([g_left, g_right]))
+    end_rows = tuple((i, *dirichlet_columns[i].tolist())
+                     for i in sorted({0, 1, 2, n - 3, n - 2, n - 1}))
     return TimeLevelSystem(factorization, rhs_fixed, t_n, nu, mu, eta, g_left, g_right,
-                           ops.t_band, dirichlet_columns)
+                           ops.t_band, end_rows, u_prev)
 
 
 def interior_band_factors(problem, ops, cfg, t_n):
@@ -130,17 +134,17 @@ def interior_band_factors(problem, ops, cfg, t_n):
     return band_lu_factor_checked(interior, kl, ku, f"level matrix at t = {t_n:g}")
 
 
-def reference_interior_corrector(sys, problem, cfg, u_prev):
-    """The corrector as a plain loop of interior solves: per pass one dgbmv for the
-    negated right-hand side and one dpttrs or dgbtrs, as sys.factorization.factors
-    are dpttrf's or dgbtrf's, on its entries 2..N-1; successive solves compared by
-    np.max, then each flux from its end row.  Returns (u, q_left, q_right, passes).
-    A test reference only.
+def reference_interior_corrector(sys, problem, cfg, lag):
+    """The corrector as a plain loop of interior solves from the first lag `lag`:
+    per pass one dgbmv for the negated right-hand side and one dpttrs or dgbtrs,
+    as sys.factorization.factors are dpttrf's or dgbtrf's, on its entries 2..N-1;
+    successive solves compared by np.max, then each flux from its end row.
+    Returns (u, q_left, q_right, passes).  A test reference only.
     """
     n = sys.rhs_fixed.size
     factors = sys.factorization.factors
     b_11, b_12, b_13, b_nl, b_nm, b_nn = sys.factorization.ends  # of minus the level matrix
-    u_tilde, u_last = np.asarray(u_prev, dtype=float), None
+    u_tilde, u_last = np.asarray(lag, dtype=float), None
     for passes in range(1, cfg.max_corrector_iters + 1):
         neg_rhs = blas.dgbmv(n, n, 1, 1, sys.eta_n / sys.mu_n, sys.t_band,
                              problem.reaction.nonlinear(u_tilde), beta=-1.0, y=sys.rhs_fixed)
@@ -158,16 +162,16 @@ def reference_interior_corrector(sys, problem, cfg, u_prev):
     raise AssertionError(f"reference interior corrector stalled at t = {sys.t_n}")
 
 
-def reference_corrector(sys, problem, cfg, u_prev):
+def reference_corrector(sys, problem, cfg, lag):
     """The corrector as a plain loop of lagged band solves on band_level_system's
-    factors, as the stepper first ran it: per pass one dgbmv and one dgbtrs, the
-    end entries read as fluxes and replaced by the boundary values, successive
-    solves compared by np.max.  Returns (u, q_left, q_right, passes).  A test
-    reference only.
+    factors from the first lag `lag`, as the stepper first ran it: per pass one
+    dgbmv and one dgbtrs, the end entries read as fluxes and replaced by the
+    boundary values, successive solves compared by np.max.  Returns (u, q_left,
+    q_right, passes).  A test reference only.
     """
     n = sys.rhs_fixed.size
     lu, piv = sys.factorization
-    u_tilde, u_last = np.asarray(u_prev, dtype=float), None
+    u_tilde, u_last = np.asarray(lag, dtype=float), None
     for passes in range(1, cfg.max_corrector_iters + 1):
         rhs = blas.dgbmv(n, n, 1, 1, -sys.eta_n / sys.mu_n, sys.t_band,
                          problem.reaction.nonlinear(u_tilde), beta=1.0, y=sys.rhs_fixed)

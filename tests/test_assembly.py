@@ -150,6 +150,10 @@ def test_band_pieces_hold_the_level_operator(n):
     dirichlet = np.tensordot(weights, ops.dirichlet_pieces, axes=1)
     np.testing.assert_allclose(dirichlet, full[:, [0, n - 1]], rtol=1e-13,
                                atol=1e-13 * np.max(np.abs(full)))
+    # the stepper keeps only the first and last three rows of the Dirichlet
+    # columns, and factors the band's interior columns in place
+    assert np.all(dirichlet[3:-3] == 0.0)
+    assert all(piece.flags.f_contiguous for piece in ops.level_pieces)
 
 
 def test_spline_identity_in_extended_precision():

@@ -17,6 +17,7 @@ from drbem1d.stepping import (
     back_substitution_gap,
     build_level_system,
     corrector_solve,
+    extrapolated_lag,
     initial_values,
     level_index,
     run,
@@ -226,8 +227,10 @@ def test_hand_assembled_three_node_system():
                                -band_expected[[0, 0, 0, 2, 2, 2], [0, 1, 2, 0, 1, 2]], atol=1e-13)
     np.testing.assert_allclose(band_factored_matrix(band.factorization), band_expected,
                                atol=1e-13)
-    for level in (system, band):
-        np.testing.assert_allclose(level.dirichlet_columns, dirichlet_expected, atol=1e-13)
+    for level in (system, band):  # on three nodes the end rows are every row
+        assert [row[0] for row in level.dirichlet_rows] == [0, 1, 2]
+        np.testing.assert_allclose([row[1:] for row in level.dirichlet_rows], dirichlet_expected,
+                                   atol=1e-13)
         np.testing.assert_allclose(level.rhs_fixed, rhs_fixed_spline, atol=1e-13)
 
     # replicate the corrector with plain dense solves and compare the fixed point
@@ -256,7 +259,7 @@ def test_factorization_reuse_constant_vs_varying_coefficients():
     constant = heat_problem(1.0, 0.0)
     sys1 = build_level_system(constant, grid, ops, cfg, 0.01, grid.nodes)
     sys2 = build_level_system(constant, grid, ops, cfg, 0.02, grid.nodes, prev_system=sys1)
-    assert sys2.dirichlet_columns is sys1.dirichlet_columns
+    assert sys2.dirichlet_rows is sys1.dirichlet_rows
     assert sys2.factorization is sys1.factorization
 
     varying = make_generalized_fn(1.0)
@@ -286,7 +289,8 @@ def jittered(grid, seed):
 @pytest.mark.parametrize("name", sorted(REGISTRY))
 def test_banded_level_solve_matches_the_dense_reference(name, spacing):
     # each level is solved by the stepper, by the plain loop of its own solves, by
-    # the full-band reference and by the dense form, all from the same previous state
+    # the full-band reference and by the dense form, all from the same previous
+    # state and the stepper's own first lag, extrapolated from the level before
     problem = registry_problem(name)
     grid = Grid.uniform(problem.a, problem.b, 33)
     if spacing == "jittered":
@@ -296,23 +300,25 @@ def test_banded_level_solve_matches_the_dense_reference(name, spacing):
     p_matrix = interp.solve(interp.phi_x_matrix.T, transposed=True).T
     cfg = StepConfig(tau=0.01)
     u = initial_values(problem, grid.nodes)
-    system = None
+    system = u_older = None
     for k in range(1, 11):
         t_n = k * cfg.tau
         system = build_level_system(problem, grid, ops, cfg, t_n, u, prev_system=system)
+        assert system.u_prev is u and system.u_older is u_older
+        lag = u if k == 1 else extrapolated_lag(u, u_older)
         state, passes = corrector_solve(system, problem, cfg, u)
         band = band_level_system(problem, ops, cfg, t_n, u)
-        u_band, *band_rest = reference_corrector(band, problem, cfg, u)
+        u_band, *band_rest = reference_corrector(band, problem, cfg, lag)
         # every advection-free level takes dpttrs, every other the interior band
         assert takes_dpttrs(system) == (system.nu_n == 0.0)
         if not takes_dpttrs(system):
             assert_same_factors(system, problem, ops, cfg, t_n)
         # the corrector keeps the bits of the plain loop of its own solves
-        plain = reference_interior_corrector(system, problem, cfg, u)
+        plain = reference_interior_corrector(system, problem, cfg, lag)
         assert state.u.tobytes() == plain[0].tobytes()
         assert [state.q_left, state.q_right, passes] == list(plain[1:])
         u_ref, q_left, q_right, passes_ref = dense_level_solve(problem, ops, p_matrix, cfg,
-                                                               t_n, u)
+                                                               t_n, u, lag)
         # fluxes relative to the solution's steepest slope: the kinks' tails
         # leave endpoint fluxes near 1e-4, below the dense form's own rounding
         slope_scale = max(abs(q_left), abs(q_right),
@@ -323,7 +329,82 @@ def test_banded_level_solve_matches_the_dense_reference(name, spacing):
                 assert abs(q - q_other) <= 1e-9 * slope_scale
         assert abs(passes - band_rest[2]) <= 1
         assert abs(passes - passes_ref) <= 1
+        u_older, u = u, state.u
+
+
+@pytest.mark.parametrize("spacing", ["uniform", "jittered"])
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_extrapolated_and_lagged_seeds_reach_the_same_fixed_point(name, spacing):
+    # the first lag decides only where, within epsilon of the level's fixed
+    # point, the loop stops: each level from the extrapolated lag, and again from
+    # u_n alone (a system built without a previous one), lands within 10 epsilon
+    problem = registry_problem(name)
+    grid = Grid.uniform(problem.a, problem.b, 33)
+    if spacing == "jittered":
+        grid = jittered(grid, seed=len(name))
+    ops = assemble_drbem(grid)
+    cfg = StepConfig(tau=0.01)
+    u = initial_values(problem, grid.nodes)
+    system = None
+    for k in range(1, 11):
+        t_n = k * cfg.tau
+        system = build_level_system(problem, grid, ops, cfg, t_n, u, prev_system=system)
+        lagged = build_level_system(problem, grid, ops, cfg, t_n, u)
+        assert (system.u_older is None) == (k == 1) and lagged.u_older is None
+        state, _ = corrector_solve(system, problem, cfg, u)
+        lagged_state, _ = corrector_solve(lagged, problem, cfg, u)
+        assert np.max(np.abs(state.u - lagged_state.u)) <= 10.0 * cfg.epsilon
         u = state.u
+
+
+def test_extrapolated_lag_keeps_nonnegative_nodes_nonnegative():
+    u_prev = np.array([1.0, 0.2, 0.0, -0.5, -0.1, 0.3])
+    u_older = np.array([0.5, 0.6, 0.1, -0.2, -0.4, 0.1])
+    # 2 u_prev - u_older = [1.5, -0.2, -0.1, -0.8, 0.2, 0.5]: nodes 1 and 2 fall
+    # below zero from u_prev >= 0 and keep u_prev; node 3 was negative already
+    np.testing.assert_array_equal(extrapolated_lag(u_prev, u_older),
+                                  [1.5, 0.2, 0.0, -0.8, 0.2, 0.5])
+    np.testing.assert_array_equal(extrapolated_lag(u_prev, u_prev), u_prev)
+
+
+@pytest.mark.parametrize("height, tau", [(1.0, 0.05), (3.0, 0.01)])
+def test_decaying_bump_under_a_fractional_power_marches(height, tau):
+    # the bump decays, so 2 u_n - u_{n-1} dips below zero near it, where u^3.5
+    # has no real value; the lag keeps u_n there and the run completes as it
+    # does from u_n alone
+    problem = bumped_generalized_fisher(2.5, height=height)
+    grid = Grid.uniform(-2.0, 2.0, 65)
+    cfg = StepConfig(tau=tau)
+    traj = run(problem, grid, cfg, 0.2)
+    assert len(traj.level_iterations) == level_index(0.2, tau)
+    assert np.isfinite(traj.states[-1].u).all()
+
+
+@pytest.mark.parametrize("name", ["fisher", "generalized_fn"])
+def test_run_is_its_level_loop(name):
+    # run's states and pass counts are those of the public level loop, bit for
+    # bit: build_level_system with the previous system, then corrector_solve
+    # from the previous level; the first carries the factors over, the second
+    # refactors at every level
+    problem = registry_problem(name)
+    grid = jittered(Grid.uniform(problem.a, problem.b, 33), seed=7)
+    ops = assemble_drbem(grid)
+    cfg = StepConfig(tau=0.01)
+    levels = 12
+    traj = run(problem, grid, cfg, levels * cfg.tau,
+               snapshots=[k * cfg.tau for k in range(levels + 1)], ops=ops)
+    u = initial_values(problem, grid.nodes)
+    assert traj.states[0].u.tobytes() == u.tobytes()
+    system, passes = None, []
+    for k in range(1, levels + 1):
+        system = build_level_system(problem, grid, ops, cfg, k * cfg.tau, u, prev_system=system)
+        state, iters = corrector_solve(system, problem, cfg, u)
+        passes.append(iters)
+        got = traj.states[k]
+        assert got.u.tobytes() == state.u.tobytes()
+        assert (got.q_left, got.q_right, got.t) == (state.q_left, state.q_right, state.t)
+        u = state.u
+    assert traj.level_iterations == passes
 
 
 @st.composite
@@ -531,9 +612,8 @@ def test_level_without_a_positive_implicit_scale_takes_the_band(slope):
     assert not takes_dpttrs(system)
     band = band_level_system(problem, ops, cfg, cfg.tau, u)
     assert_same_factors(system, problem, ops, cfg, cfg.tau)
-    for got, want in zip((system.rhs_fixed, system.dirichlet_columns),
-                         (band.rhs_fixed, band.dirichlet_columns)):
-        assert got.tobytes() == want.tobytes()
+    assert system.rhs_fixed.tobytes() == band.rhs_fixed.tobytes()
+    assert system.dirichlet_rows == band.dirichlet_rows
     # bit for bit the interior band's plain loop, and the full band's fixed point
     state, passes = corrector_solve(system, problem, cfg, u)
     u_plain, *rest = reference_interior_corrector(system, problem, cfg, u)
