@@ -2,8 +2,9 @@
 
 With the radial basis function phi(r) = 1 + r, the dual reciprocity scheme is
 exactly clamped cubic-spline collocation, so every operator the time stepper
-needs is a band built in O(N).  The dense formulation it replaces lives in
-`reference`, which nothing here imports.
+needs is a band written down in O(N) from its closed-form stencil in the node
+spacings.  The dense formulation it replaces lives in `reference`, which
+nothing here imports.
 """
 
 from __future__ import annotations
@@ -118,50 +119,6 @@ def band_lu_factor_checked(band, kl, ku, what):
     return lu, piv
 
 
-# The slope helpers work in place on the array they return, so that building the
-# operator record holds at most two N x k temporaries at a time.
-
-def _slopes(h, u):
-    """Cell slopes (u[i+1] - u[i]) / h[i] of the columns of u, shape (N, k)."""
-    s = u[1:] - u[:-1]
-    s /= h[:, None]
-    return s
-
-
-def _moment_load(h, u, q_left, q_right):
-    """6 Delta(u, q): six times the slope jump at each node, q the end slopes."""
-    s = _slopes(h, u)
-    load = np.concatenate([s, q_right])  # right slopes; minus the left slopes:
-    load[:1] -= q_left
-    load[1:] -= s
-    load *= 6.0
-    return load
-
-
-def _slope(h, kappa, u):
-    """P u: the mean of the slopes left and right of each node.
-
-    Outside [a, b] the interpolant sum_j alpha_j (1 + |x - x_j|) has slope
-    -+sum_j alpha_j = -+2 kappa (u_1 + u_N), so the end rows do not annihilate
-    constants; that is the scheme's P, kept as it is.
-    """
-    s = _slopes(h, u)
-    outer = 2.0 * kappa * (u[:1] + u[-1:])
-    mean = np.concatenate([-outer, s])  # left slopes; plus the right slopes:
-    mean[:-1] += s
-    mean[-1:] += outer
-    mean *= 0.5
-    return mean
-
-
-def _apply_band(t_band, v):
-    """T v for the columns of v, T a tridiagonal matrix in gbmv layout."""
-    out = t_band[1][:, None] * v
-    out[:-1] += t_band[0, 1:, None] * v[1:]
-    out[1:] += t_band[2, :-1, None] * v[:-1]
-    return out
-
-
 @dataclass(frozen=True)
 class DrbemOperators:
     """The collocation scheme's operators on one grid, in clamped cubic-spline form.
@@ -170,19 +127,21 @@ class DrbemOperators:
     by T E^{-1} gives T b = 6 Delta(u, q) exactly: the interpolated load b is the
     nodal second derivative (moment) of the cubic spline through u with end
     slopes q = [u_x(a), u_x(b)] (de Boor, A Practical Guide to Splines, ch. IV).
-    T, the moment matrix, gets h_i [2 1; 1 2] in rows and columns i, i+1 from
-    each cell i; P = Phi_x Phi^{-1} is the stencil in `slope`.
+    6 Delta, the moment matrix T, which gets h_i [2 1; 1 2] in rows and columns
+    i, i+1 from each cell i, and P = Phi_x Phi^{-1}, the stencil in `slope` with
+    kappa in its corners, are tridiagonal stencils in the spacings; T P is
+    pentadiagonal.
 
     t_band is T in gbmv layout (one sub- and one superdiagonal).  level_pieces
     holds 6 Delta, T and T P, in that order, on [u_x(a), u_2, ..., u_{N-1}, u_x(b)]
     in gbtrf layout with LEVEL_BAND sub- and superdiagonals (zero workspace rows
     first), each piece in Fortran order; dirichlet_pieces holds the same three on
-    the imposed values u_1 and u_N.  A level matrix 6 Delta - T (s I + r P) is
-    therefore [1, -s, -r] applied to the pieces; the fluxes enter only its end
-    rows, and the stepper factors its interior columns 2..N-1, which are
-    contiguous in that order.  interp is the dense
-    reference InterpolationOperator the caller passed, if any; only
-    reference.e_matrix reads it.
+    the imposed values u_1 and u_N.  Every entry is the methods' image of a unit
+    vector, formed by the same operations in the same order.  A level matrix
+    6 Delta - T (s I + r P) is [1, -s, -r] applied to the pieces; the fluxes
+    enter only its end rows, and the stepper factors its interior columns 2..N-1,
+    which are contiguous.  interp is the dense reference InterpolationOperator
+    the caller passed, if any; only reference.e_matrix reads it.
     """
 
     grid: Grid
@@ -194,52 +153,35 @@ class DrbemOperators:
     interp: object = None
 
     def slope(self, u) -> np.ndarray:
-        """P u, the scheme's nodal derivative of the data u."""
-        return _slope(self.h, self.kappa, np.asarray(u, dtype=float)[:, None])[:, 0]
+        """P u, the scheme's nodal derivative of the data u: the mean of the
+        slopes left and right of each node.
+
+        Outside [a, b] the interpolant sum_j alpha_j (1 + |x - x_j|) has slope
+        -+sum_j alpha_j = -+2 kappa (u_1 + u_N), so the end rows do not annihilate
+        constants; that is the scheme's P, kept as it is.
+        """
+        u = np.asarray(u, dtype=float)
+        s = np.diff(u) / self.h
+        outer = 2.0 * self.kappa * (u[0] + u[-1])
+        return 0.5 * (np.concatenate([[-outer], s]) + np.append(s, outer))  # left + right
 
     def moment_load(self, u, q_left, q_right) -> np.ndarray:
-        """6 Delta(u, q), the clamped-spline right-hand side."""
-        u = np.asarray(u, dtype=float)[:, None]
-        return _moment_load(self.h, u, [[q_left]], [[q_right]])[:, 0]
+        """6 Delta(u, q), six times the slope jump at each node: the clamped-spline
+        right-hand side, with q the end slopes."""
+        s = np.diff(np.asarray(u, dtype=float)) / self.h
+        return 6.0 * (np.append(s, q_right) - np.concatenate([[q_left], s]))  # right - left
 
     def apply_t(self, v) -> np.ndarray:
-        """T v."""
-        return _apply_band(self.t_band, np.asarray(v, dtype=float)[:, None])[:, 0]
-
-
-def _gather_index(n, image_width):
-    """Where each entry of a band piece sits in an N x image_width image of the
-    probes: flat indices into the image, shaped as the transposed band (N, rows),
-    and the mask of the entries that hold zeros.
-
-    Row r of band column j holds entry (j + r - 2 LEVEL_BAND, j), found in image
-    column j mod 5.  The fill-in rows and the rows outside the matrix hold
-    zeros, and so do the flux columns: no probe covers them.
-    """
-    # int32 where it holds every index halves what the assembly keeps alive;
-    # np.take widens it per call
-    dtype = np.int32 if (n + LEVEL_BAND) * image_width <= np.iinfo(np.int32).max else np.intp
-    j = np.arange(n, dtype=dtype)[:, None]
-    index = j + np.arange(-2 * LEVEL_BAND, LEVEL_BAND + 1, dtype=dtype)
-    zero = (index < 0) | (index >= n)
-    zero[:, :LEVEL_BAND] = True
-    index *= image_width
-    index += j % (2 * LEVEL_BAND + 1)
-    return index, zero
-
-
-def _gather_band(level_piece, dirichlet_piece, image, gather):
-    """Fill one Fortran-ordered band piece and its Dirichlet columns from its
-    image of the probes, at the places _gather_index gives."""
-    index, zero = gather
-    # mode="clip" keeps the zero entries' indices in range; out= writes in place
-    np.take(image, index, out=level_piece.T, mode="clip")
-    level_piece.T[zero] = 0.0
-    dirichlet_piece[:] = image[:, 2 * LEVEL_BAND + 1:]
+        """T v, along the last axis of v."""
+        t_band, v = self.t_band, np.asarray(v, dtype=float)
+        out = t_band[1] * v
+        out[..., :-1] += t_band[0, 1:] * v[..., 1:]
+        out[..., 1:] += t_band[2, :-1] * v[..., :-1]
+        return out
 
 
 def assemble_drbem(grid: Grid, interp=None) -> DrbemOperators:
-    """Build the operators on the grid in O(N).
+    """Build the operators on the grid in O(N), each band piece from its stencil.
 
     interp, a reference InterpolationOperator on the same nodes, is only kept for
     reference.e_matrix; one on other nodes raises ValueError.
@@ -251,38 +193,43 @@ def assemble_drbem(grid: Grid, interp=None) -> DrbemOperators:
     h = np.diff(grid.nodes)
     kappa = 0.5 / (grid.b - grid.a + 2.0)
     t_band = np.zeros((3, n))
-    t_band[0, 1:] = h
+    t_band[0, 1:] = t_band[2, :-1] = h
     t_band[1, :-1] = 2.0 * h
     t_band[1, 1:] += 2.0 * h
-    t_band[2, :-1] = h
+    d = t_band[1]
+    level_pieces = np.zeros((3, n, 3 * LEVEL_BAND + 1)).transpose(0, 2, 1)
+    dirichlet_pieces = np.zeros((3, n, 2))
+    ops = DrbemOperators(grid=grid, h=h, kappa=kappa, t_band=t_band,
+                         level_pieces=level_pieces, dirichlet_pieces=dirichlet_pieces,
+                         interp=interp)
 
-    # Columns five apart in a matrix with two sub- and two superdiagonals share
-    # no row, so one product with the sum of the u columns of each residue class
-    # mod 5 yields every column of the band (Curtis, Powell and Reid, 1974).
-    # The columns of u_1 and u_N, which P also couples through its corners, are
-    # probed on their own.
-    width = 2 * LEVEL_BAND + 1
-    j = np.arange(n)
-    probes = np.zeros((n, width + 2))
-    probes[j[1:-1], j[1:-1] % width] = 1.0
-    probes[0, width] = probes[-1, width + 1] = 1.0
-    no_flux = np.zeros((1, width + 2))
-    # one N x 7 image at a time, each dropped once gathered
-    level_pieces = np.empty((3, n, LEVEL_BAND + width)).transpose(0, 2, 1)
-    dirichlet_pieces = np.empty((3, n, 2))
-    gather = _gather_index(n, width + 2)
-    _gather_band(level_pieces[0], dirichlet_pieces[0], _moment_load(h, probes, no_flux, no_flux),
-                 gather)
-    _gather_band(level_pieces[1], dirichlet_pieces[1], _apply_band(t_band, probes), gather)
-    slopes = _slope(h, kappa, probes)
-    del probes
-    _gather_band(level_pieces[2], dirichlet_pieces[2], _apply_band(t_band, slopes), gather)
+    # Band column j holds entry (i, j) in row 2 LEVEL_BAND + i - j, so row k of
+    # each view below holds entry (j - 2 + k, j) of the interior columns j, whose
+    # unit vectors have the slopes up = 1/h[j-1] and down = -1/h[j] beside node j.
+    up = 1.0 / h
+    down = -up
+    delta_rows, t_rows, tp_rows = level_pieces[:, LEVEL_BAND:, 1:-1]
+    delta_rows[1:4] = 6.0 * up[:-1], 6.0 * (down[1:] - up[:-1]), 6.0 * up[1:]
+    t_rows[1:4] = h[:-1], d[1:-1], h[1:]
+    # P e_j above, on and below the diagonal; T P e_j summed as apply_t sums
+    above, on, below = 0.5 * up[:-1], 0.5 * (up[:-1] + down[1:]), 0.5 * down[1:]
+    tp_rows[0, 1:] = h[:-2] * above[1:]
+    tp_rows[1] = d[:-2] * above + h[:-1] * on
+    tp_rows[2] = d[1:-1] * on + h[1:] * below + h[:-1] * above
+    tp_rows[3] = d[2:] * below + h[1:] * on
+    tp_rows[4, :-1] = h[2:] * below[:-1]
     # the flux unknowns enter 6 Delta alone, in its end rows
-    level_pieces[0, 2 * LEVEL_BAND, 0] = -6.0
-    level_pieces[0, 2 * LEVEL_BAND, -1] = 6.0
+    level_pieces[0, 2 * LEVEL_BAND, [0, -1]] = -6.0, 6.0
+
+    # 6 Delta, T and T P on e_1 and e_N; only these P columns take kappa
+    dirichlet_pieces[:2, :2, 0] = (6.0 * down[0], 6.0 * up[0]), (d[0], h[0])
+    dirichlet_pieces[:2, -2:, 1] = (6.0 * up[-1], 6.0 * down[-1]), (h[-1], d[-1])
+    outer = 2.0 * kappa
+    corners = np.zeros((2, n))
+    corners[0, :2], corners[0, -1] = (0.5 * (-outer + down[0]), 0.5 * down[0]), 0.5 * outer
+    corners[1, 0], corners[1, -2:] = 0.5 * -outer, (0.5 * up[-1], 0.5 * (up[-1] + outer))
+    dirichlet_pieces[2] = ops.apply_t(corners).T
 
     for arr in (h, t_band, level_pieces, dirichlet_pieces):
         arr.setflags(write=False)
-    return DrbemOperators(grid=grid, h=h, kappa=kappa, t_band=t_band,
-                          level_pieces=level_pieces, dirichlet_pieces=dirichlet_pieces,
-                          interp=interp)
+    return ops

@@ -284,13 +284,17 @@ def _sup_gap(u_new, u_last, t_n, who) -> float:
     return gap
 
 
-def _domain_error(exc: DomainError, t_n, u_tilde) -> DomainError:
-    """exc with the level time and the first negative node of the lag it met."""
+def _domain_error(exc: DomainError, t_n, u_tilde, made_by, who) -> DomainError:
+    """exc with the level time, the first negative node of the lag it met and,
+    when that lag is an iterate and not the level's seed, the pass that made it."""
+    text = f"{exc} at t = {t_n:g}"
     negative = np.flatnonzero(u_tilde < 0.0)
-    if not negative.size:
-        return DomainError(f"{exc} at t = {t_n:g}")
-    i = negative[0]
-    return DomainError(f"{exc} at t = {t_n:g}: first negative node u[{i}] = {u_tilde[i]:.6g}")
+    if negative.size:
+        i = negative[0]
+        text += f": first negative node u[{i}] = {u_tilde[i]:.6g}"
+    if made_by:
+        text += f" in the iterate of {who} pass {made_by}"
+    return DomainError(text)
 
 
 def fixed_point(solve, lag, cfg: StepConfig, t_n, who):
@@ -304,7 +308,8 @@ def fixed_point(solve, lag, cfg: StepConfig, t_n, who):
     A non-finite iterate raises ConvergenceError ("<who> diverged"): at the first
     gap it enters, at the cap when no gap was taken, or when the reaction rejects
     it first.  A DomainError from the reaction on a finite lag is raised again
-    naming t_n and the lag's first negative node.  The cap raises "<who> stalled".
+    naming t_n, the lag's first negative node and, when the lag is not the seed,
+    the pass whose iterate it is.  The cap raises "<who> stalled".
     """
     epsilon = cfg.epsilon
     u_last = lag  # the lag of the pass under way
@@ -324,7 +329,9 @@ def fixed_point(solve, lag, cfg: StepConfig, t_n, who):
         # an overflowed iterate (-inf, nan) reaches the reaction before its gap
         if not np.isfinite(u_last).all():
             raise _diverged(t_n, who) from exc
-        raise _domain_error(exc, t_n, u_last) from exc
+        # every solve returns a new array, so only the seed is the lag itself
+        made_by = 0 if u_last is lag else iters - 1
+        raise _domain_error(exc, t_n, u_last, made_by, who) from exc
     if not np.isfinite(out[0]).all():
         raise _diverged(t_n, who)
     raise ConvergenceError(
@@ -347,14 +354,17 @@ def extrapolated_lag(u_prev, u_older) -> np.ndarray:
 
 
 def corrector_solve(sys: TimeLevelSystem, problem: PdeProblem, cfg: StepConfig, u_prev):
-    """The level's fixed point from the previous level u_prev: the converged state
-    and the number of solves.
+    """The level's fixed point: the converged state and the number of solves.
 
-    The first lag is extrapolated_lag(u_prev, sys.u_older), or u_prev itself when
-    the system was built without a previous one.  Failures are fixed_point's.
+    The first lag is extrapolated_lag(sys.u_prev, sys.u_older), or sys.u_prev
+    itself when the system was built without a previous one.  u_prev must be the
+    level the system was built from, sys.u_prev itself or an array equal to it;
+    any other raises ValueError.  Failures are fixed_point's.
     """
-    u_prev = np.asarray(u_prev, dtype=float)
-    lag = u_prev if sys.u_older is None else extrapolated_lag(u_prev, sys.u_older)
+    # identity first: the run loop passes sys.u_prev itself and pays no O(N) check
+    if u_prev is not sys.u_prev and not np.array_equal(u_prev, sys.u_prev):
+        raise ValueError("u_prev is not the level the system was built from")
+    lag = sys.u_prev if sys.u_older is None else extrapolated_lag(sys.u_prev, sys.u_older)
     (u, r_left, r_right), iters = fixed_point(
         _level_pass(sys, problem), lag, cfg, sys.t_n, "corrector")
     # the end rows of -A, whose right-hand side r is the pass's negated one

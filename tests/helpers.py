@@ -1,6 +1,7 @@
 """Shared helpers for the test suite."""
 
 import dataclasses
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -227,3 +228,13 @@ def bumped_generalized_fisher(alpha, height=-1.5, a=-2.0, b=2.0, horizon=1.0):
         problem,
         initial=lambda x: problem.initial(x) + height * np.exp(-(((x - 0.5) / 0.05) ** 2)),
     )
+
+
+def traced(fn, *args, **kwargs):
+    """fn's result and the peak bytes that tracemalloc sees while it runs."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

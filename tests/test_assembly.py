@@ -18,7 +18,7 @@ from drbem1d.reference import (
     psi,
     psi_x,
 )
-from helpers import eager_e_matrix
+from helpers import eager_e_matrix, traced
 
 
 def build(nodes):
@@ -102,10 +102,10 @@ def test_e_matrix_inverts_phi():
         assert np.max(np.abs(lhs - rhs)) < 1e-10 * scale
 
 
-def jittered_nodes(a, b, n, seed):
-    """n nodes on [a, b], each interior one moved by up to 10% of the spacing."""
+def jittered_nodes(a, b, n, seed, jitter=0.1):
+    """n nodes on [a, b], each interior one moved by up to `jitter` of the spacing."""
     nodes = np.linspace(a, b, n)
-    nodes[1:-1] += 0.1 * (nodes[1] - nodes[0]) * np.random.default_rng(seed).uniform(
+    nodes[1:-1] += jitter * (nodes[1] - nodes[0]) * np.random.default_rng(seed).uniform(
         -1.0, 1.0, n - 2)
     return nodes
 
@@ -132,8 +132,8 @@ def dense_level_operator(ops, s, r):
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 9, 33])
 def test_band_pieces_hold_the_level_operator(n):
-    # the pieces are gathered from residue-class products; every entry of the
-    # level operator must land in its band slot or its Dirichlet column
+    # the pieces are built from their stencils; every entry of the level
+    # operator must land in its band slot or its Dirichlet column
     grid, ops = build(jittered_nodes(-1.0, 2.0, n, seed=n))
     s, r = 7.3, -0.6
     full = dense_level_operator(ops, s, r)
@@ -154,6 +154,37 @@ def test_band_pieces_hold_the_level_operator(n):
     # columns, and factors the band's interior columns in place
     assert np.all(dirichlet[3:-3] == 0.0)
     assert all(piece.flags.f_contiguous for piece in ops.level_pieces)
+
+
+@pytest.mark.parametrize("jitter", [0.0, 0.1], ids=["uniform", "jittered"])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 9, 33])
+def test_band_pieces_are_the_operators_on_unit_vectors(n, jitter):
+    # each entry is formed by the operations, in the order, that the methods use
+    # on a unit vector, so the pieces equal those images exactly
+    grid, ops = build(jittered_nodes(-1.0, 2.0, n, seed=n, jitter=jitter))
+
+    def images(u, q_left=0.0, q_right=0.0):  # 6 Delta, T and T P on [u, q]
+        return ops.moment_load(u, q_left, q_right), ops.apply_t(u), ops.apply_t(ops.slope(u))
+
+    zero, unit = np.zeros(n), np.eye(n)
+    band_unknowns = [images(zero, 1.0), *map(images, unit[1:-1]), images(zero, 0.0, 1.0)]
+    for j, column_images in enumerate(band_unknowns):
+        rows = np.arange(max(0, j - LEVEL_BAND), min(n, j + LEVEL_BAND + 1))
+        for piece, image in zip(ops.level_pieces, column_images):
+            column = np.zeros(3 * LEVEL_BAND + 1)
+            column[2 * LEVEL_BAND + rows - j] = image[rows]
+            assert np.all(piece[:, j] == column)
+            assert np.all(np.delete(image, rows) == 0.0)
+    for k, e in enumerate(unit[[0, -1]]):
+        for piece, image in zip(ops.dirichlet_pieces, images(e)):
+            assert np.all(piece[:, k] == image)
+
+
+def test_assembly_peaks_below_48_vectors():
+    grid = Grid.uniform(-1.0, 1.0, 2049)
+    # the record itself holds 31 vectors of N doubles
+    _, peak = traced(assemble_drbem, grid)
+    assert peak <= 48 * grid.n * 8
 
 
 def test_spline_identity_in_extended_precision():

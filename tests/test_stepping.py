@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +23,8 @@ from drbem1d.stepping import (
 )
 from drbem1d.verification import compute_errors
 from helpers import (band_level_system, bumped_generalized_fisher, dense_level_solve,
-                     interior_band_factors, reference_corrector, reference_interior_corrector)
+                     interior_band_factors, reference_corrector, reference_interior_corrector,
+                     traced)
 
 
 def zero_reaction():
@@ -357,6 +357,19 @@ def test_extrapolated_and_lagged_seeds_reach_the_same_fixed_point(name, spacing)
         u = state.u
 
 
+def test_corrector_solve_takes_only_the_level_its_system_was_built_from():
+    problem = make_fisher()
+    grid = Grid.uniform(problem.a, problem.b, 9)
+    cfg = StepConfig(tau=0.01)
+    u = initial_values(problem, grid.nodes)
+    system = build_level_system(problem, grid, assemble_drbem(grid), cfg, cfg.tau, u)
+    state, _ = corrector_solve(system, problem, cfg, u)
+    again, _ = corrector_solve(system, problem, cfg, u.copy())  # equal is accepted
+    assert np.array_equal(state.u, again.u)
+    with pytest.raises(ValueError, match="not the level the system was built from"):
+        corrector_solve(system, problem, cfg, u + 1.0)
+
+
 def test_extrapolated_lag_keeps_nonnegative_nodes_nonnegative():
     u_prev = np.array([1.0, 0.2, 0.0, -0.5, -0.1, 0.3])
     u_older = np.array([0.5, 0.6, 0.1, -0.2, -0.4, 0.1])
@@ -449,16 +462,6 @@ def test_level_solve_agrees_with_the_full_band(setting):
     slope_scale = max(*map(abs, band_fluxes), np.max(np.abs(np.diff(u_band) / np.diff(grid.nodes))))
     for q, q_band in zip((state.q_left, state.q_right), band_fluxes):
         assert abs(q - q_band) <= 1e-9 * slope_scale
-
-
-def traced(fn, *args, **kwargs):
-    """fn's result and the peak bytes that tracemalloc sees while it runs."""
-    tracemalloc.start()
-    try:
-        result = fn(*args, **kwargs)
-        return result, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def test_level_solve_allocates_no_n_by_n_array():
@@ -724,6 +727,19 @@ def test_negative_base_names_the_level_and_the_node():
     with pytest.raises(DomainError, match=r"exponent 3\.5 at t = 0\.01: first negative "
                                           r"node u\[10\] = -1\.0"):
         run(problem, grid, StepConfig(tau=0.01), 0.05)
+
+
+def test_negative_iterate_names_the_pass_that_made_it():
+    # the 1e80 spike is positive data; the first pass's iterate swings to -2e278
+    # at node 1, and the second pass's reaction rejects that iterate, not the data
+    problem = bumped_generalized_fisher(2.5, height=1e80)
+    grid = Grid.with_spacing(-2.0, 2.0, 0.25)
+    assert initial_values(problem, grid.nodes).min() >= 0.0
+    with pytest.raises(DomainError) as excinfo:
+        run(problem, grid, StepConfig(tau=1.0), 1.0)
+    assert str(excinfo.value) == (
+        "negative base with non-integer exponent 3.5 at t = 1: first negative node "
+        "u[1] = -2.34375e+278 in the iterate of corrector pass 1")
 
 
 
