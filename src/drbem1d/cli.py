@@ -414,8 +414,11 @@ def _check_lines():
             scale = 1.0 / cfg.tau - 1.0  # s on this level, where mu = eta = lambda = 1
             spd = spd_factors(ops.level_pieces, scale)
             band = band_factors(ops.level_pieces, np.array([1.0, -scale, 0.0]), "band matrix")
-            states = [corrector_solve(replace(system, factorization=f or band), fisher, cfg, u0)[0]
-                      for f in (spd, band)]
+            states = []
+            for factors, solve, ends in (spd or band, band):
+                kernel = system.factorization._replace(factors=factors, solve=solve, ends=ends)
+                states.append(corrector_solve(replace(system, factorization=kernel),
+                                              fisher, cfg, u0)[0])
             got, want = ([s.q_left, s.q_right, *s.u] for s in states)
             rel = float(np.max(np.abs(np.subtract(got, want))) / np.max(np.abs(want)))
             yield (f"interior dpttrs = band dgbtrs (N={n}, {kind})", rel <= 1e-12

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
@@ -63,8 +64,10 @@ class StepConfig:
             raise ValueError("tau must be positive and finite")
         if not self.epsilon > 0.0:
             raise ValueError("epsilon must be positive")
-        if self.max_corrector_iters < 1:
-            raise ValueError("max_corrector_iters must be at least 1")
+        cap = self.max_corrector_iters
+        if not (isinstance(cap, numbers.Integral) and cap >= 2):
+            raise ValueError(f"max_corrector_iters = {cap!r} must be an integer of at least 2: "
+                             "the corrector stops only when two successive solves agree")
 
 
 @dataclass
@@ -77,44 +80,46 @@ class SolverState:
     t: float
 
 
+class LevelFactors(NamedTuple):
+    """Everything a level takes from its coefficient triple coeffs = (nu, mu, eta).
+
+    factors are dpttrf's (d, e) or dgbtrf's (lu, piv) factors of minus the level
+    matrix A = 6 Delta - T (s I + (nu/mu) P) on u_2..u_{N-1}, and solve(b)
+    overwrites b with (-A)^{-1} b there.  ends holds -A's entries (1, 1), (1, 2),
+    (1, 3), (N, N-2), (N, N-1) and (N, N) for the fluxes.  A's columns on the
+    imposed values u_1 and u_N are nonzero only in its first three and last three
+    rows (all of them below six nodes); dirichlet_rows holds each such row as
+    (row index, entry on u_1, entry on u_N).  t_band is the operators' T, which
+    the corrector's -(eta/mu) T F_n stencil applies.
+    """
+
+    coeffs: tuple
+    factors: tuple
+    solve: Callable
+    ends: tuple
+    dirichlet_rows: tuple
+    t_band: np.ndarray
+
+
 @dataclass
 class TimeLevelSystem:
     """Factored system of one time level.
 
-    factorization holds the LevelFactors of the level matrix 6 Delta - T (s I +
-    (nu/mu) P) on [u_x(a), u_2, ..., u_{N-1}, u_x(b)].  That matrix's columns on
-    the imposed values u_1 and u_N are nonzero only in its first three and last
-    three rows (all of them below six nodes); dirichlet_rows holds each such row
-    as (row index, entry on u_1, entry on u_N).  rhs_fixed collects every term
-    that does not involve the lagged iterate; the corrector adds only
-    -(eta/mu) T F_n(u_tilde) per pass.  u_prev is the level the system was built
-    from and u_older the one before it (None without a previous system); both
-    are references, not copies, and the corrector's first lag is extrapolated
-    from them.
+    factorization is the level's LevelFactors, shared by every level with the same
+    coefficient triple in a run.  rhs_fixed collects every term that does not
+    involve the lagged iterate; the corrector adds only -(eta/mu) T F_n(u_tilde)
+    per pass.  u_prev is the level the system was built from and u_older the one
+    before it (None without a previous system); both are references, not copies,
+    and the corrector's first lag is extrapolated from them.
     """
 
-    factorization: tuple
+    factorization: LevelFactors
     rhs_fixed: np.ndarray
     t_n: float
-    nu_n: float
-    mu_n: float
-    eta_n: float
     g_left: float
     g_right: float
-    t_band: np.ndarray
-    dirichlet_rows: tuple
     u_prev: np.ndarray
     u_older: Optional[np.ndarray] = None
-
-
-class LevelFactors(NamedTuple):
-    """dpttrf's (d, e) or dgbtrf's (lu, piv) factors of minus a level matrix A on
-    u_2..u_{N-1}; solve(b) overwrites b with (-A)^{-1} b there.  ends holds -A's
-    entries (1, 1), (1, 2), (1, 3), (N, N-2), (N, N-1) and (N, N) for the fluxes."""
-
-    factors: tuple
-    solve: Callable
-    ends: tuple
 
 
 # the entries (i, j) that LevelFactors.ends holds, at their places in gbtrf layout
@@ -123,22 +128,23 @@ _ENDS = tuple((2 * LEVEL_BAND + i - j, j)
 
 
 def spd_factors(level_pieces, implicit_scale):
-    """dpttrf's LevelFactors of 6 Delta - s T; None on a non-positive leading minor,
-    a non-finite factor or a pivot below PIVOT_FLOOR."""
+    """dpttrf's (factors, solve, ends) of 6 Delta - s T, as LevelFactors holds them;
+    None on a non-positive leading minor, a non-finite factor or a pivot below
+    PIVOT_FLOOR."""
     band = level_pieces[0] - implicit_scale * level_pieces[1]
     sup, diag = band[2 * LEVEL_BAND - 1], band[2 * LEVEL_BAND]
     # one interior node still takes one off-diagonal slot: the q_b column's zero
     d, e, info = lapack.dpttrf(-diag[1:-1], -sup[2:max(diag.size - 1, 3)], 1, 1)
     if info or not (np.isfinite(d).all() and np.isfinite(e).all() and d.min() >= PIVOT_FLOOR):
         return None
-    return LevelFactors((d, e), lambda b, dpttrs=lapack.dpttrs: dpttrs(d, e, b, 1),
-                        tuple(-band.item(ij) for ij in _ENDS))
+    return ((d, e), lambda b, dpttrs=lapack.dpttrs: dpttrs(d, e, b, 1),
+            tuple(-band.item(ij) for ij in _ENDS))
 
 
 def band_factors(level_pieces, weights, what):
-    """dgbtrf's LevelFactors of the level matrix weights @ level_pieces; a
-    non-finite factor or a pivot below PIVOT_FLOOR raises SingularMatrixError
-    naming `what`."""
+    """dgbtrf's (factors, solve, ends) of the level matrix weights @ level_pieces,
+    as LevelFactors holds them; a non-finite factor or a pivot below PIVOT_FLOOR
+    raises SingularMatrixError naming `what`."""
     n = level_pieces.shape[-1]
     # Fortran-ordered pieces give a Fortran-ordered band, whose interior columns
     # dgbtrf factors in place
@@ -148,8 +154,8 @@ def band_factors(level_pieces, weights, what):
         band[ij] = 0.0
     lu, piv = band_lu_factor_checked(band[:, 1:-1], LEVEL_BAND, LEVEL_BAND, what)
     # trans = 0, n = ldb = N - 2, ldab = 2 kl + ku + 1, overwrite_b = 1: in place on b
-    return LevelFactors((lu, piv), lambda b, dgbtrs=lapack.dgbtrs: dgbtrs(
-        lu, LEVEL_BAND, LEVEL_BAND, b, piv, 0, n - 2, 3 * LEVEL_BAND + 1, n - 2, 1), ends)
+    return (lu, piv), lambda b, dgbtrs=lapack.dgbtrs: dgbtrs(
+        lu, LEVEL_BAND, LEVEL_BAND, b, piv, 0, n - 2, 3 * LEVEL_BAND + 1, n - 2, 1), ends
 
 
 def level_coefficients(problem: PdeProblem, t_n: float) -> tuple:
@@ -180,12 +186,13 @@ def build_level_system(
     and the lagged term stays per-iteration.  Every piece is O(N).
 
     When prev_system comes from the same run and the coefficient triple at t_n is
-    unchanged (constant-coefficient problems), its factorization and Dirichlet
-    rows are carried over and only the right-hand side is rebuilt.  Its u_prev
-    becomes this system's u_older, from which corrector_solve extrapolates.
+    its factorization's (constant-coefficient problems), that LevelFactors is
+    carried over and only the right-hand side is rebuilt.  Its u_prev becomes
+    this system's u_older, from which corrector_solve extrapolates.
     """
     tau = cfg.tau
-    nu_n, mu_n, eta_n = level_coefficients(problem, t_n)
+    coeffs = level_coefficients(problem, t_n)
+    nu_n, mu_n, eta_n = coeffs
 
     n = grid.n
     u_prev = np.asarray(u_prev, dtype=float)
@@ -194,10 +201,8 @@ def build_level_system(
 
     g_left, g_right = float(problem.bc_left(t_n)), float(problem.bc_right(t_n))
 
-    if prev_system is not None and (nu_n, mu_n, eta_n) == (
-            prev_system.nu_n, prev_system.mu_n, prev_system.eta_n):
+    if prev_system is not None and coeffs == prev_system.factorization.coeffs:
         factorization = prev_system.factorization
-        dirichlet_rows = prev_system.dirichlet_rows
     else:
         lam = problem.reaction.linear_slope
         implicit_scale = 1.0 / (tau * mu_n) - eta_n * lam / mu_n
@@ -210,27 +215,17 @@ def build_level_system(
             columns = (weights @ ops.dirichlet_pieces.reshape(3, -1)).reshape(n, 2)
             dirichlet_rows = tuple((i, columns.item(i, 0), columns.item(i, 1))
                                    for i in (0, 1, 2, *range(max(3, n - 3), n)))
-            factorization = (
+            kernel = (
                 nu_n == 0.0 < implicit_scale and spd_factors(ops.level_pieces, implicit_scale)
                 or band_factors(ops.level_pieces, weights, f"level matrix at t = {t_n:g}"))
+        factorization = LevelFactors(coeffs, *kernel, dirichlet_rows, ops.t_band)
 
-    rhs_fixed = blas.dgbmv(n, n, 1, 1, -1.0 / (tau * mu_n), ops.t_band, u_prev)
-    for i, on_left, on_right in dirichlet_rows:  # six scalar updates cost less than a product
+    rhs_fixed = blas.dgbmv(n, n, 1, 1, -1.0 / (tau * mu_n), factorization.t_band, u_prev)
+    # six scalar updates cost less than a product
+    for i, on_left, on_right in factorization.dirichlet_rows:
         rhs_fixed[i] -= on_left * g_left + on_right * g_right
-    return TimeLevelSystem(
-        factorization=factorization,
-        rhs_fixed=rhs_fixed,
-        t_n=t_n,
-        nu_n=nu_n,
-        mu_n=mu_n,
-        eta_n=eta_n,
-        g_left=g_left,
-        g_right=g_right,
-        t_band=ops.t_band,
-        dirichlet_rows=dirichlet_rows,
-        u_prev=u_prev,
-        u_older=None if prev_system is None else prev_system.u_prev,
-    )
+    return TimeLevelSystem(factorization, rhs_fixed, t_n, g_left, g_right, u_prev,
+                           None if prev_system is None else prev_system.u_prev)
 
 
 def _level_pass(sys: TimeLevelSystem, problem: PdeProblem):
@@ -243,8 +238,10 @@ def _level_pass(sys: TimeLevelSystem, problem: PdeProblem):
     once per level.
     """
     n = sys.rhs_fixed.size
-    alpha = sys.eta_n / sys.mu_n
-    t_band, rhs_fixed, solve_interior = sys.t_band, sys.rhs_fixed, sys.factorization.solve
+    _, mu_n, eta_n = sys.factorization.coeffs
+    alpha = eta_n / mu_n
+    t_band, solve_interior = sys.factorization.t_band, sys.factorization.solve
+    rhs_fixed = sys.rhs_fixed
     g_left, g_right = sys.g_left, sys.g_right
     nonlinear = problem.reaction.nonlinear
     dgbmv = blas.dgbmv
@@ -306,14 +303,13 @@ def fixed_point(solve, lag, cfg: StepConfig, t_n, who):
     exits at zero difference.  Returns the last tuple and the number of solves.
 
     A non-finite iterate raises ConvergenceError ("<who> diverged"): at the first
-    gap it enters, at the cap when no gap was taken, or when the reaction rejects
-    it first.  A DomainError from the reaction on a finite lag is raised again
-    naming t_n, the lag's first negative node and, when the lag is not the seed,
-    the pass whose iterate it is.  The cap raises "<who> stalled".
+    gap it enters, or when the reaction rejects it first.  A DomainError from the
+    reaction on a finite lag is raised again naming t_n, the lag's first negative
+    node and, when the lag is not the seed, the pass whose iterate it is.  The cap
+    raises "<who> stalled".
     """
     epsilon = cfg.epsilon
     u_last = lag  # the lag of the pass under way
-    diff = math.inf
     try:
         # a diverging iterate overflows inside the reaction and is reported as
         # ConvergenceError, so numpy's warning is noise
@@ -332,8 +328,6 @@ def fixed_point(solve, lag, cfg: StepConfig, t_n, who):
         # every solve returns a new array, so only the seed is the lag itself
         made_by = 0 if u_last is lag else iters - 1
         raise _domain_error(exc, t_n, u_last, made_by, who) from exc
-    if not np.isfinite(out[0]).all():
-        raise _diverged(t_n, who)
     raise ConvergenceError(
         f"{who} stalled at t = {t_n:g}: difference {diff:.3e} after "
         f"{cfg.max_corrector_iters} iterations (tau too large or reaction too stiff)",

@@ -11,7 +11,7 @@ from drbem1d.assembly import LEVEL_BAND, band_lu_factor_checked
 from drbem1d.problems import make_generalized_fisher
 from drbem1d.reference import (e_matrix, endpoint_matrices, fundamental_solution,
                                fundamental_solution_dx, psi, psi_x)
-from drbem1d.stepping import TimeLevelSystem, initial_values, level_coefficients
+from drbem1d.stepping import LevelFactors, TimeLevelSystem, initial_values, level_coefficients
 
 
 def load_csv(path):
@@ -105,21 +105,22 @@ def band_level_system(problem, ops, cfg, t_n, u_prev):
     """The level's system on the (2, 2) band with the fluxes among its unknowns,
     whatever its advection: gbtrf factors of level_band's A, and rhs_fixed with the
     full Dirichlet product, as the stepper built every level before it eliminated
-    the fluxes.  dirichlet_rows holds the full Dirichlet columns' first and last
-    three rows as (row index, entry on u_1, entry on u_N).  A test reference only.
+    the fluxes.  Its LevelFactors holds the gbtrf factors and no solve or ends, and
+    its dirichlet_rows the full Dirichlet columns' first and last three rows as
+    (row index, entry on u_1, entry on u_N).  A test reference only.
     """
-    nu, mu, eta = level_coefficients(problem, t_n)
     n = u_prev.size
+    coeffs = level_coefficients(problem, t_n)
     band, dirichlet_columns = level_band(problem, ops, cfg, t_n)
-    factorization = band_lu_factor_checked(band, LEVEL_BAND, LEVEL_BAND,
-                                           f"level matrix at t = {t_n:g}")
+    factors = band_lu_factor_checked(band, LEVEL_BAND, LEVEL_BAND,
+                                     f"level matrix at t = {t_n:g}")
     g_left, g_right = float(problem.bc_left(t_n)), float(problem.bc_right(t_n))
-    rhs_fixed = (blas.dgbmv(n, n, 1, 1, -1.0 / (cfg.tau * mu), ops.t_band, u_prev)
+    rhs_fixed = (blas.dgbmv(n, n, 1, 1, -1.0 / (cfg.tau * coeffs[1]), ops.t_band, u_prev)
                  - dirichlet_columns @ np.array([g_left, g_right]))
     end_rows = tuple((i, *dirichlet_columns[i].tolist())
                      for i in sorted({0, 1, 2, n - 3, n - 2, n - 1}))
-    return TimeLevelSystem(factorization, rhs_fixed, t_n, nu, mu, eta, g_left, g_right,
-                           ops.t_band, end_rows, u_prev)
+    factorization = LevelFactors(coeffs, factors, None, None, end_rows, ops.t_band)
+    return TimeLevelSystem(factorization, rhs_fixed, t_n, g_left, g_right, u_prev)
 
 
 def interior_band_factors(problem, ops, cfg, t_n):
@@ -143,11 +144,12 @@ def reference_interior_corrector(sys, problem, cfg, lag):
     Returns (u, q_left, q_right, passes).  A test reference only.
     """
     n = sys.rhs_fixed.size
+    _, mu, eta = sys.factorization.coeffs
     factors = sys.factorization.factors
     b_11, b_12, b_13, b_nl, b_nm, b_nn = sys.factorization.ends  # of minus the level matrix
     u_tilde, u_last = np.asarray(lag, dtype=float), None
     for passes in range(1, cfg.max_corrector_iters + 1):
-        neg_rhs = blas.dgbmv(n, n, 1, 1, sys.eta_n / sys.mu_n, sys.t_band,
+        neg_rhs = blas.dgbmv(n, n, 1, 1, eta / mu, sys.factorization.t_band,
                              problem.reaction.nonlinear(u_tilde), beta=-1.0, y=sys.rhs_fixed)
         if factors[0].ndim == 1:
             interior, _ = lapack.dpttrs(*factors, neg_rhs[1:-1])
@@ -171,10 +173,11 @@ def reference_corrector(sys, problem, cfg, lag):
     q_right, passes).  A test reference only.
     """
     n = sys.rhs_fixed.size
-    lu, piv = sys.factorization
+    _, mu, eta = sys.factorization.coeffs
+    lu, piv = sys.factorization.factors
     u_tilde, u_last = np.asarray(lag, dtype=float), None
     for passes in range(1, cfg.max_corrector_iters + 1):
-        rhs = blas.dgbmv(n, n, 1, 1, -sys.eta_n / sys.mu_n, sys.t_band,
+        rhs = blas.dgbmv(n, n, 1, 1, -eta / mu, sys.factorization.t_band,
                          problem.reaction.nonlinear(u_tilde), beta=1.0, y=sys.rhs_fixed)
         u, _ = lapack.dgbtrs(lu, LEVEL_BAND, LEVEL_BAND, rhs, piv, overwrite_b=1)
         q_left, q_right = float(u[0]), float(u[-1])

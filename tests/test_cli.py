@@ -312,11 +312,12 @@ class TestMainExitCodes:
     def test_solver_failure_is_2(self, tmp_path, capsys):
         path = tmp_path / "stall.cfg"
         path.write_text(
-            "equation = fisher\nn = 9\ntau = 0.05\nt_end = 0.05\nmax_iters = 1\n"
+            "equation = fisher\nn = 9\ntau = 0.05\nt_end = 0.05\nmax_iters = 2\n"
             f'output_path = "{tmp_path}"\n'
         )
         assert main(["solve", str(path)]) == 2
-        assert "solver" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "solver" in err and "difference 5.446e-04 after 2 iterations" in err
 
     def test_diverging_corrector_is_2(self, tmp_path, capsys):
         path = tmp_path / "diverge.cfg"
@@ -376,6 +377,7 @@ class TestMainExitCodes:
         pytest.param({"epsilon": "0"}, 1, "epsilon", id="epsilon=0"),
         pytest.param({"epsilon": "nan"}, 1, "'epsilon'", id="epsilon=nan"),
         pytest.param({"max_iters": "0"}, 1, "max_corrector_iters", id="max_iters=0"),
+        pytest.param({"max_iters": "1"}, 1, "max_corrector_iters", id="max_iters=1"),
         pytest.param({"a": "3"}, 1, "a < b", id="a>=b"),
         pytest.param({"n": None, "h": "0"}, 1, "spacing h", id="h=0"),
         pytest.param({"n": "2"}, 1, "n >= 3", id="n=2"),

@@ -102,10 +102,20 @@ class TestStepConfig:
     @pytest.mark.parametrize("kwargs", [
         dict(tau=0.0), dict(tau=-1.0), dict(tau=math.inf), dict(tau=0.1, epsilon=0.0),
         dict(tau=0.1, max_corrector_iters=0), dict(tau=0.1, epsilon=math.nan),
+        # two successive solves must agree, so a cap below two can never be met
+        dict(tau=0.1, max_corrector_iters=1), dict(tau=0.1, max_corrector_iters=2.5),
+        dict(tau=0.1, max_corrector_iters=2.0), dict(tau=0.1, max_corrector_iters="3"),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             StepConfig(**kwargs)
+
+    def test_smallest_cap_is_two(self):
+        assert StepConfig(tau=0.1, max_corrector_iters=2).max_corrector_iters == 2
+        assert StepConfig(tau=0.1, max_corrector_iters=np.int64(2)).max_corrector_iters == 2
+        with pytest.raises(ValueError, match="max_corrector_iters = 1 must be an integer of "
+                                             "at least 2"):
+            StepConfig(tau=0.1, max_corrector_iters=1)
 
     def test_infinite_tau_cannot_reach_run(self):
         # an infinite step would put every time at level 0: one t = 0 state, no error
@@ -225,11 +235,12 @@ def test_hand_assembled_three_node_system():
                                atol=1e-13)
     np.testing.assert_allclose(system.factorization.ends,
                                -band_expected[[0, 0, 0, 2, 2, 2], [0, 1, 2, 0, 1, 2]], atol=1e-13)
-    np.testing.assert_allclose(band_factored_matrix(band.factorization), band_expected,
+    np.testing.assert_allclose(band_factored_matrix(band.factorization.factors), band_expected,
                                atol=1e-13)
     for level in (system, band):  # on three nodes the end rows are every row
-        assert [row[0] for row in level.dirichlet_rows] == [0, 1, 2]
-        np.testing.assert_allclose([row[1:] for row in level.dirichlet_rows], dirichlet_expected,
+        rows = level.factorization.dirichlet_rows
+        assert [row[0] for row in rows] == [0, 1, 2]
+        np.testing.assert_allclose([row[1:] for row in rows], dirichlet_expected,
                                    atol=1e-13)
         np.testing.assert_allclose(level.rhs_fixed, rhs_fixed_spline, atol=1e-13)
 
@@ -259,8 +270,8 @@ def test_factorization_reuse_constant_vs_varying_coefficients():
     constant = heat_problem(1.0, 0.0)
     sys1 = build_level_system(constant, grid, ops, cfg, 0.01, grid.nodes)
     sys2 = build_level_system(constant, grid, ops, cfg, 0.02, grid.nodes, prev_system=sys1)
-    assert sys2.dirichlet_rows is sys1.dirichlet_rows
     assert sys2.factorization is sys1.factorization
+    assert sys2.factorization.coeffs == (0.0, 1.0, 0.0)
 
     varying = make_generalized_fn(1.0)
     grid_v = Grid.uniform(-1.0, 1.0, 9)
@@ -310,7 +321,7 @@ def test_banded_level_solve_matches_the_dense_reference(name, spacing):
         band = band_level_system(problem, ops, cfg, t_n, u)
         u_band, *band_rest = reference_corrector(band, problem, cfg, lag)
         # every advection-free level takes dpttrs, every other the interior band
-        assert takes_dpttrs(system) == (system.nu_n == 0.0)
+        assert takes_dpttrs(system) == (system.factorization.coeffs[0] == 0.0)
         if not takes_dpttrs(system):
             assert_same_factors(system, problem, ops, cfg, t_n)
         # the corrector keeps the bits of the plain loop of its own solves
@@ -421,20 +432,43 @@ def test_run_is_its_level_loop(name):
 
 
 @st.composite
-def level_settings(draw):
-    """A grid on [0, 1] whose spacings differ by at most a factor of 4, previous
-    values, (nu, mu, eta, lambda) and tau, with nu = 0 or not and s of either sign.
-    s stays above half of -pi^2, where the level matrix on [0, 1] turns singular."""
+def graded_grids(draw):
+    """A grid on [0, 1] of 4 to 40 nodes whose spacings differ by at most a factor of 4."""
     n = draw(st.integers(4, 40))
     spacings = np.array(draw(st.lists(st.floats(1.0, 4.0), min_size=n - 1, max_size=n - 1)))
     nodes = np.concatenate([[0.0], np.cumsum(spacings) / spacings.sum()])
     nodes[-1] = 1.0
+    return Grid(nodes)
+
+
+@st.composite
+def level_settings(draw):
+    """A graded grid, previous values, (nu, mu, eta, lambda) and tau, with nu = 0 or
+    not and s of either sign.  s stays above half of -pi^2, where the level matrix
+    on [0, 1] turns singular."""
+    grid = draw(graded_grids())
+    n = grid.n
     u_prev = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
     nu = draw(st.one_of(st.just(0.0), st.floats(-1.0, 1.0)))
     mu, eta, tau = (draw(st.floats(lo, hi)) for lo, hi in ((0.5, 2.0), (0.5, 2.0), (0.01, 1.0)))
     s = draw(st.floats(-0.5 * np.pi**2, 200.0))
     lam = (1.0 / (tau * mu) - s) * mu / eta  # s = 1 / (tau mu) - eta lambda / mu
-    return Grid(nodes), u_prev, nu, mu, eta, lam, tau
+    return grid, u_prev, nu, mu, eta, lam, tau
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(graded_grids(), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.floats(0.5, 2.0),
+       st.floats(0.01, 1.0))
+def test_linear_field_stays_steady_on_graded_grids(grid, slope, offset, mu, tau):
+    # without advection or reaction a line is the clamped spline of itself, so it
+    # is every level's fixed point: run carries the first level's factors over
+    # and each level takes the two solves that confirm it
+    problem = dataclasses.replace(heat_problem(slope, offset), horizon=20 * tau,
+                                  coeffs=CoefficientSet.constant(0.0, mu, 1.0))
+    traj = run(problem, grid, StepConfig(tau=tau), 20 * tau)
+    line = slope * grid.nodes + offset
+    assert np.max(np.abs(traj.states[-1].u - line)) <= 1e-12 * max(1.0, np.max(np.abs(line)))
+    assert traj.level_iterations == [2] * 20
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -616,7 +650,7 @@ def test_level_without_a_positive_implicit_scale_takes_the_band(slope):
     band = band_level_system(problem, ops, cfg, cfg.tau, u)
     assert_same_factors(system, problem, ops, cfg, cfg.tau)
     assert system.rhs_fixed.tobytes() == band.rhs_fixed.tobytes()
-    assert system.dirichlet_rows == band.dirichlet_rows
+    assert system.factorization.dirichlet_rows == band.factorization.dirichlet_rows
     # bit for bit the interior band's plain loop, and the full band's fixed point
     state, passes = corrector_solve(system, problem, cfg, u)
     u_plain, *rest = reference_interior_corrector(system, problem, cfg, u)
@@ -657,13 +691,17 @@ def test_unusable_interior_factors_raise_the_band_error(kind):
 
 
 def test_corrector_cap_raises_with_context():
-    problem = heat_problem(1.0, 0.0)
+    # the reaction keeps the second solve off the first (the heat problem alone
+    # converges in exactly two), so the smallest cap stalls
+    problem = reacting_heat_problem(fisher_reaction())
     grid = Grid.uniform(0.0, 1.0, 5)
-    cfg = StepConfig(tau=0.1, max_corrector_iters=1)
+    cfg = StepConfig(tau=0.1, max_corrector_iters=2)
     system = build_level_system(problem, grid, assemble_drbem(grid), cfg, 0.1, grid.nodes)
-    with pytest.raises(ConvergenceError) as excinfo:
+    with pytest.raises(ConvergenceError, match="corrector stalled at t = 0.1: difference "
+                                               "6.929e-04 after 2 iterations") as excinfo:
         corrector_solve(system, problem, cfg, grid.nodes)
     assert excinfo.value.time == pytest.approx(0.1)
+    assert excinfo.value.last_diff == pytest.approx(6.929e-4, rel=1e-3)
 
 
 def test_back_substitution_gap_small_after_convergence():
@@ -692,10 +730,10 @@ def reacting_heat_problem(reaction):
                                reaction=reaction)
 
 
-@pytest.mark.parametrize("cap", [1, 100])
+@pytest.mark.parametrize("cap", [2, 100])
 def test_nan_reaction_on_the_first_pass_diverges(cap):
-    # the first iterate is nan: with a cap of one the final check reports it, and
-    # otherwise the first gap does, so no pass after the second is spent on it
+    # the first iterate is nan and the first gap reports it, at the smallest cap
+    # as at a large one, so no pass after the second is spent on it
     calls = []
     problem = reacting_heat_problem(nan_first_reaction(calls))
     grid = Grid.uniform(0.0, 1.0, 9)
@@ -704,7 +742,7 @@ def test_nan_reaction_on_the_first_pass_diverges(cap):
     with pytest.raises(ConvergenceError, match="corrector diverged at t = 0.1") as excinfo:
         corrector_solve(system, problem, cfg, grid.nodes)
     assert excinfo.value.time == pytest.approx(0.1)
-    assert len(calls) == min(cap, 2)
+    assert len(calls) == 2
 
 
 def test_back_substitution_gap_raises_on_a_non_finite_pass():
