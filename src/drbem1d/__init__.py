@@ -48,8 +48,8 @@ from .verification import (
     ConvergenceRow,
     ErrorReport,
     compute_errors,
-    convergence_study,
     fd_oracle,
+    sweep,
 )
 
 __version__ = "0.1.0"
@@ -78,7 +78,6 @@ __all__ = [
     "back_substitution_gap",
     "build_level_system",
     "compute_errors",
-    "convergence_study",
     "corrector_solve",
     "fd_oracle",
     "fundamental_solution",
@@ -95,4 +94,5 @@ __all__ = [
     "psi_x",
     "residual_check",
     "run",
+    "sweep",
 ]

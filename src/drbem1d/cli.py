@@ -23,7 +23,6 @@ from .presets import BENCHMARKS, Benchmark
 from .problems import (
     REGISTRY,
     PdeProblem,
-    default_domain,
     make_fitzhugh_nagumo,
     make_generalized_fisher,
     make_generalized_fn,
@@ -46,12 +45,12 @@ PARAMETERS = tuple(dict.fromkeys(p for _, p in REGISTRY.values() if p is not Non
 
 @dataclass
 class RunConfig:
-    """Parsed parameters of one solver run; the domain and grid are checked when built."""
+    """One solver run as its config describes it, with its problem and grid built."""
 
     equation: str
     params: dict
-    a: float
-    b: float
+    problem: PdeProblem
+    grid: Grid
     t_end: float
     step: StepConfig
     h: float | None = None
@@ -110,7 +109,11 @@ def _profile_name(t) -> str:
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse and validate the key = value run format (one key per line, # comments)."""
+    """Parse the key = value run format (one key per line, # comments) into its run.
+
+    Every bad setting, the domain, the grid and the equation parameter included,
+    raises ConfigError here, before anything is run or written.
+    """
     raw = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -166,12 +169,22 @@ def parse_config(text: str) -> RunConfig:
     for name in ("t_end", "tau"):
         if name not in raw:
             raise ConfigError("missing required key", field=name)
+    if ("h" in raw) == ("n" in raw):
+        raise ConfigError("give exactly one of 'h' or 'n'", field="h")
+    domain = {name: raw.pop(name) for name in ("a", "b") if name in raw}
     try:
         step = StepConfig(raw.pop("tau"), raw.pop("epsilon", StepConfig.epsilon),
                           raw.pop("max_iters", StepConfig.max_corrector_iters))
         time_levels(step.tau, raw["t_end"], raw.get("snapshots"))
+        horizon = raw["t_end"] if raw["t_end"] > 0.0 else step.tau
+        problem = REGISTRY[equation][0](**params, **domain, horizon=horizon)
+        if "h" in raw:
+            grid = Grid.with_spacing(problem.a, problem.b, raw["h"])
+        else:
+            grid = Grid.uniform(problem.a, problem.b, raw["n"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+
     written = {}  # profile file name -> (level, snapshot time)
     for t in raw.get("snapshots", ()):
         k = level_index(t, step.tau)
@@ -180,29 +193,8 @@ def parse_config(text: str) -> RunConfig:
         if level != k:
             raise ConfigError(f"snapshots {first!r} and {t!r} would both write {name}",
                               field="snapshots")
-
-    if ("h" in raw) == ("n" in raw):
-        raise ConfigError("give exactly one of 'h' or 'n'", field="h")
-    domain = dict(zip(("a", "b"), default_domain(equation)))
-    return RunConfig(equation=equation, params=params, step=step, **{**domain, **raw})
-
-
-def build_problem(config: RunConfig) -> PdeProblem:
-    factory = REGISTRY[config.equation][0]
-    horizon = config.t_end if config.t_end > 0.0 else config.step.tau
-    try:
-        return factory(**config.params, a=config.a, b=config.b, horizon=horizon)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def build_grid(config: RunConfig) -> Grid:
-    try:
-        if config.h is not None:
-            return Grid.with_spacing(config.a, config.b, config.h)
-        return Grid.uniform(config.a, config.b, config.n)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return RunConfig(equation=equation, params=params, problem=problem, grid=grid, step=step,
+                     **raw)
 
 
 def _fmt(value) -> str:
@@ -223,7 +215,7 @@ def _write_csv(path: Path, notes, columns, rows):
 def _config_notes(config: RunConfig):
     pieces = [f"equation = {config.equation}"]
     pieces += [f"{k} = {v:g}" for k, v in sorted(config.params.items())]
-    pieces.append(f"domain = [{config.a:g}, {config.b:g}]")
+    pieces.append(f"domain = [{config.problem.a:g}, {config.problem.b:g}]")
     pieces.append(f"tau = {config.step.tau:g}")
     if config.h is not None:
         pieces.append(f"h = {config.h:g}")
@@ -235,9 +227,7 @@ def _config_notes(config: RunConfig):
 
 def cmd_solve(config: RunConfig) -> int:
     """Run one configured problem; write per-snapshot profiles and a summary CSV."""
-    problem = build_problem(config)
-    grid = build_grid(config)
-    step = config.step
+    problem, grid, step = config.problem, config.grid, config.step
     trajectory = run(problem, grid, step, config.t_end, snapshots=config.snapshots)
     oracles = [None] * len(trajectory.states)
     if config.run_oracle:

@@ -7,7 +7,6 @@ residual_check verifies to stencil order.
 
 from __future__ import annotations
 
-import inspect
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -201,7 +200,7 @@ def make_allen_cahn(a=-2.0, b=2.0, horizon=1.0) -> PdeProblem:
 
 
 # Named equations: factory and the one parameter it takes (None for none).  Each
-# default domain is its factory's (a, b) keyword defaults; see default_domain.
+# default domain is its factory's (a, b) keyword defaults.
 REGISTRY = {
     "fisher": (make_fisher, None),
     "generalized_fisher": (make_generalized_fisher, "alpha"),
@@ -210,12 +209,6 @@ REGISTRY = {
     "fitzhugh_nagumo": (make_fitzhugh_nagumo, "rho"),
     "generalized_fn": (make_generalized_fn, "rho"),
 }
-
-
-def default_domain(equation):
-    """(a, b) keyword defaults of the named equation's factory."""
-    params = inspect.signature(REGISTRY[equation][0]).parameters
-    return params["a"].default, params["b"].default
 
 
 def transcribed_fisher_wave(alpha):

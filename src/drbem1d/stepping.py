@@ -62,8 +62,8 @@ class StepConfig:
     def __post_init__(self):
         if not 0.0 < self.tau < math.inf:
             raise ValueError("tau must be positive and finite")
-        if not self.epsilon > 0.0:
-            raise ValueError("epsilon must be positive")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be positive and finite")
         cap = self.max_corrector_iters
         if not (isinstance(cap, numbers.Integral) and cap >= 2):
             raise ValueError(f"max_corrector_iters = {cap!r} must be an integer of at least 2: "
@@ -72,7 +72,10 @@ class StepConfig:
 
 @dataclass
 class SolverState:
-    """Solution snapshot at one time level; q_* are the solved endpoint fluxes."""
+    """Solution snapshot at one time level; q_* are the solved endpoint fluxes.
+
+    The t = 0 state's fluxes are nan: no level has solved for a flux there.
+    """
 
     u: np.ndarray
     q_left: float
@@ -456,9 +459,7 @@ def run(
     states = []
     level_iterations = []
     if 0 in snap_levels:
-        slope = ops.slope(u)
-        states.append(SolverState(u=u.copy(), q_left=float(slope[0]), q_right=float(slope[-1]),
-                                  t=0.0))
+        states.append(SolverState(u=u.copy(), q_left=math.nan, q_right=math.nan, t=0.0))
 
     system = None
     for k in range(1, n_levels + 1):

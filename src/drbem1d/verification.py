@@ -206,18 +206,3 @@ def sweep(rows, t_end, track_peak=False) -> list:
         order = _pair_order(results[-1] if results else None, result)
         results.append(replace(result, order=order))
     return results
-
-
-def convergence_study(problem: PdeProblem, h_list, tau_list, t_end) -> tuple:
-    """One solver run per (tau, h) pair, with errors against the exact solution.
-
-    Returns the ConvergenceRow records tau-major in the given order; each row's
-    order refers to whichever of h or tau changed against the row before (None
-    at group boundaries or when both changed).  The first row failure is raised.
-    """
-    rows = [(problem, float(h), float(tau)) for tau in tau_list for h in h_list]
-    results = sweep(rows, float(t_end))
-    for result in results:
-        if result.failure is not None:
-            raise result.failure
-    return tuple(results)

@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -15,8 +16,6 @@ from drbem1d import cli
 from drbem1d.cli import (
     RunConfig,
     _run_benchmark,
-    build_grid,
-    build_problem,
     cmd_check,
     cmd_solve,
     main,
@@ -55,7 +54,7 @@ class TestParseConfig:
         config = parse_config(GOOD_CONFIG)
         assert config.equation == "fitzhugh_nagumo"
         assert config.params == {"rho": 0.75}
-        assert (config.a, config.b) == (-10.0, 10.0)
+        assert (config.problem.a, config.problem.b) == (-10.0, 10.0)
         assert config.h == 0.125 and config.n is None
         assert config.step.tau == 1e-3 and config.t_end == 1.0
         assert config.snapshots == (1.0,)
@@ -75,7 +74,7 @@ class TestParseConfig:
         )
         config = parse_config(text)
         assert config.output_path == "out dir with spaces"
-        assert (config.a, config.b) == (-1.0, 1.0)  # equation default domain
+        assert (config.problem.a, config.problem.b) == (-1.0, 1.0)  # equation default domain
         assert config.snapshots == (0.25, 0.5)
 
     def test_snapshot_must_be_multiple_of_tau(self):
@@ -141,18 +140,14 @@ class TestParseConfig:
         assert config.compare_exact and not config.run_oracle
 
 
-def test_build_problem_rejects_generalized_fn_past_pi_half():
-    config = parse_config(
-        "equation = generalized_fn\nrho = 1\nh = 0.25\ntau = 0.01\nt_end = 1.6\n"
-    )
-    with pytest.raises(ConfigError):
-        build_problem(config)
+def test_parse_config_rejects_generalized_fn_past_pi_half():
+    with pytest.raises(ConfigError, match="horizon must lie in"):
+        parse_config("equation = generalized_fn\nrho = 1\nh = 0.25\ntau = 0.01\nt_end = 1.6\n")
 
 
-def test_build_grid_rejects_non_divisor_spacing():
-    config = parse_config("equation = fisher\nh = 0.3\ntau = 0.01\nt_end = 0.1\n")
-    with pytest.raises(ConfigError):
-        build_grid(config)
+def test_parse_config_rejects_non_divisor_spacing():
+    with pytest.raises(ConfigError, match="spacing 0.3 does not evenly divide"):
+        parse_config("equation = fisher\nh = 0.3\ntau = 0.01\nt_end = 0.1\n")
 
 
 class TestCmdSolve:
@@ -170,7 +165,7 @@ class TestCmdSolve:
         )
         assert cmd_solve(config) == 0
         _, rows = load_csv(tmp_path / "profile_t0.000000.csv")
-        problem = build_problem(config)
+        problem = config.problem
         x = np.array([float(r["x"]) for r in rows])
         u = np.array([float(r["u_numeric"]) for r in rows])
         np.testing.assert_allclose(u, problem.exact(x, 0.0), atol=1e-15)
@@ -204,7 +199,7 @@ class TestCmdSolve:
         monkeypatch.setattr(cli, "fd_oracle", counted)
         assert cmd_solve(config) == 0
         assert len(calls) == 1
-        problem, grid = build_problem(config), build_grid(config)
+        problem, grid = config.problem, config.grid
         for t in (0.0, 0.05, 0.1):
             _, profile = load_csv(tmp_path / f"profile_t{t:.6f}.csv")
             expected = fd_oracle(problem, grid.n, config.step, t)
@@ -217,7 +212,7 @@ class TestCmdSolve:
         )
         assert cmd_solve(config) == 0
         _, summary = load_csv(tmp_path / "summary.csv")
-        traj = run(build_problem(config), build_grid(config), config.step, config.t_end)
+        traj = run(config.problem, config.grid, config.step, config.t_end)
         iters = traj.level_iterations
         # the last level takes fewer passes than the first, so a level's own count
         # and the running maximum differ at t_end
@@ -291,6 +286,40 @@ def test_benchmark_records_row_failures_and_returns_2(tmp_path):
     assert rows[3]["observed_order"] == ""
     assert rows[4]["observed_order"] == ""
     assert rows[5]["observed_order"] != ""
+
+
+# one setting of a fisher run changed (None drops the key), the exit code of
+# `solve` on that config, and the text its one stderr line names
+BAD_SETTINGS = [
+    pytest.param({"tau": "0"}, 1, "tau", id="tau=0"),
+    pytest.param({"tau": "nan"}, 1, "'tau'", id="tau=nan"),
+    pytest.param({"epsilon": "0"}, 1, "epsilon", id="epsilon=0"),
+    pytest.param({"epsilon": "nan"}, 1, "'epsilon'", id="epsilon=nan"),
+    pytest.param({"max_iters": "0"}, 1, "max_corrector_iters", id="max_iters=0"),
+    pytest.param({"max_iters": "1"}, 1, "max_corrector_iters", id="max_iters=1"),
+    pytest.param({"a": "3"}, 1, "a < b", id="a>=b"),
+    pytest.param({"n": None, "h": "0"}, 1, "spacing h", id="h=0"),
+    pytest.param({"n": "2"}, 1, "n >= 3", id="n=2"),
+    pytest.param({"n": "-1"}, 1, "node count n = -1", id="n=-1"),
+    # node counts past numpy's largest array, given and implied
+    pytest.param({"n": "99999999999999999999999999"}, 1,
+                 "node count n = 99999999999999999999999999", id="n=1e26"),
+    pytest.param({"n": None, "h": "1e-300"}, 1, "spacing h = 1e-300", id="h=1e-300"),
+    pytest.param({"t_end": "-1"}, 1, "t_end", id="t_end=-1"),
+    pytest.param({"snapshots": "0.005"}, 1, "snapshot 0.005", id="snapshot-not-multiple"),
+    pytest.param({"snapshots": "0.1"}, 1, "snapshot 0.1", id="snapshot-beyond-t_end"),
+    pytest.param({"equation": "generalized_fisher", "alpha": "nan"}, 1, "'alpha'",
+                 id="alpha=nan"),
+    pytest.param({"equation": "fitzhugh_nagumo", "rho": "inf"}, 1, "'rho'", id="rho=inf"),
+    pytest.param({"tau": "1e-310", "t_end": "1e-310"}, 2, "solver failure",
+                 id="tau=t_end=1e-310"),
+]
+
+
+def bad_setting_config(tmp_path, settings):
+    keys = {"equation": "fisher", "n": "9", "tau": "0.01", "t_end": "0.05",
+            "output_path": f'"{tmp_path}"', **settings}
+    return "".join(f"{k} = {v}\n" for k, v in keys.items() if v is not None)
 
 
 class TestMainExitCodes:
@@ -371,36 +400,10 @@ class TestMainExitCodes:
         assert main(["solve", str(path)]) == 1
         assert "alpha" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("settings, code, named", [
-        pytest.param({"tau": "0"}, 1, "tau", id="tau=0"),
-        pytest.param({"tau": "nan"}, 1, "'tau'", id="tau=nan"),
-        pytest.param({"epsilon": "0"}, 1, "epsilon", id="epsilon=0"),
-        pytest.param({"epsilon": "nan"}, 1, "'epsilon'", id="epsilon=nan"),
-        pytest.param({"max_iters": "0"}, 1, "max_corrector_iters", id="max_iters=0"),
-        pytest.param({"max_iters": "1"}, 1, "max_corrector_iters", id="max_iters=1"),
-        pytest.param({"a": "3"}, 1, "a < b", id="a>=b"),
-        pytest.param({"n": None, "h": "0"}, 1, "spacing h", id="h=0"),
-        pytest.param({"n": "2"}, 1, "n >= 3", id="n=2"),
-        pytest.param({"n": "-1"}, 1, "node count n = -1", id="n=-1"),
-        # node counts past numpy's largest array, given and implied
-        pytest.param({"n": "99999999999999999999999999"}, 1,
-                     "node count n = 99999999999999999999999999", id="n=1e26"),
-        pytest.param({"n": None, "h": "1e-300"}, 1, "spacing h = 1e-300", id="h=1e-300"),
-        pytest.param({"t_end": "-1"}, 1, "t_end", id="t_end=-1"),
-        pytest.param({"snapshots": "0.005"}, 1, "snapshot 0.005", id="snapshot-not-multiple"),
-        pytest.param({"snapshots": "0.1"}, 1, "snapshot 0.1", id="snapshot-beyond-t_end"),
-        pytest.param({"equation": "generalized_fisher", "alpha": "nan"}, 1, "'alpha'",
-                     id="alpha=nan"),
-        pytest.param({"equation": "fitzhugh_nagumo", "rho": "inf"}, 1, "'rho'", id="rho=inf"),
-        pytest.param({"tau": "1e-310", "t_end": "1e-310"}, 2, "solver failure",
-                     id="tau=t_end=1e-310"),
-    ])
+    @pytest.mark.parametrize("settings, code, named", BAD_SETTINGS)
     def test_bad_setting_exit_code_table(self, tmp_path, capsys, settings, code, named):
-        # a fisher run with one setting changed (None drops the key)
-        keys = {"equation": "fisher", "n": "9", "tau": "0.01", "t_end": "0.05",
-                "output_path": f'"{tmp_path}"', **settings}
         path = tmp_path / "run.cfg"
-        path.write_text("".join(f"{k} = {v}\n" for k, v in keys.items() if v is not None))
+        path.write_text(bad_setting_config(tmp_path, settings))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert main(["solve", str(path)]) == code
@@ -467,6 +470,15 @@ class TestMainExitCodes:
         capsys.readouterr()
 
 
+@pytest.mark.parametrize("settings, code, named",
+                         [case for case in BAD_SETTINGS if case.values[1] == 1])
+def test_parse_config_raises_every_exit_1_setting(tmp_path, settings, code, named):
+    # every input failure of `solve` comes from parse_config, before anything is
+    # built, run or written, with the text the stderr line shows
+    with pytest.raises(ConfigError, match=re.escape(named)):
+        parse_config(bad_setting_config(tmp_path, settings))
+
+
 @pytest.mark.parametrize("settings, status", [
     pytest.param("tau = 0.01\nt_end = 0.05\nepsilon = nan", 1, id="epsilon=nan"),
     pytest.param("tau = 1e-310\nt_end = 1e-310", 2, id="tau=t_end=1e-310"),
@@ -501,9 +513,7 @@ def test_shipped_configs_parse_and_build():
     assert len(paths) >= 4
     for path in paths:
         config = parse_config(path.read_text())
-        problem = build_problem(config)
-        grid = build_grid(config)
-        assert grid.a == problem.a and grid.b == problem.b
+        assert (config.grid.a, config.grid.b) == (config.problem.a, config.problem.b)
 
 
 # the factory each registry name must reach, and a parameter value for it
@@ -526,7 +536,7 @@ def test_registry_builds_the_named_problem(equation):
     factory, params = DIRECT_FACTORIES[equation]
     text = f"equation = {equation}\nn = 9\ntau = 0.01\nt_end = 0.5\n"
     text += "".join(f"{name} = {value}\n" for name, value in params.items())
-    problem = build_problem(parse_config(text))
+    problem = parse_config(text).problem
     direct = factory(**params, horizon=0.5)  # the factory's default domain
     assert (problem.a, problem.b) == (direct.a, direct.b)
     u = np.linspace(0.05, 0.95, 7)

@@ -105,6 +105,8 @@ class TestStepConfig:
         # two successive solves must agree, so a cap below two can never be met
         dict(tau=0.1, max_corrector_iters=1), dict(tau=0.1, max_corrector_iters=2.5),
         dict(tau=0.1, max_corrector_iters=2.0), dict(tau=0.1, max_corrector_iters="3"),
+        # an infinite tolerance would stop every level after two solves
+        dict(tau=0.1, epsilon=math.inf),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -144,6 +146,19 @@ def test_steady_linear_profile_single_level():
     # the solved endpoint fluxes are the slope
     assert state.q_left == pytest.approx(1.0, abs=1e-9)
     assert state.q_right == pytest.approx(1.0, abs=1e-9)
+
+
+def test_no_flux_is_reported_before_the_first_level():
+    # u = 2x + 1 is steady; each level solves for its slope 2 at both ends, but at
+    # t = 0 no level has solved for a flux, so the state reports nan there
+    problem = heat_problem(2.0, 1.0)
+    traj = run(problem, Grid.uniform(0.0, 1.0, 9), StepConfig(tau=0.1), 0.2,
+               snapshots=[0.0, 0.1, 0.2])
+    initial, *levels = traj.states
+    assert initial.t == 0.0 and math.isnan(initial.q_left) and math.isnan(initial.q_right)
+    for state in levels:
+        assert state.q_left == pytest.approx(2.0, abs=1e-9)
+        assert state.q_right == pytest.approx(2.0, abs=1e-9)
 
 
 def test_zero_data_gives_zero_solution():

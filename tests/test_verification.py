@@ -20,7 +20,6 @@ from drbem1d.assembly import Grid
 from drbem1d.stepping import StepConfig, run
 from drbem1d.verification import (
     compute_errors,
-    convergence_study,
     fd_oracle,
     observed_order,
     sweep,
@@ -165,7 +164,7 @@ class TestFdOracle:
     @pytest.mark.parametrize("n_nodes, tau, t_end, epsilon", [
         (2, 0.01, 0.1, 1e-10), (17, 0.0, 0.1, 1e-10), (17, 0.01, 0.1, math.nan),
         (17, 0.01, -0.1, 1e-10), (17, 0.01, 0.105, 1e-10), (3.9, 0.01, 0.1, 1e-10),
-        (17, math.inf, 0.1, 1e-10),
+        (17, math.inf, 0.1, 1e-10), (17, 0.01, 0.1, math.inf),
     ])
     def test_rejects_what_the_stepper_rejects(self, n_nodes, tau, t_end, epsilon):
         problem = make_generalized_fisher(1.0)
@@ -243,11 +242,11 @@ class TestConvergenceStudy:
             bc_right=lambda t: 0.0,
         )
         with pytest.raises(ValueError):
-            convergence_study(problem, [0.25], [0.1], 1.0)
+            sweep([(problem, 0.25, 0.1)], 1.0)
 
     def test_zero_steps_give_zero_error_rows(self):
         problem = make_generalized_fn(1.0)
-        rows = convergence_study(problem, [0.25, 0.125], [1e-3], 0.0)
+        rows = sweep([(problem, 0.25, 1e-3), (problem, 0.125, 1e-3)], 0.0)
         assert all(row.l_inf == 0.0 and row.rms == 0.0 for row in rows)
 
     def test_zero_steps_track_the_peak_at_level_zero(self):
@@ -268,7 +267,7 @@ class TestConvergenceStudy:
     def test_spatial_refinement_against_reference(self):
         # published errors: 1.0914e-3 at h = 1/4 and 3.4491e-4 at h = 1/8
         problem = make_generalized_fn(1.0)
-        rows = convergence_study(problem, [0.25, 0.125], [1e-3], 1.0)
+        rows = sweep([(problem, 0.25, 1e-3), (problem, 0.125, 1e-3)], 1.0)
         assert rows[0].l_inf == pytest.approx(1.0914e-3, rel=0.25)
         assert rows[1].l_inf == pytest.approx(3.4491e-4, rel=0.25)
         assert rows[0].order is None
@@ -278,14 +277,16 @@ class TestConvergenceStudy:
 
     def test_temporal_refinement_shows_first_order(self):
         problem = make_generalized_fn(1.0)
-        rows = convergence_study(problem, [1.0 / 16.0], [0.02, 0.01], 1.0)
+        rows = sweep([(problem, 1.0 / 16.0, 0.02), (problem, 1.0 / 16.0, 0.01)], 1.0)
         assert rows[0].tau == 0.02
         order = rows[1].order
         assert order is not None and 0.5 < order < 1.5
 
     def test_rows_are_tau_major(self):
         problem = make_generalized_fn(1.0)
-        rows = convergence_study(problem, [0.25, 0.125], [0.05, 0.025], 0.1)
+        rows = sweep([(problem, 0.25, 0.05), (problem, 0.125, 0.05),
+                      (problem, 0.25, 0.025), (problem, 0.125, 0.025)], 0.1)
+        assert all(row.failure is None for row in rows)
         taus = [row.tau for row in rows]
         assert taus == [0.05, 0.05, 0.025, 0.025]
         # order is None across the tau-group boundary (both parameters change)
