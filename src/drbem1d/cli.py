@@ -231,7 +231,8 @@ def cmd_solve(config: RunConfig) -> int:
     trajectory = run(problem, grid, step, config.t_end, snapshots=config.snapshots)
     oracles = [None] * len(trajectory.states)
     if config.run_oracle:
-        oracles = fd_oracle(problem, grid.n, step, config.t_end, snapshots=config.snapshots)
+        oracle = fd_oracle(problem, grid.n, step, config.t_end, snapshots=config.snapshots)
+        oracles = [s.u for s in oracle.states]
 
     out_dir = Path(config.output_path)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -23,10 +23,11 @@ stops, not the fixed point itself.
 A corrector pass is the reaction F_n(u_tilde), one dgbmv that adds the
 -(eta/mu) T F_n stencil to the level's fixed right-hand side, and one in-place
 solve on the interior.  `fixed_point`, the corrector loop that
-verification.fd_oracle shares, takes the sup-norm gap between successive
-iterates in place; it doubles as the divergence guard, being non-finite exactly
-when an iterate is, so no right-hand side is scanned.  A non-finite lag that the
-reaction rejects before its gap is taken is reported the same way.
+verification.fd_oracle shares as it shares `march`, the level loop, takes the
+sup-norm gap between successive iterates in place; it doubles as the divergence
+guard, being non-finite exactly when an iterate is, so no right-hand side is
+scanned.  A non-finite lag that the reaction rejects before its gap is taken is
+reported the same way.
 """
 
 from __future__ import annotations
@@ -428,19 +429,14 @@ def initial_values(problem: PdeProblem, x) -> np.ndarray:
     return u
 
 
-def run(
-    problem: PdeProblem,
-    grid: Grid,
-    cfg: StepConfig,
-    t_end: float,
-    snapshots=None,
-    ops: Optional[DrbemOperators] = None,
-) -> Trajectory:
-    """March from t = 0 to t_end, capturing states at the snapshot times.
+def march(problem: PdeProblem, grid: Grid, cfg: StepConfig, t_end, snapshots, level) -> Trajectory:
+    """The level loop of a solver: from t = 0 to t_end, capturing states at the snapshots.
 
-    Snapshot times (default: t_end alone) must be integer multiples of tau within
-    rounding.  Endpoint values are imposed exactly at every level.  Pass a
-    pre-assembled operator set to share it across runs on the same grid.
+    level(t_n, u) maps the previous level's values to the level's SolverState and
+    its solve count.  The grid must span the problem interval, t_end and the
+    snapshot times (default: t_end alone) are checked by time_levels, and t_end
+    must be within the problem horizon.  The t = 0 state is the initial data
+    sampled at the nodes, with nan fluxes.
     """
     if abs(grid.a - problem.a) > 1e-12 or abs(grid.b - problem.b) > 1e-12:
         raise ValueError(
@@ -451,26 +447,42 @@ def run(
     if t_end > problem.horizon * (1.0 + 1e-12):
         raise ValueError(f"t_end = {t_end} exceeds the problem horizon {problem.horizon}")
 
-    if ops is None:
-        ops = assemble_drbem(grid)
-
     u = initial_values(problem, grid.nodes)
-
     states = []
     level_iterations = []
     if 0 in snap_levels:
         states.append(SolverState(u=u.copy(), q_left=math.nan, q_right=math.nan, t=0.0))
-
-    system = None
     for k in range(1, n_levels + 1):
-        t_n = k * cfg.tau
-        system = build_level_system(problem, grid, ops, cfg, t_n, u, prev_system=system)
-        state, iters = corrector_solve(system, problem, cfg, u)
+        state, iters = level(k * cfg.tau, u)
         level_iterations.append(iters)
         u = state.u
         if k in snap_levels:
             states.append(state)
 
-    log.info("run finished: %d levels, corrector iters max %s", n_levels,
+    log.info("march finished: %d levels, corrector iters max %s", n_levels,
              max(level_iterations, default=0))
     return Trajectory(states=states, level_iterations=level_iterations)
+
+
+def run(problem: PdeProblem, grid: Grid, cfg: StepConfig, t_end: float, snapshots=None,
+        ops: Optional[DrbemOperators] = None) -> Trajectory:
+    """March from t = 0 to t_end, capturing states at the snapshot times.
+
+    Snapshot times (default: t_end alone) must be integer multiples of tau within
+    rounding.  Endpoint values are imposed exactly at every level.  Pass the
+    grid's pre-assembled operator set to share it across runs (one built on
+    other nodes raises ValueError); without one, the first level assembles it.
+    """
+    # identity first: a caller passing the grid's own operators pays no O(N) check
+    if ops is not None and ops.grid is not grid and not np.array_equal(ops.grid.nodes, grid.nodes):
+        raise ValueError("operator set was built on a different node set")
+    system = None
+
+    def level(t_n, u):
+        nonlocal ops, system
+        if ops is None:
+            ops = assemble_drbem(grid)
+        system = build_level_system(problem, grid, ops, cfg, t_n, u, prev_system=system)
+        return corrector_solve(system, problem, cfg, u)
+
+    return march(problem, grid, cfg, t_end, snapshots, level)

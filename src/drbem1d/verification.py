@@ -16,9 +16,9 @@ from scipy.linalg import LinAlgError, lapack, solve_banded
 
 from .exceptions import DrbemError, SingularMatrixError
 from .problems import PdeProblem
-from .assembly import Grid, assemble_drbem
-from .stepping import (StepConfig, fixed_point, initial_values, level_coefficients, level_index,
-                       run, time_levels)
+from .assembly import Grid
+from .stepping import (SolverState, StepConfig, Trajectory, fixed_point, level_coefficients,
+                       level_index, march, run)
 
 
 @dataclass(frozen=True)
@@ -80,34 +80,26 @@ def _tridiagonal_solver(lower, diag, upper, m, t_n):
     return lambda rhs: lapack.dgttrs(dl, d, du, du2, ipiv, rhs, overwrite_b=1)[0]
 
 
-def fd_oracle(problem: PdeProblem, n_nodes, cfg: StepConfig, t_end, snapshots=None):
+def fd_oracle(problem: PdeProblem, n_nodes, cfg: StepConfig, t_end, snapshots=None) -> Trajectory:
     """Backward-Euler / three-point central-difference solution on a uniform grid.
 
     Completely independent of the boundary-integral pipeline; only the nonlinear
     policy is shared (linear reaction part implicit, remainder lagged under the
     same successive-solve stopping rule, stepping.fixed_point), so discrepancies
     between the two solvers isolate the spatial discretization.  It takes the
-    StepConfig that `run` takes, and its nodes, time levels, initial values,
-    level coefficients and failures follow the stepper's own rules; the iterate
-    is the full node vector, so a DomainError names the node as `run` does.
-
-    Returns the solution at t_end; given snapshot times (checked as `run`
-    checks them), one march returns the list of solutions at the distinct
-    snapshot levels in increasing time, as `run` orders its states.
+    StepConfig that `run` takes and marches through stepping.march, so its time
+    levels, horizon, initial values, snapshots and Trajectory are `run`'s; its
+    level coefficients and failures follow the stepper's own rules, and the
+    iterate is the full node vector, so a DomainError names the node as `run`
+    does.  The oracle solves for no flux: every state's fluxes are nan.
     """
     tau = cfg.tau
     grid = Grid.uniform(problem.a, problem.b, n_nodes)
-    x, n, h = grid.nodes, grid.n, grid.h
-    n_levels, snap_levels = time_levels(tau, float(t_end), snapshots)
-
-    u = initial_values(problem, x)
-    captured = [u] if 0 in snap_levels else []
-
+    h, m = grid.h, grid.n - 2
     lam = problem.reaction.linear_slope
     nonlinear = problem.reaction.nonlinear
-    m = n - 2
-    for k in range(1, n_levels + 1):
-        t_n = k * tau
+
+    def level(t_n, u):
         nu_n, mu_n, eta_n = level_coefficients(problem, t_n)
 
         lower = -nu_n / (2.0 * h) - mu_n / (h * h)
@@ -125,10 +117,10 @@ def fd_oracle(problem: PdeProblem, n_nodes, cfg: StepConfig, t_end, snapshots=No
             w = solve(base + eta_n * nonlinear(u_tilde[1:-1]))
             return (np.concatenate([[g_left], w, [g_right]]),)
 
-        (u,), _ = fixed_point(oracle_pass, u, cfg, t_n, "oracle corrector")
-        if k in snap_levels:
-            captured.append(u)
-    return u if snapshots is None else captured
+        (u,), iters = fixed_point(oracle_pass, u, cfg, t_n, "oracle corrector")
+        return SolverState(u=u, q_left=math.nan, q_right=math.nan, t=t_n), iters
+
+    return march(problem, grid, cfg, t_end, snapshots, level)
 
 
 @dataclass(frozen=True)
@@ -172,27 +164,22 @@ def _pair_order(prev: Optional[ConvergenceRow], cur: ConvergenceRow) -> Optional
 def sweep(rows, t_end, track_peak=False) -> list:
     """One solver run per (problem, h, tau) row, with errors against the exact solution.
 
-    Operators are assembled once per (a, b, N) grid and shared, and every row
-    runs the corrector at StepConfig's default tolerance and cap.  A DrbemError
-    is recorded on its row and the sweep goes on; each result carries the
-    observed order against the row before it.
+    Each row runs on its own grid and operators, with the corrector at
+    StepConfig's default tolerance and cap.  A DrbemError is recorded on its row
+    and the sweep goes on; each result carries the observed order against the
+    row before it.
     """
-    ops_cache = {}
     results = []
     for problem, h, tau in rows:
         if problem.exact is None:
             raise ValueError("a sweep needs problems with an exact solution")
         grid = Grid.with_spacing(problem.a, problem.b, h)
         try:
-            key = (problem.a, problem.b, grid.n)
-            if key not in ops_cache:
-                ops_cache[key] = (grid, assemble_drbem(grid))
-            grid, ops = ops_cache[key]
             cfg = StepConfig(tau=tau)
             snapshots = None
             if track_peak:
                 snapshots = [k * tau for k in range(level_index(t_end, tau) + 1)]
-            traj = run(problem, grid, cfg, t_end, snapshots=snapshots, ops=ops)
+            traj = run(problem, grid, cfg, t_end, snapshots=snapshots)
             report = compute_errors(traj.states[-1].u, problem.exact(grid.nodes, t_end),
                                     time=t_end)
             peak = None

@@ -85,7 +85,7 @@ def cross_runs():
         traj = run(problem, grid, cfg, 1.0, snapshots=[1.0 - TAU, 1.0], ops=ops)
         state_prev, state_final = traj.states
         exact = np.asarray(problem.exact(grid.nodes, 1.0), dtype=float)
-        oracle = fd_oracle(problem, grid.n, cfg, 1.0)
+        oracle = fd_oracle(problem, grid.n, cfg, 1.0).states[-1].u
         out[name] = {
             "problem": problem,
             "grid": grid,
@@ -339,7 +339,7 @@ def _fig5_sweep():
             for s in traj.states
         ])
         exact_final = np.asarray(problem.exact(grid.nodes, bench.t_end), dtype=float)
-        u_fd = fd_oracle(problem, grid.n, cfg, bench.t_end)
+        u_fd = fd_oracle(problem, grid.n, cfg, bench.t_end).states[-1].u
         oracle.append(compute_errors(u_fd, exact_final).l_inf)
     return alphas, exits, times, np.asarray(errors), oracle
 

@@ -140,6 +140,38 @@ class TestParseConfig:
         assert config.compare_exact and not config.run_oracle
 
 
+
+# a config text, the ConfigError's line and field, and its whole message
+@pytest.mark.parametrize("text, line, field, message", [
+    ("equation = fisher\nn 9\n", 2, None, "line 2: expected 'key = value'"),
+    ("equation = fisher\ntau = 0.1\ntau = 0.2\n", 3, None, "line 3: duplicate key 'tau'"),
+    ('output_path = "out\n', 1, "output_path",
+     "line 1, field 'output_path': unterminated string"),
+    ('output_path = "out" dir\n', 1, "output_path",
+     "line 1, field 'output_path': unexpected text after string"),
+    ("equation = fisher\ntau =  # later\n", 2, "tau", "line 2, field 'tau': empty value"),
+    ("run_oracle = maybe\n", 1, "run_oracle",
+     "line 1, field 'run_oracle': expected true/false, got 'maybe'"),
+    ("n = 9\ntau = 0.1\nt_end = 0.1\n", None, "equation",
+     "field 'equation': missing required key"),
+    ("equation = fisher\nn = 9\ntau = 0.1\n", None, "t_end",
+     "field 't_end': missing required key"),
+    ("equation = fisher\nn = 9\nt_end = 0.1\n", None, "tau",
+     "field 'tau': missing required key"),
+], ids=["no-equals", "duplicate", "unterminated", "after-string", "empty", "boolean",
+        "no-equation", "no-t_end", "no-tau"])
+def test_parse_config_names_the_line_and_field_of_each_input_check(text, line, field, message):
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(text)
+    assert (excinfo.value.line, excinfo.value.field, str(excinfo.value)) == (line, field, message)
+
+
+def test_cmd_reproduce_rejects_an_unknown_benchmark(tmp_path):
+    # argparse's choices stop the name at the command line; the library call checks it
+    with pytest.raises(ConfigError, match="unknown benchmark 'table9'"):
+        cli.cmd_reproduce("table9", tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
 def test_parse_config_rejects_generalized_fn_past_pi_half():
     with pytest.raises(ConfigError, match="horizon must lie in"):
         parse_config("equation = generalized_fn\nrho = 1\nh = 0.25\ntau = 0.01\nt_end = 1.6\n")
@@ -202,7 +234,7 @@ class TestCmdSolve:
         problem, grid = config.problem, config.grid
         for t in (0.0, 0.05, 0.1):
             _, profile = load_csv(tmp_path / f"profile_t{t:.6f}.csv")
-            expected = fd_oracle(problem, grid.n, config.step, t)
+            expected = fd_oracle(problem, grid.n, config.step, t).states[-1].u
             assert [row["u_oracle"] for row in profile] == [f"{v:.15e}" for v in expected]
 
     def test_summary_corrector_columns_follow_level_iterations(self, tmp_path):

@@ -136,6 +136,12 @@ def test_incompatible_problem_rejected():
         make_fitzhugh_nagumo(0.5, a=1.0, b=-1.0)
 
 
+
+@pytest.mark.parametrize("horizon", [0.0, -1.0, math.nan])
+def test_nonpositive_horizon_rejected(horizon):
+    with pytest.raises(ValueError, match="horizon must be positive"):
+        make_fisher(horizon=horizon)
+
 class TestResidualCheck:
     def test_constant_equilibria_are_exact(self):
         fisher = make_fisher()

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from drbem1d import stepping
 from drbem1d.assembly import LEVEL_BAND, Grid, assemble_drbem, band_lu_factor_checked
 from drbem1d.exceptions import ConvergenceError, DomainError, SingularMatrixError, SolverError
 from drbem1d.problems import (REGISTRY, CoefficientSet, PdeProblem, ReactionTerm,
@@ -592,6 +593,46 @@ def test_run_validates_inputs():
     for t_end in (-0.1, np.nan):
         with pytest.raises(ValueError):
             run(problem, grid, StepConfig(tau=1e-3), t_end)
+
+
+def test_run_assembles_operators_only_when_a_level_is_solved(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return assemble_drbem(*args)
+
+    monkeypatch.setattr(stepping, "assemble_drbem", counted)
+    problem, grid, cfg = make_fisher(), Grid.uniform(-2.0, 2.0, 9), StepConfig(tau=0.1)
+    for t_end, assembled in ((0.0, 0), (0.1, 1), (0.5, 2)):  # one call a run with a level
+        run(problem, grid, cfg, t_end)
+        assert len(calls) == assembled
+
+
+def test_run_rejects_an_operator_set_built_on_other_nodes():
+    problem, cfg = make_fisher(), StepConfig(tau=0.01)
+    grid = Grid.uniform(-2.0, 2.0, 17)
+    for foreign in (jittered(grid, seed=3), Grid.uniform(-2.0, 2.0, 9)):
+        with pytest.raises(ValueError, match="operator set was built on a different node set"):
+            run(problem, grid, cfg, 0.1, ops=assemble_drbem(foreign))
+    # operators of an equal node set are the grid's own
+    shared = run(problem, grid, cfg, 0.1, ops=assemble_drbem(Grid(grid.nodes.copy())))
+    assert shared.states[-1].u.tobytes() == run(problem, grid, cfg, 0.1).states[-1].u.tobytes()
+
+
+def test_build_level_system_rejects_a_previous_level_of_the_wrong_shape():
+    problem = make_fisher()
+    grid = Grid.uniform(problem.a, problem.b, 9)
+    with pytest.raises(ValueError, match=r"u_prev must have shape \(9,\), got \(8,\)"):
+        build_level_system(problem, grid, assemble_drbem(grid), StepConfig(tau=0.01), 0.01,
+                           np.zeros(8))
+
+
+def test_initial_values_samples_a_scalar_valued_initial_node_by_node():
+    # u_0(x) = x written for one point at a time: the node array sums to a scalar
+    problem = dataclasses.replace(heat_problem(1.0, 0.0), initial=lambda x: float(np.sum(x)))
+    grid = Grid.uniform(0.0, 1.0, 5)
+    assert initial_values(problem, grid.nodes).tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
 
 
 def test_run_reproduces_reference_error_on_coarse_grid():

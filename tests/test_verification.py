@@ -82,7 +82,7 @@ class TestFdOracle:
             bc_left=lambda t: -3.0,
             bc_right=lambda t: -1.0,
         )
-        u = fd_oracle(problem, 17, StepConfig(tau=0.01), 1.0)
+        u = fd_oracle(problem, 17, StepConfig(tau=0.01), 1.0).states[-1].u
         x = np.linspace(0.0, 1.0, 17)
         assert np.max(np.abs(u - (2.0 * x - 3.0))) < 1e-8
 
@@ -92,7 +92,7 @@ class TestFdOracle:
         problem = make_generalized_fisher(1.0)
         errors = []
         for n, tau in ((65, 1e-3), (129, 5e-4)):
-            u = fd_oracle(problem, n, StepConfig(tau=tau), 1.0)
+            u = fd_oracle(problem, n, StepConfig(tau=tau), 1.0).states[-1].u
             x = np.linspace(problem.a, problem.b, n)
             errors.append(compute_errors(u, problem.exact(x, 1.0)).l_inf)
         assert errors[0] < 1e-2
@@ -106,7 +106,7 @@ class TestFdOracle:
         grid = Grid.with_spacing(-1.0, 1.0, 0.25)
         traj = run(problem, grid, StepConfig(tau=1e-3), 1.0)
         exact = problem.exact(grid.nodes, 1.0)
-        u_fd = fd_oracle(problem, grid.n, StepConfig(tau=1e-3), 1.0)
+        u_fd = fd_oracle(problem, grid.n, StepConfig(tau=1e-3), 1.0).states[-1].u
         err_main = compute_errors(traj.states[-1].u, exact).l_inf
         err_fd = compute_errors(u_fd, exact).l_inf
         assert err_main < 5e-3 and err_fd < 5e-3
@@ -117,10 +117,11 @@ class TestFdOracle:
     def test_snapshots_share_one_march(self):
         problem = make_generalized_fn(1.0)
         cfg = StepConfig(tau=0.01)
-        marched = fd_oracle(problem, 17, cfg, 0.1, snapshots=[0.1, 0.0, 0.05, 0.05])
+        marched = [s.u for s in fd_oracle(problem, 17, cfg, 0.1,
+                                          snapshots=[0.1, 0.0, 0.05, 0.05]).states]
         assert len(marched) == 3  # distinct levels, in increasing time
         for u, t in zip(marched, (0.0, 0.05, 0.1)):
-            np.testing.assert_array_equal(u, fd_oracle(problem, 17, cfg, t))
+            np.testing.assert_array_equal(u, fd_oracle(problem, 17, cfg, t).states[-1].u)
 
     @pytest.mark.parametrize("name, params, n, tau, t_end", [
         ("generalized_fisher", {"alpha": 2.5}, 65, 1e-3, 0.3),
@@ -131,7 +132,7 @@ class TestFdOracle:
     ])
     def test_matches_a_solve_banded_per_pass_bit_for_bit(self, name, params, n, tau, t_end):
         problem = REGISTRY[name][0](**params)
-        u = fd_oracle(problem, n, StepConfig(tau=tau), t_end)
+        u = fd_oracle(problem, n, StepConfig(tau=tau), t_end).states[-1].u
         assert u.tobytes() == reference_oracle(problem, n, tau, t_end).tobytes()
 
     @pytest.mark.parametrize("n, mu", [(3, -1.0 / 8.0), (4, -1.0 / 9.0), (5, -1.0 / 32.0)])
@@ -164,13 +165,24 @@ class TestFdOracle:
     @pytest.mark.parametrize("n_nodes, tau, t_end, epsilon", [
         (2, 0.01, 0.1, 1e-10), (17, 0.0, 0.1, 1e-10), (17, 0.01, 0.1, math.nan),
         (17, 0.01, -0.1, 1e-10), (17, 0.01, 0.105, 1e-10), (3.9, 0.01, 0.1, 1e-10),
-        (17, math.inf, 0.1, 1e-10), (17, 0.01, 0.1, math.inf),
+        (17, math.inf, 0.1, 1e-10), (17, 0.01, 0.1, math.inf), (17, 0.01, 1.5, 1e-10),
     ])
     def test_rejects_what_the_stepper_rejects(self, n_nodes, tau, t_end, epsilon):
         problem = make_generalized_fisher(1.0)
         with pytest.raises(ValueError):
             fd_oracle(problem, n_nodes, StepConfig(tau=tau, epsilon=epsilon), t_end)
 
+
+    def test_keeps_the_horizon_and_snapshot_rules_of_run(self):
+        problem, cfg = make_generalized_fn(1.0), StepConfig(tau=0.1)  # horizon 1.0
+        for solver in (fd_oracle, drbem_run):
+            with pytest.raises(ValueError, match="t_end = 1.5 exceeds the problem horizon 1.0"):
+                solver(problem, 17, cfg, 1.5)
+        traj = fd_oracle(problem, 17, cfg, 0.3, snapshots=[0.0, 0.2])
+        assert [s.t for s in traj.states] == [0.0, 0.2]
+        assert len(traj.level_iterations) == 3 and min(traj.level_iterations) >= 2
+        for state in traj.states:  # the oracle solves for no flux
+            assert math.isnan(state.q_left) and math.isnan(state.q_right)
 
 def nan_first_fisher():
     """make_generalized_fisher(1.0) whose lagged remainder is nan on the first call."""
