@@ -132,7 +132,8 @@ class DrbemOperators:
     kappa in its corners, are tridiagonal stencils in the spacings; T P is
     pentadiagonal.
 
-    t_band is T in gbmv layout (one sub- and one superdiagonal).  level_pieces
+    t_band is T in gbmv layout (one sub- and one superdiagonal), Fortran-ordered
+    so that dgbmv reads it in place rather than copying it per call.  level_pieces
     holds 6 Delta, T and T P, in that order, on [u_x(a), u_2, ..., u_{N-1}, u_x(b)]
     in gbtrf layout with LEVEL_BAND sub- and superdiagonals (zero workspace rows
     first), each piece in Fortran order; dirichlet_pieces holds the same three on
@@ -192,7 +193,7 @@ def assemble_drbem(grid: Grid, interp=None) -> DrbemOperators:
     n = grid.n
     h = np.diff(grid.nodes)
     kappa = 0.5 / (grid.b - grid.a + 2.0)
-    t_band = np.zeros((3, n))
+    t_band = np.zeros((3, n), order="F")  # dgbmv's own layout: read in place
     t_band[0, 1:] = t_band[2, :-1] = h
     t_band[1, :-1] = 2.0 * h
     t_band[1, 1:] += 2.0 * h

@@ -106,10 +106,15 @@ def _from_exact(coeffs, reaction, a, b, horizon, exact):
 
 
 def _bistable(rho) -> ReactionTerm:
-    """F(u) = -u(1 - u)(rho - u): slope -rho implicit, (1 + rho) u^2 - u^3 lagged."""
+    """F(u) = -u(1 - u)(rho - u): slope -rho implicit, u u ((1 + rho) - u) lagged.
+
+    The remainder (1 + rho) u^2 - u^3 is evaluated as u u (c - u) with
+    c = 1 + rho: two multiplies and a subtract, where u**3 would call pow.
+    """
+    c = 1.0 + rho
     return ReactionTerm(
         linear_slope=-rho,
-        nonlinear=lambda u: (1.0 + rho) * u * u - u**3,
+        nonlinear=lambda u: u * u * (c - u),
         full=lambda u: -u * (1.0 - u) * (rho - u),
     )
 

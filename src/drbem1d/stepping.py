@@ -227,7 +227,7 @@ def build_level_system(
     rhs_fixed = blas.dgbmv(n, n, 1, 1, -1.0 / (tau * mu_n), factorization.t_band, u_prev)
     # six scalar updates cost less than a product
     for i, on_left, on_right in factorization.dirichlet_rows:
-        rhs_fixed[i] -= on_left * g_left + on_right * g_right
+        rhs_fixed[i] = rhs_fixed.item(i) - (on_left * g_left + on_right * g_right)
     return TimeLevelSystem(factorization, rhs_fixed, t_n, g_left, g_right, u_prev,
                            None if prev_system is None else prev_system.u_prev)
 
@@ -255,7 +255,7 @@ def _level_pass(sys: TimeLevelSystem, problem: PdeProblem):
         # incx = 1, offx = 0, beta = -1, y = rhs_fixed (copied, not overwritten)
         u = dgbmv(n, n, 1, 1, alpha, t_band, nonlinear(u_tilde), 1, 0, -1.0, rhs_fixed)
         solve_interior(u[1:-1])
-        r_left, r_right = float(u[0]), float(u[-1])
+        r_left, r_right = u.item(0), u.item(-1)
         u[0] = g_left
         u[-1] = g_right
         return u, r_left, r_right

@@ -154,6 +154,8 @@ def test_band_pieces_hold_the_level_operator(n):
     # columns, and factors the band's interior columns in place
     assert np.all(dirichlet[3:-3] == 0.0)
     assert all(piece.flags.f_contiguous for piece in ops.level_pieces)
+    # dgbmv reads T in place only in its own, Fortran, layout
+    assert ops.t_band.flags.f_contiguous
 
 
 @pytest.mark.parametrize("jitter", [0.0, 0.1], ids=["uniform", "jittered"])

@@ -101,6 +101,17 @@ def test_reaction_split_consistency(name, factory):
     assert np.max(np.abs(reaction.split_defect(u))) <= 1e-12
 
 
+@pytest.mark.parametrize("rho", [-1.0, 0.25, 0.75, 1.0])
+def test_bistable_remainder_is_the_cubic(rho):
+    # u u ((1 + rho) - u) is (1 + rho) u^2 - u^3 up to rounding
+    reaction = make_fitzhugh_nagumo(rho, horizon=1.0).reaction
+    u = np.linspace(-0.5, 1.5, 201)
+    cubic = (1.0 + rho) * u * u - u**3
+    bound = 4.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(u)) ** 3
+    assert np.all(np.abs(reaction.nonlinear(u) - cubic) <= bound)
+    assert np.max(np.abs(reaction.split_defect(u))) <= 1e-12
+
+
 def test_reaction_nonlinear_vanishes_at_zero_with_zero_slope():
     delta = 1e-6
     for _, factory in INTEGER_ALPHA_CATALOG[:6]:

@@ -530,6 +530,28 @@ def test_level_solve_allocates_no_n_by_n_array():
     assert peak <= 64 * grid.n * 8
 
 
+@pytest.mark.parametrize("name, spd", [("fitzhugh_nagumo", True), ("generalized_fn", False)])
+def test_level_hands_its_kernels_operands_that_need_no_conversion(name, spd):
+    # f2py copies an operand that is not in the kernel's own layout on every call
+    problem = registry_problem(name)
+    grid = jittered(Grid.uniform(problem.a, problem.b, 33), seed=5)
+    cfg = StepConfig(tau=1e-3)
+    u = initial_values(problem, grid.nodes)
+    system = build_level_system(problem, grid, assemble_drbem(grid), cfg, cfg.tau, u)
+    factorization = system.factorization
+    assert takes_dpttrs(system) is spd
+    assert factorization.t_band.flags.f_contiguous
+    if spd:
+        d, e = factorization.factors
+        assert d.flags.contiguous and e.flags.contiguous
+    else:
+        assert factorization.factors[0].flags.f_contiguous  # dgbtrf's lu
+    rhs = np.ones(grid.n)
+    b = rhs[1:-1]  # the pass solves on its right-hand side's interior entries
+    x, info = factorization.solve(b)
+    assert info == 0 and np.shares_memory(x, b)
+
+
 @pytest.mark.parametrize("levels", [1, 3, 5])
 def test_run_allocates_no_n_by_n_array(levels):
     # the level test above with the operator assembly inside: run builds its own
