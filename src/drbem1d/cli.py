@@ -231,7 +231,7 @@ def cmd_solve(config: RunConfig) -> int:
     trajectory = run(problem, grid, step, config.t_end, snapshots=config.snapshots)
     oracles = [None] * len(trajectory.states)
     if config.run_oracle:
-        oracle = fd_oracle(problem, grid.n, step, config.t_end, snapshots=config.snapshots)
+        oracle = fd_oracle(problem, grid, step, config.t_end, snapshots=config.snapshots)
         oracles = [s.u for s in oracle.states]
 
     out_dir = Path(config.output_path)

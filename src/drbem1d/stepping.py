@@ -50,6 +50,9 @@ log = logging.getLogger(__name__)
 
 MU_FLOOR = 1e-12
 TIME_MULTIPLE_TOL = 1e-12
+# More time levels than this (9 hours at fig1's 33 us a level, 8 GB for
+# level_iterations alone) is a mistyped tau, not a run anyone waits for.
+MAX_LEVELS = 10**9
 
 
 @dataclass
@@ -394,7 +397,9 @@ class Trajectory:
 
 
 def level_index(t, tau, name="time") -> int:
-    """t / tau rounded to the nearest level, rejecting non-multiples."""
+    """t / tau rounded to the nearest level, rejecting non-finite times and non-multiples."""
+    if not math.isfinite(t):
+        raise ValueError(f"{name} {t!r} must be finite")
     k = int(round(t / tau))
     if abs(t - k * tau) > TIME_MULTIPLE_TOL * max(1.0, abs(t)):
         raise ValueError(f"{name} {t!r} is not an integer multiple of tau = {tau!r}")
@@ -404,12 +409,16 @@ def level_index(t, tau, name="time") -> int:
 def time_levels(tau, t_end, snapshots=None) -> tuple:
     """Level count to t_end and the set of snapshot levels (default: t_end alone).
 
-    t_end must be nonnegative, and t_end and every snapshot time integer
-    multiples of tau within rounding, with the snapshots in [0, t_end].
+    t_end must be nonnegative, and t_end and every snapshot time finite integer
+    multiples of tau within rounding, with the snapshots in [0, t_end] and at
+    most MAX_LEVELS levels to t_end.
     """
     if not t_end >= 0.0:
         raise ValueError(f"t_end = {t_end} must be nonnegative")
     n_levels = level_index(t_end, tau, "t_end")
+    if n_levels > MAX_LEVELS:
+        raise ValueError(f"t_end = {t_end:g} over tau = {tau:g} gives {n_levels:.3g} time levels, "
+                         f"more than the {MAX_LEVELS:.0e} a run may march")
     snap_levels = set()
     for s in (t_end,) if snapshots is None else snapshots:
         k = level_index(float(s), tau, "snapshot")

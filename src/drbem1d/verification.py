@@ -1,8 +1,9 @@
-"""Error metrics, an independent finite-difference oracle, and convergence sweeps.
+"""Error metrics, a finite-difference oracle on `run`'s grid, and convergence sweeps.
 
-The oracle shares the stepper's nonlinear policy by running each level through
-stepping.fixed_point, so it stops, diverges, stalls and meets a DomainError
-exactly as `run` does, under its own label ("oracle corrector").
+The oracle shares stepping.march, stepping.fixed_point and
+assembly.band_lu_factor_checked with the stepper, so it stops, diverges, stalls,
+meets a DomainError and reports a singular level exactly as `run` does, under
+its own labels ("oracle corrector", "oracle level matrix").
 """
 
 from __future__ import annotations
@@ -12,11 +13,11 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import LinAlgError, lapack, solve_banded
+from scipy.linalg import lapack
 
-from .exceptions import DrbemError, SingularMatrixError
+from .exceptions import DrbemError
 from .problems import PdeProblem
-from .assembly import Grid
+from .assembly import Grid, band_lu_factor_checked
 from .stepping import (SolverState, StepConfig, Trajectory, fixed_point, level_coefficients,
                        level_index, march, run)
 
@@ -54,68 +55,57 @@ def compute_errors(numeric, exact_at_nodes, time=math.nan) -> ErrorReport:
     )
 
 
-def _oracle_singular(t_n) -> SingularMatrixError:
-    return SingularMatrixError(f"oracle level matrix at t = {t_n:g} is singular")
+def fd_oracle(problem: PdeProblem, grid: Grid, cfg: StepConfig, t_end,
+              snapshots=None) -> Trajectory:
+    """Backward-Euler / three-point finite-difference solution on the grid `run` takes.
 
-
-def _tridiagonal_solver(lower, diag, upper, m, t_n):
-    """rhs -> the solution of the m x m tridiagonal system with constant diagonals,
-    factored once here (LAPACK gttrf) and solved per call (gttrs).  A singular
-    matrix raises SingularMatrixError."""
-    if m < 3:  # the gttrf wrapper cannot size du2 below three unknowns
-        if m == 1 and diag == 0.0:  # solve_banded divides by a 1 x 1 matrix unchecked
-            raise _oracle_singular(t_n)
-        banded = np.array([[0.0] + [upper] * (m - 1), [diag] * m, [lower] * (m - 1) + [0.0]])
-
-        def solve(rhs):
-            try:
-                return solve_banded((1, 1), banded, rhs, check_finite=False)
-            except LinAlgError:  # gtsv met a zero pivot
-                raise _oracle_singular(t_n) from None
-        return solve
-    dl, d, du, du2, ipiv, info = lapack.dgttrf(np.full(m - 1, lower), np.full(m, diag),
-                                               np.full(m - 1, upper))
-    if info > 0:
-        raise _oracle_singular(t_n)
-    return lambda rhs: lapack.dgttrs(dl, d, du, du2, ipiv, rhs, overwrite_b=1)[0]
-
-
-def fd_oracle(problem: PdeProblem, n_nodes, cfg: StepConfig, t_end, snapshots=None) -> Trajectory:
-    """Backward-Euler / three-point central-difference solution on a uniform grid.
-
-    Completely independent of the boundary-integral pipeline; only the nonlinear
-    policy is shared (linear reaction part implicit, remainder lagged under the
-    same successive-solve stopping rule, stepping.fixed_point), so discrepancies
-    between the two solvers isolate the spatial discretization.  It takes the
-    StepConfig that `run` takes and marches through stepping.march, so its time
-    levels, horizon, initial values, snapshots and Trajectory are `run`'s; its
-    level coefficients and failures follow the stepper's own rules, and the
-    iterate is the full node vector, so a DomainError names the node as `run`
-    does.  The oracle solves for no flux: every state's fluxes are nan.
+    On the grid's own spacings, u_xx is 2 [(u_{i+1} - u_i)/h_i - (u_i - u_{i-1})/h_{i-1}]
+    / (h_{i-1} + h_i) and u_x the weighted central difference.  No DRBEM operator is
+    shared: only the nonlinear policy (stepping.fixed_point), the level loop
+    (stepping.march, so time levels, horizon, initial values, snapshots and
+    Trajectory are `run`'s) and the checked band factorization, whose factors are
+    carried over while the coefficient triple stays the same, as in
+    build_level_system.  So discrepancies between the two solvers isolate the
+    spatial discretization.  The oracle solves for no flux: every state's fluxes are nan.
     """
-    tau = cfg.tau
-    grid = Grid.uniform(problem.a, problem.b, n_nodes)
-    h, m = grid.h, grid.n - 2
-    lam = problem.reaction.linear_slope
-    nonlinear = problem.reaction.nonlinear
+    tau, m = cfg.tau, grid.n - 2
+    h = np.diff(grid.nodes)
+    h_l, h_r = h[:-1], h[1:]
+    left, mid, right = h_l * (h_l + h_r), h_l * h_r, h_r * (h_l + h_r)
+    # u_xx and u_x in Fortran-ordered gbtrf layout: interior row i's weights on u_{i+1},
+    # u_i, u_{i-1} in rows 1, 2, 3 of columns i+1, i, i-1, so columns 2..N-1 are the band
+    d2, d1 = np.zeros((2, grid.n, 4)).transpose(0, 2, 1)
+    d2[1, 2:], d2[2, 1:-1], d2[3, :-2] = 2.0 / right, -2.0 / mid, 2.0 / left
+    d1[1, 2:], d1[2, 1:-1], d1[3, :-2] = h_l / right, (h_r - h_l) / mid, -h_r / left
+    lam, nonlinear = problem.reaction.linear_slope, problem.reaction.nonlinear
+    factors = (None,)  # (coeffs, lu, piv, lower, upper) of the last factored level
 
     def level(t_n, u):
-        nu_n, mu_n, eta_n = level_coefficients(problem, t_n)
+        nonlocal factors
+        nu_n, mu_n, eta_n = coeffs = level_coefficients(problem, t_n)
+        if factors[0] != coeffs:
+            with np.errstate(over="ignore", invalid="ignore"):  # the factor check reports nan
+                band = nu_n * d1 - mu_n * d2
+                band[2] += 1.0 / tau - eta_n * lam
+            lu, piv = band_lu_factor_checked(band[:, 1:-1], 1, 1,
+                                             f"oracle level matrix at t = {t_n:g}")
+            # the weights on the imposed values, g_left in row 2 and g_right in row N-1
+            factors = coeffs, lu, piv, band.item(3, 0), band.item(1, -1)
+        _, lu, piv, lower, upper = factors
 
-        lower = -nu_n / (2.0 * h) - mu_n / (h * h)
-        diag = 1.0 / tau + 2.0 * mu_n / (h * h) - eta_n * lam
-        upper = nu_n / (2.0 * h) - mu_n / (h * h)
-        solve = _tridiagonal_solver(lower, diag, upper, m, t_n)
-
-        g_left = float(problem.bc_left(t_n))
-        g_right = float(problem.bc_right(t_n))
+        g_left, g_right = float(problem.bc_left(t_n)), float(problem.bc_right(t_n))
         base = u[1:-1] / tau
         base[0] -= lower * g_left
         base[-1] -= upper * g_right
 
-        def oracle_pass(u_tilde):
-            w = solve(base + eta_n * nonlinear(u_tilde[1:-1]))
-            return (np.concatenate([[g_left], w, [g_right]]),)
+        def oracle_pass(u_tilde, dgbtrs=lapack.dgbtrs):
+            u_new = np.empty(m + 2)
+            u_new[0], u_new[-1] = g_left, g_right
+            w = np.multiply(nonlinear(u_tilde[1:-1]), eta_n, out=u_new[1:-1])
+            w += base
+            # trans = 0, n = ldb = m, ldab = 4, overwrite_b = 1: in place on w
+            dgbtrs(lu, 1, 1, w, piv, 0, m, 4, m, 1)
+            return (u_new,)
 
         (u,), iters = fixed_point(oracle_pass, u, cfg, t_n, "oracle corrector")
         return SolverState(u=u, q_left=math.nan, q_right=math.nan, t=t_n), iters

@@ -5,9 +5,10 @@ import tracemalloc
 from fractions import Fraction
 
 import numpy as np
-from scipy.linalg import blas, lapack, lu_factor, lu_solve, solve_banded
+from hypothesis import strategies as st
+from scipy.linalg import blas, lapack, lu_factor, lu_solve
 
-from drbem1d.assembly import LEVEL_BAND, band_lu_factor_checked
+from drbem1d.assembly import LEVEL_BAND, Grid, band_lu_factor_checked
 from drbem1d.problems import make_generalized_fisher
 from drbem1d.reference import (e_matrix, endpoint_matrices, fundamental_solution,
                                fundamental_solution_dx, psi, psi_x)
@@ -188,30 +189,43 @@ def reference_corrector(sys, problem, cfg, lag):
     raise AssertionError(f"reference corrector stalled at t = {sys.t_n}")
 
 
-def reference_oracle(problem, n_nodes, tau, t_end, epsilon=1e-10, max_iters=100):
-    """fd_oracle's march with one solve_banded, a factorization and a solve, per
-    corrector pass, as the oracle first ran it.  A test reference only."""
-    x = np.linspace(problem.a, problem.b, n_nodes)
-    h = (x[-1] - x[0]) / (n_nodes - 1)
+def reference_oracle(problem, grid, tau, t_end, epsilon=1e-10, max_iters=100):
+    """fd_oracle's march on the grid's own spacings as a plain loop: each level's
+    tridiagonal band written out row by row from the three-point stencils, and one
+    dgbsv, a band factorization and a solve, per corrector pass.  A test reference
+    only."""
+    x = grid.nodes
     u = initial_values(problem, x)
-    lam, m = problem.reaction.linear_slope, n_nodes - 2
+    lam, m = problem.reaction.linear_slope, grid.n - 2
     for k in range(1, int(round(t_end / tau)) + 1):
         t_n = k * tau
         nu, mu, eta = level_coefficients(problem, t_n)
-        lower = -nu / (2.0 * h) - mu / (h * h)
-        upper = nu / (2.0 * h) - mu / (h * h)
-        banded = np.zeros((3, m))
-        banded[0, 1:] = upper
-        banded[1, :] = 1.0 / tau + 2.0 * mu / (h * h) - eta * lam
-        banded[2, :-1] = lower
+        banded = np.zeros((4, m))  # gbsv layout: a zero workspace row, then the three diagonals
+        for j in range(m):
+            h_l, h_r = x[j + 1] - x[j], x[j + 2] - x[j + 1]
+            span = h_l + h_r
+            lower = nu * (-h_r / (h_l * span)) - mu * (2.0 / (h_l * span))
+            diag = (nu * ((h_r - h_l) / (h_l * h_r)) - mu * (-2.0 / (h_l * h_r))
+                    + (1.0 / tau - eta * lam))
+            upper = nu * (h_l / (h_r * span)) - mu * (2.0 / (h_r * span))
+            banded[2, j] = diag
+            if j > 0:
+                banded[3, j - 1] = lower
+            else:
+                lower_0 = lower
+            if j < m - 1:
+                banded[1, j + 1] = upper
+            else:
+                upper_last = upper
         g_left, g_right = float(problem.bc_left(t_n)), float(problem.bc_right(t_n))
         base = u[1:-1] / tau
-        base[0] -= lower * g_left
-        base[-1] -= upper * g_right
+        base[0] -= lower_0 * g_left
+        base[-1] -= upper_last * g_right
         u_tilde, u_last = u, None
         for _ in range(max_iters):
-            interior = solve_banded((1, 1), banded, base + eta * problem.reaction.nonlinear(
-                u_tilde[1:-1]))
+            rhs = base + eta * problem.reaction.nonlinear(u_tilde[1:-1])
+            *_, interior, info = lapack.dgbsv(1, 1, banded, rhs)
+            assert info == 0
             u_new = np.concatenate([[g_left], interior, [g_right]])
             if u_last is not None and float(np.max(np.abs(u_new - u_last))) <= epsilon:
                 break
@@ -220,6 +234,33 @@ def reference_oracle(problem, n_nodes, tau, t_end, epsilon=1e-10, max_iters=100)
             raise AssertionError(f"reference oracle stalled at t = {t_n}")
         u = u_new
     return u
+
+
+def jittered_grid(a, b, n, seed=0, jitter=0.1):
+    """Grid.uniform(a, b, n) with each interior node moved by up to jitter * h."""
+    nodes = np.linspace(a, b, n)
+    h = (b - a) / (n - 1)
+    nodes[1:-1] += jitter * h * np.random.default_rng(seed).uniform(-1.0, 1.0, n - 2)
+    return Grid(nodes)
+
+
+def tanh_graded_grid(a, b, n, beta=1.5):
+    """n nodes on [a, b] clustered towards the middle: the image of a uniform
+    s in [-1, 1] under tanh(beta s) / tanh(beta)."""
+    s = np.tanh(beta * np.linspace(-1.0, 1.0, n)) / np.tanh(beta)
+    nodes = a + 0.5 * (b - a) * (1.0 + s)
+    nodes[0], nodes[-1] = a, b
+    return Grid(nodes)
+
+
+@st.composite
+def graded_grids(draw):
+    """A grid on [0, 1] of 4 to 40 nodes whose spacings differ by at most a factor of 4."""
+    n = draw(st.integers(4, 40))
+    spacings = np.array(draw(st.lists(st.floats(1.0, 4.0), min_size=n - 1, max_size=n - 1)))
+    nodes = np.concatenate([[0.0], np.cumsum(spacings) / spacings.sum()])
+    nodes[-1] = 1.0
+    return Grid(nodes)
 
 
 def bumped_generalized_fisher(alpha, height=-1.5, a=-2.0, b=2.0, horizon=1.0):

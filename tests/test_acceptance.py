@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import frac, load_csv
+from helpers import frac, load_csv, tanh_graded_grid
 
 from drbem1d.assembly import Grid, assemble_drbem
 from drbem1d.cli import cmd_reproduce
@@ -31,7 +31,7 @@ from drbem1d.stepping import (
     corrector_solve,
     run,
 )
-from drbem1d.verification import compute_errors, fd_oracle
+from drbem1d.verification import compute_errors, fd_oracle, observed_order
 
 TAU = 1e-3
 
@@ -85,7 +85,7 @@ def cross_runs():
         traj = run(problem, grid, cfg, 1.0, snapshots=[1.0 - TAU, 1.0], ops=ops)
         state_prev, state_final = traj.states
         exact = np.asarray(problem.exact(grid.nodes, 1.0), dtype=float)
-        oracle = fd_oracle(problem, grid.n, cfg, 1.0).states[-1].u
+        oracle = fd_oracle(problem, grid, cfg, 1.0).states[-1].u
         out[name] = {
             "problem": problem,
             "grid": grid,
@@ -270,6 +270,45 @@ def test_criterion_6_oracle_cross_check(cross_runs):
         )
 
 
+# bounds on the DRBEM-oracle distance at t = 0.5 on tanh-graded grids (beta = 1.5,
+# spacing ratio about 5), tau = 1e-3, as (N, bound), each beside its measured value
+GRADED_DISTANCES = {
+    "generalized_fisher alpha=2": (lambda: make_generalized_fisher(2.0), [
+        (33, 1.0e-4),  # 6.90e-5
+        (65, 2.5e-5),  # 1.74e-5
+        (129, 6.5e-6),  # 4.35e-6
+    ]),
+    "generalized_fn rho=1": (lambda: make_generalized_fn(1.0), [
+        (33, 3.2e-5),  # 2.15e-5
+        (65, 8.0e-6),  # 5.28e-6
+        (129, 2.0e-6),  # 1.31e-6
+    ]),
+}
+
+
+@pytest.mark.parametrize("name", GRADED_DISTANCES)
+def test_criterion_6_oracle_cross_check_on_graded_grids(name):
+    # both solvers are second order in h on any spacing, so their distance is
+    # too; the measured orders are 1.99, 2.00 (alpha = 2) and 2.03, 2.01 (rho = 1)
+    make_problem, rows = GRADED_DISTANCES[name]
+    problem, cfg = make_problem(), StepConfig(tau=TAU)
+    distances, spacings = [], []
+    for n, bound in rows:
+        grid = tanh_graded_grid(problem.a, problem.b, n, beta=1.5)
+        u = run(problem, grid, cfg, 0.5).states[-1].u
+        u_fd = fd_oracle(problem, grid, cfg, 0.5).states[-1].u
+        distance = float(np.max(np.abs(u[1:-1] - u_fd[1:-1])))
+        assert distance <= bound, f"{name}, N = {n}: distance {distance:.3e} exceeds {bound:.1e}"
+        distances.append(distance)
+        spacings.append(grid.h)
+    orders = [observed_order(distances[i], distances[i + 1], spacings[i], spacings[i + 1])
+              for i in range(len(rows) - 1)]
+    assert min(orders) >= 1.8, f"{name}: observed orders {orders}"
+    print(f"criterion 6 PASS ({name}, graded): distances "
+          f"{', '.join(f'{d:.2e}' for d in distances)}, orders "
+          f"{', '.join(f'{o:.2f}' for o in orders)}")
+
+
 def test_criterion_7_corrector_behavior(cross_runs, table1_rows, table2_rows, table3_rows):
     # vanishing nonlinear part: exactly two solves, zero successive difference
     from drbem1d.problems import CoefficientSet, PdeProblem, ReactionTerm
@@ -339,7 +378,7 @@ def _fig5_sweep():
             for s in traj.states
         ])
         exact_final = np.asarray(problem.exact(grid.nodes, bench.t_end), dtype=float)
-        u_fd = fd_oracle(problem, grid.n, cfg, bench.t_end).states[-1].u
+        u_fd = fd_oracle(problem, grid, cfg, bench.t_end).states[-1].u
         oracle.append(compute_errors(u_fd, exact_final).l_inf)
     return alphas, exits, times, np.asarray(errors), oracle
 

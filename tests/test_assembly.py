@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import drbem1d
 import drbem1d.reference
@@ -18,7 +20,7 @@ from drbem1d.reference import (
     psi,
     psi_x,
 )
-from helpers import eager_e_matrix, traced
+from helpers import eager_e_matrix, graded_grids, traced
 
 
 def build(nodes):
@@ -261,6 +263,12 @@ def test_harmonic_identity_nonuniform():
     nodes = np.sort(rng.uniform(0.0, 2.0, size=15))
     nodes[0], nodes[-1] = 0.0, 2.0
     assert harmonic_identity_check(Grid(nodes), p=1.3, q=0.7) <= 1e-12
+
+
+@settings(derandomize=True, deadline=None)
+@given(graded_grids(), st.floats(-4.0, 4.0), st.floats(-4.0, 4.0))
+def test_harmonic_identity_on_graded_grids(grid, p, q):
+    assert harmonic_identity_check(grid, p=p, q=q) <= 1e-12
 
 
 def test_quadratic_field_identity():

@@ -234,7 +234,7 @@ class TestCmdSolve:
         problem, grid = config.problem, config.grid
         for t in (0.0, 0.05, 0.1):
             _, profile = load_csv(tmp_path / f"profile_t{t:.6f}.csv")
-            expected = fd_oracle(problem, grid.n, config.step, t).states[-1].u
+            expected = fd_oracle(problem, grid, config.step, t).states[-1].u
             assert [row["u_oracle"] for row in profile] == [f"{v:.15e}" for v in expected]
 
     def test_summary_corrector_columns_follow_level_iterations(self, tmp_path):
@@ -490,6 +490,23 @@ class TestMainExitCodes:
         assert capsys.readouterr().err.splitlines() == [
             "drbem1d: field 'snapshots': snapshots 1e-07 and 2e-07 would both write "
             "profile_t0.000000.csv"]
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_a_level_count_past_the_bound_is_1_before_any_march(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        def no_march(*args, **kwargs):
+            raise AssertionError("the march started")
+
+        monkeypatch.setattr(cli, "run", no_march)
+        text = f'equation = fisher\nn = 9\ntau = 1e-300\nt_end = 0.1\noutput_path = "{tmp_path}"\n'
+        with pytest.raises(ConfigError, match="more than the 1e"):
+            parse_config(text)
+        path = tmp_path / "endless.cfg"
+        path.write_text(text)
+        assert main(["solve", str(path)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "drbem1d: t_end = 0.1 over tau = 1e-300 gives 1e+299 time levels, "
+            "more than the 1e+09 a run may march"]
         assert not list(tmp_path.glob("*.csv"))
 
     def test_good_run_is_0(self, tmp_path, capsys):

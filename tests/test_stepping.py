@@ -24,8 +24,8 @@ from drbem1d.stepping import (
 )
 from drbem1d.verification import compute_errors
 from helpers import (band_level_system, bumped_generalized_fisher, dense_level_solve,
-                     interior_band_factors, reference_corrector, reference_interior_corrector,
-                     traced)
+                     graded_grids, interior_band_factors, reference_corrector,
+                     reference_interior_corrector, traced)
 
 
 def zero_reaction():
@@ -445,16 +445,6 @@ def test_run_is_its_level_loop(name):
         assert (got.q_left, got.q_right, got.t) == (state.q_left, state.q_right, state.t)
         u = state.u
     assert traj.level_iterations == passes
-
-
-@st.composite
-def graded_grids(draw):
-    """A grid on [0, 1] of 4 to 40 nodes whose spacings differ by at most a factor of 4."""
-    n = draw(st.integers(4, 40))
-    spacings = np.array(draw(st.lists(st.floats(1.0, 4.0), min_size=n - 1, max_size=n - 1)))
-    nodes = np.concatenate([[0.0], np.cumsum(spacings) / spacings.sum()])
-    nodes[-1] = 1.0
-    return Grid(nodes)
 
 
 @st.composite

@@ -5,7 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import bumped_generalized_fisher, reference_oracle
+from helpers import (bumped_generalized_fisher, jittered_grid, reference_oracle,
+                     tanh_graded_grid)
 
 from drbem1d.exceptions import ConvergenceError, DomainError, SingularMatrixError
 from drbem1d.problems import (
@@ -13,6 +14,7 @@ from drbem1d.problems import (
     CoefficientSet,
     PdeProblem,
     ReactionTerm,
+    make_fisher,
     make_generalized_fisher,
     make_generalized_fn,
 )
@@ -82,9 +84,10 @@ class TestFdOracle:
             bc_left=lambda t: -3.0,
             bc_right=lambda t: -1.0,
         )
-        u = fd_oracle(problem, 17, StepConfig(tau=0.01), 1.0).states[-1].u
-        x = np.linspace(0.0, 1.0, 17)
-        assert np.max(np.abs(u - (2.0 * x - 3.0))) < 1e-8
+        # the three-point stencils are exact on a line at any spacing
+        for grid in (Grid.uniform(0.0, 1.0, 17), tanh_graded_grid(0.0, 1.0, 17)):
+            u = fd_oracle(problem, grid, StepConfig(tau=0.01), 1.0).states[-1].u
+            assert np.max(np.abs(u - (2.0 * grid.nodes - 3.0))) < 1e-8
 
     def test_fisher_front_converges_under_refinement(self):
         # at these resolutions the backward-Euler error dominates, so refinement
@@ -92,9 +95,9 @@ class TestFdOracle:
         problem = make_generalized_fisher(1.0)
         errors = []
         for n, tau in ((65, 1e-3), (129, 5e-4)):
-            u = fd_oracle(problem, n, StepConfig(tau=tau), 1.0).states[-1].u
-            x = np.linspace(problem.a, problem.b, n)
-            errors.append(compute_errors(u, problem.exact(x, 1.0)).l_inf)
+            grid = Grid.uniform(problem.a, problem.b, n)
+            u = fd_oracle(problem, grid, StepConfig(tau=tau), 1.0).states[-1].u
+            errors.append(compute_errors(u, problem.exact(grid.nodes, 1.0)).l_inf)
         assert errors[0] < 1e-2
         assert errors[1] < 0.7 * errors[0]
 
@@ -106,7 +109,7 @@ class TestFdOracle:
         grid = Grid.with_spacing(-1.0, 1.0, 0.25)
         traj = run(problem, grid, StepConfig(tau=1e-3), 1.0)
         exact = problem.exact(grid.nodes, 1.0)
-        u_fd = fd_oracle(problem, grid.n, StepConfig(tau=1e-3), 1.0).states[-1].u
+        u_fd = fd_oracle(problem, grid, StepConfig(tau=1e-3), 1.0).states[-1].u
         err_main = compute_errors(traj.states[-1].u, exact).l_inf
         err_fd = compute_errors(u_fd, exact).l_inf
         assert err_main < 5e-3 and err_fd < 5e-3
@@ -116,24 +119,30 @@ class TestFdOracle:
 
     def test_snapshots_share_one_march(self):
         problem = make_generalized_fn(1.0)
+        grid = Grid.uniform(problem.a, problem.b, 17)
         cfg = StepConfig(tau=0.01)
-        marched = [s.u for s in fd_oracle(problem, 17, cfg, 0.1,
+        marched = [s.u for s in fd_oracle(problem, grid, cfg, 0.1,
                                           snapshots=[0.1, 0.0, 0.05, 0.05]).states]
         assert len(marched) == 3  # distinct levels, in increasing time
         for u, t in zip(marched, (0.0, 0.05, 0.1)):
-            np.testing.assert_array_equal(u, fd_oracle(problem, 17, cfg, t).states[-1].u)
+            np.testing.assert_array_equal(u, fd_oracle(problem, grid, cfg, t).states[-1].u)
 
+    @pytest.mark.parametrize("spacing", ["uniform", "jitter"])
     @pytest.mark.parametrize("name, params, n, tau, t_end", [
         ("generalized_fisher", {"alpha": 2.5}, 65, 1e-3, 0.3),
         ("generalized_fn", {"rho": 1.0}, 33, 1e-3, 0.3),
         ("fitzhugh_nagumo", {"rho": 0.75}, 81, 1e-2, 1.0),
         ("fisher", {}, 3, 0.01, 0.2),
         ("fisher", {}, 4, 0.01, 0.2),
-    ])
-    def test_matches_a_solve_banded_per_pass_bit_for_bit(self, name, params, n, tau, t_end):
+    ], ids=["gfisher-n65", "gfn-n33", "fhn-n81", "fisher-n3", "fisher-n4"])
+    def test_matches_a_dgbsv_per_pass_bit_for_bit(self, name, params, n, tau, t_end, spacing):
         problem = REGISTRY[name][0](**params)
-        u = fd_oracle(problem, n, StepConfig(tau=tau), t_end).states[-1].u
-        assert u.tobytes() == reference_oracle(problem, n, tau, t_end).tobytes()
+        if spacing == "uniform":
+            grid = Grid.uniform(problem.a, problem.b, n)
+        else:  # interior nodes moved by up to 10% of h
+            grid = jittered_grid(problem.a, problem.b, n, seed=n)
+        u = fd_oracle(problem, grid, StepConfig(tau=tau), t_end).states[-1].u
+        assert u.tobytes() == reference_oracle(problem, grid, tau, t_end).tobytes()
 
     @pytest.mark.parametrize("n, mu", [(3, -1.0 / 8.0), (4, -1.0 / 9.0), (5, -1.0 / 32.0)])
     def test_singular_level_matrix_raises_singular_matrix_error(self, n, mu):
@@ -152,16 +161,18 @@ class TestFdOracle:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SingularMatrixError, match="oracle level matrix at t = 0.5"):
-                fd_oracle(problem, n, StepConfig(tau=0.5), 0.5)
+                fd_oracle(problem, Grid.uniform(0.0, 1.0, n), StepConfig(tau=0.5), 0.5)
 
     @pytest.mark.parametrize("cap", [2, 100])
     def test_overflow_seen_by_the_reaction_first_diverges(self, cap):
         # the first iterate holds -inf, which u^3.5 rejects before any gap is taken
         problem = bumped_generalized_fisher(2.5, height=1e88)
+        grid = Grid.uniform(problem.a, problem.b, 17)
         with pytest.raises(ConvergenceError, match="oracle corrector diverged at t = 1"):
-            fd_oracle(problem, 17, StepConfig(tau=1.0, max_corrector_iters=cap), 1.0)
+            fd_oracle(problem, grid, StepConfig(tau=1.0, max_corrector_iters=cap), 1.0)
 
-    # bad step settings are refused by the StepConfig that both solvers take
+    # bad step settings are refused by the StepConfig that both solvers take, and
+    # a bad node count by the Grid
     @pytest.mark.parametrize("n_nodes, tau, t_end, epsilon", [
         (2, 0.01, 0.1, 1e-10), (17, 0.0, 0.1, 1e-10), (17, 0.01, 0.1, math.nan),
         (17, 0.01, -0.1, 1e-10), (17, 0.01, 0.105, 1e-10), (3.9, 0.01, 0.1, 1e-10),
@@ -170,19 +181,21 @@ class TestFdOracle:
     def test_rejects_what_the_stepper_rejects(self, n_nodes, tau, t_end, epsilon):
         problem = make_generalized_fisher(1.0)
         with pytest.raises(ValueError):
-            fd_oracle(problem, n_nodes, StepConfig(tau=tau, epsilon=epsilon), t_end)
-
+            fd_oracle(problem, Grid.uniform(problem.a, problem.b, n_nodes),
+                      StepConfig(tau=tau, epsilon=epsilon), t_end)
 
     def test_keeps_the_horizon_and_snapshot_rules_of_run(self):
         problem, cfg = make_generalized_fn(1.0), StepConfig(tau=0.1)  # horizon 1.0
-        for solver in (fd_oracle, drbem_run):
+        grid = Grid.uniform(problem.a, problem.b, 17)
+        for solver in (fd_oracle, run):
             with pytest.raises(ValueError, match="t_end = 1.5 exceeds the problem horizon 1.0"):
-                solver(problem, 17, cfg, 1.5)
-        traj = fd_oracle(problem, 17, cfg, 0.3, snapshots=[0.0, 0.2])
+                solver(problem, grid, cfg, 1.5)
+        traj = fd_oracle(problem, grid, cfg, 0.3, snapshots=[0.0, 0.2])
         assert [s.t for s in traj.states] == [0.0, 0.2]
         assert len(traj.level_iterations) == 3 and min(traj.level_iterations) >= 2
         for state in traj.states:  # the oracle solves for no flux
             assert math.isnan(state.q_left) and math.isnan(state.q_right)
+
 
 def nan_first_fisher():
     """make_generalized_fisher(1.0) whose lagged remainder is nan on the first call."""
@@ -197,15 +210,19 @@ def nan_first_fisher():
         problem, reaction=ReactionTerm(1.0, nonlinear, problem.reaction.full))
 
 
-def drbem_run(problem, n_nodes, cfg, t_end):
-    return run(problem, Grid.uniform(problem.a, problem.b, n_nodes), cfg, t_end)
+def unmarched_fisher():
+    """make_fisher() whose coefficients fail the test as soon as a level is built."""
+    def no_level(t):
+        raise AssertionError(f"a level was marched at t = {t:g}")
+
+    return dataclasses.replace(make_fisher(), coeffs=CoefficientSet(no_level, no_level, no_level))
 
 
 DIVERGED = ("{who} diverged at t = 0.1: non-finite values in the lagged right-hand side "
             "(tau too large, reaction too stiff, or bad initial data)")
 
 
-@pytest.mark.parametrize("solver, who", [(drbem_run, "corrector"),
+@pytest.mark.parametrize("solver, who", [(run, "corrector"),
                                          (fd_oracle, "oracle corrector")],
                          ids=["run", "fd_oracle"])
 @pytest.mark.parametrize("make_problem, tau, t_end, cap, error, text", [
@@ -224,15 +241,39 @@ DIVERGED = ("{who} diverged at t = 0.1: non-finite values in the lagged right-ha
 def test_run_and_the_oracle_share_the_failure_contract(solver, who, make_problem, tau, t_end,
                                                        cap, error, text):
     # both march 17 nodes on [-2, 2] under one StepConfig; only the solver label differs
+    problem = make_problem()
     cfg = StepConfig(tau=tau, max_corrector_iters=cap)
     with pytest.raises(error) as excinfo:
-        solver(make_problem(), 17, cfg, t_end)
+        solver(problem, Grid.uniform(problem.a, problem.b, 17), cfg, t_end)
     assert type(excinfo.value) is error
     diff = getattr(excinfo.value, "last_diff", None)
     if diff is not None:  # a stall: the two solvers' differences agree only roughly
         assert 1e-3 < diff < 1e-2
         text = text.replace("{diff}", f"{diff:.3e}")
     assert str(excinfo.value) == text.format(who=who)
+
+
+SOLVERS = pytest.mark.parametrize("solver", [run, fd_oracle], ids=["run", "fd_oracle"])
+
+
+@SOLVERS
+@pytest.mark.parametrize("t_end, snapshots, text", [
+    (math.inf, None, "t_end inf must be finite"),
+    (0.1, [math.inf], "snapshot inf must be finite"),
+    (0.1, [0.0, math.nan], "snapshot nan must be finite"),
+    (0.1, [-math.inf], "snapshot -inf must be finite"),
+], ids=["inf-t_end", "inf-snapshot", "nan-snapshot", "minus-inf-snapshot"])
+def test_non_finite_times_raise_value_error(solver, t_end, snapshots, text):
+    with pytest.raises(ValueError, match=f"^{text}$"):
+        solver(unmarched_fisher(), Grid.uniform(-2.0, 2.0, 9), StepConfig(tau=0.01), t_end,
+               snapshots)
+
+
+@SOLVERS
+def test_a_level_count_past_the_bound_is_refused_before_the_march(solver):
+    # 0.1 / 1e-300 levels would march for ever; no level may be built
+    with pytest.raises(ValueError, match=r"1e\+299 time levels, more than the 1e\+09"):
+        solver(unmarched_fisher(), Grid.uniform(-2.0, 2.0, 9), StepConfig(tau=1e-300), 0.1)
 
 
 def test_observed_order_helper():
