@@ -9,11 +9,12 @@ nothing here imports.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 from .exceptions import SingularMatrixError
 
@@ -97,7 +98,8 @@ def _check_factors(lu, pivots, what):
     (a diagonal entry of U) below PIVOT_FLOOR."""
     if not np.isfinite(lu).all():
         raise SingularMatrixError(f"{what} has non-finite LU factors")
-    smallest_pivot = float(np.min(np.abs(pivots)))
+    # the array's own min: np.min's Python wrapper costs twice the reduction
+    smallest_pivot = float(abs(pivots).min())
     if not smallest_pivot >= PIVOT_FLOOR:
         raise SingularMatrixError(
             f"{what} is singular: pivot {smallest_pivot:.3e} below {PIVOT_FLOOR:.0e}"
@@ -112,11 +114,55 @@ def band_lu_factor_checked(band, kl, ku, what):
     workspace for the fill-in.  A Fortran-ordered band is factored in place and
     any other is copied first.  A non-finite factor or a pivot below
     PIVOT_FLOOR raises SingularMatrixError naming `what`; no warning is emitted.
+    band_lu_solver turns the factors into their solve.
     """
     # gbtrf's info > 0 (an exact zero pivot) is caught by the pivot floor
     lu, piv, _ = lapack.dgbtrf(band, kl, ku, overwrite_ab=1)
     _check_factors(lu, lu[kl + ku], what)
     return lu, piv
+
+
+@functools.lru_cache(maxsize=8)
+def _unswapped_pivots(m, dtype):
+    """The bytes of arange(m), gbtrf's 0-based piv when it swapped no rows: one
+    comparison of bytes costs a tenth of numpy's elementwise one."""
+    return np.arange(m, dtype=dtype).tobytes()
+
+
+def band_lu_solver(factored, piv, kl, ku):
+    """The in-place solve(b) -> (b, 0) of the matrix whose gbtrf factors are (lu, piv).
+
+    `factored` is Fortran-ordered, shape (2 kl + ku + 1, m + 1): lu in its first
+    m columns, as band_lu_factor_checked(factored[:, :-1], kl, ku, ...) leaves
+    it, and one spare column after them, which no solve reads.  When gbtrf
+    swapped no rows (piv is 0-based, so piv == arange(m)), it never wrote the kl
+    fill-in rows, and the solve is two dtbsv sweeps over the factors in place: a
+    unit lower one of width kl over L's multipliers, then an upper one of width
+    ku over U.  That is dgbtrs's arithmetic in half its time, since dgbtrs
+    makes one dger call per column of L.  After any row interchange the solve
+    is dgbtrs.
+    """
+    ldab, m = factored.shape[0], factored.shape[1] - 1
+    if piv.tobytes() != _unswapped_pivots(m, piv.dtype):
+        lu = factored[:, :-1]
+        # trans = 0, n = ldb = m, overwrite_b = 1: in place on b
+        return lambda b, dgbtrs=lapack.dgbtrs: dgbtrs(lu, kl, ku, b, piv, 0, m, ldab, m, 1)
+    # dtbsv reads a triangular band of width k from the first k + 1 rows of an
+    # array whose leading dimension is its row count.  Views of ldab rows that
+    # start at L's and at U's diagonal row of the first column have the factors'
+    # leading dimension; the spare column holds their overhang.
+    flat = factored.ravel("F")
+    lower = flat[kl + ku:kl + ku + ldab * m].reshape(m, ldab).T
+    upper = flat[kl:kl + ldab * m].reshape(m, ldab).T
+
+    def solve(b, dtbsv=blas.dtbsv):
+        # incx = 1, offx = 0, lower = 1 then 0, trans = 0, unit diagonal = 1
+        # then 0, overwrite_x = 1
+        dtbsv(kl, lower, b, 1, 0, 1, 0, 1, 1)
+        dtbsv(ku, upper, b, 1, 0, 0, 0, 0, 1)
+        return b, 0
+
+    return solve
 
 
 @dataclass(frozen=True)

@@ -383,7 +383,7 @@ def _check_lines():
 
     # the stepper's spline form against the dense operators it replaces:
     # T E^{-1} (L q - H g + c*u) must equal 6 Delta(u, q); and on one Fisher level
-    # the dpttrs and the band dgbtrs solves of the same interior
+    # the dpttrs and the band solves of the same interior
     fisher, cfg = make_generalized_fisher(1.0, -1.0, 2.0), StepConfig(tau=0.01)
     for n in (9, 33):
         for kind, jitter in (("uniform", 0.0), ("jittered", 0.1)):

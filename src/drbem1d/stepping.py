@@ -10,7 +10,8 @@ per level, reused across corrector passes, and carried over whole when the
 coefficients are constant in time.  Without advection (nu_n = 0) and with s > 0
 the interior is the strictly diagonally dominant clamped-spline system
 -(6 Delta - s T), which dpttrf factors; any other level, or one whose dpttrf
-factors are not clean, factors its (2, 2) interior band with dgbtrf.
+factors are not clean, factors its (2, 2) interior band with dgbtrf and solves
+it with assembly.band_lu_solver's two dtbsv sweeps (dgbtrs after a row swap).
 
 The nonlinear term is lagged: each pass solves with F_n at the previous
 iterate, until two successive iterates agree within epsilon.  The first lag of a
@@ -42,7 +43,7 @@ import numpy as np
 from scipy.linalg import blas, lapack
 
 from .assembly import (LEVEL_BAND, PIVOT_FLOOR, DrbemOperators, Grid, assemble_drbem,
-                       band_lu_factor_checked)
+                       band_lu_factor_checked, band_lu_solver)
 from .exceptions import ConvergenceError, DomainError, SolverError
 from .problems import PdeProblem
 
@@ -92,12 +93,14 @@ class LevelFactors(NamedTuple):
 
     factors are dpttrf's (d, e) or dgbtrf's (lu, piv) factors of minus the level
     matrix A = 6 Delta - T (s I + (nu/mu) P) on u_2..u_{N-1}, and solve(b)
-    overwrites b with (-A)^{-1} b there.  ends holds -A's entries (1, 1), (1, 2),
-    (1, 3), (N, N-2), (N, N-1) and (N, N) for the fluxes.  A's columns on the
-    imposed values u_1 and u_N are nonzero only in its first three and last three
-    rows (all of them below six nodes); dirichlet_rows holds each such row as
-    (row index, entry on u_1, entry on u_N).  t_band is the operators' T, which
-    the corrector's -(eta/mu) T F_n stencil applies.
+    overwrites b with (-A)^{-1} b there and returns (b, 0): dpttrs, or on the
+    band assembly.band_lu_solver's two dtbsv sweeps (dgbtrs after a row swap).
+    ends holds -A's entries (1, 1), (1, 2), (1, 3), (N, N-2), (N, N-1) and
+    (N, N) for the fluxes.  A's columns on the imposed values u_1 and u_N are
+    nonzero only in its first three and last three rows (all of them below six
+    nodes); dirichlet_rows holds each such row as (row index, entry on u_1,
+    entry on u_N).  t_band is the operators' T, which the corrector's
+    -(eta/mu) T F_n stencil applies.
     """
 
     coeffs: tuple
@@ -150,8 +153,9 @@ def spd_factors(level_pieces, implicit_scale):
 
 def band_factors(level_pieces, weights, what):
     """dgbtrf's (factors, solve, ends) of the level matrix weights @ level_pieces,
-    as LevelFactors holds them; a non-finite factor or a pivot below PIVOT_FLOOR
-    raises SingularMatrixError naming `what`."""
+    as LevelFactors holds them, the solve from assembly.band_lu_solver; a
+    non-finite factor or a pivot below PIVOT_FLOOR raises SingularMatrixError
+    naming `what`."""
     n = level_pieces.shape[-1]
     # Fortran-ordered pieces give a Fortran-ordered band, whose interior columns
     # dgbtrf factors in place
@@ -160,9 +164,8 @@ def band_factors(level_pieces, weights, what):
     for ij in _ENDS:  # the interior rows are all that is factored
         band[ij] = 0.0
     lu, piv = band_lu_factor_checked(band[:, 1:-1], LEVEL_BAND, LEVEL_BAND, what)
-    # trans = 0, n = ldb = N - 2, ldab = 2 kl + ku + 1, overwrite_b = 1: in place on b
-    return (lu, piv), lambda b, dgbtrs=lapack.dgbtrs: dgbtrs(
-        lu, LEVEL_BAND, LEVEL_BAND, b, piv, 0, n - 2, 3 * LEVEL_BAND + 1, n - 2, 1), ends
+    # the last column, whose entries are in ends, is the solver's spare one
+    return (lu, piv), band_lu_solver(band[:, 1:], piv, LEVEL_BAND, LEVEL_BAND), ends
 
 
 def level_coefficients(problem: PdeProblem, t_n: float) -> tuple:

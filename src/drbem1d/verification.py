@@ -1,7 +1,8 @@
 """Error metrics, a finite-difference oracle on `run`'s grid, and convergence sweeps.
 
-The oracle shares stepping.march, stepping.fixed_point and
-assembly.band_lu_factor_checked with the stepper, so it stops, diverges, stalls,
+The oracle shares stepping.march, stepping.fixed_point,
+assembly.band_lu_factor_checked and assembly.band_lu_solver (two dtbsv sweeps,
+or dgbtrs after a row swap) with the stepper, so it stops, diverges, stalls,
 meets a DomainError and reports a singular level exactly as `run` does, under
 its own labels ("oracle corrector", "oracle level matrix").
 """
@@ -13,11 +14,10 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .exceptions import DrbemError
 from .problems import PdeProblem
-from .assembly import Grid, band_lu_factor_checked
+from .assembly import Grid, band_lu_factor_checked, band_lu_solver
 from .stepping import (SolverState, StepConfig, Trajectory, fixed_point, level_coefficients,
                        level_index, march, run)
 
@@ -63,12 +63,13 @@ def fd_oracle(problem: PdeProblem, grid: Grid, cfg: StepConfig, t_end,
     / (h_{i-1} + h_i) and u_x the weighted central difference.  No DRBEM operator is
     shared: only the nonlinear policy (stepping.fixed_point), the level loop
     (stepping.march, so time levels, horizon, initial values, snapshots and
-    Trajectory are `run`'s) and the checked band factorization, whose factors are
-    carried over while the coefficient triple stays the same, as in
+    Trajectory are `run`'s) and the band kernel, the checked factorization and
+    band_lu_solver's solve (two dtbsv sweeps, dgbtrs after a row swap), whose
+    factors are carried over while the coefficient triple stays the same, as in
     build_level_system.  So discrepancies between the two solvers isolate the
     spatial discretization.  The oracle solves for no flux: every state's fluxes are nan.
     """
-    tau, m = cfg.tau, grid.n - 2
+    tau, n = cfg.tau, grid.n
     h = np.diff(grid.nodes)
     h_l, h_r = h[:-1], h[1:]
     left, mid, right = h_l * (h_l + h_r), h_l * h_r, h_r * (h_l + h_r)
@@ -78,7 +79,7 @@ def fd_oracle(problem: PdeProblem, grid: Grid, cfg: StepConfig, t_end,
     d2[1, 2:], d2[2, 1:-1], d2[3, :-2] = 2.0 / right, -2.0 / mid, 2.0 / left
     d1[1, 2:], d1[2, 1:-1], d1[3, :-2] = h_l / right, (h_r - h_l) / mid, -h_r / left
     lam, nonlinear = problem.reaction.linear_slope, problem.reaction.nonlinear
-    factors = (None,)  # (coeffs, lu, piv, lower, upper) of the last factored level
+    factors = (None,)  # (coeffs, solve, lower, upper) of the last factored level
 
     def level(t_n, u):
         nonlocal factors
@@ -87,24 +88,24 @@ def fd_oracle(problem: PdeProblem, grid: Grid, cfg: StepConfig, t_end,
             with np.errstate(over="ignore", invalid="ignore"):  # the factor check reports nan
                 band = nu_n * d1 - mu_n * d2
                 band[2] += 1.0 / tau - eta_n * lam
-            lu, piv = band_lu_factor_checked(band[:, 1:-1], 1, 1,
-                                             f"oracle level matrix at t = {t_n:g}")
+            _, piv = band_lu_factor_checked(band[:, 1:-1], 1, 1,
+                                            f"oracle level matrix at t = {t_n:g}")
             # the weights on the imposed values, g_left in row 2 and g_right in row N-1
-            factors = coeffs, lu, piv, band.item(3, 0), band.item(1, -1)
-        _, lu, piv, lower, upper = factors
+            factors = (coeffs, band_lu_solver(band[:, 1:], piv, 1, 1),
+                       band.item(3, 0), band.item(1, -1))
+        _, solve, lower, upper = factors
 
         g_left, g_right = float(problem.bc_left(t_n)), float(problem.bc_right(t_n))
         base = u[1:-1] / tau
         base[0] -= lower * g_left
         base[-1] -= upper * g_right
 
-        def oracle_pass(u_tilde, dgbtrs=lapack.dgbtrs):
-            u_new = np.empty(m + 2)
+        def oracle_pass(u_tilde):
+            u_new = np.empty(n)
             u_new[0], u_new[-1] = g_left, g_right
             w = np.multiply(nonlinear(u_tilde[1:-1]), eta_n, out=u_new[1:-1])
             w += base
-            # trans = 0, n = ldb = m, ldab = 4, overwrite_b = 1: in place on w
-            dgbtrs(lu, 1, 1, w, piv, 0, m, 4, m, 1)
+            solve(w)
             return (u_new,)
 
         (u,), iters = fixed_point(oracle_pass, u, cfg, t_n, "oracle corrector")

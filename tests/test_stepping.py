@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import lapack
 
-from drbem1d import stepping
-from drbem1d.assembly import LEVEL_BAND, Grid, assemble_drbem, band_lu_factor_checked
+from drbem1d import stepping, verification
+from drbem1d.assembly import (LEVEL_BAND, Grid, assemble_drbem, band_lu_factor_checked,
+                              band_lu_solver)
 from drbem1d.exceptions import ConvergenceError, DomainError, SingularMatrixError, SolverError
 from drbem1d.problems import (REGISTRY, CoefficientSet, PdeProblem, ReactionTerm,
                               make_fisher, make_fitzhugh_nagumo, make_generalized_fn)
@@ -728,6 +730,72 @@ def test_level_without_a_positive_implicit_scale_takes_the_band(slope):
     assert np.max(np.abs(state.u - u_band)) <= 1e-9 * np.max(np.abs(u_band))
     for q, q_band in zip((state.q_left, state.q_right), band_fluxes):
         assert abs(q - q_band) <= 1e-9 * max(map(abs, band_fluxes))
+
+
+def assert_solves_like_dgbtrs(solve, lu, piv, kl, ku, seed):
+    """solve(b) overwrites b with what dgbtrs gives on the factors (lu, piv), bit
+    for bit, on twenty random right-hand sides."""
+    rng = np.random.default_rng(seed)
+    for _ in range(20):
+        b = rng.standard_normal(lu.shape[1])
+        want, info = lapack.dgbtrs(lu, kl, ku, b, piv)
+        assert info == 0
+        got, info = solve(b)
+        assert info == 0 and np.shares_memory(got, b)
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("spacing", ["uniform", "jittered"])
+@pytest.mark.parametrize("solver", ["run", "fd_oracle"])
+def test_unswapped_band_factors_solve_like_dgbtrs_bit_for_bit(solver, spacing, monkeypatch):
+    # generalized_fn refactors every level: run's (2, 2) level bands and
+    # fd_oracle's (1, 1) ones, each solved by the two dtbsv sweeps, since no
+    # row is swapped; every band is recorded as the level hands it over
+    module, march_fn, width = {"run": (stepping, run, LEVEL_BAND),
+                               "fd_oracle": (verification, verification.fd_oracle, 1)}[solver]
+    recorded = []
+
+    def recording_solver(factored, piv, kl, ku):
+        recorded.append((factored.copy(order="F"), piv.copy(), kl, ku))
+        return band_lu_solver(factored, piv, kl, ku)
+
+    monkeypatch.setattr(module, "band_lu_solver", recording_solver)
+    problem = make_generalized_fn(0.75)
+    grid = Grid.uniform(problem.a, problem.b, 33)
+    if spacing == "jittered":
+        grid = jittered(grid, seed=3)
+    cfg = StepConfig(tau=1e-3)
+    march_fn(problem, grid, cfg, 5 * cfg.tau)
+    assert len(recorded) == 5
+    for level, (factored, piv, kl, ku) in enumerate(recorded):
+        assert (kl, ku) == (width, width)
+        assert np.array_equal(piv, np.arange(grid.n - 2))
+        assert_solves_like_dgbtrs(band_lu_solver(factored, piv, kl, ku), factored[:, :-1],
+                                  piv, kl, ku, seed=level)
+
+
+@pytest.mark.parametrize("kind", ["level", "tridiagonal"])
+def test_band_factors_after_a_row_interchange_solve_like_dgbtrs(kind):
+    # the sweeps ignore piv, so a band whose dgbtrf swaps rows needs dgbtrs: the
+    # s = -900 level of linear_problem(1e3) on 17 nodes, whose (2, 2) band has
+    # off-diagonals above its diagonal, and a (1, 1) band whose diagonal is small
+    # beside its off-diagonals
+    if kind == "level":
+        problem, cfg = linear_problem(1e3), StepConfig(tau=0.01)
+        grid = Grid.uniform(0.0, 1.0, 17)
+        system = build_level_system(problem, grid, assemble_drbem(grid), cfg, cfg.tau,
+                                    initial_values(problem, grid.nodes))
+        (lu, piv), solve = system.factorization.factors, system.factorization.solve
+        kl = LEVEL_BAND
+    else:
+        rng = np.random.default_rng(11)
+        factored = np.zeros((4, 16), order="F")  # 15 columns and the spare one
+        factored[1:] = rng.uniform(1.0, 2.0, (3, 16))
+        factored[2] *= 0.01
+        lu, piv = band_lu_factor_checked(factored[:, :-1], 1, 1, "test band")
+        solve, kl = band_lu_solver(factored, piv, 1, 1), 1
+    assert not np.array_equal(piv, np.arange(lu.shape[1]))
+    assert_solves_like_dgbtrs(solve, lu, piv, kl, kl, seed=0)
 
 
 @pytest.mark.parametrize("kind", ["non-finite", "pivot"])
