@@ -412,7 +412,7 @@ def _check_lines():
                                               fisher, cfg, u0)[0])
             got, want = ([s.q_left, s.q_right, *s.u] for s in states)
             rel = float(np.max(np.abs(np.subtract(got, want))) / np.max(np.abs(want)))
-            yield (f"interior dpttrs = band dgbtrs (N={n}, {kind})", rel <= 1e-12
+            yield (f"interior dpttrs = band solve (N={n}, {kind})", rel <= 1e-12
                    and spd is not None, f"max rel defect {rel:.2e}")
 
 

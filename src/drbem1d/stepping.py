@@ -15,11 +15,12 @@ it with assembly.band_lu_solver's two dtbsv sweeps (dgbtrs after a row swap).
 
 The nonlinear term is lagged: each pass solves with F_n at the previous
 iterate, until two successive iterates agree within epsilon.  The first lag of a
-level is the linear extrapolation 2 u_n - u_{n-1} of the two levels before it
-(u_n alone at the first level, or when the system was built without a previous
-one), kept at u_n wherever u_n >= 0 and the extrapolation is negative.  The
-seed changes only where, within epsilon of the level's fixed point, the loop
-stops, not the fixed point itself.
+level is the quadratic extrapolation 3 (u_n - u_{n-1}) + u_{n-2} of the three
+levels before it; the second level, with two levels behind it, takes the linear
+2 u_n - u_{n-1}, and the first level, or a system built without a previous one,
+u_n alone.  The lag is kept at u_n wherever u_n >= 0 and the extrapolation is
+negative.  The seed changes only where, within epsilon of the level's fixed
+point, the loop stops, not the fixed point itself.
 
 A corrector pass is the reaction F_n(u_tilde), one dgbmv that adds the
 -(eta/mu) T F_n stencil to the level's fixed right-hand side, and one in-place
@@ -118,8 +119,9 @@ class TimeLevelSystem:
     factorization is the level's LevelFactors, shared by every level with the same
     coefficient triple in a run.  rhs_fixed collects every term that does not
     involve the lagged iterate; the corrector adds only -(eta/mu) T F_n(u_tilde)
-    per pass.  u_prev is the level the system was built from and u_older the one
-    before it (None without a previous system); both are references, not copies,
+    per pass.  u_prev is the level the system was built from, u_older the one
+    before it and u_oldest the one before that (None where the run has no such
+    level, or without a previous system); all three are references, not copies,
     and the corrector's first lag is extrapolated from them.
     """
 
@@ -130,6 +132,7 @@ class TimeLevelSystem:
     g_right: float
     u_prev: np.ndarray
     u_older: Optional[np.ndarray] = None
+    u_oldest: Optional[np.ndarray] = None
 
 
 # the entries (i, j) that LevelFactors.ends holds, at their places in gbtrf layout
@@ -197,8 +200,9 @@ def build_level_system(
 
     When prev_system comes from the same run and the coefficient triple at t_n is
     its factorization's (constant-coefficient problems), that LevelFactors is
-    carried over and only the right-hand side is rebuilt.  Its u_prev becomes
-    this system's u_older, from which corrector_solve extrapolates.
+    carried over and only the right-hand side is rebuilt.  Its u_prev and u_older
+    become this system's u_older and u_oldest, from which, with u_prev,
+    corrector_solve extrapolates.
     """
     tau = cfg.tau
     coeffs = level_coefficients(problem, t_n)
@@ -234,8 +238,10 @@ def build_level_system(
     # six scalar updates cost less than a product
     for i, on_left, on_right in factorization.dirichlet_rows:
         rhs_fixed[i] = rhs_fixed.item(i) - (on_left * g_left + on_right * g_right)
+    if prev_system is None:
+        return TimeLevelSystem(factorization, rhs_fixed, t_n, g_left, g_right, u_prev)
     return TimeLevelSystem(factorization, rhs_fixed, t_n, g_left, g_right, u_prev,
-                           None if prev_system is None else prev_system.u_prev)
+                           prev_system.u_prev, prev_system.u_older)
 
 
 def _level_pass(sys: TimeLevelSystem, problem: PdeProblem):
@@ -346,12 +352,19 @@ def fixed_point(solve, lag, cfg: StepConfig, t_n, who):
     )
 
 
-def extrapolated_lag(u_prev, u_older) -> np.ndarray:
-    """2 u_prev - u_older, with u_prev kept at every node where u_prev >= 0 and the
-    extrapolation is negative, so that the lag never leaves a reaction's domain
-    of nonnegative values where u_prev is inside it."""
-    lag = 2.0 * u_prev
-    lag -= u_older
+def extrapolated_lag(u_prev, u_older, u_oldest=None) -> np.ndarray:
+    """The polynomial through the last levels, one step on: 3 (u_prev - u_older) +
+    u_oldest, or 2 u_prev - u_older without u_oldest.  u_prev is kept at every
+    node where u_prev >= 0 and the extrapolation is negative, so that the lag
+    never leaves a reaction's domain of nonnegative values where u_prev is inside
+    it."""
+    if u_oldest is None:
+        lag = 2.0 * u_prev
+        lag -= u_older
+    else:
+        lag = u_prev - u_older
+        lag *= 3.0
+        lag += u_oldest
     if lag.min() < 0.0:  # the masks cost more than the extrapolation
         np.copyto(lag, u_prev, where=(lag < 0.0) & (u_prev >= 0.0))
     return lag
@@ -360,15 +373,17 @@ def extrapolated_lag(u_prev, u_older) -> np.ndarray:
 def corrector_solve(sys: TimeLevelSystem, problem: PdeProblem, cfg: StepConfig, u_prev):
     """The level's fixed point: the converged state and the number of solves.
 
-    The first lag is extrapolated_lag(sys.u_prev, sys.u_older), or sys.u_prev
-    itself when the system was built without a previous one.  u_prev must be the
-    level the system was built from, sys.u_prev itself or an array equal to it;
-    any other raises ValueError.  Failures are fixed_point's.
+    The first lag is extrapolated_lag(sys.u_prev, sys.u_older, sys.u_oldest):
+    quadratic from the third level of a run on, linear at the second, and
+    sys.u_prev itself when the system was built without a previous one.  u_prev
+    must be the level the system was built from, sys.u_prev itself or an array
+    equal to it; any other raises ValueError.  Failures are fixed_point's.
     """
     # identity first: the run loop passes sys.u_prev itself and pays no O(N) check
     if u_prev is not sys.u_prev and not np.array_equal(u_prev, sys.u_prev):
         raise ValueError("u_prev is not the level the system was built from")
-    lag = sys.u_prev if sys.u_older is None else extrapolated_lag(sys.u_prev, sys.u_older)
+    lag = (sys.u_prev if sys.u_older is None
+           else extrapolated_lag(sys.u_prev, sys.u_older, sys.u_oldest))
     (u, r_left, r_right), iters = fixed_point(
         _level_pass(sys, problem), lag, cfg, sys.t_n, "corrector")
     # the end rows of -A, whose right-hand side r is the pass's negated one

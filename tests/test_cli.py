@@ -551,7 +551,34 @@ def test_cmd_check_passes(capsys):
     assert "FAIL" not in out
     assert "transcribed fisher wave rejected" in out
     assert out.count("spline form T E^-1 = 6 Delta") == 4
-    assert out.count("interior dpttrs = band dgbtrs") == 4
+    assert out.count("interior dpttrs = band solve (") == 4
+
+
+def test_output_digest_compare_reports_numeric_iteration_and_text_changes(tmp_path):
+    import importlib.util
+
+    path = Path(__file__).resolve().parent.parent / "tools" / "output_digest.py"
+    spec = importlib.util.spec_from_file_location("output_digest", path)
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+    old, new = tmp_path / "old.csv", tmp_path / "new.csv"
+    old.write_text("# note, kept whole\nt,u,iters_max,status\n1,2.0,3,ok\n2,0,4,ok\n")
+    new.write_text("# note, kept whole\nt,u,iters_max,status\n1,2.5,3,ok\n2,0,3,failed\n")
+    assert digest.compare_file("new.csv", new, old) == [
+        "new.csv: largest relative change 0.2 (line 3 u)",
+        "  by column: t 0, u 0.2",
+        "  line 4 iters_max: '4' -> '3'",
+        "  line 4 status: 'ok' -> 'failed'",
+    ]
+    assert digest.compare_file("old.csv", old, old) == ["old.csv: largest relative change 0"]
+    old, new = tmp_path / "old.txt", tmp_path / "new.txt"
+    old.write_text("PASS  band dgbtrs: defect 1e-16\n")
+    new.write_text("PASS  band solve: defect 1e-16\nPASS  more\n")
+    assert digest.compare_file("new.txt", new, old) == [
+        "new.txt: largest relative change 0",
+        "  line count: 1 -> 2",
+        "  line 1 word 3: 'dgbtrs:' -> 'solve:'",
+    ]
 
 
 def test_shipped_configs_parse_and_build():

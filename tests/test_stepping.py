@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import lapack
 
-from drbem1d import stepping, verification
+from drbem1d import presets, stepping, verification
 from drbem1d.assembly import (LEVEL_BAND, Grid, assemble_drbem, band_lu_factor_checked,
                               band_lu_solver)
 from drbem1d.exceptions import ConvergenceError, DomainError, SingularMatrixError, SolverError
@@ -319,7 +319,7 @@ def jittered(grid, seed):
 def test_banded_level_solve_matches_the_dense_reference(name, spacing):
     # each level is solved by the stepper, by the plain loop of its own solves, by
     # the full-band reference and by the dense form, all from the same previous
-    # state and the stepper's own first lag, extrapolated from the level before
+    # state and the stepper's own first lag, extrapolated from the levels before
     problem = registry_problem(name)
     grid = Grid.uniform(problem.a, problem.b, 33)
     if spacing == "jittered":
@@ -329,12 +329,13 @@ def test_banded_level_solve_matches_the_dense_reference(name, spacing):
     p_matrix = interp.solve(interp.phi_x_matrix.T, transposed=True).T
     cfg = StepConfig(tau=0.01)
     u = initial_values(problem, grid.nodes)
-    system = u_older = None
+    system = u_older = u_oldest = None
     for k in range(1, 11):
         t_n = k * cfg.tau
         system = build_level_system(problem, grid, ops, cfg, t_n, u, prev_system=system)
         assert system.u_prev is u and system.u_older is u_older
-        lag = u if k == 1 else extrapolated_lag(u, u_older)
+        assert system.u_oldest is u_oldest
+        lag = u if k == 1 else extrapolated_lag(u, u_older, u_oldest)
         state, passes = corrector_solve(system, problem, cfg, u)
         band = band_level_system(problem, ops, cfg, t_n, u)
         u_band, *band_rest = reference_corrector(band, problem, cfg, lag)
@@ -358,7 +359,7 @@ def test_banded_level_solve_matches_the_dense_reference(name, spacing):
                 assert abs(q - q_other) <= 1e-9 * slope_scale
         assert abs(passes - band_rest[2]) <= 1
         assert abs(passes - passes_ref) <= 1
-        u_older, u = u, state.u
+        u_oldest, u_older, u = u_older, u, state.u
 
 
 @pytest.mark.parametrize("spacing", ["uniform", "jittered"])
@@ -380,6 +381,7 @@ def test_extrapolated_and_lagged_seeds_reach_the_same_fixed_point(name, spacing)
         system = build_level_system(problem, grid, ops, cfg, t_n, u, prev_system=system)
         lagged = build_level_system(problem, grid, ops, cfg, t_n, u)
         assert (system.u_older is None) == (k == 1) and lagged.u_older is None
+        assert (system.u_oldest is None) == (k <= 2) and lagged.u_oldest is None
         state, _ = corrector_solve(system, problem, cfg, u)
         lagged_state, _ = corrector_solve(lagged, problem, cfg, u)
         assert np.max(np.abs(state.u - lagged_state.u)) <= 10.0 * cfg.epsilon
@@ -407,6 +409,36 @@ def test_extrapolated_lag_keeps_nonnegative_nodes_nonnegative():
     np.testing.assert_array_equal(extrapolated_lag(u_prev, u_older),
                                   [1.5, 0.2, 0.0, -0.8, 0.2, 0.5])
     np.testing.assert_array_equal(extrapolated_lag(u_prev, u_prev), u_prev)
+    # three levels, in binary fractions so that the arithmetic is exact:
+    # 3 (u_prev - u_older) + u_oldest = [2, -0.625, -0.125, -0.625, 0.625, 1.25]
+    u_prev = np.array([1.0, 0.25, 0.0, -0.5, -0.125, 0.375])
+    u_older = np.array([0.5, 0.625, 0.125, -0.25, -0.5, 0.125])
+    u_oldest = np.array([0.5, 0.5, 0.25, 0.125, -0.5, 0.5])
+    np.testing.assert_array_equal(extrapolated_lag(u_prev, u_older, u_oldest),
+                                  [2.0, 0.25, 0.0, -0.625, 0.625, 1.25])
+    np.testing.assert_array_equal(extrapolated_lag(u_prev, u_prev, u_prev), u_prev)
+    # a quadratic in time is extrapolated exactly: u(t) = 1 + t + t^2 at t = 0, 1, 2
+    np.testing.assert_array_equal(extrapolated_lag(np.array([7.0]), np.array([3.0]),
+                                                   np.array([1.0])), [13.0])
+
+
+def test_fig5_levels_after_the_second_take_the_two_solve_minimum():
+    # the quadratic seed lands every level of fig5's stiff fronts within epsilon
+    # of its fixed point at the first solve; the linear seed left each level of
+    # the alpha >= 2 rows one solve above the minimum (3,001 a row)
+    bench = presets.BENCHMARKS["fig5"]()
+    first = bench.rows[0]
+    grid = Grid.with_spacing(first.problem.a, first.problem.b, first.h)
+    ops = assemble_drbem(grid)
+    total = 0
+    for row in bench.rows:
+        assert (row.problem.a, row.problem.b, row.h, row.tau) == (
+            first.problem.a, first.problem.b, 1.0 / 16.0, 1e-3)
+        passes = run(row.problem, grid, StepConfig(tau=row.tau), bench.t_end,
+                     ops=ops).level_iterations
+        assert len(passes) == 1000 and set(passes[2:]) == {2}, dict(row.labels)
+        total += sum(passes)
+    assert total <= 12_100
 
 
 @pytest.mark.parametrize("height, tau", [(1.0, 0.05), (3.0, 0.01)])
