@@ -14,13 +14,15 @@ factors are not clean, factors its (2, 2) interior band with dgbtrf and solves
 it with assembly.band_lu_solver's two dtbsv sweeps (dgbtrs after a row swap).
 
 The nonlinear term is lagged: each pass solves with F_n at the previous
-iterate, until two successive iterates agree within epsilon.  The first lag of a
-level is the quadratic extrapolation 3 (u_n - u_{n-1}) + u_{n-2} of the three
-levels before it; the second level, with two levels behind it, takes the linear
-2 u_n - u_{n-1}, and the first level, or a system built without a previous one,
-u_n alone.  The lag is kept at u_n wherever u_n >= 0 and the extrapolation is
-negative.  The seed changes only where, within epsilon of the level's fixed
-point, the loop stops, not the fixed point itself.
+iterate, until two successive iterates agree within epsilon, the seed lag
+counting as iterate 0, so a seed within epsilon of its first solve takes one
+solve.  The seed of a level is the cubic extrapolation
+4 (u_n + u_{n-2}) - (6 u_{n-1} + u_{n-3}) of the four levels before it; the
+third level takes the quadratic 3 (u_n - u_{n-1}) + u_{n-2}, the second the
+linear 2 u_n - u_{n-1}, and the first level, or a system built without a
+previous one, u_n alone.  The lag is kept at u_n wherever u_n >= 0 and the
+extrapolation is negative.  The seed changes only where, within epsilon of the
+level's fixed point, the loop stops, not the fixed point itself.
 
 A corrector pass is the reaction F_n(u_tilde), one dgbmv that adds the
 -(eta/mu) T F_n stencil to the level's fixed right-hand side, and one in-place
@@ -73,7 +75,8 @@ class StepConfig:
         cap = self.max_corrector_iters
         if not (isinstance(cap, numbers.Integral) and cap >= 2):
             raise ValueError(f"max_corrector_iters = {cap!r} must be an integer of at least 2: "
-                             "the corrector stops only when two successive solves agree")
+                             "a level whose seed moves by more than epsilon in its first "
+                             "solve stops only when two successive solves agree")
 
 
 @dataclass
@@ -119,9 +122,9 @@ class TimeLevelSystem:
     factorization is the level's LevelFactors, shared by every level with the same
     coefficient triple in a run.  rhs_fixed collects every term that does not
     involve the lagged iterate; the corrector adds only -(eta/mu) T F_n(u_tilde)
-    per pass.  u_prev is the level the system was built from, u_older the one
-    before it and u_oldest the one before that (None where the run has no such
-    level, or without a previous system); all three are references, not copies,
+    per pass.  u_prev is the level the system was built from and earlier the
+    levels before it, newest first: at most three, fewer where the run has no
+    such level, none without a previous system.  All are references, not copies,
     and the corrector's first lag is extrapolated from them.
     """
 
@@ -131,8 +134,7 @@ class TimeLevelSystem:
     g_left: float
     g_right: float
     u_prev: np.ndarray
-    u_older: Optional[np.ndarray] = None
-    u_oldest: Optional[np.ndarray] = None
+    earlier: tuple = ()
 
 
 # the entries (i, j) that LevelFactors.ends holds, at their places in gbtrf layout
@@ -200,9 +202,9 @@ def build_level_system(
 
     When prev_system comes from the same run and the coefficient triple at t_n is
     its factorization's (constant-coefficient problems), that LevelFactors is
-    carried over and only the right-hand side is rebuilt.  Its u_prev and u_older
-    become this system's u_older and u_oldest, from which, with u_prev,
-    corrector_solve extrapolates.
+    carried over and only the right-hand side is rebuilt.  Its u_prev and the
+    newer two of its earlier levels become this system's earlier levels, from
+    which, with u_prev, corrector_solve extrapolates.
     """
     tau = cfg.tau
     coeffs = level_coefficients(problem, t_n)
@@ -241,7 +243,7 @@ def build_level_system(
     if prev_system is None:
         return TimeLevelSystem(factorization, rhs_fixed, t_n, g_left, g_right, u_prev)
     return TimeLevelSystem(factorization, rhs_fixed, t_n, g_left, g_right, u_prev,
-                           prev_system.u_prev, prev_system.u_older)
+                           (prev_system.u_prev, *prev_system.earlier[:2]))
 
 
 def _level_pass(sys: TimeLevelSystem, problem: PdeProblem):
@@ -313,16 +315,18 @@ def _domain_error(exc: DomainError, t_n, u_tilde, made_by, who) -> DomainError:
 def fixed_point(solve, lag, cfg: StepConfig, t_n, who):
     """Fixed-point iteration on the lagged nonlinear term at the level t_n.
 
-    solve maps the lag to a tuple whose first entry is the next iterate.  Only
-    successive solves are compared, so the minimum count is two; with a vanishing
-    nonlinear part the second solve reproduces the first bit for bit and the loop
-    exits at zero difference.  Returns the last tuple and the number of solves.
+    solve maps the lag to a tuple whose first entry is the next iterate.  The
+    seed lag is iterate 0, and the loop stops at the first solve within epsilon
+    of the iterate it was lagged on: a seed already within epsilon of its first
+    solve takes one solve, and with a vanishing nonlinear part the second solve
+    reproduces the first bit for bit and the loop exits at zero difference.
+    Returns the last tuple and the number of solves.
 
-    A non-finite iterate raises ConvergenceError ("<who> diverged"): at the first
-    gap it enters, or when the reaction rejects it first.  A DomainError from the
-    reaction on a finite lag is raised again naming t_n, the lag's first negative
-    node and, when the lag is not the seed, the pass whose iterate it is.  The cap
-    raises "<who> stalled".
+    A non-finite iterate raises ConvergenceError ("<who> diverged") at its gap,
+    the first iterate's included; a non-finite seed does when the reaction
+    rejects it.  A DomainError from the reaction on a finite lag is raised again
+    naming t_n, the lag's first negative node and, when the lag is not the seed,
+    the pass whose iterate it is.  The cap raises "<who> stalled".
     """
     epsilon = cfg.epsilon
     u_last = lag  # the lag of the pass under way
@@ -330,15 +334,15 @@ def fixed_point(solve, lag, cfg: StepConfig, t_n, who):
         # a diverging iterate overflows inside the reaction and is reported as
         # ConvergenceError, so numpy's warning is noise
         with np.errstate(over="ignore", invalid="ignore"):
-            out = solve(u_last)
-            for iters in range(2, cfg.max_corrector_iters + 1):
-                u_last = out[0]
+            for iters in range(1, cfg.max_corrector_iters + 1):
                 out = solve(u_last)
                 diff = _sup_gap(out[0], u_last, t_n, who)
                 if diff <= epsilon:
                     return out, iters
+                u_last = out[0]
     except DomainError as exc:
-        # an overflowed iterate (-inf, nan) reaches the reaction before its gap
+        # every iterate is gap-checked before it is a lag, so only a non-finite
+        # seed (-inf, nan) reaches the reaction unchecked
         if not np.isfinite(u_last).all():
             raise _diverged(t_n, who) from exc
         # every solve returns a new array, so only the seed is the lag itself
@@ -352,19 +356,32 @@ def fixed_point(solve, lag, cfg: StepConfig, t_n, who):
     )
 
 
-def extrapolated_lag(u_prev, u_older, u_oldest=None) -> np.ndarray:
-    """The polynomial through the last levels, one step on: 3 (u_prev - u_older) +
-    u_oldest, or 2 u_prev - u_older without u_oldest.  u_prev is kept at every
-    node where u_prev >= 0 and the extrapolation is negative, so that the lag
-    never leaves a reaction's domain of nonnegative values where u_prev is inside
-    it."""
-    if u_oldest is None:
-        lag = 2.0 * u_prev
-        lag -= u_older
-    else:
-        lag = u_prev - u_older
+def extrapolated_lag(u_prev, *earlier) -> np.ndarray:
+    """The polynomial through u_prev and the earlier levels (newest first, at
+    most three), one step on: the cubic 4 (u_prev + u_2) - (6 u_1 + u_3) through
+    four levels, the quadratic 3 (u_prev - u_1) + u_2 through three, the line
+    2 u_prev - u_1 through two, and u_prev itself without an earlier level.
+    u_prev is kept at every node where u_prev >= 0 and the extrapolation is
+    negative, so that the lag never leaves a reaction's domain of nonnegative
+    values where u_prev is inside it."""
+    if len(earlier) == 3:
+        u_1, u_2, u_3 = earlier
+        # 4 (u_prev - 1.5 u_1 + u_2) - u_3 in place: one array allocated
+        lag = -1.5 * u_1
+        lag += u_prev
+        lag += u_2
+        lag *= 4.0
+        lag -= u_3
+    elif len(earlier) == 2:
+        u_1, u_2 = earlier
+        lag = u_prev - u_1
         lag *= 3.0
-        lag += u_oldest
+        lag += u_2
+    elif earlier:
+        lag = 2.0 * u_prev
+        lag -= earlier[0]
+    else:
+        return u_prev
     if lag.min() < 0.0:  # the masks cost more than the extrapolation
         np.copyto(lag, u_prev, where=(lag < 0.0) & (u_prev >= 0.0))
     return lag
@@ -373,19 +390,20 @@ def extrapolated_lag(u_prev, u_older, u_oldest=None) -> np.ndarray:
 def corrector_solve(sys: TimeLevelSystem, problem: PdeProblem, cfg: StepConfig, u_prev):
     """The level's fixed point: the converged state and the number of solves.
 
-    The first lag is extrapolated_lag(sys.u_prev, sys.u_older, sys.u_oldest):
-    quadratic from the third level of a run on, linear at the second, and
-    sys.u_prev itself when the system was built without a previous one.  u_prev
+    The first lag is extrapolated_lag(sys.u_prev, *sys.earlier): cubic from the
+    fourth level of a run on, quadratic at the third, linear at the second, and
+    sys.u_prev itself when the system was built without a previous one.  When
+    that seed is within epsilon of the first solve, the level takes that one
+    solve; otherwise the corrector runs until two successive solves agree.  u_prev
     must be the level the system was built from, sys.u_prev itself or an array
     equal to it; any other raises ValueError.  Failures are fixed_point's.
     """
     # identity first: the run loop passes sys.u_prev itself and pays no O(N) check
     if u_prev is not sys.u_prev and not np.array_equal(u_prev, sys.u_prev):
         raise ValueError("u_prev is not the level the system was built from")
-    lag = (sys.u_prev if sys.u_older is None
-           else extrapolated_lag(sys.u_prev, sys.u_older, sys.u_oldest))
     (u, r_left, r_right), iters = fixed_point(
-        _level_pass(sys, problem), lag, cfg, sys.t_n, "corrector")
+        _level_pass(sys, problem), extrapolated_lag(sys.u_prev, *sys.earlier), cfg,
+        sys.t_n, "corrector")
     # the end rows of -A, whose right-hand side r is the pass's negated one
     b_11, b_12, b_13, b_nl, b_nm, b_nn = sys.factorization.ends
     q_left = (r_left - b_12 * u.item(1) - b_13 * u.item(2)) / b_11

@@ -60,7 +60,8 @@ def dense_level_solve(problem, ops, p_matrix, cfg, t_n, u_prev, lag):
     The collocation identity L q + c*u - H g = E b with
     b = (u - u_prev)/(tau mu) + (nu/mu) P u - (eta/mu)(lambda u + F_n(u_tilde)),
     solved for [u_x(a), u_x(b), u_2, ..., u_{N-1}] by one LU and the lagged
-    corrector from the first lag `lag`.  Returns (u, q_left, q_right, passes).
+    corrector from the first lag `lag`, which counts as iterate 0.  Returns (u,
+    q_left, q_right, passes).
     A test reference only.
     """
     tau = cfg.tau
@@ -77,12 +78,12 @@ def dense_level_solve(problem, ops, p_matrix, cfg, t_n, u_prev, lag):
                  - (e_m @ u_prev) / (tau * mu)
                  - w[:, 0] * g_left - w[:, -1] * g_right)
 
-    u_tilde, u_last = lag, None
+    u_tilde = u_last = lag
     for passes in range(1, cfg.max_corrector_iters + 1):
         rhs = rhs_fixed - (eta / mu) * (e_m @ problem.reaction.nonlinear(u_tilde))
         z = lu_solve(factorization, rhs)
         u_new = np.concatenate([[g_left], z[2:], [g_right]])
-        if u_last is not None and np.max(np.abs(u_new - u_last)) <= cfg.epsilon:
+        if np.max(np.abs(u_new - u_last)) <= cfg.epsilon:
             return u_new, z[0], z[1], passes
         u_tilde = u_last = u_new
     raise AssertionError(f"dense reference corrector stalled at t = {t_n}")
@@ -141,14 +142,15 @@ def reference_interior_corrector(sys, problem, cfg, lag):
     """The corrector as a plain loop of interior solves from the first lag `lag`:
     per pass one dgbmv for the negated right-hand side and one dpttrs or dgbtrs,
     as sys.factorization.factors are dpttrf's or dgbtrf's, on its entries 2..N-1;
-    successive solves compared by np.max, then each flux from its end row.
+    successive iterates compared by np.max, `lag` counting as iterate 0, then
+    each flux from its end row.
     Returns (u, q_left, q_right, passes).  A test reference only.
     """
     n = sys.rhs_fixed.size
     _, mu, eta = sys.factorization.coeffs
     factors = sys.factorization.factors
     b_11, b_12, b_13, b_nl, b_nm, b_nn = sys.factorization.ends  # of minus the level matrix
-    u_tilde, u_last = np.asarray(lag, dtype=float), None
+    u_tilde = u_last = np.asarray(lag, dtype=float)
     for passes in range(1, cfg.max_corrector_iters + 1):
         neg_rhs = blas.dgbmv(n, n, 1, 1, eta / mu, sys.factorization.t_band,
                              problem.reaction.nonlinear(u_tilde), beta=-1.0, y=sys.rhs_fixed)
@@ -158,7 +160,7 @@ def reference_interior_corrector(sys, problem, cfg, lag):
             lu, piv = factors
             interior, _ = lapack.dgbtrs(lu, LEVEL_BAND, LEVEL_BAND, neg_rhs[1:-1], piv)
         u = np.concatenate([[sys.g_left], interior, [sys.g_right]])
-        if u_last is not None and float(np.max(np.abs(u - u_last))) <= cfg.epsilon:
+        if float(np.max(np.abs(u - u_last))) <= cfg.epsilon:
             q_left = float((neg_rhs[0] - b_12 * u[1] - b_13 * u[2]) / b_11)
             q_right = float((neg_rhs[-1] - b_nm * u[-2] - b_nl * u[-3]) / b_nn)
             return u, q_left, q_right, passes
@@ -170,20 +172,20 @@ def reference_corrector(sys, problem, cfg, lag):
     """The corrector as a plain loop of lagged band solves on band_level_system's
     factors from the first lag `lag`, as the stepper first ran it: per pass one
     dgbmv and one dgbtrs, the end entries read as fluxes and replaced by the
-    boundary values, successive solves compared by np.max.  Returns (u, q_left,
-    q_right, passes).  A test reference only.
+    boundary values, successive iterates compared by np.max, `lag` counting as
+    iterate 0.  Returns (u, q_left, q_right, passes).  A test reference only.
     """
     n = sys.rhs_fixed.size
     _, mu, eta = sys.factorization.coeffs
     lu, piv = sys.factorization.factors
-    u_tilde, u_last = np.asarray(lag, dtype=float), None
+    u_tilde = u_last = np.asarray(lag, dtype=float)
     for passes in range(1, cfg.max_corrector_iters + 1):
         rhs = blas.dgbmv(n, n, 1, 1, -eta / mu, sys.factorization.t_band,
                          problem.reaction.nonlinear(u_tilde), beta=1.0, y=sys.rhs_fixed)
         u, _ = lapack.dgbtrs(lu, LEVEL_BAND, LEVEL_BAND, rhs, piv, overwrite_b=1)
         q_left, q_right = float(u[0]), float(u[-1])
         u[0], u[-1] = sys.g_left, sys.g_right
-        if u_last is not None and float(np.max(np.abs(u - u_last))) <= cfg.epsilon:
+        if float(np.max(np.abs(u - u_last))) <= cfg.epsilon:
             return u, q_left, q_right, passes
         u_tilde = u_last = u
     raise AssertionError(f"reference corrector stalled at t = {sys.t_n}")
@@ -192,11 +194,13 @@ def reference_corrector(sys, problem, cfg, lag):
 def reference_oracle(problem, grid, tau, t_end, epsilon=1e-10, max_iters=100):
     """fd_oracle's march on the grid's own spacings as a plain loop: each level's
     tridiagonal band written out row by row from the three-point stencils, and one
-    dgbsv, a band factorization and a solve, per corrector pass.  A test reference
-    only."""
+    dgbsv, a band factorization and a solve, per corrector pass.  Each level starts
+    from u_n and stops when two successive solves agree, never at its first.
+    Returns the final state and each level's pass count.  A test reference only."""
     x = grid.nodes
     u = initial_values(problem, x)
     lam, m = problem.reaction.linear_slope, grid.n - 2
+    passes = []
     for k in range(1, int(round(t_end / tau)) + 1):
         t_n = k * tau
         nu, mu, eta = level_coefficients(problem, t_n)
@@ -222,7 +226,7 @@ def reference_oracle(problem, grid, tau, t_end, epsilon=1e-10, max_iters=100):
         base[0] -= lower_0 * g_left
         base[-1] -= upper_last * g_right
         u_tilde, u_last = u, None
-        for _ in range(max_iters):
+        for iters in range(1, max_iters + 1):
             rhs = base + eta * problem.reaction.nonlinear(u_tilde[1:-1])
             *_, interior, info = lapack.dgbsv(1, 1, banded, rhs)
             assert info == 0
@@ -233,7 +237,8 @@ def reference_oracle(problem, grid, tau, t_end, epsilon=1e-10, max_iters=100):
         else:
             raise AssertionError(f"reference oracle stalled at t = {t_n}")
         u = u_new
-    return u
+        passes.append(iters)
+    return u, passes
 
 
 def jittered_grid(a, b, n, seed=0, jitter=0.1):

@@ -311,6 +311,8 @@ def test_criterion_6_oracle_cross_check_on_graded_grids(name):
 
 def test_criterion_7_corrector_behavior(cross_runs, table1_rows, table2_rows, table3_rows):
     # vanishing nonlinear part: exactly two solves, zero successive difference
+    # (epsilon = 1e-300 is below the rounding gap between each seed and its first
+    # solve, so no level stops at its first)
     from drbem1d.problems import CoefficientSet, PdeProblem, ReactionTerm
 
     heat = PdeProblem(

@@ -105,10 +105,11 @@ class TestStepConfig:
     @pytest.mark.parametrize("kwargs", [
         dict(tau=0.0), dict(tau=-1.0), dict(tau=math.inf), dict(tau=0.1, epsilon=0.0),
         dict(tau=0.1, max_corrector_iters=0), dict(tau=0.1, epsilon=math.nan),
-        # two successive solves must agree, so a cap below two can never be met
+        # a level whose seed moves in its first solve needs two that agree, so a
+        # cap below two could only stop the levels that barely move
         dict(tau=0.1, max_corrector_iters=1), dict(tau=0.1, max_corrector_iters=2.5),
         dict(tau=0.1, max_corrector_iters=2.0), dict(tau=0.1, max_corrector_iters="3"),
-        # an infinite tolerance would stop every level after two solves
+        # an infinite tolerance would stop every level after one solve
         dict(tau=0.1, epsilon=math.inf),
     ])
     def test_validation(self, kwargs):
@@ -145,7 +146,8 @@ def test_steady_linear_profile_single_level():
     system = build_level_system(problem, grid, ops, cfg, 0.1, u_prev)
     state, iters = corrector_solve(system, problem, cfg, u_prev)
     assert np.max(np.abs(state.u - grid.nodes)) < 1e-9
-    assert iters == 2
+    # the seed u_prev is the fixed point, so the first solve confirms it
+    assert iters == 1
     # the solved endpoint fluxes are the slope
     assert state.q_left == pytest.approx(1.0, abs=1e-9)
     assert state.q_right == pytest.approx(1.0, abs=1e-9)
@@ -320,6 +322,7 @@ def test_banded_level_solve_matches_the_dense_reference(name, spacing):
     # each level is solved by the stepper, by the plain loop of its own solves, by
     # the full-band reference and by the dense form, all from the same previous
     # state and the stepper's own first lag, extrapolated from the levels before
+    # (cubic from the fourth level on) and counted as iterate 0
     problem = registry_problem(name)
     grid = Grid.uniform(problem.a, problem.b, 33)
     if spacing == "jittered":
@@ -329,13 +332,14 @@ def test_banded_level_solve_matches_the_dense_reference(name, spacing):
     p_matrix = interp.solve(interp.phi_x_matrix.T, transposed=True).T
     cfg = StepConfig(tau=0.01)
     u = initial_values(problem, grid.nodes)
-    system = u_older = u_oldest = None
+    system, earlier = None, ()
     for k in range(1, 11):
         t_n = k * cfg.tau
         system = build_level_system(problem, grid, ops, cfg, t_n, u, prev_system=system)
-        assert system.u_prev is u and system.u_older is u_older
-        assert system.u_oldest is u_oldest
-        lag = u if k == 1 else extrapolated_lag(u, u_older, u_oldest)
+        assert system.u_prev is u and len(system.earlier) == len(earlier) == min(k - 1, 3)
+        assert all(held is level for held, level in zip(system.earlier, earlier))
+        lag = extrapolated_lag(u, *earlier)
+        assert (lag is u) == (k == 1)
         state, passes = corrector_solve(system, problem, cfg, u)
         band = band_level_system(problem, ops, cfg, t_n, u)
         u_band, *band_rest = reference_corrector(band, problem, cfg, lag)
@@ -359,7 +363,7 @@ def test_banded_level_solve_matches_the_dense_reference(name, spacing):
                 assert abs(q - q_other) <= 1e-9 * slope_scale
         assert abs(passes - band_rest[2]) <= 1
         assert abs(passes - passes_ref) <= 1
-        u_oldest, u_older, u = u_older, u, state.u
+        earlier, u = (u, *earlier[:2]), state.u
 
 
 @pytest.mark.parametrize("spacing", ["uniform", "jittered"])
@@ -380,8 +384,7 @@ def test_extrapolated_and_lagged_seeds_reach_the_same_fixed_point(name, spacing)
         t_n = k * cfg.tau
         system = build_level_system(problem, grid, ops, cfg, t_n, u, prev_system=system)
         lagged = build_level_system(problem, grid, ops, cfg, t_n, u)
-        assert (system.u_older is None) == (k == 1) and lagged.u_older is None
-        assert (system.u_oldest is None) == (k <= 2) and lagged.u_oldest is None
+        assert len(system.earlier) == min(k - 1, 3) and lagged.earlier == ()
         state, _ = corrector_solve(system, problem, cfg, u)
         lagged_state, _ = corrector_solve(lagged, problem, cfg, u)
         assert np.max(np.abs(state.u - lagged_state.u)) <= 10.0 * cfg.epsilon
@@ -420,12 +423,34 @@ def test_extrapolated_lag_keeps_nonnegative_nodes_nonnegative():
     # a quadratic in time is extrapolated exactly: u(t) = 1 + t + t^2 at t = 0, 1, 2
     np.testing.assert_array_equal(extrapolated_lag(np.array([7.0]), np.array([3.0]),
                                                    np.array([1.0])), [13.0])
+    # four levels: 4 (u_prev + u_oldest) - (6 u_older + u_3) = [2.75, -1.25, -0.25,
+    # -0.25, 0.5, 2.25]; nodes 1 and 2 keep u_prev, node 3 was negative already
+    u_3 = np.array([0.25, 0.5, 0.5, 0.25, 0.0, 0.5])
+    np.testing.assert_array_equal(extrapolated_lag(u_prev, u_older, u_oldest, u_3),
+                                  [2.75, 0.25, 0.0, -0.25, 0.5, 2.25])
+    np.testing.assert_array_equal(extrapolated_lag(u_prev, u_prev, u_prev, u_prev), u_prev)
+    # and a cubic exactly: u(t) = 1 + t + t^2 + t^3 at t = 3, 2, 1, 0 gives 85 at t = 4
+    np.testing.assert_array_equal(
+        extrapolated_lag(*(np.array([v]) for v in (40.0, 15.0, 4.0, 1.0))), [85.0])
+    assert extrapolated_lag(u_prev) is u_prev  # no earlier level: the seed is u_n
 
 
-def test_fig5_levels_after_the_second_take_the_two_solve_minimum():
-    # the quadratic seed lands every level of fig5's stiff fronts within epsilon
-    # of its fixed point at the first solve; the linear seed left each level of
-    # the alpha >= 2 rows one solve above the minimum (3,001 a row)
+def test_table1_kink_takes_one_solve_from_the_fourth_level():
+    # the h = 1/16, tau = 1/2000 row of table1 (N = 321, 2,000 levels): its cubic
+    # seed is within epsilon of every level's first solve from the fourth level on
+    bench = presets.BENCHMARKS["table1"]()
+    row, = (r for r in bench.rows if (r.h, r.tau) == (1.0 / 16.0, 1.0 / 2000.0))
+    grid = Grid.with_spacing(row.problem.a, row.problem.b, row.h)
+    passes = run(row.problem, grid, StepConfig(tau=row.tau), bench.t_end).level_iterations
+    assert grid.n == 321 and len(passes) == 2000
+    assert set(passes[3:]) == {1}, passes[:3]
+
+
+def test_fig5_levels_after_the_third_take_one_solve():
+    # the cubic seed lands fig5's stiff fronts within epsilon of each level's
+    # fixed point, so its first solve confirms it: past the start-up transient
+    # (the first twelve levels) every level takes one solve, and no level after
+    # the third more than two
     bench = presets.BENCHMARKS["fig5"]()
     first = bench.rows[0]
     grid = Grid.with_spacing(first.problem.a, first.problem.b, first.h)
@@ -436,9 +461,11 @@ def test_fig5_levels_after_the_second_take_the_two_solve_minimum():
             first.problem.a, first.problem.b, 1.0 / 16.0, 1e-3)
         passes = run(row.problem, grid, StepConfig(tau=row.tau), bench.t_end,
                      ops=ops).level_iterations
-        assert len(passes) == 1000 and set(passes[2:]) == {2}, dict(row.labels)
+        labels = dict(row.labels)
+        assert len(passes) == 1000 and set(passes[12:]) == {1}, labels
+        assert max(passes[3:]) <= 2, labels
         total += sum(passes)
-    assert total <= 12_100
+    assert total <= 6_100
 
 
 @pytest.mark.parametrize("height, tau", [(1.0, 0.05), (3.0, 0.01)])
@@ -502,13 +529,13 @@ def level_settings(draw):
 def test_linear_field_stays_steady_on_graded_grids(grid, slope, offset, mu, tau):
     # without advection or reaction a line is the clamped spline of itself, so it
     # is every level's fixed point: run carries the first level's factors over
-    # and each level takes the two solves that confirm it
+    # and each level's seed, the line itself, is within epsilon of its first solve
     problem = dataclasses.replace(heat_problem(slope, offset), horizon=20 * tau,
                                   coeffs=CoefficientSet.constant(0.0, mu, 1.0))
     traj = run(problem, grid, StepConfig(tau=tau), 20 * tau)
     line = slope * grid.nodes + offset
     assert np.max(np.abs(traj.states[-1].u - line)) <= 1e-12 * max(1.0, np.max(np.abs(line)))
-    assert traj.level_iterations == [2] * 20
+    assert traj.level_iterations == [1] * 20
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -900,8 +927,8 @@ def reacting_heat_problem(reaction):
 
 @pytest.mark.parametrize("cap", [2, 100])
 def test_nan_reaction_on_the_first_pass_diverges(cap):
-    # the first iterate is nan and the first gap reports it, at the smallest cap
-    # as at a large one, so no pass after the second is spent on it
+    # the first iterate is nan and its gap to the seed reports it, at the smallest
+    # cap as at a large one, so no pass after the first is spent on it
     calls = []
     problem = reacting_heat_problem(nan_first_reaction(calls))
     grid = Grid.uniform(0.0, 1.0, 9)
@@ -910,7 +937,7 @@ def test_nan_reaction_on_the_first_pass_diverges(cap):
     with pytest.raises(ConvergenceError, match="corrector diverged at t = 0.1") as excinfo:
         corrector_solve(system, problem, cfg, grid.nodes)
     assert excinfo.value.time == pytest.approx(0.1)
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def test_back_substitution_gap_raises_on_a_non_finite_pass():

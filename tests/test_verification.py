@@ -142,7 +142,23 @@ class TestFdOracle:
         else:  # interior nodes moved by up to 10% of h
             grid = jittered_grid(problem.a, problem.b, n, seed=n)
         u = fd_oracle(problem, grid, StepConfig(tau=tau), t_end).states[-1].u
-        assert u.tobytes() == reference_oracle(problem, grid, tau, t_end).tobytes()
+        assert u.tobytes() == reference_oracle(problem, grid, tau, t_end)[0].tobytes()
+
+    @pytest.mark.parametrize("name, params, n, tau, t_end", [
+        ("generalized_fisher", {"alpha": 2.0}, 65, 1e-3, 0.3),
+        ("fitzhugh_nagumo", {"rho": 0.75}, 81, 1e-2, 1.0),
+    ], ids=["fig5-front", "kink"])
+    def test_keeps_the_two_solve_stop_on_a_moving_front(self, name, params, n, tau, t_end):
+        # the oracle seeds each level with u_n, which a moving front leaves about
+        # tau |u_t| from the first solve, far above epsilon: no level stops at its
+        # first solve, and states and pass counts are those of the rule that never
+        # compared the first solve with the seed
+        problem = REGISTRY[name][0](**params)
+        grid = Grid.uniform(problem.a, problem.b, n)
+        traj = fd_oracle(problem, grid, StepConfig(tau=tau), t_end)
+        u, passes = reference_oracle(problem, grid, tau, t_end)
+        assert traj.states[-1].u.tobytes() == u.tobytes()
+        assert traj.level_iterations == passes and min(passes) >= 2
 
     @pytest.mark.parametrize("n, mu", [(3, -1.0 / 8.0), (4, -1.0 / 9.0), (5, -1.0 / 32.0)])
     def test_singular_level_matrix_raises_singular_matrix_error(self, n, mu):
