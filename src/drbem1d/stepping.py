@@ -4,10 +4,15 @@ Each level is solved in the scheme's clamped-spline form (see
 assembly.DrbemOperators).  The fluxes u_x(a) and u_x(b) enter only the level
 matrix's end rows, so every level eliminates them: the unknowns are u_2, ...,
 u_{N-1}, the endpoint values are imposed, and the fluxes come back from the end
-rows once the level has converged.  The matrix depends on the level only
-through (nu, mu, eta)(t_n), never on the lagged iterate, so it is factored once
-per level, reused across corrector passes, and carried over whole when the
-coefficients are constant in time.  Without advection (nu_n = 0) and with s > 0
+rows once the level has converged.  The matrix A(s, r) = 6 Delta - T (s I + r P)
+depends on the level only through its weights s = 1/(tau mu) - eta lambda/mu
+and r = nu/mu, never on the lagged iterate.  It is factored once, reused across
+corrector passes, and carried over to the next level while r stays the same and
+s stays within DRIFT_BOUND of the factored s_0 > 0 (whole when s = s_0, as with
+constant coefficients).  A carried level solves A(s_0) u = R - (s_0 - s) T u,
+which is A(s) u = R, by lagging the drift term with the reaction: its fixed
+point is the level's own, and the lag adds a contraction of about
+|s - s_0| / s_0.  Without advection (nu_n = 0) and with s > 0
 the interior is the strictly diagonally dominant clamped-spline system
 -(6 Delta - s T), which dpttrf factors; any other level, or one whose dpttrf
 factors are not clean, factors its (2, 2) interior band with dgbtrf and solves
@@ -25,7 +30,8 @@ extrapolation is negative.  The seed changes only where, within epsilon of the
 level's fixed point, the loop stops, not the fixed point itself.
 
 A corrector pass is the reaction F_n(u_tilde), one dgbmv that adds the
--(eta/mu) T F_n stencil to the level's fixed right-hand side, and one in-place
+-(eta/mu) T F_n stencil to the level's fixed right-hand side (a second adds
+the drift term on a carried level whose s moved), and one in-place
 solve on the interior.  `fixed_point`, the corrector loop that
 verification.fd_oracle shares as it shares `march`, the level loop, takes the
 sup-norm gap between successive iterates in place; it doubles as the divergence
@@ -57,6 +63,12 @@ TIME_MULTIPLE_TOL = 1e-12
 # More time levels than this (9 hours at fig1's 33 us a level, 8 GB for
 # level_iterations alone) is a mistyped tau, not a run anyone waits for.
 MAX_LEVELS = 10**9
+# A level keeps the previous level's factors while its s is within this share
+# of the factored s_0.  The lagged drift then slows the corrector's contraction
+# by at most about this ratio: at 1/32 table3's rows take as many solves as with
+# a refactor at every level, LSODE's 0.3 takes 6% more (380 against 304 at
+# tau = 1/100).
+DRIFT_BOUND = 1.0 / 32.0
 
 
 @dataclass
@@ -93,21 +105,24 @@ class SolverState:
 
 
 class LevelFactors(NamedTuple):
-    """Everything a level takes from its coefficient triple coeffs = (nu, mu, eta).
+    """Everything a level takes from the weights = (s, r) of its level matrix
+    A = 6 Delta - T (s I + r P), as they were when it was factored.
 
-    factors are dpttrf's (d, e) or dgbtrf's (lu, piv) factors of minus the level
-    matrix A = 6 Delta - T (s I + (nu/mu) P) on u_2..u_{N-1}, and solve(b)
-    overwrites b with (-A)^{-1} b there and returns (b, 0): dpttrs, or on the
-    band assembly.band_lu_solver's two dtbsv sweeps (dgbtrs after a row swap).
+    factors are dpttrf's (d, e) or dgbtrf's (lu, piv) factors of -A on
+    u_2..u_{N-1}, and solve(b) overwrites b with (-A)^{-1} b there and returns
+    (b, 0): dpttrs, or on the band assembly.band_lu_solver's two dtbsv sweeps
+    (dgbtrs after a row swap).
     ends holds -A's entries (1, 1), (1, 2), (1, 3), (N, N-2), (N, N-1) and
     (N, N) for the fluxes.  A's columns on the imposed values u_1 and u_N are
     nonzero only in its first three and last three rows (all of them below six
     nodes); dirichlet_rows holds each such row as (row index, entry on u_1,
     entry on u_N).  t_band is the operators' T, which the corrector's
-    -(eta/mu) T F_n stencil applies.
+    -(eta/mu) T F_n stencil and drift term apply.  A level that carries the
+    record over keeps all of it, ends and dirichlet_rows included: its drift
+    term covers their change.
     """
 
-    coeffs: tuple
+    weights: tuple
     factors: tuple
     solve: Callable
     ends: tuple
@@ -119,16 +134,21 @@ class LevelFactors(NamedTuple):
 class TimeLevelSystem:
     """Factored system of one time level.
 
-    factorization is the level's LevelFactors, shared by every level with the same
-    coefficient triple in a run.  rhs_fixed collects every term that does not
-    involve the lagged iterate; the corrector adds only -(eta/mu) T F_n(u_tilde)
-    per pass.  u_prev is the level the system was built from and earlier the
+    factorization is the LevelFactors the level solves with, shared by the
+    levels of a run that carry it over.  coeffs is the level's own (nu, mu, eta)
+    and drift = s_0 - s, the factored s_0 less the level's own s: zero on the
+    level that factored it and whenever s is unchanged.  rhs_fixed collects every
+    term that does not involve the lagged iterate; the corrector adds only
+    -T ((eta/mu) F_n(u_tilde) + drift u_tilde) per pass, eta/mu the level's
+    own.  u_prev is the level the system was built from and earlier the
     levels before it, newest first: at most three, fewer where the run has no
     such level, none without a previous system.  All are references, not copies,
     and the corrector's first lag is extrapolated from them.
     """
 
     factorization: LevelFactors
+    coeffs: tuple
+    drift: float
     rhs_fixed: np.ndarray
     t_n: float
     g_left: float
@@ -200,11 +220,14 @@ def build_level_system(
     matrix, the known endpoint values and the u_prev term move into rhs_fixed,
     and the lagged term stays per-iteration.  Every piece is O(N).
 
-    When prev_system comes from the same run and the coefficient triple at t_n is
-    its factorization's (constant-coefficient problems), that LevelFactors is
-    carried over and only the right-hand side is rebuilt.  Its u_prev and the
-    newer two of its earlier levels become this system's earlier levels, from
-    which, with u_prev, corrector_solve extrapolates.
+    prev_system's LevelFactors is carried over, and only the right-hand side
+    rebuilt, when it was factored on ops (its t_band is ops.t_band), with r =
+    nu/mu equal to this level's, and with s either equal to its s_0 (constant
+    coefficients) or, for s_0 > 0, within DRIFT_BOUND * s_0 of it; the system's
+    drift is then s_0 - s.  Any other level is factored afresh, with zero drift.
+    prev_system's u_prev and the newer two of its earlier levels become this
+    system's earlier levels, from which, with u_prev, corrector_solve
+    extrapolates.
     """
     tau = cfg.tau
     coeffs = level_coefficients(problem, t_n)
@@ -217,12 +240,17 @@ def build_level_system(
 
     g_left, g_right = float(problem.bc_left(t_n)), float(problem.bc_right(t_n))
 
-    if prev_system is not None and coeffs == prev_system.factorization.coeffs:
-        factorization = prev_system.factorization
-    else:
-        lam = problem.reaction.linear_slope
-        implicit_scale = 1.0 / (tau * mu_n) - eta_n * lam / mu_n
-        weights = np.array([1.0, -implicit_scale, -nu_n / mu_n])
+    implicit_scale = 1.0 / (tau * mu_n) - eta_n * problem.reaction.linear_slope / mu_n
+    ratio = nu_n / mu_n
+    factorization = None if prev_system is None else prev_system.factorization
+    if factorization is not None:
+        s_0, r_0 = factorization.weights
+        # no s_0 <= 0 meets the bound, only an unchanged s
+        if not (factorization.t_band is ops.t_band and ratio == r_0
+                and (implicit_scale == s_0 or abs(implicit_scale - s_0) <= DRIFT_BOUND * s_0)):
+            factorization = None
+    if factorization is None:
+        weights = np.array([1.0, -implicit_scale, -ratio])
         # a non-finite coefficient times a zero entry is nan, which the factor
         # check reports as a singular level; numpy's warning would be noise
         with np.errstate(over="ignore", invalid="ignore"):
@@ -234,30 +262,34 @@ def build_level_system(
             kernel = (
                 nu_n == 0.0 < implicit_scale and spd_factors(ops.level_pieces, implicit_scale)
                 or band_factors(ops.level_pieces, weights, f"level matrix at t = {t_n:g}"))
-        factorization = LevelFactors(coeffs, *kernel, dirichlet_rows, ops.t_band)
+        factorization = LevelFactors((implicit_scale, ratio), *kernel, dirichlet_rows,
+                                     ops.t_band)
+    drift = factorization.weights[0] - implicit_scale
 
     rhs_fixed = blas.dgbmv(n, n, 1, 1, -1.0 / (tau * mu_n), factorization.t_band, u_prev)
     # six scalar updates cost less than a product
     for i, on_left, on_right in factorization.dirichlet_rows:
         rhs_fixed[i] = rhs_fixed.item(i) - (on_left * g_left + on_right * g_right)
-    if prev_system is None:
-        return TimeLevelSystem(factorization, rhs_fixed, t_n, g_left, g_right, u_prev)
-    return TimeLevelSystem(factorization, rhs_fixed, t_n, g_left, g_right, u_prev,
-                           (prev_system.u_prev, *prev_system.earlier[:2]))
+    earlier = () if prev_system is None else (prev_system.u_prev, *prev_system.earlier[:2])
+    return TimeLevelSystem(factorization, coeffs, drift, rhs_fixed, t_n, g_left, g_right,
+                           u_prev, earlier)
 
 
 def _level_pass(sys: TimeLevelSystem, problem: PdeProblem):
     """The corrector pass of one level, u_tilde -> (u, r_left, r_right).
 
     A pass is the reaction, one dgbmv for the negated right-hand side
-    -(rhs_fixed - (eta/mu) T F_n(u_tilde)) and the factors' in-place solve on its
-    entries 2..N-1.  The end entries r are kept for the flux recovery and the
-    imposed boundary values replace them.  Everything a pass reads is bound here
-    once per level.
+    -(rhs_fixed - (eta/mu) T F_n(u_tilde)), a second that adds
+    sys.drift T u_tilde when the drift is not zero, and the factors' in-place
+    solve on its entries 2..N-1.  eta/mu is the level's own, not the factored
+    level's.  The end entries r are kept for the flux recovery and the imposed
+    boundary values replace them.  Everything a pass reads is bound here once
+    per level.
     """
     n = sys.rhs_fixed.size
-    _, mu_n, eta_n = sys.factorization.coeffs
+    _, mu_n, eta_n = sys.coeffs
     alpha = eta_n / mu_n
+    drift = sys.drift
     t_band, solve_interior = sys.factorization.t_band, sys.factorization.solve
     rhs_fixed = sys.rhs_fixed
     g_left, g_right = sys.g_left, sys.g_right
@@ -268,6 +300,9 @@ def _level_pass(sys: TimeLevelSystem, problem: PdeProblem):
     def solve(u_tilde):
         # incx = 1, offx = 0, beta = -1, y = rhs_fixed (copied, not overwritten)
         u = dgbmv(n, n, 1, 1, alpha, t_band, nonlinear(u_tilde), 1, 0, -1.0, rhs_fixed)
+        if drift:
+            # beta = 1, y = u, incy = 1, offy = 0, trans = 0, overwrite_y = 1
+            dgbmv(n, n, 1, 1, drift, t_band, u_tilde, 1, 0, 1.0, u, 1, 0, 0, 1)
         solve_interior(u[1:-1])
         r_left, r_right = u.item(0), u.item(-1)
         u[0] = g_left
@@ -517,17 +552,23 @@ def run(problem: PdeProblem, grid: Grid, cfg: StepConfig, t_end: float, snapshot
     rounding.  Endpoint values are imposed exactly at every level.  Pass the
     grid's pre-assembled operator set to share it across runs (one built on
     other nodes raises ValueError); without one, the first level assembles it.
+    The number of levels that factored their matrix is logged at INFO.
     """
     # identity first: a caller passing the grid's own operators pays no O(N) check
     if ops is not None and ops.grid is not grid and not np.array_equal(ops.grid.nodes, grid.nodes):
         raise ValueError("operator set was built on a different node set")
-    system = None
+    system, factorizations = None, 0
 
     def level(t_n, u):
-        nonlocal ops, system
+        nonlocal ops, system, factorizations
         if ops is None:
             ops = assemble_drbem(grid)
-        system = build_level_system(problem, grid, ops, cfg, t_n, u, prev_system=system)
+        prev = system
+        system = build_level_system(problem, grid, ops, cfg, t_n, u, prev_system=prev)
+        factorizations += prev is None or system.factorization is not prev.factorization
         return corrector_solve(system, problem, cfg, u)
 
-    return march(problem, grid, cfg, t_end, snapshots, level)
+    trajectory = march(problem, grid, cfg, t_end, snapshots, level)
+    log.info("run finished: %d factorizations over %d levels", factorizations,
+             len(trajectory.level_iterations))
+    return trajectory

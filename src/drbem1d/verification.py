@@ -65,8 +65,9 @@ def fd_oracle(problem: PdeProblem, grid: Grid, cfg: StepConfig, t_end,
     (stepping.march, so time levels, horizon, initial values, snapshots and
     Trajectory are `run`'s) and the band kernel, the checked factorization and
     band_lu_solver's solve (two dtbsv sweeps, dgbtrs after a row swap), whose
-    factors are carried over while the coefficient triple stays the same, as in
-    build_level_system.  So discrepancies between the two solvers isolate the
+    factors are carried over only while the coefficient triple stays the same:
+    unlike build_level_system it refactors at any change and lags no drift, so
+    it checks that lag too.  So discrepancies between the two solvers isolate the
     spatial discretization.  The oracle solves for no flux: every state's fluxes are nan.
     """
     tau, n = cfg.tau, grid.n

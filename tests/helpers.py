@@ -121,8 +121,10 @@ def band_level_system(problem, ops, cfg, t_n, u_prev):
                  - dirichlet_columns @ np.array([g_left, g_right]))
     end_rows = tuple((i, *dirichlet_columns[i].tolist())
                      for i in sorted({0, 1, 2, n - 3, n - 2, n - 1}))
-    factorization = LevelFactors(coeffs, factors, None, None, end_rows, ops.t_band)
-    return TimeLevelSystem(factorization, rhs_fixed, t_n, g_left, g_right, u_prev)
+    nu, mu, eta = coeffs
+    weights = (1.0 / (cfg.tau * mu) - eta * problem.reaction.linear_slope / mu, nu / mu)
+    factorization = LevelFactors(weights, factors, None, None, end_rows, ops.t_band)
+    return TimeLevelSystem(factorization, coeffs, 0.0, rhs_fixed, t_n, g_left, g_right, u_prev)
 
 
 def interior_band_factors(problem, ops, cfg, t_n):
@@ -140,20 +142,24 @@ def interior_band_factors(problem, ops, cfg, t_n):
 
 def reference_interior_corrector(sys, problem, cfg, lag):
     """The corrector as a plain loop of interior solves from the first lag `lag`:
-    per pass one dgbmv for the negated right-hand side and one dpttrs or dgbtrs,
-    as sys.factorization.factors are dpttrf's or dgbtrf's, on its entries 2..N-1;
-    successive iterates compared by np.max, `lag` counting as iterate 0, then
-    each flux from its end row.
+    per pass one dgbmv for the negated right-hand side, a second for the lagged
+    drift term sys.drift T u_tilde when the drift is not zero, and one dpttrs or
+    dgbtrs, as sys.factorization.factors are dpttrf's or dgbtrf's, on its
+    entries 2..N-1; successive iterates compared by np.max, `lag` counting as
+    iterate 0, then each flux from its end row.
     Returns (u, q_left, q_right, passes).  A test reference only.
     """
     n = sys.rhs_fixed.size
-    _, mu, eta = sys.factorization.coeffs
+    _, mu, eta = sys.coeffs
     factors = sys.factorization.factors
     b_11, b_12, b_13, b_nl, b_nm, b_nn = sys.factorization.ends  # of minus the level matrix
     u_tilde = u_last = np.asarray(lag, dtype=float)
     for passes in range(1, cfg.max_corrector_iters + 1):
         neg_rhs = blas.dgbmv(n, n, 1, 1, eta / mu, sys.factorization.t_band,
                              problem.reaction.nonlinear(u_tilde), beta=-1.0, y=sys.rhs_fixed)
+        if sys.drift != 0.0:
+            neg_rhs = blas.dgbmv(n, n, 1, 1, sys.drift, sys.factorization.t_band, u_tilde,
+                                 beta=1.0, y=neg_rhs)
         if factors[0].ndim == 1:
             interior, _ = lapack.dpttrs(*factors, neg_rhs[1:-1])
         else:
@@ -176,7 +182,7 @@ def reference_corrector(sys, problem, cfg, lag):
     iterate 0.  Returns (u, q_left, q_right, passes).  A test reference only.
     """
     n = sys.rhs_fixed.size
-    _, mu, eta = sys.factorization.coeffs
+    _, mu, eta = sys.coeffs
     lu, piv = sys.factorization.factors
     u_tilde = u_last = np.asarray(lag, dtype=float)
     for passes in range(1, cfg.max_corrector_iters + 1):

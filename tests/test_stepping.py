@@ -291,15 +291,155 @@ def test_factorization_reuse_constant_vs_varying_coefficients():
     sys1 = build_level_system(constant, grid, ops, cfg, 0.01, grid.nodes)
     sys2 = build_level_system(constant, grid, ops, cfg, 0.02, grid.nodes, prev_system=sys1)
     assert sys2.factorization is sys1.factorization
-    assert sys2.factorization.coeffs == (0.0, 1.0, 0.0)
+    assert sys2.factorization.weights == (100.0, 0.0)
+    assert sys2.coeffs == (0.0, 1.0, 0.0) and sys1.drift == sys2.drift == 0.0
 
+    # cos(t) coefficients keep r = nu/mu = 1 while s = 1/(tau mu) - eta lambda/mu
+    # drifts: the factors are carried, each level lagging its own drift s_0 - s,
+    # until s leaves DRIFT_BOUND * s_0, and the next level refactors
     varying = make_generalized_fn(1.0)
     grid_v = Grid.uniform(-1.0, 1.0, 9)
     ops_v = assemble_drbem(grid_v)
     u0 = np.asarray(varying.initial(grid_v.nodes))
+
+    def weights(t_n):
+        nu, mu, eta = stepping.level_coefficients(varying, t_n)
+        return 1.0 / (cfg.tau * mu) - eta * varying.reaction.linear_slope / mu, nu / mu
+
     sys3 = build_level_system(varying, grid_v, ops_v, cfg, 0.01, u0)
     sys4 = build_level_system(varying, grid_v, ops_v, cfg, 0.02, u0, prev_system=sys3)
-    assert sys4.factorization is not sys3.factorization
+    assert sys4.factorization is sys3.factorization
+    assert sys3.factorization.weights == weights(0.01) and sys3.drift == 0.0
+    assert sys4.coeffs == stepping.level_coefficients(varying, 0.02)
+    assert sys4.drift == weights(0.01)[0] - weights(0.02)[0] != 0.0
+    # cos(0.3) is 4.5% below cos(0.01): past the bound
+    assert abs(weights(0.3)[0] - weights(0.01)[0]) > stepping.DRIFT_BOUND * weights(0.01)[0]
+    sys5 = build_level_system(varying, grid_v, ops_v, cfg, 0.3, u0, prev_system=sys4)
+    assert sys5.factorization is not sys4.factorization
+    assert sys5.factorization.weights == weights(0.3) and sys5.drift == 0.0
+
+
+def assert_built_afresh(system, fresh):
+    """system took no factors over: its factors, end rows and right-hand side are
+    fresh's, a build without a previous system, bit for bit, and it lags no drift."""
+    got, want = system.factorization, fresh.factorization
+    assert got is not want and got.weights == want.weights
+    assert system.drift == fresh.drift == 0.0
+    assert [a.tobytes() for a in got.factors] == [a.tobytes() for a in want.factors]
+    assert (got.ends, got.dirichlet_rows) == (want.ends, want.dirichlet_rows)
+    assert got.t_band is want.t_band
+    assert system.rhs_fixed.tobytes() == fresh.rhs_fixed.tobytes()
+
+
+def test_a_previous_system_of_another_tau_or_grid_is_not_carried_over():
+    # same coefficient triple, other matrix: s = 1/tau - 1 halves with the
+    # doubled tau, and a jittered grid of the same size has another T
+    problem = make_fisher()
+    grid = Grid.uniform(problem.a, problem.b, 17)
+    ops = assemble_drbem(grid)
+    u = initial_values(problem, grid.nodes)
+    cfg = StepConfig(tau=0.01)
+    previous = build_level_system(problem, grid, ops, cfg, 0.02, u)
+
+    doubled = StepConfig(tau=0.02)
+    system = build_level_system(problem, grid, ops, doubled, 0.02, u, prev_system=previous)
+    assert_built_afresh(system, build_level_system(problem, grid, ops, doubled, 0.02, u))
+
+    other = jittered(grid, seed=1)
+    other_ops = assemble_drbem(other)
+    system = build_level_system(problem, other, other_ops, cfg, 0.02, u, prev_system=previous)
+    assert_built_afresh(system, build_level_system(problem, other, other_ops, cfg, 0.02, u))
+
+
+def scripted_problem(nu, eta):
+    """u_t + nu u_x = u_xx + eta (u - 0.01 u^2) on [0, 1], nu and eta taken at
+    level k of tau = 0.01 from the k-th entries of the lists: s = 100 - eta and
+    r = nu at that level.  The weak remainder keeps eta = 101 contracting."""
+    def at(values):
+        return lambda t: values[round(t / 0.01) - 1]
+
+    return PdeProblem(
+        coeffs=CoefficientSet(nu=at(nu), mu=lambda t: 1.0, eta=at(eta)),
+        reaction=ReactionTerm(1.0, lambda u: -0.01 * u * u, lambda u: u - 0.01 * u * u),
+        a=0.0,
+        b=1.0,
+        horizon=1.0,
+        initial=lambda x: 0.25 * np.sin(np.pi * x),
+        bc_left=lambda t: 0.0,
+        bc_right=lambda t: 0.0,
+    )
+
+
+@pytest.mark.parametrize("nu, eta, carried", [
+    ([0.0, 0.0], [0.0, -3.125], True),  # s: 100 -> 103.125, at the bound
+    ([0.0, 0.0], [0.0, 3.125], True),  # s: 100 -> 96.875, at the bound below
+    ([0.0, 0.0], [0.0, -3.125 * (1.0 + 2.0**-40)], False),  # just past it
+    ([0.0, 0.25], [1.0, 1.0], False),  # s unchanged, r: 0 -> 0.25
+    ([0.25, 0.25], [100.0, 100.001], False),  # s_0 = 0
+    ([0.0, 0.0], [101.0, 101.001], False),  # s_0 = -1
+    ([0.0, 0.0], [101.0, 101.0], True),  # s_0 = -1 and s unchanged: the same matrix
+])
+def test_a_level_refactors_where_its_weights_leave_the_carry_rule(nu, eta, carried):
+    problem = scripted_problem(nu, eta)
+    grid = Grid.uniform(0.0, 1.0, 17)
+    ops = assemble_drbem(grid)
+    cfg = StepConfig(tau=0.01)
+    u = initial_values(problem, grid.nodes)
+    first = build_level_system(problem, grid, ops, cfg, 0.01, u)
+    system = build_level_system(problem, grid, ops, cfg, 0.02, u, prev_system=first)
+    fresh = build_level_system(problem, grid, ops, cfg, 0.02, u)
+    if not carried:
+        assert_built_afresh(system, fresh)
+        return
+    assert system.factorization is first.factorization
+    assert system.drift == first.factorization.weights[0] - fresh.factorization.weights[0]
+    assert system.coeffs == fresh.coeffs
+    # the carried level reaches the fresh build's fixed point
+    state, _ = corrector_solve(system, problem, cfg, u)
+    want, _ = corrector_solve(fresh, problem, cfg, u)
+    assert np.max(np.abs(state.u - want.u)) <= 10.0 * cfg.epsilon
+
+
+@pytest.mark.parametrize("name", ["growing_diffusion", "generalized_fn"])
+def test_a_lagged_drift_lands_where_a_refactor_at_every_level_does(name, monkeypatch):
+    # without advection, mu(t) = 1 + 0.2 t moves both s and eta/mu, so a level
+    # that took eta/mu from the level that factored it would land 2.3e-3 away
+    # by t = 1; generalized_fn carries its band factors on a jittered grid
+    if name == "growing_diffusion":
+        fisher = make_fisher()
+        problem = dataclasses.replace(
+            fisher, coeffs=CoefficientSet(nu=lambda t: 0.0, mu=lambda t: 1.0 + 0.2 * t,
+                                          eta=lambda t: 1.0))
+        grid = Grid.uniform(problem.a, problem.b, 33)
+    else:
+        problem = make_generalized_fn(1.0)
+        grid = jittered(Grid.uniform(problem.a, problem.b, 33), seed=2)
+    cfg = StepConfig(tau=0.01)
+    ops = assemble_drbem(grid)
+    u = initial_values(problem, grid.nodes)
+    system, factored, drifted = None, 0, 0
+    for k in range(1, 101):
+        prev = system
+        system = build_level_system(problem, grid, ops, cfg, k * cfg.tau, u, prev_system=prev)
+        factored += prev is None or system.factorization is not prev.factorization
+        drifted += system.drift != 0.0
+        u = corrector_solve(system, problem, cfg, u)[0].u
+    assert 1 < factored < 100 and drifted > 50
+    # with a bound of zero every level whose s moves refactors and lags no drift
+    monkeypatch.setattr(stepping, "DRIFT_BOUND", 0.0)
+    want = run(problem, grid, cfg, 1.0).states[-1].u
+    assert np.max(np.abs(u - want)) <= 1e-9
+
+
+def test_run_logs_its_factorization_count(caplog):
+    # table3's finest row to t = 0.125: cos(t) drifts by 0.8%, inside the bound
+    bench = presets.BENCHMARKS["table3"]()
+    row = min(bench.rows, key=lambda r: r.tau)
+    assert (row.h, row.tau) == (1 / 128, 1 / 3200)
+    grid = Grid.with_spacing(row.problem.a, row.problem.b, row.h)
+    with caplog.at_level("INFO", logger="drbem1d.stepping"):
+        run(row.problem, grid, StepConfig(tau=row.tau), 0.125)
+    assert "run finished: 1 factorizations over 400 levels" in caplog.messages
 
 
 def registry_problem(name):
@@ -335,7 +475,15 @@ def test_banded_level_solve_matches_the_dense_reference(name, spacing):
     system, earlier = None, ()
     for k in range(1, 11):
         t_n = k * cfg.tau
-        system = build_level_system(problem, grid, ops, cfg, t_n, u, prev_system=system)
+        prev, system = system, build_level_system(problem, grid, ops, cfg, t_n, u,
+                                                  prev_system=system)
+        # a carried level (generalized_fn's s drifts) keeps the factors of the
+        # level that made them and lags its own drift from their s_0
+        if prev is None or system.factorization is not prev.factorization:
+            factored_at = t_n
+        nu, mu, eta = system.coeffs
+        implicit_scale = 1.0 / (cfg.tau * mu) - eta * problem.reaction.linear_slope / mu
+        assert system.drift == system.factorization.weights[0] - implicit_scale
         assert system.u_prev is u and len(system.earlier) == len(earlier) == min(k - 1, 3)
         assert all(held is level for held, level in zip(system.earlier, earlier))
         lag = extrapolated_lag(u, *earlier)
@@ -344,9 +492,9 @@ def test_banded_level_solve_matches_the_dense_reference(name, spacing):
         band = band_level_system(problem, ops, cfg, t_n, u)
         u_band, *band_rest = reference_corrector(band, problem, cfg, lag)
         # every advection-free level takes dpttrs, every other the interior band
-        assert takes_dpttrs(system) == (system.factorization.coeffs[0] == 0.0)
+        assert takes_dpttrs(system) == (system.coeffs[0] == 0.0)
         if not takes_dpttrs(system):
-            assert_same_factors(system, problem, ops, cfg, t_n)
+            assert_same_factors(system, problem, ops, cfg, factored_at)
         # the corrector keeps the bits of the plain loop of its own solves
         plain = reference_interior_corrector(system, problem, cfg, lag)
         assert state.u.tobytes() == plain[0].tobytes()
@@ -485,8 +633,8 @@ def test_decaying_bump_under_a_fractional_power_marches(height, tau):
 def test_run_is_its_level_loop(name):
     # run's states and pass counts are those of the public level loop, bit for
     # bit: build_level_system with the previous system, then corrector_solve
-    # from the previous level; the first carries the factors over, the second
-    # refactors at every level
+    # from the previous level; the first carries the factors over whole, the
+    # second lags the drift of its s from the factored one
     problem = registry_problem(name)
     grid = jittered(Grid.uniform(problem.a, problem.b, 33), seed=7)
     ops = assemble_drbem(grid)
@@ -608,9 +756,13 @@ def test_run_allocates_no_n_by_n_array(levels):
     # the level test above with the operator assembly inside: run builds its own
     # operator set, which must hold no dense E, Phi or LU; from the second level
     # on, the previous level's factors are alive while the next are built, and
-    # generalized_fn refactors at every level.  Both kernels: the band
-    # (advection) and dpttrs (none)
-    for problem in (make_generalized_fn(1.0), make_fisher(-1.0, 1.0)):
+    # generalized_fn's advection, scaled by 1 + t here, moves r = nu/mu, so it
+    # refactors at every level.  Both kernels: the band (advection) and dpttrs
+    # (none)
+    gfn = make_generalized_fn(1.0)
+    refactoring = dataclasses.replace(
+        gfn, coeffs=dataclasses.replace(gfn.coeffs, nu=lambda t: (1.0 + t) * math.cos(t)))
+    for problem in (refactoring, make_fisher(-1.0, 1.0)):
         grid = Grid.uniform(-1.0, 1.0, 2049)
         cfg = StepConfig(tau=1e-3)
         _, peak = traced(run, problem, grid, cfg, levels * cfg.tau, ops=None)
@@ -807,11 +959,16 @@ def assert_solves_like_dgbtrs(solve, lu, piv, kl, ku, seed):
 @pytest.mark.parametrize("spacing", ["uniform", "jittered"])
 @pytest.mark.parametrize("solver", ["run", "fd_oracle"])
 def test_unswapped_band_factors_solve_like_dgbtrs_bit_for_bit(solver, spacing, monkeypatch):
-    # generalized_fn refactors every level: run's (2, 2) level bands and
-    # fd_oracle's (1, 1) ones, each solved by the two dtbsv sweeps, since no
-    # row is swapped; every band is recorded as the level hands it over
-    module, march_fn, width = {"run": (stepping, run, LEVEL_BAND),
-                               "fd_oracle": (verification, verification.fd_oracle, 1)}[solver]
+    # generalized_fn's factored bands: run's (2, 2) level bands and fd_oracle's
+    # (1, 1) ones, each solved by the two dtbsv sweeps, since no row is swapped;
+    # every band is recorded as the level hands it over.  fd_oracle refactors at
+    # every level; run only where s = 1/(tau mu) - eta lambda/mu has left
+    # DRIFT_BOUND of the last factored s_0, which its march to t = 0.5 does
+    # several times
+    module, march_fn, width, cfg, levels = {
+        "run": (stepping, run, LEVEL_BAND, StepConfig(tau=0.01), 50),
+        "fd_oracle": (verification, verification.fd_oracle, 1, StepConfig(tau=1e-3), 5),
+    }[solver]
     recorded = []
 
     def recording_solver(factored, piv, kl, ku):
@@ -823,9 +980,17 @@ def test_unswapped_band_factors_solve_like_dgbtrs_bit_for_bit(solver, spacing, m
     grid = Grid.uniform(problem.a, problem.b, 33)
     if spacing == "jittered":
         grid = jittered(grid, seed=3)
-    cfg = StepConfig(tau=1e-3)
-    march_fn(problem, grid, cfg, 5 * cfg.tau)
-    assert len(recorded) == 5
+    march_fn(problem, grid, cfg, levels * cfg.tau)
+    factored = levels
+    if solver == "run":
+        factored, s_0 = 0, None
+        for k in range(1, levels + 1):
+            nu, mu, eta = stepping.level_coefficients(problem, k * cfg.tau)
+            s = 1.0 / (cfg.tau * mu) - eta * problem.reaction.linear_slope / mu
+            if s_0 is None or abs(s - s_0) > stepping.DRIFT_BOUND * s_0:
+                factored, s_0 = factored + 1, s
+        assert 3 <= factored < levels
+    assert len(recorded) == factored
     for level, (factored, piv, kl, ku) in enumerate(recorded):
         assert (kl, ku) == (width, width)
         assert np.array_equal(piv, np.arange(grid.n - 2))
