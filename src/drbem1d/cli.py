@@ -103,6 +103,10 @@ _SCHEMA = {
 }
 
 
+# the longest file name, in bytes, that common file systems (ext4, XFS, APFS) accept
+NAME_MAX = 255
+
+
 def _profile_name(t) -> str:
     """File name of the profile that `solve` writes for the state at time t."""
     return f"profile_t{t:.6f}.csv"
@@ -186,9 +190,13 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(str(exc)) from exc
 
     written = {}  # profile file name -> (level, snapshot time)
-    for t in raw.get("snapshots", ()):
+    field = "snapshots" if raw.get("snapshots") else "t_end"
+    for t in raw.get("snapshots") or (raw["t_end"],):
         k = level_index(t, step.tau)
         name = _profile_name(k * step.tau)  # run's state time at level k
+        if len(name) > NAME_MAX:  # an ASCII name: one byte a character
+            raise ConfigError(f"time {t!r} would write a profile name of {len(name)} bytes, "
+                              f"more than the {NAME_MAX} a file system accepts", field=field)
         level, first = written.setdefault(name, (k, t))
         if level != k:
             raise ConfigError(f"snapshots {first!r} and {t!r} would both write {name}",
@@ -473,7 +481,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.handler(args)
+        # a failure is reported by its exit code and one line below, so numpy's
+        # floating-point warnings (an exact solution that overflows, say) are noise
+        with np.errstate(all="ignore"):
+            return args.handler(args)
     except ConfigError as exc:
         print(f"drbem1d: {exc}", file=sys.stderr)
         return 1

@@ -41,7 +41,10 @@ class ReactionTerm:
 
     The remainder must vanish (with zero slope) at u = 0 so the linear part is
     entirely in linear_slope; the stepper treats the linear part implicitly and
-    lags only the remainder.
+    lags only the remainder.  A remainder undefined for negative u must raise
+    DomainError there, as _power does: the stepper then reruns the level from a
+    seed kept nonnegative where u_n is, while a nan it returned would end the run
+    as divergence.
     """
 
     linear_slope: float

@@ -25,9 +25,11 @@ solve.  The seed of a level is the cubic extrapolation
 4 (u_n + u_{n-2}) - (6 u_{n-1} + u_{n-3}) of the four levels before it; the
 third level takes the quadratic 3 (u_n - u_{n-1}) + u_{n-2}, the second the
 linear 2 u_n - u_{n-1}, and the first level, or a system built without a
-previous one, u_n alone.  The lag is kept at u_n wherever u_n >= 0 and the
-extrapolation is negative.  The seed changes only where, within epsilon of the
-level's fixed point, the loop stops, not the fixed point itself.
+previous one, u_n alone.  Only when the reaction rejects a lag with DomainError
+does the level run again, from the seed kept at u_n wherever u_n >= 0 and the
+extrapolation is negative, if that differs.  The seed changes only where,
+within epsilon of the level's fixed point, the loop stops, not the fixed point
+itself.
 
 A corrector pass is the reaction F_n(u_tilde), one dgbmv that adds the
 -(eta/mu) T F_n stencil to the level's fixed right-hand side (a second adds
@@ -396,9 +398,8 @@ def extrapolated_lag(u_prev, *earlier) -> np.ndarray:
     most three), one step on: the cubic 4 (u_prev + u_2) - (6 u_1 + u_3) through
     four levels, the quadratic 3 (u_prev - u_1) + u_2 through three, the line
     2 u_prev - u_1 through two, and u_prev itself without an earlier level.
-    u_prev is kept at every node where u_prev >= 0 and the extrapolation is
-    negative, so that the lag never leaves a reaction's domain of nonnegative
-    values where u_prev is inside it."""
+    It may be negative where u_prev is not; guarded_lag keeps such nodes at
+    u_prev, and corrector_solve applies it only when the reaction rejects a lag."""
     if len(earlier) == 3:
         u_1, u_2, u_3 = earlier
         # 4 (u_prev - 1.5 u_1 + u_2) - u_3 in place: one array allocated
@@ -417,9 +418,15 @@ def extrapolated_lag(u_prev, *earlier) -> np.ndarray:
         lag -= earlier[0]
     else:
         return u_prev
-    if lag.min() < 0.0:  # the masks cost more than the extrapolation
-        np.copyto(lag, u_prev, where=(lag < 0.0) & (u_prev >= 0.0))
     return lag
+
+
+def guarded_lag(lag, u_prev) -> Optional[np.ndarray]:
+    """lag with u_prev at every node where u_prev >= 0 and lag is negative, so
+    that the lag never leaves a reaction's domain of nonnegative values where
+    u_prev is inside it; None when there is no such node."""
+    kept = (lag < 0.0) & (u_prev >= 0.0)
+    return np.where(kept, u_prev, lag) if kept.any() else None
 
 
 def corrector_solve(sys: TimeLevelSystem, problem: PdeProblem, cfg: StepConfig, u_prev):
@@ -429,16 +436,25 @@ def corrector_solve(sys: TimeLevelSystem, problem: PdeProblem, cfg: StepConfig, 
     fourth level of a run on, quadratic at the third, linear at the second, and
     sys.u_prev itself when the system was built without a previous one.  When
     that seed is within epsilon of the first solve, the level takes that one
-    solve; otherwise the corrector runs until two successive solves agree.  u_prev
-    must be the level the system was built from, sys.u_prev itself or an array
-    equal to it; any other raises ValueError.  Failures are fixed_point's.
+    solve; otherwise the corrector runs until two successive solves agree.  When
+    the reaction raises DomainError and guarded_lag changes the seed, the level
+    runs again from the guarded seed, and only that run's solves are counted.
+    u_prev must be the level the system was built from, sys.u_prev itself or an
+    array equal to it; any other raises ValueError.  Failures are fixed_point's.
     """
     # identity first: the run loop passes sys.u_prev itself and pays no O(N) check
     if u_prev is not sys.u_prev and not np.array_equal(u_prev, sys.u_prev):
         raise ValueError("u_prev is not the level the system was built from")
-    (u, r_left, r_right), iters = fixed_point(
-        _level_pass(sys, problem), extrapolated_lag(sys.u_prev, *sys.earlier), cfg,
-        sys.t_n, "corrector")
+    solve, seed = _level_pass(sys, problem), extrapolated_lag(sys.u_prev, *sys.earlier)
+    try:
+        (u, r_left, r_right), iters = fixed_point(solve, seed, cfg, sys.t_n, "corrector")
+    except DomainError:
+        # the rare path: a reaction undefined below zero, such as u^3.5, met a
+        # negative lag, so the seed keeps u_n wherever u_n >= 0
+        seed = guarded_lag(seed, sys.u_prev)
+        if seed is None:
+            raise
+        (u, r_left, r_right), iters = fixed_point(solve, seed, cfg, sys.t_n, "corrector")
     # the end rows of -A, whose right-hand side r is the pass's negated one
     b_11, b_12, b_13, b_nl, b_nm, b_nn = sys.factorization.ends
     q_left = (r_left - b_12 * u.item(1) - b_13 * u.item(2)) / b_11
@@ -468,10 +484,14 @@ class Trajectory:
 
 
 def level_index(t, tau, name="time") -> int:
-    """t / tau rounded to the nearest level, rejecting non-finite times and non-multiples."""
+    """t / tau rounded to the nearest level, rejecting non-finite times and
+    quotients, and non-multiples."""
     if not math.isfinite(t):
         raise ValueError(f"{name} {t!r} must be finite")
-    k = int(round(t / tau))
+    quotient = t / tau
+    if not math.isfinite(quotient):
+        raise ValueError(f"{name} {t!r} over tau = {tau!r} is not a finite number of levels")
+    k = int(round(quotient))
     if abs(t - k * tau) > TIME_MULTIPLE_TOL * max(1.0, abs(t)):
         raise ValueError(f"{name} {t!r} is not an integer multiple of tau = {tau!r}")
     return k
@@ -527,17 +547,21 @@ def march(problem: PdeProblem, grid: Grid, cfg: StepConfig, t_end, snapshots, le
     if t_end > problem.horizon * (1.0 + 1e-12):
         raise ValueError(f"t_end = {t_end} exceeds the problem horizon {problem.horizon}")
 
-    u = initial_values(problem, grid.nodes)
     states = []
     level_iterations = []
-    if 0 in snap_levels:
-        states.append(SolverState(u=u.copy(), q_left=math.nan, q_right=math.nan, t=0.0))
-    for k in range(1, n_levels + 1):
-        state, iters = level(k * cfg.tau, u)
-        level_iterations.append(iters)
-        u = state.u
-        if k in snap_levels:
-            states.append(state)
+    # boundary data that overflow reach the corrector as non-finite values, which
+    # it reports as ConvergenceError, so numpy's warning is noise; one errstate
+    # for the march costs less than one per level
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = initial_values(problem, grid.nodes)
+        if 0 in snap_levels:
+            states.append(SolverState(u=u.copy(), q_left=math.nan, q_right=math.nan, t=0.0))
+        for k in range(1, n_levels + 1):
+            state, iters = level(k * cfg.tau, u)
+            level_iterations.append(iters)
+            u = state.u
+            if k in snap_levels:
+                states.append(state)
 
     log.info("march finished: %d levels, corrector iters max %s", n_levels,
              max(level_iterations, default=0))

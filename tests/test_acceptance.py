@@ -433,3 +433,30 @@ def test_fig5_peak_error_monotone_in_alpha(fig5_rows):
         "fig5 peak-over-run errors monotone in alpha: "
         f"{[f'{p:.2e}' for p in peaks]}"
     )
+
+
+def test_criterion_9_spatial_order_without_time_error():
+    # backward Euler's O(tau) error plateaus table2's errors as h falls; at tau
+    # and tau/2 the combination 2 u_{tau/2} - u_tau cancels it, which leaves the
+    # scheme's spatial error, second order in h as clamped cubic-spline
+    # collocation predicts (de Boor, ch. IV).  Measured orders 1.96-2.00.
+    problems = {
+        "generalized_fn rho=1": make_generalized_fn(1.0),
+        "fitzhugh_nagumo rho=0.75": make_fitzhugh_nagumo(0.75, a=-1.0, b=1.0, horizon=1.0),
+    }
+    spacings = [1.0 / 4.0, 1.0 / 8.0, 1.0 / 16.0, 1.0 / 32.0]
+    for name, problem in problems.items():
+        errors = []
+        for h in spacings:
+            grid = Grid.with_spacing(problem.a, problem.b, h)
+            ops = assemble_drbem(grid)
+            coarse, fine = (run(problem, grid, StepConfig(tau=tau), 1.0, ops=ops).states[-1].u
+                            for tau in (1e-3, 5e-4))
+            exact = np.asarray(problem.exact(grid.nodes, 1.0), dtype=float)
+            errors.append(compute_errors(2.0 * fine - coarse, exact, time=1.0).l_inf)
+        orders = [observed_order(errors[i], errors[i + 1], spacings[i], spacings[i + 1])
+                  for i in range(len(spacings) - 1)]
+        assert min(orders) >= 1.8, f"{name}: errors {errors}, observed orders {orders}"
+        print(f"criterion 9 PASS ({name}): L_inf of 2 u_tau/2 - u_tau "
+              f"{', '.join(f'{e:.2e}' for e in errors)}, orders "
+              f"{', '.join(f'{o:.2f}' for o in orders)}")

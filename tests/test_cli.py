@@ -345,6 +345,20 @@ BAD_SETTINGS = [
     pytest.param({"equation": "fitzhugh_nagumo", "rho": "inf"}, 1, "'rho'", id="rho=inf"),
     pytest.param({"tau": "1e-310", "t_end": "1e-310"}, 2, "solver failure",
                  id="tau=t_end=1e-310"),
+    # t_end / tau overflows to inf
+    pytest.param({"tau": "1e-300", "t_end": "1e300"}, 1,
+                 "t_end 1e+300 over tau = 1e-300 is not a finite number of levels",
+                 id="tau=1e-300,t_end=1e300"),
+    # profile names of 321 bytes, longer than a file system takes
+    pytest.param({"equation": "fitzhugh_nagumo", "rho": "0.5", "tau": "1e300", "t_end": "1e300"},
+                 1, "field 't_end': time 1e+300 would write a profile name of 321 bytes",
+                 id="t_end=1e300"),
+    pytest.param({"tau": "1e300", "t_end": "1e300", "snapshots": "0, 1e300"}, 1,
+                 "field 'snapshots': time 1e+300 would write a profile name of 321 bytes",
+                 id="snapshot=1e300"),
+    # the exact kink that gives the boundary values overflows
+    pytest.param({"equation": "generalized_fn", "rho": "1e300"}, 2,
+                 "solver failure: corrector diverged at t = 0.01", id="rho=1e300"),
 ]
 
 
@@ -531,6 +545,7 @@ def test_parse_config_raises_every_exit_1_setting(tmp_path, settings, code, name
 @pytest.mark.parametrize("settings, status", [
     pytest.param("tau = 0.01\nt_end = 0.05\nepsilon = nan", 1, id="epsilon=nan"),
     pytest.param("tau = 1e-310\nt_end = 1e-310", 2, id="tau=t_end=1e-310"),
+    pytest.param("tau = 1e-300\nt_end = 1e300", 1, id="tau=1e-300,t_end=1e300"),
 ])
 def test_exit_status_at_the_process_boundary(tmp_path, settings, status):
     """`python -m drbem1d.cli` exits with main's code and prints no traceback."""

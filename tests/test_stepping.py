@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from drbem1d.stepping import (
     build_level_system,
     corrector_solve,
     extrapolated_lag,
+    guarded_lag,
     initial_values,
     level_index,
     run,
@@ -134,6 +136,28 @@ def test_level_index_rejects_non_multiples():
     assert level_index(0.0, 1e-3) == 0
     with pytest.raises(ValueError):
         level_index(0.0005, 1e-3)
+
+
+def test_level_index_rejects_a_non_finite_quotient():
+    # t / tau overflows to inf, which no level count can round from
+    with pytest.raises(ValueError, match="t_end 1e\\+300 over tau = 1e-300 is not a finite"):
+        level_index(1e300, 1e-300, "t_end")
+    with pytest.raises(ValueError, match="not a finite number of levels"):
+        run(make_fisher(), Grid.uniform(-2.0, 2.0, 9), StepConfig(tau=1e-300), 1e300)
+
+
+def test_overflowing_boundary_data_diverge_without_a_warning():
+    # rho = 1e300 overflows the exact kink that gives generalized_fn's boundary
+    # values at every t > 0: the run reports it as divergence, and numpy's
+    # overflow warning, an error under this suite's filter, never escapes
+    problem = make_generalized_fn(1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError, match="corrector diverged at t = 0.01"):
+            run(problem, Grid.uniform(-1.0, 1.0, 9), StepConfig(tau=0.01), 0.05)
+        with pytest.raises(ConvergenceError, match="oracle corrector diverged at t = 0.01"):
+            verification.fd_oracle(problem, Grid.uniform(-1.0, 1.0, 9), StepConfig(tau=0.01),
+                                   0.05)
 
 
 def test_steady_linear_profile_single_level():
@@ -553,20 +577,26 @@ def test_corrector_solve_takes_only_the_level_its_system_was_built_from():
 
 
 def test_extrapolated_lag_keeps_nonnegative_nodes_nonnegative():
+    # the extrapolation is the plain polynomial; guarded_lag, which corrector_solve
+    # applies when the reaction rejects a lag, keeps u_prev where it is >= 0
     u_prev = np.array([1.0, 0.2, 0.0, -0.5, -0.1, 0.3])
     u_older = np.array([0.5, 0.6, 0.1, -0.2, -0.4, 0.1])
     # 2 u_prev - u_older = [1.5, -0.2, -0.1, -0.8, 0.2, 0.5]: nodes 1 and 2 fall
     # below zero from u_prev >= 0 and keep u_prev; node 3 was negative already
-    np.testing.assert_array_equal(extrapolated_lag(u_prev, u_older),
-                                  [1.5, 0.2, 0.0, -0.8, 0.2, 0.5])
+    lag = extrapolated_lag(u_prev, u_older)
+    np.testing.assert_array_equal(lag, 2.0 * u_prev - u_older)
+    np.testing.assert_array_equal(guarded_lag(lag, u_prev), [1.5, 0.2, 0.0, -0.8, 0.2, 0.5])
+    np.testing.assert_array_equal(lag, 2.0 * u_prev - u_older)  # the guard copies
     np.testing.assert_array_equal(extrapolated_lag(u_prev, u_prev), u_prev)
+    assert guarded_lag(u_prev, u_prev) is None  # no node to keep
     # three levels, in binary fractions so that the arithmetic is exact:
     # 3 (u_prev - u_older) + u_oldest = [2, -0.625, -0.125, -0.625, 0.625, 1.25]
     u_prev = np.array([1.0, 0.25, 0.0, -0.5, -0.125, 0.375])
     u_older = np.array([0.5, 0.625, 0.125, -0.25, -0.5, 0.125])
     u_oldest = np.array([0.5, 0.5, 0.25, 0.125, -0.5, 0.5])
-    np.testing.assert_array_equal(extrapolated_lag(u_prev, u_older, u_oldest),
-                                  [2.0, 0.25, 0.0, -0.625, 0.625, 1.25])
+    lag = extrapolated_lag(u_prev, u_older, u_oldest)
+    np.testing.assert_array_equal(lag, [2.0, -0.625, -0.125, -0.625, 0.625, 1.25])
+    np.testing.assert_array_equal(guarded_lag(lag, u_prev), [2.0, 0.25, 0.0, -0.625, 0.625, 1.25])
     np.testing.assert_array_equal(extrapolated_lag(u_prev, u_prev, u_prev), u_prev)
     # a quadratic in time is extrapolated exactly: u(t) = 1 + t + t^2 at t = 0, 1, 2
     np.testing.assert_array_equal(extrapolated_lag(np.array([7.0]), np.array([3.0]),
@@ -574,8 +604,9 @@ def test_extrapolated_lag_keeps_nonnegative_nodes_nonnegative():
     # four levels: 4 (u_prev + u_oldest) - (6 u_older + u_3) = [2.75, -1.25, -0.25,
     # -0.25, 0.5, 2.25]; nodes 1 and 2 keep u_prev, node 3 was negative already
     u_3 = np.array([0.25, 0.5, 0.5, 0.25, 0.0, 0.5])
-    np.testing.assert_array_equal(extrapolated_lag(u_prev, u_older, u_oldest, u_3),
-                                  [2.75, 0.25, 0.0, -0.25, 0.5, 2.25])
+    lag = extrapolated_lag(u_prev, u_older, u_oldest, u_3)
+    np.testing.assert_array_equal(lag, [2.75, -1.25, -0.25, -0.25, 0.5, 2.25])
+    np.testing.assert_array_equal(guarded_lag(lag, u_prev), [2.75, 0.25, 0.0, -0.25, 0.5, 2.25])
     np.testing.assert_array_equal(extrapolated_lag(u_prev, u_prev, u_prev, u_prev), u_prev)
     # and a cubic exactly: u(t) = 1 + t + t^2 + t^3 at t = 3, 2, 1, 0 gives 85 at t = 4
     np.testing.assert_array_equal(
@@ -618,15 +649,66 @@ def test_fig5_levels_after_the_third_take_one_solve():
 
 @pytest.mark.parametrize("height, tau", [(1.0, 0.05), (3.0, 0.01)])
 def test_decaying_bump_under_a_fractional_power_marches(height, tau):
-    # the bump decays, so 2 u_n - u_{n-1} dips below zero near it, where u^3.5
-    # has no real value; the lag keeps u_n there and the run completes as it
-    # does from u_n alone
+    # the bump decays, so the extrapolated seed dips below zero near it, where
+    # u^3.5 has no real value; the reaction rejects it, and the level runs again
+    # from the seed kept at u_n there: every state and pass count is that of a
+    # loop whose every seed is guarded before its first solve
     problem = bumped_generalized_fisher(2.5, height=height)
+    rejected = []
+
+    def counted(u, nonlinear=problem.reaction.nonlinear):
+        try:
+            return nonlinear(u)
+        except DomainError:
+            rejected.append(u)
+            raise
+
+    problem = dataclasses.replace(
+        problem, reaction=dataclasses.replace(problem.reaction, nonlinear=counted))
     grid = Grid.uniform(-2.0, 2.0, 65)
+    ops = assemble_drbem(grid)
     cfg = StepConfig(tau=tau)
-    traj = run(problem, grid, cfg, 0.2)
-    assert len(traj.level_iterations) == level_index(0.2, tau)
+    levels = level_index(0.2, tau)
+    traj = run(problem, grid, cfg, 0.2, snapshots=[k * tau for k in range(levels + 1)], ops=ops)
+    assert len(traj.level_iterations) == levels
     assert np.isfinite(traj.states[-1].u).all()
+    u, system, guarded_levels = initial_values(problem, grid.nodes), None, 0
+    for k in range(1, levels + 1):
+        system = build_level_system(problem, grid, ops, cfg, k * tau, u, prev_system=system)
+        seed = extrapolated_lag(u, *system.earlier)
+        guarded = guarded_lag(seed, u)
+        guarded_levels += guarded is not None
+        u_ref, q_left, q_right, passes = reference_interior_corrector(
+            system, problem, cfg, seed if guarded is None else guarded)
+        state = traj.states[k]
+        assert state.u.tobytes() == u_ref.tobytes()
+        assert [state.q_left, state.q_right, traj.level_iterations[k - 1]] == [
+            q_left, q_right, passes]
+        u = state.u
+    # each level whose guard moves the seed was rejected once by run and rerun
+    assert guarded_levels == len(rejected) >= 1
+
+
+def test_a_seed_negative_where_u_n_is_gives_the_guarded_seeds_message():
+    # node 5 of the plain seed is negative from u_n >= 0 and node 10 from the
+    # dip u_n = -1: the reaction rejects node 5 first, and the rerun from the
+    # guarded seed rejects node 10, the message a guarded start always gave
+    problem = bumped_generalized_fisher(2.5)
+    grid = Grid.with_spacing(-2.0, 2.0, 0.25)
+    u = initial_values(problem, grid.nodes)
+    u_older = u.copy()
+    u_older[5] = 2.0 * u[5] + 0.5
+    cfg = StepConfig(tau=0.01)
+    system = dataclasses.replace(
+        build_level_system(problem, grid, assemble_drbem(grid), cfg, 0.01, u), earlier=(u_older,))
+    seed = extrapolated_lag(u, u_older)
+    assert u[5] >= 0.0 and np.flatnonzero(seed < 0.0).tolist() == [5, 10]
+    assert np.flatnonzero(guarded_lag(seed, u) < 0.0).tolist() == [10]
+    with pytest.raises(DomainError) as excinfo:
+        corrector_solve(system, problem, cfg, u)
+    assert str(excinfo.value) == (
+        "negative base with non-integer exponent 3.5 at t = 0.01: first negative node "
+        f"u[10] = {u[10]:.6g}")
 
 
 @pytest.mark.parametrize("name", ["fisher", "generalized_fn"])
