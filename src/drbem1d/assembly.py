@@ -3,8 +3,8 @@
 With the radial basis function phi(r) = 1 + r, the dual reciprocity scheme is
 exactly clamped cubic-spline collocation, so every operator the time stepper
 needs is a band written down in O(N) from its closed-form stencil in the node
-spacings.  The dense formulation it replaces lives in `reference`, which
-nothing here imports.
+spacings.  The dense E = D Phi^{-1} it replaces is a test oracle; `reference`
+keeps the kernels and Phi, and nothing here imports it.
 """
 
 from __future__ import annotations
@@ -187,8 +187,7 @@ class DrbemOperators:
     vector, formed by the same operations in the same order.  A level matrix
     6 Delta - T (s I + r P) is [1, -s, -r] applied to the pieces; the fluxes
     enter only its end rows, and the stepper factors its interior columns 2..N-1,
-    which are contiguous.  interp is the dense reference InterpolationOperator
-    the caller passed, if any; only reference.e_matrix reads it.
+    which are contiguous.
     """
 
     grid: Grid
@@ -197,7 +196,6 @@ class DrbemOperators:
     t_band: np.ndarray
     level_pieces: np.ndarray
     dirichlet_pieces: np.ndarray
-    interp: object = None
 
     def slope(self, u) -> np.ndarray:
         """P u, the scheme's nodal derivative of the data u: the mean of the
@@ -230,8 +228,9 @@ class DrbemOperators:
 def assemble_drbem(grid: Grid, interp=None) -> DrbemOperators:
     """Build the operators on the grid in O(N), each band piece from its stencil.
 
-    interp, a reference InterpolationOperator on the same nodes, is only kept for
-    reference.e_matrix; one on other nodes raises ValueError.
+    interp, a reference InterpolationOperator, is only checked against the
+    grid's nodes (one on other nodes raises ValueError) and then dropped: no
+    operator reads it.
     """
     if interp is not None and not np.array_equal(interp.grid.nodes, grid.nodes):
         raise ValueError("interpolation operator was built on a different node set")
@@ -247,8 +246,7 @@ def assemble_drbem(grid: Grid, interp=None) -> DrbemOperators:
     level_pieces = np.zeros((3, n, 3 * LEVEL_BAND + 1)).transpose(0, 2, 1)
     dirichlet_pieces = np.zeros((3, n, 2))
     ops = DrbemOperators(grid=grid, h=h, kappa=kappa, t_band=t_band,
-                         level_pieces=level_pieces, dirichlet_pieces=dirichlet_pieces,
-                         interp=interp)
+                         level_pieces=level_pieces, dirichlet_pieces=dirichlet_pieces)
 
     # Band column j holds entry (i, j) in row 2 LEVEL_BAND + i - j, so row k of
     # each view below holds entry (j - 2 + k, j) of the interior columns j, whose

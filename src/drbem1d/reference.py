@@ -2,9 +2,10 @@
 
 The kernel is phi(r) = 1 + r.  Its particular solution psi satisfies psi'' = phi,
 which is what lets inhomogeneous terms be moved onto the interval endpoints
-through the point-source solution |x - xi| / 2.  The operators here are N x N;
-the `check` battery and the tests read them, and the run path never imports
-this module.
+through the point-source solution |x - xi| / 2.  The kernel, the endpoint
+matrices (N x 2) and the harmonic identity are O(N) and feed the `check`
+battery; the one N x N piece, the interpolation operator, is read by the tests
+and perfbench's setup.  The run path never imports this module.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lapack, lu_solve
 
-from .assembly import DrbemOperators, Grid, _check_factors
+from .assembly import Grid, _check_factors
 
 
 def phi(r):
@@ -94,26 +95,6 @@ def endpoint_matrices(grid: Grid) -> tuple:
     free_terms[0] = 0.5
     free_terms[-1] = 0.5
     return l_matrix, h_matrix, free_terms
-
-
-def e_matrix(ops: DrbemOperators) -> np.ndarray:
-    """E = D Phi^{-1}: maps nodal inhomogeneity data to its endpoint-identity
-    contribution.  An N x N array, from ops.interp's factorization when the
-    operator set holds one and from a new assemble_interpolation otherwise."""
-    grid = ops.grid
-    interp = ops.interp if ops.interp is not None else assemble_interpolation(grid)
-    l_matrix, h_matrix, free_terms = endpoint_matrices(grid)
-    x = grid.nodes
-    a, b = grid.a, grid.b
-    psi_boundary = np.vstack([psi(np.abs(a - x)), psi(np.abs(b - x))])
-    psi_x_boundary = np.vstack([psi_x(a, x), psi_x(b, x)])
-    # psi_tilde: the free-term-weighted particular solutions at the sources.  D
-    # maps kernel coefficients of an inhomogeneity to its endpoint-identity
-    # contribution.
-    psi_tilde = free_terms[:, None] * psi(np.abs(x[:, None] - x[None, :]))
-    d_matrix = l_matrix @ psi_x_boundary - h_matrix @ psi_boundary + psi_tilde
-    # a transposed solve against the stored factorization, not an explicit inverse
-    return interp.solve(d_matrix.T, transposed=True).T
 
 
 def harmonic_identity_check(grid: Grid, p=1.0, q=0.0) -> float:

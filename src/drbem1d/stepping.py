@@ -363,20 +363,19 @@ def fixed_point(solve, lag, cfg: StepConfig, t_n, who):
     the first iterate's included; a non-finite seed does when the reaction
     rejects it.  A DomainError from the reaction on a finite lag is raised again
     naming t_n, the lag's first negative node and, when the lag is not the seed,
-    the pass whose iterate it is.  The cap raises "<who> stalled".
+    the pass whose iterate it is.  The cap raises "<who> stalled".  numpy's
+    overflow warnings on the way are noise, silenced by march's np.errstate
+    around every level loop; a direct caller holds its own.
     """
     epsilon = cfg.epsilon
     u_last = lag  # the lag of the pass under way
     try:
-        # a diverging iterate overflows inside the reaction and is reported as
-        # ConvergenceError, so numpy's warning is noise
-        with np.errstate(over="ignore", invalid="ignore"):
-            for iters in range(1, cfg.max_corrector_iters + 1):
-                out = solve(u_last)
-                diff = _sup_gap(out[0], u_last, t_n, who)
-                if diff <= epsilon:
-                    return out, iters
-                u_last = out[0]
+        for iters in range(1, cfg.max_corrector_iters + 1):
+            out = solve(u_last)
+            diff = _sup_gap(out[0], u_last, t_n, who)
+            if diff <= epsilon:
+                return out, iters
+            u_last = out[0]
     except DomainError as exc:
         # every iterate is gap-checked before it is a lag, so only a non-finite
         # seed (-inf, nan) reaches the reaction unchecked
@@ -440,7 +439,8 @@ def corrector_solve(sys: TimeLevelSystem, problem: PdeProblem, cfg: StepConfig, 
     the reaction raises DomainError and guarded_lag changes the seed, the level
     runs again from the guarded seed, and only that run's solves are counted.
     u_prev must be the level the system was built from, sys.u_prev itself or an
-    array equal to it; any other raises ValueError.  Failures are fixed_point's.
+    array equal to it; any other raises ValueError.  Failures are fixed_point's,
+    and as there, a caller outside march holds its own np.errstate.
     """
     # identity first: the run loop passes sys.u_prev itself and pays no O(N) check
     if u_prev is not sys.u_prev and not np.array_equal(u_prev, sys.u_prev):
@@ -549,9 +549,9 @@ def march(problem: PdeProblem, grid: Grid, cfg: StepConfig, t_end, snapshots, le
 
     states = []
     level_iterations = []
-    # boundary data that overflow reach the corrector as non-finite values, which
-    # it reports as ConvergenceError, so numpy's warning is noise; one errstate
-    # for the march costs less than one per level
+    # boundary data that overflow, and iterates that diverge, reach the corrector
+    # as non-finite values, which it reports as ConvergenceError, so numpy's
+    # warning is noise; one errstate for the march costs less than one per level
     with np.errstate(over="ignore", invalid="ignore"):
         u = initial_values(problem, grid.nodes)
         if 0 in snap_levels:

@@ -10,7 +10,7 @@ from scipy.linalg import blas, lapack, lu_factor, lu_solve
 
 from drbem1d.assembly import LEVEL_BAND, Grid, band_lu_factor_checked
 from drbem1d.problems import make_generalized_fisher
-from drbem1d.reference import (e_matrix, endpoint_matrices, fundamental_solution,
+from drbem1d.reference import (assemble_interpolation, endpoint_matrices, fundamental_solution,
                                fundamental_solution_dx, psi, psi_x)
 from drbem1d.stepping import LevelFactors, TimeLevelSystem, initial_values, level_coefficients
 
@@ -36,9 +36,9 @@ def frac(text):
 
 
 def eager_e_matrix(grid, interp):
-    """E = D Phi^{-1} written out from the public kernels, operation for operation
-    as reference.e_matrix evaluates it, so that must match it bit for bit.
-    A test reference only.
+    """E = D Phi^{-1}, the dense DRBEM operator, written out from the public
+    kernels: a transposed solve against interp's LU, not an explicit inverse.
+    The package holds no E; this is the test oracle the spline form is held to.
     """
     x = grid.nodes
     a, b = grid.a, grid.b
@@ -71,7 +71,7 @@ def dense_level_solve(problem, ops, p_matrix, cfg, t_n, u_prev, lag):
     g_left, g_right = float(problem.bc_left(t_n)), float(problem.bc_right(t_n))
     implicit_scale = 1.0 / (tau * mu) - eta * problem.reaction.linear_slope / mu
     l_matrix, h_matrix, free_terms = endpoint_matrices(ops.grid)
-    e_m = e_matrix(ops)
+    e_m = eager_e_matrix(ops.grid, assemble_interpolation(ops.grid))
     w = np.diag(free_terms) - implicit_scale * e_m - (nu / mu) * e_m @ p_matrix
     factorization = lu_factor(np.column_stack([l_matrix[:, 0], l_matrix[:, 1], w[:, 1:n - 1]]))
     rhs_fixed = (h_matrix @ np.array([g_left, g_right])

@@ -8,11 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import drbem1d
-import drbem1d.reference
 from drbem1d.assembly import LEVEL_BAND, DrbemOperators, Grid, assemble_drbem
 from drbem1d.reference import (
     assemble_interpolation,
-    e_matrix,
     endpoint_matrices,
     fundamental_solution,
     fundamental_solution_dx,
@@ -86,18 +84,19 @@ def test_free_terms_and_psi_tilde_row():
 
 def test_d_matrix_composition():
     # E Phi recomposes the D built from the public kernels
-    grid, ops = build(np.linspace(-1.0, 2.0, 9))
-    recomposed = e_matrix(ops) @ assemble_interpolation(grid).phi_matrix
+    grid = Grid(np.linspace(-1.0, 2.0, 9))
+    interp = assemble_interpolation(grid)
+    recomposed = eager_e_matrix(grid, interp) @ interp.phi_matrix
     assert np.max(np.abs(recomposed - d_matrix(grid))) <= 1e-12
 
 
 def test_e_matrix_inverts_phi():
     # with data equal to a kernel column, E (Phi e_k) must reproduce D e_k
-    grid, ops = build(np.linspace(0.0, 1.0, 9))
+    grid = Grid(np.linspace(0.0, 1.0, 9))
     interp = assemble_interpolation(grid)
     d_m = d_matrix(grid)
     scale = np.max(np.abs(d_m))
-    e_m = e_matrix(ops)
+    e_m = eager_e_matrix(grid, interp)
     for k in (0, 3, 8):
         lhs = e_m @ interp.phi_matrix[:, k]
         rhs = d_m[:, k]
@@ -275,12 +274,13 @@ def test_quadratic_field_identity():
     # u = x^2 has constant curvature 2, which the 1 + r kernel reproduces exactly
     # between nodes, so the full identity holds to roundoff.
     # E (2 * 1) = D Phi^{-1} (2 * 1) = D alpha, alpha the kernel coefficients of u''.
-    grid, ops = build(np.linspace(0.0, 1.0, 9))
+    grid = Grid(np.linspace(0.0, 1.0, 9))
     l_matrix, h_matrix, free_terms = endpoint_matrices(grid)
     u = grid.nodes**2
     flux = np.array([2.0 * grid.a, 2.0 * grid.b])
     lhs = l_matrix @ flux - h_matrix @ np.array([u[0], u[-1]]) + free_terms * u
-    assert np.max(np.abs(lhs - e_matrix(ops) @ (2.0 * np.ones(grid.n)))) <= 1e-8
+    e_m = eager_e_matrix(grid, assemble_interpolation(grid))
+    assert np.max(np.abs(lhs - e_m @ (2.0 * np.ones(grid.n)))) <= 1e-8
 
 
 def test_mismatched_grid_rejected():
@@ -300,40 +300,36 @@ def test_mismatched_nodes_rejected_at_assembly():
 
 
 def test_interp_only_feeds_e():
-    # an interpolation operator changes nothing an operator set holds but E's source
+    # an interpolation operator is only checked against the nodes: the operator
+    # set built with one holds the bytes of one built without, and no N x N array
     grid = Grid(jittered_nodes(-1.0, 2.0, 33, seed=33))
-    interp = assemble_interpolation(grid)
-    bare, fed = assemble_drbem(grid), assemble_drbem(grid, interp)
-    assert bare.interp is None and fed.interp is interp
+    bare, fed = assemble_drbem(grid), assemble_drbem(grid, assemble_interpolation(grid))
     for field in dataclasses.fields(DrbemOperators):
-        if field.name in ("grid", "interp"):
-            continue
         mine, theirs = getattr(bare, field.name), getattr(fed, field.name)
+        if field.name == "grid":
+            assert mine is grid and theirs is grid
+            continue
         assert np.asarray(mine).tobytes() == np.asarray(theirs).tobytes(), field.name
+        assert (grid.n, grid.n) not in (np.shape(mine), np.shape(theirs)), field.name
 
 
-@pytest.mark.parametrize("with_interp", [False, True], ids=["bare", "fed"])
 @pytest.mark.parametrize("spacing", ["uniform", "jittered"])
 @pytest.mark.parametrize("n", [9, 33])
-def test_e_matrix_on_first_read_is_the_eager_formula(n, spacing, with_interp, monkeypatch):
+def test_spline_form_matches_the_dense_e(n, spacing):
+    # T E^{-1} (L q - H g + c*u) = 6 Delta(u, q): the stepper's spline form against
+    # the dense E it replaces
     nodes = np.linspace(-1.0, 2.0, n) if spacing == "uniform" else jittered_nodes(-1.0, 2.0, n,
                                                                                    seed=n)
-    grid = Grid(nodes)
-    interp = assemble_interpolation(grid)
-    builds = []
-
-    def counted(g):
-        builds.append(g)
-        return assemble_interpolation(g)
-
-    monkeypatch.setattr(drbem1d.reference, "assemble_interpolation", counted)
-    ops = assemble_drbem(grid, interp if with_interp else None)
-    assert builds == []
-    e_m = e_matrix(ops)
-    # from the operator passed in, or from one built for this call
-    assert len(builds) == (0 if with_interp else 1)
-    expected = eager_e_matrix(grid, interp)
-    assert e_m.shape == expected.shape and e_m.tobytes() == expected.tobytes()
+    grid, ops = build(nodes)
+    rng = np.random.default_rng(n)
+    l_matrix, h_matrix, free_terms = endpoint_matrices(grid)
+    e_m = eager_e_matrix(grid, assemble_interpolation(grid))
+    for _ in range(5):
+        u, q = rng.standard_normal(n), rng.standard_normal(2)
+        identity = l_matrix @ q - h_matrix @ u[[0, -1]] + free_terms * u
+        dense = ops.apply_t(np.linalg.solve(e_m, identity))
+        closed = ops.moment_load(u, q[0], q[1])
+        assert np.max(np.abs(dense - closed)) <= 1e-9 * np.max(np.abs(closed))
 
 
 RUN_PATH = ("assembly", "stepping", "verification", "problems", "presets")

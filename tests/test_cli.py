@@ -1,19 +1,25 @@
+import contextlib
 import dataclasses
+import io
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import bumped_generalized_fisher, load_csv
 
 import drbem1d
 from drbem1d import cli
 from drbem1d.cli import (
+    PARAMETERS,
     RunConfig,
     _run_benchmark,
     cmd_check,
@@ -35,7 +41,7 @@ from drbem1d.problems import (
     make_generalized_fn,
     make_newell_whitehead,
 )
-from drbem1d.stepping import run
+from drbem1d.stepping import level_index, run
 from drbem1d.verification import compute_errors, fd_oracle
 
 GOOD_CONFIG = """\
@@ -560,13 +566,94 @@ def test_exit_status_at_the_process_boundary(tmp_path, settings, status):
     assert proc.stderr.startswith("drbem1d:") and "Traceback" not in proc.stderr
 
 
+# values every numeric key may draw beside its ordinary ones
+EXTREMES = ("0", "-0", "1e300", "-1e300", "1e-300", "5e-324", "1e17", "-1e17")
+# each key's ordinary values.  With these and the extremes a grid has at most
+# 2,000 nodes or more than 1e16, which numpy refuses at once: no config
+# allocates a grid in between
+ORDINARY = {
+    "tau": ("0.01", "0.1", "0.5"),
+    "t_end": ("0", "0.1", "1"),
+    "n": ("3", "9", "2000", "100000000000000000"),
+    "h": ("0.1", "0.25", "0.5"),
+    "a": ("-2", "0"),
+    "b": ("1", "10"),
+    "epsilon": ("1e-10", "1e-6"),
+    "max_iters": ("2", "100", "100000000000000000"),
+    "snapshots": ("0", "0.1, 0.2", "0, 1e300"),
+    "compare_exact": ("true", "false"),
+    "run_oracle": ("true", "false"),
+    **dict.fromkeys(PARAMETERS, ("0.5", "1", "2")),
+}
+OPTIONAL = ("a", "b", "epsilon", "max_iters", "snapshots", "compare_exact", "run_oracle",
+            *PARAMETERS)
+
+
+@st.composite
+def solve_configs(draw):
+    """A `solve` config: an equation (or an unknown one), tau, t_end, n or h, the
+    equation's parameter, and up to four more keys, each value ordinary or extreme."""
+    equation = draw(st.sampled_from([*REGISTRY, "heat"]))
+    wanted = REGISTRY.get(equation, (None, None))[1]
+    keys = ["tau", "t_end", draw(st.sampled_from(["n", "h"])), *filter(None, [wanted])]
+    keys += draw(st.lists(st.sampled_from([k for k in OPTIONAL if k != wanted]), unique=True,
+                          max_size=4))
+    values = [draw(st.one_of(st.sampled_from(ORDINARY[k]), st.sampled_from(EXTREMES)))
+              for k in keys]
+    return f"equation = {equation}\n" + "".join(f"{k} = {v}\n" for k, v in zip(keys, values))
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(solve_configs())
+def test_solve_keeps_the_failure_contract_on_generated_configs(text):
+    # exit 0 to 3, a failure told in one `drbem1d:` line and nothing else on
+    # stderr, and a config parse_config accepts never fails to write its profiles
+    with tempfile.TemporaryDirectory() as out:
+        text += f'output_path = "{out}"\n'
+        try:
+            with np.errstate(all="ignore"):  # as main parses it
+                config = parse_config(text)
+        except (ConfigError, MemoryError):
+            config = None
+        if config is not None and (level_index(config.t_end, config.step.tau) > 300
+                                   or config.grid.n > 2000
+                                   or config.step.max_corrector_iters > 1000):
+            return  # a valid run, but more than a few hundred levels or passes
+        path = Path(out) / "run.cfg"
+        path.write_text(text)
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main(["solve", str(path)])
+    lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
+    assert code in (0, 1, 2, 3)
+    if code == 0:
+        assert lines == []
+    else:
+        assert len(lines) == 1 and lines[0].startswith("drbem1d:"), lines
+    assert not (config is not None and code == 3), lines
+
+
+CHECK_LINES = (
+    *(f"harmonic identity (N={n})" for n in (3, 9, 33)),
+    "psi'' = phi (50 radii)",
+    *(f"exact-solution residual {name}" for name in (
+        "fitzhugh_nagumo(0.75)", "generalized_fn(1)", "generalized_fisher(1)",
+        "generalized_fisher(2)")),
+    "transcribed fisher wave rejected",
+    *(f"interior dpttrs = band solve (N={n}, {kind})" for n in (9, 33)
+      for kind in ("uniform", "jittered")),
+)
+
+
 def test_cmd_check_passes(capsys):
+    # the 13 lines, in order; the N x N checks (interpolation exactness, the
+    # spline form against E) are tests in test_rbf and test_assembly
     assert cmd_check() == 0
-    out = capsys.readouterr().out
-    assert "FAIL" not in out
-    assert "transcribed fisher wave rejected" in out
-    assert out.count("spline form T E^-1 = 6 Delta") == 4
-    assert out.count("interior dpttrs = band solve (") == 4
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "all checks passed"
+    assert [line.partition(":")[0] for line in lines[:-1]] == [f"PASS  {name}"
+                                                                for name in CHECK_LINES]
 
 
 def test_output_digest_compare_reports_numeric_iteration_and_text_changes(tmp_path):
