@@ -332,6 +332,32 @@ def test_spline_form_matches_the_dense_e(n, spacing):
         assert np.max(np.abs(dense - closed)) <= 1e-9 * np.max(np.abs(closed))
 
 
+@pytest.mark.parametrize("with_interp", [False, True], ids=["bare", "fed"])
+@pytest.mark.parametrize("spacing", ["uniform", "jittered"])
+@pytest.mark.parametrize("n", [9, 33])
+def test_e_matrix_on_first_read_is_the_eager_formula(n, spacing, with_interp, monkeypatch):
+    # assembly builds no interpolation operator, fed or bare, and the E a reader
+    # builds from the set's own grid is, byte for byte, the eager formula on the
+    # operator the caller holds
+    nodes = np.linspace(-1.0, 2.0, n) if spacing == "uniform" else jittered_nodes(-1.0, 2.0, n,
+                                                                                   seed=n)
+    grid = Grid(nodes)
+    interp = assemble_interpolation(grid)
+    builds = []
+
+    def counted(g):
+        builds.append(g)
+        return assemble_interpolation(g)
+
+    monkeypatch.setattr(drbem1d.reference, "assemble_interpolation", counted)
+    ops = assemble_drbem(grid, interp if with_interp else None)
+    assert builds == []
+    e_m = eager_e_matrix(ops.grid, drbem1d.reference.assemble_interpolation(ops.grid))
+    assert builds == [grid]
+    expected = eager_e_matrix(grid, interp)
+    assert e_m.shape == (n, n) and e_m.tobytes() == expected.tobytes()
+
+
 RUN_PATH = ("assembly", "stepping", "verification", "problems", "presets")
 
 
