@@ -14,8 +14,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import blas, lapack
 
+from ._linalg import blas, lapack
 from .exceptions import SingularMatrixError
 
 # Pivots below this magnitude signal a degenerate node set.

@@ -5,7 +5,10 @@ which is what lets inhomogeneous terms be moved onto the interval endpoints
 through the point-source solution |x - xi| / 2.  The kernel, the endpoint
 matrices (N x 2) and the harmonic identity are O(N) and feed the `check`
 battery; the one N x N piece, the interpolation operator, is read by the tests
-and perfbench's setup.  The run path never imports this module.
+and perfbench's setup.  The run path never imports this module.  dgetrf comes
+from `_linalg`, like the run path's routines; only `InterpolationOperator.solve`
+uses scipy.linalg's lu_solve, imported when it is called, so that importing the
+package never runs scipy.linalg's init.
 """
 
 from __future__ import annotations
@@ -13,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack, lu_solve
 
+from ._linalg import lapack
 from .assembly import Grid, _check_factors
 
 
@@ -59,6 +62,9 @@ class InterpolationOperator:
 
     def solve(self, rhs, transposed=False):
         """Apply the inverse of phi_matrix (or of its transpose) to vectors/columns."""
+        # lu_solve's checks and errors; only this call pays scipy.linalg's init
+        from scipy.linalg import lu_solve
+
         return lu_solve(self.factorization, rhs, trans=1 if transposed else 0)
 
 

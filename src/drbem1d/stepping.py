@@ -51,8 +51,8 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-from scipy.linalg import blas, lapack
 
+from ._linalg import blas, lapack
 from .assembly import (LEVEL_BAND, PIVOT_FLOOR, DrbemOperators, Grid, assemble_drbem,
                        band_lu_factor_checked, band_lu_solver)
 from .exceptions import ConvergenceError, DomainError, SolverError
@@ -65,6 +65,10 @@ TIME_MULTIPLE_TOL = 1e-12
 # More time levels than this (9 hours at fig1's 33 us a level, 8 GB for
 # level_iterations alone) is a mistyped tau, not a run anyone waits for.
 MAX_LEVELS = 10**9
+# A cap above this lets iterates that cycle at rounding level, which no epsilon
+# below the cycle ends, run without a practical end; the shipped outputs take at
+# most 6 passes a level, and the default cap is 100.
+MAX_CORRECTOR_ITERS = 10_000
 # A level keeps the previous level's factors while its s is within this share
 # of the factored s_0.  The lagged drift then slows the corrector's contraction
 # by at most about this ratio: at 1/32 table3's rows take as many solves as with
@@ -75,7 +79,9 @@ DRIFT_BOUND = 1.0 / 32.0
 
 @dataclass
 class StepConfig:
-    """Time step size and corrector policy."""
+    """Time step size and corrector policy: a level stops when two successive
+    iterates agree within epsilon, after at most max_corrector_iters solves (2 to
+    MAX_CORRECTOR_ITERS)."""
 
     tau: float
     epsilon: float = 1e-10
@@ -91,6 +97,10 @@ class StepConfig:
             raise ValueError(f"max_corrector_iters = {cap!r} must be an integer of at least 2: "
                              "a level whose seed moves by more than epsilon in its first "
                              "solve stops only when two successive solves agree")
+        if cap > MAX_CORRECTOR_ITERS:
+            raise ValueError(f"max_corrector_iters = {cap!r} is more than {MAX_CORRECTOR_ITERS}: "
+                             "iterates that cycle at rounding level would run that many "
+                             "passes on each level")
 
 
 @dataclass

@@ -10,8 +10,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from helpers import frac, load_csv, tanh_graded_grid
+from helpers import frac, graded_grids, load_csv, tanh_graded_grid
 
 from drbem1d.assembly import Grid, assemble_drbem
 from drbem1d.cli import cmd_reproduce
@@ -307,6 +308,29 @@ def test_criterion_6_oracle_cross_check_on_graded_grids(name):
     print(f"criterion 6 PASS ({name}, graded): distances "
           f"{', '.join(f'{d:.2e}' for d in distances)}, orders "
           f"{', '.join(f'{o:.2f}' for o in orders)}")
+
+
+# distance / h_max^2 of the property below: largest 0.0475 over 400 random
+# graded grids (smallest 0.0034), and 0.0325 -> 0.0482 on uniform grids of 5 to
+# 65 nodes, so the bound keeps a factor of two
+GRADED_H2_CONSTANT = 0.1
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(graded_grids())
+def test_criterion_6_oracle_within_h_squared_on_any_graded_grid(grid):
+    # generalized_fn rho = 1 on [0, 1] to t = 0.2 at tau = 0.01: advection, the
+    # drift lag and the bistable reaction.  Both solvers are second order in h
+    # on any spacing and share backward Euler, so their distance is C h_max^2
+    problem = make_generalized_fn(1.0, a=0.0, b=1.0)
+    cfg = StepConfig(tau=0.01)
+    u = run(problem, grid, cfg, 0.2).states[-1].u
+    u_fd = fd_oracle(problem, grid, cfg, 0.2).states[-1].u
+    h_max = float(np.diff(grid.nodes).max())
+    distance = float(np.max(np.abs(u - u_fd)))
+    assert distance <= GRADED_H2_CONSTANT * h_max**2, (
+        f"N = {grid.n}, h_max = {h_max:.3e}: distance {distance:.3e} exceeds "
+        f"{GRADED_H2_CONSTANT} h_max^2")
 
 
 def test_criterion_7_corrector_behavior(cross_runs, table1_rows, table2_rows, table3_rows):

@@ -335,6 +335,12 @@ BAD_SETTINGS = [
     pytest.param({"epsilon": "nan"}, 1, "'epsilon'", id="epsilon=nan"),
     pytest.param({"max_iters": "0"}, 1, "max_corrector_iters", id="max_iters=0"),
     pytest.param({"max_iters": "1"}, 1, "max_corrector_iters", id="max_iters=1"),
+    # iterates that cycle at rounding level never come within this epsilon, so
+    # an accepted cap of 1e17 would run without end
+    pytest.param({"tau": "0.1", "t_end": "1", "epsilon": "5e-324",
+                  "max_iters": "100000000000000000"}, 1,
+                 "max_corrector_iters = 100000000000000000 is more than 10000",
+                 id="max_iters=1e17,epsilon=5e-324"),
     pytest.param({"a": "3"}, 1, "a < b", id="a>=b"),
     pytest.param({"n": None, "h": "0"}, 1, "spacing h", id="h=0"),
     pytest.param({"n": "2"}, 1, "n >= 3", id="n=2"),

@@ -147,6 +147,24 @@ def test_incompatible_problem_rejected():
         make_fitzhugh_nagumo(0.5, a=1.0, b=-1.0)
 
 
+def test_compatibility_check_warns_nothing_when_endpoint_values_overflow():
+    # no np.errstate here, and the suite turns RuntimeWarning into an error: the
+    # check judges overflowed endpoint values by their gap, as a library caller
+    # would get them, and emits no warning
+    assert make_generalized_fn(1e300, b=1e300).b == 1e300  # both sides overflow alike
+    with pytest.raises(ValueError, match="gaps 0.000e[+]00, inf"):
+        PdeProblem(
+            coeffs=CoefficientSet.constant(0.0, 1.0, 1.0),
+            reaction=ReactionTerm(0.0, lambda u: 0.0 * u, lambda u: 0.0 * u),
+            a=0.0,
+            b=1.0,
+            horizon=1.0,
+            initial=lambda x: np.float64(1e308) * (10.0 * x),
+            bc_left=lambda t: 0.0,
+            bc_right=lambda t: 1.0,
+        )
+
+
 
 @pytest.mark.parametrize("horizon", [0.0, -1.0, math.nan])
 def test_nonpositive_horizon_rejected(horizon):

@@ -125,6 +125,13 @@ class TestStepConfig:
                                              "at least 2"):
             StepConfig(tau=0.1, max_corrector_iters=1)
 
+    def test_largest_cap_is_max_corrector_iters(self):
+        cap = stepping.MAX_CORRECTOR_ITERS
+        assert StepConfig(tau=0.1, max_corrector_iters=cap).max_corrector_iters == cap
+        with pytest.raises(ValueError, match=f"max_corrector_iters = {cap + 1} is more than "
+                                             f"{cap}"):
+            StepConfig(tau=0.1, max_corrector_iters=cap + 1)
+
     def test_infinite_tau_cannot_reach_run(self):
         # an infinite step would put every time at level 0: one t = 0 state, no error
         with pytest.raises(ValueError, match="tau must be positive and finite"):
