@@ -76,11 +76,11 @@ class PdeProblem:
         if not self.horizon > 0.0:
             raise ValueError("horizon must be positive")
         # endpoint values that overflow are judged by their gap, without a
-        # numpy warning to the caller
+        # numpy warning to the caller; a nan gap fails the test
         with np.errstate(over="ignore", invalid="ignore"):
             left_gap = abs(float(self.initial(self.a)) - float(self.bc_left(0.0)))
             right_gap = abs(float(self.initial(self.b)) - float(self.bc_right(0.0)))
-        if left_gap > COMPATIBILITY_TOL or right_gap > COMPATIBILITY_TOL:
+        if not (left_gap <= COMPATIBILITY_TOL and right_gap <= COMPATIBILITY_TOL):
             raise ValueError(
                 "initial data and boundary values disagree at t = 0 "
                 f"(gaps {left_gap:.3e}, {right_gap:.3e})"

@@ -157,9 +157,10 @@ def sweep(rows, t_end, track_peak=False) -> list:
     """One solver run per (problem, h, tau) row, with errors against the exact solution.
 
     Each row runs on its own grid and operators, with the corrector at
-    StepConfig's default tolerance and cap.  A DrbemError is recorded on its row
-    and the sweep goes on; each result carries the observed order against the
-    row before it.
+    StepConfig's default tolerance and cap.  Each state's errors are taken once,
+    against the exact solution at the state's own time.  A DrbemError is
+    recorded on its row and the sweep goes on; each result carries the observed
+    order against the row before it.
     """
     results = []
     for problem, h, tau in rows:
@@ -172,14 +173,12 @@ def sweep(rows, t_end, track_peak=False) -> list:
             if track_peak:
                 snapshots = [k * tau for k in range(level_index(t_end, tau) + 1)]
             traj = run(problem, grid, cfg, t_end, snapshots=snapshots)
-            report = compute_errors(traj.states[-1].u, problem.exact(grid.nodes, t_end),
-                                    time=t_end)
-            peak = None
-            if track_peak:
-                peak = max(compute_errors(s.u, problem.exact(grid.nodes, s.t)).l_inf
-                           for s in traj.states)
-            result = ConvergenceRow(h=grid.h, tau=tau, l_inf=report.l_inf, rms=report.rms,
-                                    peak=peak, iters_max=max(traj.level_iterations, default=0))
+            reports = [compute_errors(s.u, problem.exact(grid.nodes, s.t), time=s.t)
+                       for s in traj.states]
+            peak = max(r.l_inf for r in reports) if track_peak else None
+            result = ConvergenceRow(h=grid.h, tau=tau, l_inf=reports[-1].l_inf,
+                                    rms=reports[-1].rms, peak=peak,
+                                    iters_max=max(traj.level_iterations, default=0))
         except DrbemError as exc:
             result = ConvergenceRow(h=grid.h, tau=tau, failure=exc)
         order = _pair_order(results[-1] if results else None, result)

@@ -647,19 +647,32 @@ CHECK_LINES = (
         "fitzhugh_nagumo(0.75)", "generalized_fn(1)", "generalized_fisher(1)",
         "generalized_fisher(2)")),
     "transcribed fisher wave rejected",
-    *(f"interior dpttrs = band solve (N={n}, {kind})" for n in (9, 33)
-      for kind in ("uniform", "jittered")),
+    "run = fd_oracle within 0.1 h_max^2 (fisher, generalized_fn(1))",
 )
 
 
 def test_cmd_check_passes(capsys):
-    # the 13 lines, in order; the N x N checks (interpolation exactness, the
-    # spline form against E) are tests in test_rbf and test_assembly
+    # the 10 lines, in order; the N x N checks (interpolation exactness, the
+    # spline form against E) are tests in test_rbf and test_assembly, and the
+    # dpttrs = band solve lines test_stepping's
     assert cmd_check() == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[-1] == "all checks passed"
     assert [line.partition(":")[0] for line in lines[:-1]] == [f"PASS  {name}"
                                                                 for name in CHECK_LINES]
+
+
+def test_check_passes_without_importing_numpy_random():
+    # the battery samples a fixed sequence: numpy.random's import costs about
+    # 12 ms and 6 MB, more than the rest of the battery's run
+    package_root = str(Path(drbem1d.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    code = ("import sys; from drbem1d.cli import main; assert main(['check']) == 0; "
+            "assert 'numpy.random' not in sys.modules")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_output_digest_compare_reports_numeric_iteration_and_text_changes(tmp_path):

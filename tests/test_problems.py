@@ -165,6 +165,21 @@ def test_compatibility_check_warns_nothing_when_endpoint_values_overflow():
         )
 
 
+def test_initial_data_nan_at_an_endpoint_rejected():
+    # a nan gap compares False with any tolerance, so only a check that the gap
+    # is within it rejects the problem
+    with pytest.raises(ValueError, match="gaps nan, nan"):
+        PdeProblem(
+            coeffs=CoefficientSet.constant(0.0, 1.0, 1.0),
+            reaction=ReactionTerm(0.0, lambda u: 0.0 * u, lambda u: 0.0 * u),
+            a=0.0,
+            b=1.0,
+            horizon=1.0,
+            initial=lambda x: np.nan * x,
+            bc_left=lambda t: 0.0,
+            bc_right=lambda t: 5.0,
+        )
+
 
 @pytest.mark.parametrize("horizon", [0.0, -1.0, math.nan])
 def test_nonpositive_horizon_rejected(horizon):

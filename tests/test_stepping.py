@@ -13,7 +13,8 @@ from drbem1d.assembly import (LEVEL_BAND, Grid, assemble_drbem, band_lu_factor_c
                               band_lu_solver)
 from drbem1d.exceptions import ConvergenceError, DomainError, SingularMatrixError, SolverError
 from drbem1d.problems import (REGISTRY, CoefficientSet, PdeProblem, ReactionTerm,
-                              make_fisher, make_fitzhugh_nagumo, make_generalized_fn)
+                              make_fisher, make_fitzhugh_nagumo, make_generalized_fisher,
+                              make_generalized_fn)
 from drbem1d.reference import assemble_interpolation
 from drbem1d.stepping import (
     StepConfig,
@@ -543,6 +544,31 @@ def test_banded_level_solve_matches_the_dense_reference(name, spacing):
         assert abs(passes - band_rest[2]) <= 1
         assert abs(passes - passes_ref) <= 1
         earlier, u = (u, *earlier[:2]), state.u
+
+
+@pytest.mark.parametrize("spacing", ["uniform", "jittered"])
+@pytest.mark.parametrize("n", [9, 33])
+def test_interior_dpttrs_solves_a_fisher_level_like_the_band(n, spacing):
+    # one Fisher level, where s = 1/tau - 1 > 0 and no advection, takes dpttrs;
+    # the band factors of the same interior give the same state within rounding
+    problem, cfg = make_generalized_fisher(1.0, -1.0, 2.0), StepConfig(tau=0.01)
+    grid = Grid.uniform(problem.a, problem.b, n)
+    if spacing == "jittered":
+        grid = jittered(grid, seed=n)
+    ops = assemble_drbem(grid)
+    u = initial_values(problem, grid.nodes)
+    system = build_level_system(problem, grid, ops, cfg, cfg.tau, u)
+    scale = 1.0 / cfg.tau - 1.0  # s on this level, where mu = eta = lambda = 1
+    spd = stepping.spd_factors(ops.level_pieces, scale)
+    assert spd is not None
+    band = stepping.band_factors(ops.level_pieces, np.array([1.0, -scale, 0.0]), "band matrix")
+    states = []
+    for factors, solve, ends in (spd, band):
+        kernel = system.factorization._replace(factors=factors, solve=solve, ends=ends)
+        states.append(corrector_solve(dataclasses.replace(system, factorization=kernel),
+                                      problem, cfg, u)[0])
+    got, want = ([s.q_left, s.q_right, *s.u] for s in states)
+    assert np.max(np.abs(np.subtract(got, want))) <= 1e-12 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("spacing", ["uniform", "jittered"])
