@@ -32,14 +32,12 @@ from .reference import (
     harmonic_identity_check,
     phi,
     psi,
-    psi_x,
 )
 from .stepping import (
     SolverState,
     StepConfig,
     TimeLevelSystem,
     Trajectory,
-    back_substitution_gap,
     build_level_system,
     corrector_solve,
     run,
@@ -75,7 +73,6 @@ __all__ = [
     "Trajectory",
     "assemble_drbem",
     "assemble_interpolation",
-    "back_substitution_gap",
     "build_level_system",
     "compute_errors",
     "corrector_solve",
@@ -91,7 +88,6 @@ __all__ = [
     "make_newell_whitehead",
     "phi",
     "psi",
-    "psi_x",
     "residual_check",
     "run",
     "sweep",

@@ -174,47 +174,29 @@ class DrbemOperators:
     nodal second derivative (moment) of the cubic spline through u with end
     slopes q = [u_x(a), u_x(b)] (de Boor, A Practical Guide to Splines, ch. IV).
     6 Delta, the moment matrix T, which gets h_i [2 1; 1 2] in rows and columns
-    i, i+1 from each cell i, and P = Phi_x Phi^{-1}, the stencil in `slope` with
-    kappa in its corners, are tridiagonal stencils in the spacings; T P is
-    pentadiagonal.
+    i, i+1 from each cell i, and P = Phi_x Phi^{-1}, the mean of the slopes left
+    and right of each node, are tridiagonal stencils in the spacings; T P is
+    pentadiagonal.  Outside [a, b] the interpolant sum_j alpha_j (1 + |x - x_j|)
+    has slope -+2 kappa (u_1 + u_N), kappa = 1 / (2 (b - a + 2)), so P's end rows
+    take kappa in their corners and do not annihilate constants.
 
     t_band is T in gbmv layout (one sub- and one superdiagonal), Fortran-ordered
     so that dgbmv reads it in place rather than copying it per call.  level_pieces
     holds 6 Delta, T and T P, in that order, on [u_x(a), u_2, ..., u_{N-1}, u_x(b)]
     in gbtrf layout with LEVEL_BAND sub- and superdiagonals (zero workspace rows
     first), each piece in Fortran order; dirichlet_pieces holds the same three on
-    the imposed values u_1 and u_N.  Every entry is the methods' image of a unit
-    vector, formed by the same operations in the same order.  A level matrix
-    6 Delta - T (s I + r P) is [1, -s, -r] applied to the pieces; the fluxes
-    enter only its end rows, and the stepper factors its interior columns 2..N-1,
-    which are contiguous.
+    the imposed values u_1 and u_N.  Every entry is the stencils' image of a unit
+    vector, formed by the operations, in the order, of apply_t and of the tests'
+    slope and moment_load (tests/helpers.py).  A level matrix 6 Delta - T (s I +
+    r P) is [1, -s, -r] applied to the pieces; the fluxes enter only its end
+    rows, and the stepper factors its interior columns 2..N-1, which are
+    contiguous.
     """
 
     grid: Grid
-    h: np.ndarray
-    kappa: float
     t_band: np.ndarray
     level_pieces: np.ndarray
     dirichlet_pieces: np.ndarray
-
-    def slope(self, u) -> np.ndarray:
-        """P u, the scheme's nodal derivative of the data u: the mean of the
-        slopes left and right of each node.
-
-        Outside [a, b] the interpolant sum_j alpha_j (1 + |x - x_j|) has slope
-        -+sum_j alpha_j = -+2 kappa (u_1 + u_N), so the end rows do not annihilate
-        constants; that is the scheme's P, kept as it is.
-        """
-        u = np.asarray(u, dtype=float)
-        s = np.diff(u) / self.h
-        outer = 2.0 * self.kappa * (u[0] + u[-1])
-        return 0.5 * (np.concatenate([[-outer], s]) + np.append(s, outer))  # left + right
-
-    def moment_load(self, u, q_left, q_right) -> np.ndarray:
-        """6 Delta(u, q), six times the slope jump at each node: the clamped-spline
-        right-hand side, with q the end slopes."""
-        s = np.diff(np.asarray(u, dtype=float)) / self.h
-        return 6.0 * (np.append(s, q_right) - np.concatenate([[q_left], s]))  # right - left
 
     def apply_t(self, v) -> np.ndarray:
         """T v, along the last axis of v."""
@@ -245,8 +227,8 @@ def assemble_drbem(grid: Grid, interp=None) -> DrbemOperators:
     d = t_band[1]
     level_pieces = np.zeros((3, n, 3 * LEVEL_BAND + 1)).transpose(0, 2, 1)
     dirichlet_pieces = np.zeros((3, n, 2))
-    ops = DrbemOperators(grid=grid, h=h, kappa=kappa, t_band=t_band,
-                         level_pieces=level_pieces, dirichlet_pieces=dirichlet_pieces)
+    ops = DrbemOperators(grid=grid, t_band=t_band, level_pieces=level_pieces,
+                         dirichlet_pieces=dirichlet_pieces)
 
     # Band column j holds entry (i, j) in row 2 LEVEL_BAND + i - j, so row k of
     # each view below holds entry (j - 2 + k, j) of the interior columns j, whose
@@ -275,6 +257,6 @@ def assemble_drbem(grid: Grid, interp=None) -> DrbemOperators:
     corners[1, 0], corners[1, -2:] = 0.5 * -outer, (0.5 * up[-1], 0.5 * (up[-1] + outer))
     dirichlet_pieces[2] = ops.apply_t(corners).T
 
-    for arr in (h, t_band, level_pieces, dirichlet_pieces):
+    for arr in (t_band, level_pieces, dirichlet_pieces):
         arr.setflags(write=False)
     return ops

@@ -51,10 +51,6 @@ class ReactionTerm:
     nonlinear: Callable
     full: Callable
 
-    def split_defect(self, u):
-        """full(u) - linear_slope*u - nonlinear(u); zero when the split is consistent."""
-        return self.full(u) - self.linear_slope * u - self.nonlinear(u)
-
 
 @dataclass(frozen=True)
 class PdeProblem:

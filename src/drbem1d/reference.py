@@ -5,10 +5,12 @@ which is what lets inhomogeneous terms be moved onto the interval endpoints
 through the point-source solution |x - xi| / 2.  The kernel, the endpoint
 matrices (N x 2) and the harmonic identity are O(N) and feed the `check`
 battery; the one N x N piece, the interpolation operator, is read by the tests
-and perfbench's setup.  The run path never imports this module.  dgetrf comes
-from `_linalg`, like the run path's routines; only `InterpolationOperator.solve`
-uses scipy.linalg's lu_solve, imported when it is called, so that importing the
-package never runs scipy.linalg's init.
+and perfbench's setup.  psi's derivative psi_x, which only the dense E needs,
+is kept with the tests' eager_e_matrix in tests/helpers.py.  The run path never
+imports this module.  dgetrf comes from `_linalg`, like the run path's
+routines; only `InterpolationOperator.solve` uses scipy.linalg's lu_solve,
+imported when it is called, so that importing the package never runs
+scipy.linalg's init.
 """
 
 from __future__ import annotations
@@ -29,12 +31,6 @@ def phi(r):
 def psi(r):
     """r**2/2 + r**3/6, the radial profile whose second derivative is phi."""
     return r * r / 2.0 + r**3 / 6.0
-
-
-def psi_x(x, xj):
-    """d/dx of psi(|x - xj|): odd about xj and zero there."""
-    d = x - xj
-    return d * (1.0 + np.abs(d) / 2.0)
 
 
 def fundamental_solution(x, xi):

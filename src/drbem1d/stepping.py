@@ -215,6 +215,13 @@ def level_coefficients(problem: PdeProblem, t_n: float) -> tuple:
     return nu_n, mu_n, eta_n
 
 
+def _check_operators(ops: DrbemOperators, grid: Grid):
+    """Raise ValueError unless ops was built on the grid's nodes."""
+    # identity first: a caller passing the grid's own operators pays no O(N) check
+    if ops.grid is not grid and not np.array_equal(ops.grid.nodes, grid.nodes):
+        raise ValueError("operator set was built on a different node set")
+
+
 def build_level_system(
     problem: PdeProblem,
     grid: Grid,
@@ -236,7 +243,10 @@ def build_level_system(
     rebuilt, when it was factored on ops (its t_band is ops.t_band), with r =
     nu/mu equal to this level's, and with s either equal to its s_0 (constant
     coefficients) or, for s_0 > 0, within DRIFT_BOUND * s_0 of it; the system's
-    drift is then s_0 - s.  Any other level is factored afresh, with zero drift.
+    drift is then s_0 - s.  Any other level is factored afresh, with zero drift,
+    and first checks that ops was built on the grid's nodes, as run does (one
+    built on other nodes raises ValueError); a carried level's operators were
+    checked when its factors were made.
     prev_system's u_prev and the newer two of its earlier levels become this
     system's earlier levels, from which, with u_prev, corrector_solve
     extrapolates.
@@ -262,6 +272,7 @@ def build_level_system(
                 and (implicit_scale == s_0 or abs(implicit_scale - s_0) <= DRIFT_BOUND * s_0)):
             factorization = None
     if factorization is None:
+        _check_operators(ops, grid)
         weights = np.array([1.0, -implicit_scale, -ratio])
         # a non-finite coefficient times a zero entry is nan, which the factor
         # check reports as a singular level; numpy's warning would be noise
@@ -472,19 +483,6 @@ def corrector_solve(sys: TimeLevelSystem, problem: PdeProblem, cfg: StepConfig, 
     return SolverState(u=u, q_left=q_left, q_right=q_right, t=sys.t_n), iters
 
 
-def back_substitution_gap(sys: TimeLevelSystem, problem: PdeProblem, state: SolverState) -> float:
-    """Sup-norm change from one extra corrector pass seeded with the converged level.
-
-    Measures how far the returned solution sits from the fixed point of the full
-    nonlinear discrete system; a converged level should stay within a small
-    multiple of the corrector tolerance.  A non-finite pass raises as the
-    corrector does.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        u_again, _, _ = _level_pass(sys, problem)(state.u)
-        return _sup_gap(u_again, state.u, sys.t_n, "corrector")
-
-
 @dataclass
 class Trajectory:
     """States captured at the requested snapshot times plus per-level solve counts."""
@@ -588,9 +586,8 @@ def run(problem: PdeProblem, grid: Grid, cfg: StepConfig, t_end: float, snapshot
     other nodes raises ValueError); without one, the first level assembles it.
     The number of levels that factored their matrix is logged at INFO.
     """
-    # identity first: a caller passing the grid's own operators pays no O(N) check
-    if ops is not None and ops.grid is not grid and not np.array_equal(ops.grid.nodes, grid.nodes):
-        raise ValueError("operator set was built on a different node set")
+    if ops is not None:
+        _check_operators(ops, grid)
     system, factorizations = None, 0
 
     def level(t_n, u):

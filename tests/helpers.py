@@ -11,8 +11,9 @@ from scipy.linalg import blas, lapack, lu_factor, lu_solve
 from drbem1d.assembly import LEVEL_BAND, Grid, band_lu_factor_checked
 from drbem1d.problems import make_generalized_fisher
 from drbem1d.reference import (assemble_interpolation, endpoint_matrices, fundamental_solution,
-                               fundamental_solution_dx, psi, psi_x)
-from drbem1d.stepping import LevelFactors, TimeLevelSystem, initial_values, level_coefficients
+                               fundamental_solution_dx, psi)
+from drbem1d.stepping import (LevelFactors, TimeLevelSystem, _level_pass, _sup_gap,
+                              initial_values, level_coefficients)
 
 
 def load_csv(path):
@@ -33,6 +34,56 @@ def load_csv(path):
 def frac(text):
     """Parse '1/128' style labels to float."""
     return float(Fraction(text))
+
+
+def psi_x(x, xj):
+    """d/dx of psi(|x - xj|): odd about xj and zero there."""
+    d = x - xj
+    return d * (1.0 + np.abs(d) / 2.0)
+
+
+def split_defect(reaction, u):
+    """full(u) - linear_slope*u - nonlinear(u) of a ReactionTerm; zero when its
+    split is consistent."""
+    return reaction.full(u) - reaction.linear_slope * u - reaction.nonlinear(u)
+
+
+def slope(ops, u):
+    """P u, the scheme's nodal derivative of the data u on ops.grid: the mean of
+    the slopes left and right of each node.
+
+    Outside [a, b] the interpolant sum_j alpha_j (1 + |x - x_j|) has slope
+    -+sum_j alpha_j = -+2 kappa (u_1 + u_N), so the end rows do not annihilate
+    constants; that is the scheme's P, kept as it is.  h and kappa are
+    assemble_drbem's, by the same formulas, so on a unit vector this gives the
+    bits of ops.level_pieces.
+    """
+    grid = ops.grid
+    kappa = 0.5 / (grid.b - grid.a + 2.0)
+    u = np.asarray(u, dtype=float)
+    s = np.diff(u) / np.diff(grid.nodes)
+    outer = 2.0 * kappa * (u[0] + u[-1])
+    return 0.5 * (np.concatenate([[-outer], s]) + np.append(s, outer))  # left + right
+
+
+def moment_load(ops, u, q_left, q_right):
+    """6 Delta(u, q) on ops.grid, six times the slope jump at each node: the
+    clamped-spline right-hand side, with q the end slopes."""
+    s = np.diff(np.asarray(u, dtype=float)) / np.diff(ops.grid.nodes)
+    return 6.0 * (np.append(s, q_right) - np.concatenate([[q_left], s]))  # right - left
+
+
+def back_substitution_gap(sys, problem, state):
+    """Sup-norm change from one extra corrector pass seeded with the converged level.
+
+    Measures how far the returned solution sits from the fixed point of the full
+    nonlinear discrete system; a converged level should stay within a small
+    multiple of the corrector tolerance.  A non-finite pass raises as the
+    corrector does.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        u_again, _, _ = _level_pass(sys, problem)(state.u)
+        return _sup_gap(u_again, state.u, sys.t_n, "corrector")
 
 
 def eager_e_matrix(grid, interp):

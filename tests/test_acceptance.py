@@ -6,13 +6,15 @@ all fronts are still inside the domain; at the final time t = 1 its ordering is
 tied to the finite-difference oracle's.
 """
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from helpers import frac, graded_grids, load_csv, tanh_graded_grid
+from helpers import back_substitution_gap, frac, graded_grids, load_csv, tanh_graded_grid
 
 from drbem1d.assembly import Grid, assemble_drbem
 from drbem1d.cli import cmd_reproduce
@@ -27,7 +29,6 @@ from drbem1d.problems import (
 from drbem1d.reference import assemble_interpolation, harmonic_identity_check, phi, psi
 from drbem1d.stepping import (
     StepConfig,
-    back_substitution_gap,
     build_level_system,
     corrector_solve,
     run,
@@ -67,6 +68,16 @@ def table3_rows(bench_dir):
 @pytest.fixture(scope="session")
 def fig5_rows(bench_dir):
     return _reproduce("fig5", bench_dir)
+
+
+@pytest.fixture(scope="session")
+def output_digest():
+    """tools/output_digest.py, imported by path for its CSV cell parser."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "output_digest.py"
+    spec = importlib.util.spec_from_file_location("output_digest", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="session")
@@ -457,6 +468,37 @@ def test_fig5_peak_error_monotone_in_alpha(fig5_rows):
         "fig5 peak-over-run errors monotone in alpha: "
         f"{[f'{p:.2e}' for p in peaks]}"
     )
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+# the measured columns, within GOLDEN_RTOL relative; the two that pass through
+# zero also within an absolute floor.  Every other cell (labels, iters_max,
+# status, the header and the notes) must be the same text.
+MEASURED = ("l_inf", "rms", "observed_order", "l_inf_peak", "l_inf_reference",
+            "rms_reference", "l_inf_rel_dev")
+GOLDEN_RTOL = 1e-9
+GOLDEN_ATOL = {"l_inf_rel_dev": 1e-12, "observed_order": 1e-12}
+
+
+@pytest.mark.parametrize("name", ["table1", "table2", "table3", "fig5"])
+def test_reproduce_outputs_match_the_golden_files(name, request, bench_dir, output_digest):
+    # tests/golden holds what `drbem1d reproduce <name> --out tests/golden` wrote;
+    # the <name>_rows fixture's sweep has written this run's CSV under bench_dir
+    request.getfixturevalue(f"{name}_rows")
+    rows, column = output_digest.cell_rows(bench_dir / f"{name}.csv")
+    golden, _ = output_digest.cell_rows(GOLDEN / f"{name}.csv")
+    assert len(rows) == len(golden), f"{name}: {len(rows)} lines against {len(golden)}"
+    for i, (row, want) in enumerate(zip(rows, golden), start=1):
+        assert len(row) == len(want), f"{name} line {i}: {row} against {want}"
+        for j, (got, expected) in enumerate(zip(row, want)):
+            col = column(j)
+            where = f"{name} line {i} {col}: {got!r} against golden {expected!r}"
+            a, b = output_digest.number(got), output_digest.number(expected)
+            if col in MEASURED and a is not None and b is not None:
+                assert (output_digest.relative_change(a, b) <= GOLDEN_RTOL
+                        or abs(a - b) <= GOLDEN_ATOL.get(col, 0.0)), where
+            else:
+                assert got == expected, where
 
 
 def test_criterion_9_spatial_order_without_time_error():

@@ -7,7 +7,8 @@ from scipy.linalg import lapack, lu_factor
 
 from drbem1d.assembly import Grid, _check_factors, band_lu_factor_checked
 from drbem1d.exceptions import SingularMatrixError
-from drbem1d.reference import assemble_interpolation, phi, psi, psi_x
+from drbem1d.reference import assemble_interpolation, phi, psi
+from helpers import psi_x
 
 
 def test_phi_values():

@@ -18,7 +18,6 @@ from drbem1d.problems import (REGISTRY, CoefficientSet, PdeProblem, ReactionTerm
 from drbem1d.reference import assemble_interpolation
 from drbem1d.stepping import (
     StepConfig,
-    back_substitution_gap,
     build_level_system,
     corrector_solve,
     extrapolated_lag,
@@ -28,9 +27,9 @@ from drbem1d.stepping import (
     run,
 )
 from drbem1d.verification import compute_errors
-from helpers import (band_level_system, bumped_generalized_fisher, dense_level_solve,
-                     graded_grids, interior_band_factors, reference_corrector,
-                     reference_interior_corrector, traced)
+from helpers import (back_substitution_gap, band_level_system, bumped_generalized_fisher,
+                     dense_level_solve, graded_grids, interior_band_factors,
+                     reference_corrector, reference_interior_corrector, traced)
 
 
 def zero_reaction():
@@ -960,6 +959,30 @@ def test_run_rejects_an_operator_set_built_on_other_nodes():
     assert shared.states[-1].u.tobytes() == run(problem, grid, cfg, 0.1).states[-1].u.tobytes()
 
 
+@pytest.mark.parametrize("foreign", ["moved nodes", "more nodes"])
+def test_build_level_system_rejects_an_operator_set_built_on_other_nodes(foreign):
+    # run's check on the one-level API: the same node count with the interior
+    # moved would otherwise solve on the wrong spacings, and another count would
+    # fail in numpy's reshape
+    problem, cfg = make_fisher(), StepConfig(tau=0.01)
+    grid = Grid.uniform(-2.0, 2.0, 9)
+    if foreign == "moved nodes":
+        nodes = grid.nodes.copy()
+        nodes[1:-1] += 0.1 * np.sin(np.arange(1, 8))
+        other = Grid(nodes)
+    else:
+        other = Grid.uniform(-2.0, 2.0, 11)
+    u = initial_values(problem, grid.nodes)
+    with pytest.raises(ValueError, match="operator set was built on a different node set"):
+        build_level_system(problem, grid, assemble_drbem(other), cfg, 0.01, u)
+    # operators of an equal node set are the grid's own
+    own = build_level_system(problem, grid, assemble_drbem(grid), cfg, 0.01, u)
+    equal = build_level_system(problem, grid, assemble_drbem(Grid(grid.nodes.copy())), cfg,
+                               0.01, u)
+    assert (corrector_solve(equal, problem, cfg, u)[0].u.tobytes()
+            == corrector_solve(own, problem, cfg, u)[0].u.tobytes())
+
+
 def test_build_level_system_rejects_a_previous_level_of_the_wrong_shape():
     problem = make_fisher()
     grid = Grid.uniform(problem.a, problem.b, 9)
@@ -1264,3 +1287,57 @@ def test_overflow_seen_by_the_reaction_first_diverges(cap):
     grid = Grid.with_spacing(-2.0, 2.0, 0.25)
     with pytest.raises(ConvergenceError, match="corrector diverged at t = 1"):
         run(problem, grid, StepConfig(tau=1.0, max_corrector_iters=cap), 1.0)
+
+
+def reflected(problem):
+    """problem under x -> a + b - x: nu negated and the data reflected."""
+    c, a, b = problem.coeffs, problem.a, problem.b
+    return dataclasses.replace(problem, coeffs=dataclasses.replace(c, nu=lambda t: -c.nu(t)),
+                               initial=lambda x: problem.initial(a + b - x),
+                               bc_left=problem.bc_right, bc_right=problem.bc_left,
+                               exact=lambda x, t: problem.exact(a + b - x, t))
+
+
+# epsilon near rounding: the bistable pair splits its reaction differently, so
+# their correctors meet only near the common fixed point
+MIRROR_CFG = StepConfig(tau=0.01, epsilon=1e-14)
+# mirror gaps over max |u|, in machine epsilons; measured at most 20 (run) and
+# 8 (fd_oracle) on the grids below
+MIRROR_BOUND = {"run": 64, "fd_oracle": 32}
+MIRROR_SOLVERS = {"run": run, "fd_oracle": verification.fd_oracle}
+
+
+def mirror_gaps(solver, unit_grid):
+    """The two mirror invariants' gaps at t = 0.1 over max |u|, in machine
+    epsilons, with unit_grid's nodes mapped to each problem's interval, which is
+    symmetric about 0: generalized_fn(1) against its reflection on the reflected
+    grid, and fitzhugh_nagumo(0.75) against 1 - fitzhugh_nagumo(0.25) there."""
+    fn = make_generalized_fn(1.0)
+    pairs = ((fn, reflected(fn), lambda v: v),
+             (make_fitzhugh_nagumo(0.75, horizon=1.0), make_fitzhugh_nagumo(0.25, horizon=1.0),
+              lambda v: 1.0 - v))
+    gaps = []
+    for problem, mirrored, back in pairs:
+        nodes = problem.a + (problem.b - problem.a) * unit_grid.nodes
+        u = MIRROR_SOLVERS[solver](problem, Grid(nodes), MIRROR_CFG, 0.1).states[-1].u
+        v = MIRROR_SOLVERS[solver](mirrored, Grid(-nodes[::-1]), MIRROR_CFG, 0.1).states[-1].u
+        gaps.append(float(np.max(np.abs(u - back(v[::-1])) / np.max(np.abs(u)))
+                          / np.finfo(float).eps))
+    return gaps
+
+
+@pytest.mark.parametrize("solver", ["run", "fd_oracle"])
+@pytest.mark.parametrize("n", [9, 33])
+def test_mirror_invariants_hold_to_rounding_on_uniform_grids(solver, n):
+    # no second form of the operators: the scheme is symmetric under reflection
+    # of the node set, with nu negated, and the bistable reaction under u -> 1 - u
+    gaps = mirror_gaps(solver, Grid.uniform(0.0, 1.0, n))
+    assert max(gaps) <= MIRROR_BOUND[solver], gaps
+
+
+@pytest.mark.parametrize("solver", ["run", "fd_oracle"])
+@settings(derandomize=True, deadline=None, max_examples=10)
+@given(graded_grids())
+def test_mirror_invariants_hold_to_rounding_on_graded_grids(solver, grid):
+    gaps = mirror_gaps(solver, grid)
+    assert max(gaps) <= MIRROR_BOUND[solver], (grid.nodes, gaps)
