@@ -93,6 +93,12 @@ class Grid:
         return (self.b - self.a) / (self.n - 1)
 
 
+def same_nodes(a: Grid, b: Grid) -> bool:
+    """Whether two grids have the same nodes; identity first, so a grid
+    compared with itself pays no O(N) check."""
+    return a is b or np.array_equal(a.nodes, b.nodes)
+
+
 def _check_factors(lu, pivots, what):
     """Raise SingularMatrixError naming `what` on a non-finite factor or a pivot
     (a diagonal entry of U) below PIVOT_FLOOR."""
@@ -214,7 +220,7 @@ def assemble_drbem(grid: Grid, interp=None) -> DrbemOperators:
     grid's nodes (one on other nodes raises ValueError) and then dropped: no
     operator reads it.
     """
-    if interp is not None and not np.array_equal(interp.grid.nodes, grid.nodes):
+    if interp is not None and not same_nodes(interp.grid, grid):
         raise ValueError("interpolation operator was built on a different node set")
 
     n = grid.n

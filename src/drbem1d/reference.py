@@ -5,12 +5,14 @@ which is what lets inhomogeneous terms be moved onto the interval endpoints
 through the point-source solution |x - xi| / 2.  The kernel, the endpoint
 matrices (N x 2) and the harmonic identity are O(N) and feed the `check`
 battery; the one N x N piece, the interpolation operator, is read by the tests
-and perfbench's setup.  psi's derivative psi_x, which only the dense E needs,
-is kept with the tests' eager_e_matrix in tests/helpers.py.  The run path never
-imports this module.  dgetrf comes from `_linalg`, like the run path's
-routines; only `InterpolationOperator.solve` uses scipy.linalg's lu_solve,
-imported when it is called, so that importing the package never runs
-scipy.linalg's init.
+and perfbench's setup.  Its Phi and Phi_x come from one N x N buffer of node
+differences, so its build holds at most the three arrays it keeps (Phi, Phi_x
+and getrf's LU) plus the factor check's finiteness mask.  psi's derivative
+psi_x, which only the dense E needs, is kept with the tests' eager_e_matrix in
+tests/helpers.py.  The run path never imports this module.  dgetrf comes from
+`_linalg`, like the run path's routines; only `InterpolationOperator.solve`
+uses scipy.linalg's lu_solve, imported when it is called, so that importing
+the package never runs scipy.linalg's init.
 """
 
 from __future__ import annotations
@@ -67,19 +69,27 @@ class InterpolationOperator:
 def assemble_interpolation(grid: Grid) -> InterpolationOperator:
     """Build the kernel matrices over the grid and factor phi_matrix once.
 
-    The factors are LAPACK getrf's, the routine scipy's lu_factor wraps, so they
-    are the same bits; a non-finite factor or a pivot below PIVOT_FLOOR raises
-    SingularMatrixError.
+    One buffer of node differences x_i - x_j gives phi_x_matrix as its sign and
+    then becomes phi_matrix in place, with the bits of phi(|x_i - x_j|); the
+    traced peak is phi_matrix, phi_x_matrix, the LU and the LU's finiteness
+    mask, about 3.13 N**2 doubles.  The factors are LAPACK getrf's, the routine
+    scipy's lu_factor wraps, so they are the same bits; a non-finite factor or a
+    pivot below PIVOT_FLOOR raises SingularMatrixError.  Every array of the
+    returned operator is read-only.
     """
     x = grid.nodes
-    d = x[:, None] - x[None, :]
-    phi_matrix = phi(np.abs(d))
-    phi_x_matrix = np.sign(d)
+    phi_matrix = np.subtract.outer(x, x)
+    phi_x_matrix = np.sign(phi_matrix)
+    # phi(|d|) in place: r + 1.0 is the same IEEE sum as phi's 1.0 + r
+    np.abs(phi_matrix, out=phi_matrix)
+    phi_matrix += 1.0
     # getrf's info > 0 (an exact zero pivot) is caught by the pivot floor
     lu, piv, _ = lapack.dgetrf(phi_matrix)
     _check_factors(lu, np.diag(lu), "interpolation matrix (degenerate node set)")
-    phi_matrix.setflags(write=False)
-    phi_x_matrix.setflags(write=False)
+    # the operator is frozen and so are its arrays: a write to lu or piv would
+    # change every later solve
+    for arr in (phi_matrix, phi_x_matrix, lu, piv):
+        arr.setflags(write=False)
     return InterpolationOperator(grid=grid, phi_matrix=phi_matrix, phi_x_matrix=phi_x_matrix,
                                  factorization=(lu, piv))
 

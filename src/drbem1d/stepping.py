@@ -54,7 +54,7 @@ import numpy as np
 
 from ._linalg import blas, lapack
 from .assembly import (LEVEL_BAND, PIVOT_FLOOR, DrbemOperators, Grid, assemble_drbem,
-                       band_lu_factor_checked, band_lu_solver)
+                       band_lu_factor_checked, band_lu_solver, same_nodes)
 from .exceptions import ConvergenceError, DomainError, SolverError
 from .problems import PdeProblem
 
@@ -217,8 +217,7 @@ def level_coefficients(problem: PdeProblem, t_n: float) -> tuple:
 
 def _check_operators(ops: DrbemOperators, grid: Grid):
     """Raise ValueError unless ops was built on the grid's nodes."""
-    # identity first: a caller passing the grid's own operators pays no O(N) check
-    if ops.grid is not grid and not np.array_equal(ops.grid.nodes, grid.nodes):
+    if not same_nodes(ops.grid, grid):
         raise ValueError("operator set was built on a different node set")
 
 

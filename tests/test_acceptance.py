@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from helpers import back_substitution_gap, frac, graded_grids, load_csv, tanh_graded_grid
 
 from drbem1d.assembly import Grid, assemble_drbem
-from drbem1d.cli import cmd_reproduce
+from drbem1d.cli import cmd_reproduce, cmd_solve, parse_config
 from drbem1d.presets import fig5_benchmark
 from drbem1d.problems import (
     make_fitzhugh_nagumo,
@@ -471,22 +471,20 @@ def test_fig5_peak_error_monotone_in_alpha(fig5_rows):
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-# the measured columns, within GOLDEN_RTOL relative; the two that pass through
-# zero also within an absolute floor.  Every other cell (labels, iters_max,
+# the measured columns, within GOLDEN_RTOL relative; the three that pass through
+# zero also within an absolute floor.  Every other cell (labels, x, iters_max,
 # status, the header and the notes) must be the same text.
 MEASURED = ("l_inf", "rms", "observed_order", "l_inf_peak", "l_inf_reference",
-            "rms_reference", "l_inf_rel_dev")
+            "rms_reference", "l_inf_rel_dev", "u_numeric", "u_exact", "abs_error")
 GOLDEN_RTOL = 1e-9
-GOLDEN_ATOL = {"l_inf_rel_dev": 1e-12, "observed_order": 1e-12}
+GOLDEN_ATOL = {"l_inf_rel_dev": 1e-12, "observed_order": 1e-12, "abs_error": 1e-12}
 
 
-@pytest.mark.parametrize("name", ["table1", "table2", "table3", "fig5"])
-def test_reproduce_outputs_match_the_golden_files(name, request, bench_dir, output_digest):
-    # tests/golden holds what `drbem1d reproduce <name> --out tests/golden` wrote;
-    # the <name>_rows fixture's sweep has written this run's CSV under bench_dir
-    request.getfixturevalue(f"{name}_rows")
-    rows, column = output_digest.cell_rows(bench_dir / f"{name}.csv")
-    golden, _ = output_digest.cell_rows(GOLDEN / f"{name}.csv")
+def assert_matches_golden(path, golden_path, output_digest):
+    """Every cell of the CSV at path against golden_path's, by the rules above."""
+    name = golden_path.relative_to(GOLDEN)
+    rows, column = output_digest.cell_rows(path)
+    golden, _ = output_digest.cell_rows(golden_path)
     assert len(rows) == len(golden), f"{name}: {len(rows)} lines against {len(golden)}"
     for i, (row, want) in enumerate(zip(rows, golden), start=1):
         assert len(row) == len(want), f"{name} line {i}: {row} against {want}"
@@ -499,6 +497,26 @@ def test_reproduce_outputs_match_the_golden_files(name, request, bench_dir, outp
                         or abs(a - b) <= GOLDEN_ATOL.get(col, 0.0)), where
             else:
                 assert got == expected, where
+
+
+@pytest.mark.parametrize("name", ["table1", "table2", "table3", "fig5"])
+def test_reproduce_outputs_match_the_golden_files(name, request, bench_dir, output_digest):
+    # tests/golden holds what `drbem1d reproduce <name> --out tests/golden` wrote;
+    # the <name>_rows fixture's sweep has written this run's CSV under bench_dir
+    request.getfixturevalue(f"{name}_rows")
+    assert_matches_golden(bench_dir / f"{name}.csv", GOLDEN / f"{name}.csv", output_digest)
+
+
+def test_fig1_first_snapshot_matches_the_golden_files(tmp_path, output_digest):
+    # configs/fig1.cfg's keys to t = 1, its first snapshot: 1,000 levels at
+    # N = 161.  tests/golden/fig1_t1 holds what `drbem1d solve` wrote for them.
+    config = Path(__file__).resolve().parents[1] / "configs" / "fig1.cfg"
+    kept = [line for line in config.read_text().splitlines()
+            if line.partition("=")[0].strip() not in ("t_end", "snapshots", "output_path")]
+    text = "\n".join(kept + ["t_end = 1.0", "snapshots = 1.0", f'output_path = "{tmp_path}"'])
+    assert cmd_solve(parse_config(text)) == 0
+    for name in ("profile_t1.000000.csv", "summary.csv"):
+        assert_matches_golden(tmp_path / name, GOLDEN / "fig1_t1" / name, output_digest)
 
 
 def test_criterion_9_spatial_order_without_time_error():

@@ -8,7 +8,13 @@ from scipy.linalg import lapack, lu_factor
 from drbem1d.assembly import Grid, _check_factors, band_lu_factor_checked
 from drbem1d.exceptions import SingularMatrixError
 from drbem1d.reference import assemble_interpolation, phi, psi
-from helpers import psi_x
+from helpers import psi_x, traced
+
+# kink_const_n321's grid, h = 1/16 on [-10, 10], and the same nodes with every
+# interior one moved by up to a tenth of the spacing
+KINK_NODES = Grid.with_spacing(-10.0, 10.0, 1.0 / 16.0).nodes
+JITTERED_NODES = KINK_NODES + np.r_[0.0, 0.1 / 16.0 * np.random.default_rng(321).uniform(
+    -1.0, 1.0, KINK_NODES.size - 2), 0.0]
 
 
 def test_phi_values():
@@ -119,6 +125,33 @@ def test_matrices_on_three_nodes():
         [[0.0, -1.0, -1.0], [1.0, 0.0, -1.0], [1.0, 1.0, 0.0]],
         rtol=0.0, atol=0.0,
     )
+    # on N = 321 nodes, the bits of the kernel written out with a node difference
+    for x in (KINK_NODES, JITTERED_NODES):
+        op = assemble_interpolation(Grid(x))
+        d = x[:, None] - x[None, :]
+        assert op.phi_matrix.tobytes() == phi(np.abs(d)).tobytes()
+        assert op.phi_x_matrix.tobytes() == np.sign(d).tobytes()
+
+
+def test_matrices_build_within_three_and_a_quarter_matrices():
+    # Phi, Phi_x and the LU are kept, and the factor check's finiteness mask
+    # is an eighth of a matrix; a second N x N temporary would read 4.13
+    grid = Grid.with_spacing(-10.0, 10.0, 1.0 / 16.0)
+    _, peak = traced(assemble_interpolation, grid)
+    assert peak <= 3.25 * grid.n**2 * 8
+
+
+def test_stored_arrays_are_read_only():
+    # a write to the factors would silently change every later solve
+    op = assemble_interpolation(Grid.uniform(-1.0, 1.0, 33))
+    rhs = np.random.default_rng(5).standard_normal((33, 3))
+    before = [op.solve(rhs, transposed=t).tobytes() for t in (False, True)]
+    lu, piv = op.factorization
+    for arr, index in ((op.phi_matrix, (0, 1)), (op.phi_x_matrix, (0, 1)), (lu, (0, 0)),
+                       (piv, 0)):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[index] = 2
+    assert [op.solve(rhs, transposed=t).tobytes() for t in (False, True)] == before
 
 
 def test_matrix_structure():
@@ -196,12 +229,15 @@ class TestLuFactorChecked:
     """The interpolation matrix's checked getrf factorization."""
 
     def test_factors_match_scipy_bit_for_bit(self):
-        nodes = np.sort(np.random.default_rng(7).uniform(-1.0, 1.0, 40))
-        op = assemble_interpolation(Grid(nodes))
-        lu, piv = op.factorization
-        lu_ref, piv_ref = lu_factor(op.phi_matrix)
-        np.testing.assert_array_equal(lu, lu_ref)
-        np.testing.assert_array_equal(piv, piv_ref)
+        random_nodes = np.sort(np.random.default_rng(7).uniform(-1.0, 1.0, 40))
+        for x in (random_nodes, KINK_NODES, JITTERED_NODES):
+            op = assemble_interpolation(Grid(x))
+            lu, piv = op.factorization
+            phi_matrix = phi(np.abs(x[:, None] - x[None, :]))
+            lu_ref, piv_ref = lu_factor(phi_matrix)
+            assert op.phi_matrix.tobytes() == phi_matrix.tobytes()
+            np.testing.assert_array_equal(lu, lu_ref)
+            np.testing.assert_array_equal(piv, piv_ref)
 
     @pytest.mark.parametrize("matrix", [
         np.zeros((4, 4)), np.full((4, 4), math.nan), np.diag([1.0, math.inf, 1.0]),
