@@ -24,15 +24,7 @@ from .problems import (
     make_newell_whitehead,
     residual_check,
 )
-from .reference import (
-    InterpolationOperator,
-    assemble_interpolation,
-    fundamental_solution,
-    fundamental_solution_dx,
-    harmonic_identity_check,
-    phi,
-    psi,
-)
+from .reference import assemble_interpolation
 from .stepping import (
     SolverState,
     StepConfig,
@@ -62,7 +54,6 @@ __all__ = [
     "DrbemOperators",
     "ErrorReport",
     "Grid",
-    "InterpolationOperator",
     "PdeProblem",
     "ReactionTerm",
     "SingularMatrixError",
@@ -77,17 +68,12 @@ __all__ = [
     "compute_errors",
     "corrector_solve",
     "fd_oracle",
-    "fundamental_solution",
-    "fundamental_solution_dx",
-    "harmonic_identity_check",
     "make_allen_cahn",
     "make_fisher",
     "make_fitzhugh_nagumo",
     "make_generalized_fisher",
     "make_generalized_fn",
     "make_newell_whitehead",
-    "phi",
-    "psi",
     "residual_check",
     "run",
     "sweep",

@@ -9,7 +9,6 @@ keeps the kernels and Phi, and nothing here imports it.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -128,13 +127,6 @@ def band_lu_factor_checked(band, kl, ku, what):
     return lu, piv
 
 
-@functools.lru_cache(maxsize=8)
-def _unswapped_pivots(m, dtype):
-    """The bytes of arange(m), gbtrf's 0-based piv when it swapped no rows: one
-    comparison of bytes costs a tenth of numpy's elementwise one."""
-    return np.arange(m, dtype=dtype).tobytes()
-
-
 def band_lu_solver(factored, piv, kl, ku):
     """The in-place solve(b) -> (b, 0) of the matrix whose gbtrf factors are (lu, piv).
 
@@ -149,7 +141,7 @@ def band_lu_solver(factored, piv, kl, ku):
     is dgbtrs.
     """
     ldab, m = factored.shape[0], factored.shape[1] - 1
-    if piv.tobytes() != _unswapped_pivots(m, piv.dtype):
+    if not np.array_equal(piv, np.arange(m)):
         lu = factored[:, :-1]
         # trans = 0, n = ldb = m, overwrite_b = 1: in place on b
         return lambda b, dgbtrs=lapack.dgbtrs: dgbtrs(lu, kl, ku, b, piv, 0, m, ldab, m, 1)

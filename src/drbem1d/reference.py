@@ -9,7 +9,8 @@ and perfbench's setup.  Its Phi and Phi_x come from one N x N buffer of node
 differences, so its build holds at most the three arrays it keeps (Phi, Phi_x
 and getrf's LU) plus the factor check's finiteness mask.  psi's derivative
 psi_x, which only the dense E needs, is kept with the tests' eager_e_matrix in
-tests/helpers.py.  The run path never imports this module.  dgetrf comes from
+tests/helpers.py.  The package imports this module to export
+assemble_interpolation, but no run-path function calls it.  dgetrf comes from
 `_linalg`, like the run path's routines; only `InterpolationOperator.solve`
 uses scipy.linalg's lu_solve, imported when it is called, so that importing
 the package never runs scipy.linalg's init.

@@ -375,3 +375,40 @@ def test_run_path_imports_no_reference(module):
             imported.add(base)
             imported.update(f"{base}.{alias.name}" for alias in node.names)
     assert not [name for name in imported if "reference" in name.split(".")], module
+
+
+def _names_from_drbem1d(source):
+    """Every name a `from drbem1d import ...` in the Python source imports."""
+    return {alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.level == 0
+            and node.module == "drbem1d" for alias in node.names}
+
+
+def test_public_names_cover_perfbench_and_the_readme():
+    # perfbench and README's "Library use" import these from the package itself;
+    # __all__ is what __init__ binds, no more and no less
+    root = Path(__file__).resolve().parents[1]
+    sources = {name: (root / "perfbench" / name).read_text()
+               for name in ("march.py", "workloads.py", "test_perfbench.py")}
+    readme = (root / "README.md").read_text().partition("## Library use")[2]
+    sources["README.md"] = readme.partition("```python")[2].partition("```")[0]
+    for name, source in sources.items():
+        used = _names_from_drbem1d(source)
+        assert used, name
+        assert used <= set(drbem1d.__all__), (name, used - set(drbem1d.__all__))
+
+    init = ast.parse(Path(drbem1d.__file__).read_text())
+    bound = set()
+    for node in init.body:
+        if isinstance(node, ast.ImportFrom):
+            bound.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Assign):
+            bound.update(target.id for target in node.targets)
+    assert sorted(drbem1d.__all__) == sorted(name for name in bound if not name.startswith("_"))
+
+
+def test_dense_kernels_are_imported_from_reference():
+    for name in ("InterpolationOperator", "fundamental_solution", "fundamental_solution_dx",
+                 "harmonic_identity_check", "phi", "psi"):
+        assert not hasattr(drbem1d, name), name
+        assert callable(getattr(drbem1d.reference, name)), name

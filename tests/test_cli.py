@@ -662,6 +662,28 @@ def test_cmd_check_passes(capsys):
                                                                 for name in CHECK_LINES]
 
 
+# every figure in check's details is printed as :.2e
+CHECK_NUMBER = re.compile(r"\d\.\d+e[+-]\d+")
+
+
+def test_check_matches_the_golden_output(capsys):
+    # tests/golden/check.txt holds what `drbem1d check` printed.  Verdicts, names
+    # and the text around the figures must be the same; a figure whose golden
+    # value is at least 1e-6 (the transcribed wave's residual, run = fd_oracle's
+    # four constants) must be within 1% of it, and the roundoff-level ones count
+    # only through their line's PASS
+    assert main(["check"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    golden = (Path(__file__).resolve().parent / "golden" / "check.txt").read_text().splitlines()
+    assert len(lines) == len(golden)
+    for got, want in zip(lines, golden):
+        where = f"{got!r} against golden {want!r}"
+        assert CHECK_NUMBER.sub("#", got) == CHECK_NUMBER.sub("#", want), where
+        for a, b in zip(map(float, CHECK_NUMBER.findall(got)),
+                        map(float, CHECK_NUMBER.findall(want))):
+            assert b < 1e-6 or abs(a - b) <= 0.01 * b, where
+
+
 def test_check_passes_without_importing_numpy_random():
     # the battery samples a fixed sequence: numpy.random's import costs about
     # 12 ms and 6 MB, more than the rest of the battery's run
