@@ -34,12 +34,16 @@ itself.
 A corrector pass is the reaction F_n(u_tilde), one dgbmv that adds the
 -(eta/mu) T F_n stencil to the level's fixed right-hand side (a second adds
 the drift term on a carried level whose s moved), and one in-place
-solve on the interior.  `fixed_point`, the corrector loop that
-verification.fd_oracle shares as it shares `march`, the level loop, takes the
-sup-norm gap between successive iterates in place; it doubles as the divergence
-guard, being non-finite exactly when an iterate is, so no right-hand side is
-scanned.  A non-finite lag that the reaction rejects before its gap is taken is
-reported the same way.
+solve on the interior.  `fixed_point` is that pass and the loop around it in
+one function: it takes the level's operands (the reaction, the band, the fixed
+right-hand side, the drift, the interior solve and the imposed values), not a
+closure built per level, so `run`, the one-level API (build_level_system and
+corrector_solve) and verification.fd_oracle, which hands it an identity band,
+share one pass and one stopping rule.  It takes the sup-norm gap between
+successive iterates in place; the gap doubles as the divergence guard, being
+non-finite exactly when an iterate is, so no right-hand side is scanned.  A
+non-finite lag that the reaction rejects before its gap is taken is reported
+the same way.
 """
 
 from __future__ import annotations
@@ -75,6 +79,7 @@ MAX_CORRECTOR_ITERS = 10_000
 # a refactor at every level, LSODE's 0.3 takes 6% more (380 against 304 at
 # tau = 1/100).
 DRIFT_BOUND = 1.0 / 32.0
+_FLOAT64 = np.dtype(float)
 
 
 @dataclass
@@ -103,7 +108,7 @@ class StepConfig:
                              "passes on each level")
 
 
-@dataclass
+@dataclass(slots=True)
 class SolverState:
     """Solution snapshot at one time level; q_* are the solved endpoint fluxes.
 
@@ -127,8 +132,11 @@ class LevelFactors(NamedTuple):
     ends holds -A's entries (1, 1), (1, 2), (1, 3), (N, N-2), (N, N-1) and
     (N, N) for the fluxes.  A's columns on the imposed values u_1 and u_N are
     nonzero only in its first three and last three rows (all of them below six
-    nodes); dirichlet_rows holds each such row as (row index, entry on u_1,
-    entry on u_N).  t_band is the operators' T, which the corrector's
+    nodes); dirichlet_rows holds their nonzero entries as three tuples: the rows
+    with an entry on u_1 alone as (row index, entry), those with one on u_N
+    alone likewise, and those with both as (row index, entry on u_1, entry on
+    u_N).  Without advection that is two rows at each end with one entry each.
+    t_band is the operators' T, which the corrector's
     -(eta/mu) T F_n stencil and drift term apply.  A level that carries the
     record over keeps all of it, ends and dirichlet_rows included: its drift
     term covers their change.
@@ -142,7 +150,7 @@ class LevelFactors(NamedTuple):
     t_band: np.ndarray
 
 
-@dataclass
+@dataclass(slots=True)
 class TimeLevelSystem:
     """Factored system of one time level.
 
@@ -155,7 +163,11 @@ class TimeLevelSystem:
     own.  u_prev is the level the system was built from and earlier the
     levels before it, newest first: at most three, fewer where the run has no
     such level, none without a previous system.  All are references, not copies,
-    and the corrector's first lag is extrapolated from them.
+    and the corrector's first lag is extrapolated from them.  tau and
+    linear_slope are the step and the reaction's linear slope the level's s was
+    taken with: a next level with the same ones, the same coefficients and the
+    same T has the same s, and takes this level's factorization and drift as
+    they are.  A system made without them (nan) passes nothing on that way.
     """
 
     factorization: LevelFactors
@@ -167,6 +179,8 @@ class TimeLevelSystem:
     g_right: float
     u_prev: np.ndarray
     earlier: tuple = ()
+    tau: float = math.nan
+    linear_slope: float = math.nan
 
 
 # the entries (i, j) that LevelFactors.ends holds, at their places in gbtrf layout
@@ -203,6 +217,16 @@ def band_factors(level_pieces, weights, what):
     lu, piv = band_lu_factor_checked(band[:, 1:-1], LEVEL_BAND, LEVEL_BAND, what)
     # the last column, whose entries are in ends, is the solver's spare one
     return (lu, piv), band_lu_solver(band[:, 1:], piv, LEVEL_BAND, LEVEL_BAND), ends
+
+
+def _dirichlet_rows(columns) -> tuple:
+    """LevelFactors.dirichlet_rows of the level matrix's (N, 2) columns on u_1 and
+    u_N: the nonzero entries of their first three and last three rows."""
+    n = columns.shape[0]
+    rows = [(i, *columns[i].tolist()) for i in (0, 1, 2, *range(max(3, n - 3), n))]
+    return (tuple((i, on_left) for i, on_left, on_right in rows if on_right == 0.0 != on_left),
+            tuple((i, on_right) for i, on_left, on_right in rows if on_left == 0.0 != on_right),
+            tuple(row for row in rows if row[1] != 0.0 and row[2] != 0.0))
 
 
 def level_coefficients(problem: PdeProblem, t_n: float) -> tuple:
@@ -242,10 +266,13 @@ def build_level_system(
     rebuilt, when it was factored on ops (its t_band is ops.t_band), with r =
     nu/mu equal to this level's, and with s either equal to its s_0 (constant
     coefficients) or, for s_0 > 0, within DRIFT_BOUND * s_0 of it; the system's
-    drift is then s_0 - s.  Any other level is factored afresh, with zero drift,
-    and first checks that ops was built on the grid's nodes, as run does (one
-    built on other nodes raises ValueError); a carried level's operators were
-    checked when its factors were made.
+    drift is then s_0 - s.  When prev_system was built with this level's tau,
+    reaction slope and coefficient triple on ops, its s is this level's, and its
+    factorization and drift are taken as they are, without the test.  Any other
+    level is factored afresh, with zero drift, and first checks that ops was
+    built on the grid's nodes, as run does (one built on other nodes raises
+    ValueError); a carried level's operators were checked when its factors were
+    made.
     prev_system's u_prev and the newer two of its earlier levels become this
     system's earlier levels, from which, with u_prev, corrector_solve
     extrapolates.
@@ -255,83 +282,59 @@ def build_level_system(
     nu_n, mu_n, eta_n = coeffs
 
     n = grid.n
-    u_prev = np.asarray(u_prev, dtype=float)
+    if type(u_prev) is not np.ndarray or u_prev.dtype is not _FLOAT64:
+        u_prev = np.asarray(u_prev, dtype=float)
     if u_prev.shape != (n,):
         raise ValueError(f"u_prev must have shape ({n},), got {u_prev.shape}")
 
     g_left, g_right = float(problem.bc_left(t_n)), float(problem.bc_right(t_n))
 
-    implicit_scale = 1.0 / (tau * mu_n) - eta_n * problem.reaction.linear_slope / mu_n
-    ratio = nu_n / mu_n
-    factorization = None if prev_system is None else prev_system.factorization
-    if factorization is not None:
-        s_0, r_0 = factorization.weights
-        # no s_0 <= 0 meets the bound, only an unchanged s
-        if not (factorization.t_band is ops.t_band and ratio == r_0
-                and (implicit_scale == s_0 or abs(implicit_scale - s_0) <= DRIFT_BOUND * s_0)):
-            factorization = None
-    if factorization is None:
-        _check_operators(ops, grid)
-        weights = np.array([1.0, -implicit_scale, -ratio])
-        # a non-finite coefficient times a zero entry is nan, which the factor
-        # check reports as a singular level; numpy's warning would be noise
-        with np.errstate(over="ignore", invalid="ignore"):
-            # a product over every row: dgemv rounds the tail of its output
-            # apart, so one over the six rows alone would move the (N, N) entry
-            columns = (weights @ ops.dirichlet_pieces.reshape(3, -1)).reshape(n, 2)
-            dirichlet_rows = tuple((i, columns.item(i, 0), columns.item(i, 1))
-                                   for i in (0, 1, 2, *range(max(3, n - 3), n)))
-            kernel = (
-                nu_n == 0.0 < implicit_scale and spd_factors(ops.level_pieces, implicit_scale)
-                or band_factors(ops.level_pieces, weights, f"level matrix at t = {t_n:g}"))
-        factorization = LevelFactors((implicit_scale, ratio), *kernel, dirichlet_rows,
-                                     ops.t_band)
-    drift = factorization.weights[0] - implicit_scale
+    slope = problem.reaction.linear_slope
+    prev = prev_system
+    if (prev is not None and prev.coeffs == coeffs and prev.tau == tau
+            and prev.linear_slope == slope and prev.factorization.t_band is ops.t_band):
+        factorization, drift = prev.factorization, prev.drift
+    else:
+        implicit_scale = 1.0 / (tau * mu_n) - eta_n * slope / mu_n
+        ratio = nu_n / mu_n
+        factorization = None if prev is None else prev.factorization
+        if factorization is not None:
+            s_0, r_0 = factorization.weights
+            # no s_0 <= 0 meets the bound, only an unchanged s
+            if not (factorization.t_band is ops.t_band and ratio == r_0
+                    and (implicit_scale == s_0
+                         or abs(implicit_scale - s_0) <= DRIFT_BOUND * s_0)):
+                factorization = None
+        if factorization is None:
+            _check_operators(ops, grid)
+            weights = np.array([1.0, -implicit_scale, -ratio])
+            # a non-finite coefficient times a zero entry is nan, which the factor
+            # check reports as a singular level; numpy's warning would be noise
+            with np.errstate(over="ignore", invalid="ignore"):
+                # a product over every row: dgemv rounds the tail of its output
+                # apart, so one over the six rows alone would move the (N, N) entry
+                columns = (weights @ ops.dirichlet_pieces.reshape(3, -1)).reshape(n, 2)
+                kernel = (
+                    nu_n == 0.0 < implicit_scale and spd_factors(ops.level_pieces, implicit_scale)
+                    or band_factors(ops.level_pieces, weights, f"level matrix at t = {t_n:g}"))
+            factorization = LevelFactors((implicit_scale, ratio), *kernel,
+                                         _dirichlet_rows(columns), ops.t_band)
+        drift = factorization.weights[0] - implicit_scale
 
     rhs_fixed = blas.dgbmv(n, n, 1, 1, -1.0 / (tau * mu_n), factorization.t_band, u_prev)
-    # six scalar updates cost less than a product
-    for i, on_left, on_right in factorization.dirichlet_rows:
+    # scalar updates on the nonzero entries cost less than a product; a zero
+    # entry's product would change only the sign of an exact zero, or make a row
+    # nan where a non-finite boundary value already makes another one so
+    left, right, both = factorization.dirichlet_rows
+    for i, on_left in left:
+        rhs_fixed[i] = rhs_fixed.item(i) - on_left * g_left
+    for i, on_right in right:
+        rhs_fixed[i] = rhs_fixed.item(i) - on_right * g_right
+    for i, on_left, on_right in both:
         rhs_fixed[i] = rhs_fixed.item(i) - (on_left * g_left + on_right * g_right)
-    earlier = () if prev_system is None else (prev_system.u_prev, *prev_system.earlier[:2])
+    earlier = () if prev is None else (prev.u_prev, *prev.earlier[:2])
     return TimeLevelSystem(factorization, coeffs, drift, rhs_fixed, t_n, g_left, g_right,
-                           u_prev, earlier)
-
-
-def _level_pass(sys: TimeLevelSystem, problem: PdeProblem):
-    """The corrector pass of one level, u_tilde -> (u, r_left, r_right).
-
-    A pass is the reaction, one dgbmv for the negated right-hand side
-    -(rhs_fixed - (eta/mu) T F_n(u_tilde)), a second that adds
-    sys.drift T u_tilde when the drift is not zero, and the factors' in-place
-    solve on its entries 2..N-1.  eta/mu is the level's own, not the factored
-    level's.  The end entries r are kept for the flux recovery and the imposed
-    boundary values replace them.  Everything a pass reads is bound here once
-    per level.
-    """
-    n = sys.rhs_fixed.size
-    _, mu_n, eta_n = sys.coeffs
-    alpha = eta_n / mu_n
-    drift = sys.drift
-    t_band, solve_interior = sys.factorization.t_band, sys.factorization.solve
-    rhs_fixed = sys.rhs_fixed
-    g_left, g_right = sys.g_left, sys.g_right
-    nonlinear = problem.reaction.nonlinear
-    dgbmv = blas.dgbmv
-
-    # positional arguments: f2py parses keywords at a cost comparable to the work
-    def solve(u_tilde):
-        # incx = 1, offx = 0, beta = -1, y = rhs_fixed (copied, not overwritten)
-        u = dgbmv(n, n, 1, 1, alpha, t_band, nonlinear(u_tilde), 1, 0, -1.0, rhs_fixed)
-        if drift:
-            # beta = 1, y = u, incy = 1, offy = 0, trans = 0, overwrite_y = 1
-            dgbmv(n, n, 1, 1, drift, t_band, u_tilde, 1, 0, 1.0, u, 1, 0, 0, 1)
-        solve_interior(u[1:-1])
-        r_left, r_right = u.item(0), u.item(-1)
-        u[0] = g_left
-        u[-1] = g_right
-        return u, r_left, r_right
-
-    return solve
+                           u_prev, earlier, tau, slope)
 
 
 def _diverged(t_n, who) -> ConvergenceError:
@@ -340,20 +343,6 @@ def _diverged(t_n, who) -> ConvergenceError:
         "right-hand side (tau too large, reaction too stiff, or bad initial data)",
         time=t_n,
     )
-
-
-def _sup_gap(u_new, u_last, t_n, who) -> float:
-    """max |u_new - u_last|, raising the divergence error when it is not finite.
-
-    The gap is non-finite exactly when either iterate has a non-finite entry, and
-    a non-finite right-hand side always solves to a non-finite iterate, so this
-    one scalar stands in for a scan of every right-hand side.
-    """
-    d = u_new - u_last
-    gap = float(np.abs(d, out=d).max())
-    if not gap < math.inf:
-        raise _diverged(t_n, who)
-    return gap
 
 
 def _domain_error(exc: DomainError, t_n, u_tilde, made_by, who) -> DomainError:
@@ -369,15 +358,21 @@ def _domain_error(exc: DomainError, t_n, u_tilde, made_by, who) -> DomainError:
     return DomainError(text)
 
 
-def fixed_point(solve, lag, cfg: StepConfig, t_n, who):
+def fixed_point(nonlinear, alpha, band, rhs_fixed, drift, solve_interior, g_left, g_right,
+                lag, cfg: StepConfig, t_n, who):
     """Fixed-point iteration on the lagged nonlinear term at the level t_n.
 
-    solve maps the lag to a tuple whose first entry is the next iterate.  The
-    seed lag is iterate 0, and the loop stops at the first solve within epsilon
-    of the iterate it was lagged on: a seed already within epsilon of its first
-    solve takes one solve, and with a vanishing nonlinear part the second solve
-    reproduces the first bit for bit and the loop exits at zero difference.
-    Returns the last tuple and the number of solves.
+    A pass maps the lag u_tilde to the next iterate: the reaction
+    nonlinear(u_tilde), one dgbmv for alpha band F - rhs_fixed, the negated
+    right-hand side, with band the (1, 1) band of an N x N matrix in gbmv layout,
+    a second that adds drift band u_tilde when the drift is not zero, and
+    solve_interior on its entries 2..N-1 in place.  The end entries r_left and
+    r_right are kept and the imposed values g_left and g_right replace them.
+    The seed lag is iterate 0, and the loop stops at the first solve within
+    epsilon of the iterate it was lagged on: a seed already within epsilon of its
+    first solve takes one solve, and with a vanishing nonlinear part the second
+    solve reproduces the first bit for bit and the loop exits at zero difference.
+    Returns (u, r_left, r_right) of the last pass and the number of solves.
 
     A non-finite iterate raises ConvergenceError ("<who> diverged") at its gap,
     the first iterate's included; a non-finite seed does when the reaction
@@ -387,28 +382,43 @@ def fixed_point(solve, lag, cfg: StepConfig, t_n, who):
     overflow warnings on the way are noise, silenced by march's np.errstate
     around every level loop; a direct caller holds its own.
     """
+    n = rhs_fixed.size
     epsilon = cfg.epsilon
+    dgbmv, subtract, absolute, largest = blas.dgbmv, np.subtract, np.absolute, np.maximum.reduce
     u_last = lag  # the lag of the pass under way
     try:
         for iters in range(1, cfg.max_corrector_iters + 1):
-            out = solve(u_last)
-            diff = _sup_gap(out[0], u_last, t_n, who)
+            # positional arguments: f2py parses keywords at a cost comparable to
+            # the work.  incx = 1, offx = 0, beta = -1, y = rhs_fixed (copied)
+            u = dgbmv(n, n, 1, 1, alpha, band, nonlinear(u_last), 1, 0, -1.0, rhs_fixed)
+            if drift:
+                # beta = 1, y = u, incy = 1, offy = 0, trans = 0, overwrite_y = 1
+                dgbmv(n, n, 1, 1, drift, band, u_last, 1, 0, 1.0, u, 1, 0, 0, 1)
+            solve_interior(u[1:-1])
+            r_left, r_right = u.item(0), u.item(-1)
+            u[0] = g_left
+            u[-1] = g_right
+            # non-finite exactly when an iterate is: the divergence guard
+            gap = subtract(u, u_last)
+            diff = largest(absolute(gap, gap))
+            if not diff < math.inf:
+                raise _diverged(t_n, who)
             if diff <= epsilon:
-                return out, iters
-            u_last = out[0]
+                return (u, r_left, r_right), iters
+            u_last = u
     except DomainError as exc:
         # every iterate is gap-checked before it is a lag, so only a non-finite
         # seed (-inf, nan) reaches the reaction unchecked
         if not np.isfinite(u_last).all():
             raise _diverged(t_n, who) from exc
-        # every solve returns a new array, so only the seed is the lag itself
+        # every pass makes a new array, so only the seed is the lag itself
         made_by = 0 if u_last is lag else iters - 1
         raise _domain_error(exc, t_n, u_last, made_by, who) from exc
     raise ConvergenceError(
         f"{who} stalled at t = {t_n:g}: difference {diff:.3e} after "
         f"{cfg.max_corrector_iters} iterations (tau too large or reaction too stiff)",
         time=t_n,
-        last_diff=diff,
+        last_diff=float(diff),
     )
 
 
@@ -419,22 +429,24 @@ def extrapolated_lag(u_prev, *earlier) -> np.ndarray:
     2 u_prev - u_1 through two, and u_prev itself without an earlier level.
     It may be negative where u_prev is not; guarded_lag keeps such nodes at
     u_prev, and corrector_solve applies it only when the reaction rejects a lag."""
+    # ufuncs called with a positional out: the operators' Python layer costs
+    # about as much as the work on a few hundred nodes
     if len(earlier) == 3:
         u_1, u_2, u_3 = earlier
         # 4 (u_prev - 1.5 u_1 + u_2) - u_3 in place: one array allocated
-        lag = -1.5 * u_1
-        lag += u_prev
-        lag += u_2
-        lag *= 4.0
-        lag -= u_3
+        lag = np.multiply(u_1, -1.5)
+        np.add(lag, u_prev, lag)
+        np.add(lag, u_2, lag)
+        np.multiply(lag, 4.0, lag)
+        np.subtract(lag, u_3, lag)
     elif len(earlier) == 2:
         u_1, u_2 = earlier
-        lag = u_prev - u_1
-        lag *= 3.0
-        lag += u_2
+        lag = np.subtract(u_prev, u_1)
+        np.multiply(lag, 3.0, lag)
+        np.add(lag, u_2, lag)
     elif earlier:
-        lag = 2.0 * u_prev
-        lag -= earlier[0]
+        lag = np.multiply(u_prev, 2.0)
+        np.subtract(lag, earlier[0], lag)
     else:
         return u_prev
     return lag
@@ -465,21 +477,33 @@ def corrector_solve(sys: TimeLevelSystem, problem: PdeProblem, cfg: StepConfig, 
     # identity first: the run loop passes sys.u_prev itself and pays no O(N) check
     if u_prev is not sys.u_prev and not np.array_equal(u_prev, sys.u_prev):
         raise ValueError("u_prev is not the level the system was built from")
-    solve, seed = _level_pass(sys, problem), extrapolated_lag(sys.u_prev, *sys.earlier)
+    factorization = sys.factorization
+    # the level's own eta/mu, not the factored level's; the problem's reaction,
+    # called once a pass.  Positional operands: a starred call costs 0.3 us
+    _, mu_n, eta_n = sys.coeffs
+    nonlinear, alpha, t_band, solve = (problem.reaction.nonlinear, eta_n / mu_n,
+                                       factorization.t_band, factorization.solve)
+    rhs_fixed, drift, g_left, g_right, t_n = (sys.rhs_fixed, sys.drift, sys.g_left,
+                                              sys.g_right, sys.t_n)
+    seed = extrapolated_lag(sys.u_prev, *sys.earlier)
     try:
-        (u, r_left, r_right), iters = fixed_point(solve, seed, cfg, sys.t_n, "corrector")
+        (u, r_left, r_right), iters = fixed_point(nonlinear, alpha, t_band, rhs_fixed, drift,
+                                                  solve, g_left, g_right, seed, cfg, t_n,
+                                                  "corrector")
     except DomainError:
         # the rare path: a reaction undefined below zero, such as u^3.5, met a
         # negative lag, so the seed keeps u_n wherever u_n >= 0
         seed = guarded_lag(seed, sys.u_prev)
         if seed is None:
             raise
-        (u, r_left, r_right), iters = fixed_point(solve, seed, cfg, sys.t_n, "corrector")
+        (u, r_left, r_right), iters = fixed_point(nonlinear, alpha, t_band, rhs_fixed, drift,
+                                                  solve, g_left, g_right, seed, cfg, t_n,
+                                                  "corrector")
     # the end rows of -A, whose right-hand side r is the pass's negated one
-    b_11, b_12, b_13, b_nl, b_nm, b_nn = sys.factorization.ends
+    b_11, b_12, b_13, b_nl, b_nm, b_nn = factorization.ends
     q_left = (r_left - b_12 * u.item(1) - b_13 * u.item(2)) / b_11
     q_right = (r_right - b_nm * u.item(-2) - b_nl * u.item(-3)) / b_nn
-    return SolverState(u=u, q_left=q_left, q_right=q_right, t=sys.t_n), iters
+    return SolverState(u, q_left, q_right, t_n), iters
 
 
 @dataclass

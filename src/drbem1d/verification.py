@@ -4,7 +4,10 @@ The oracle shares stepping.march, stepping.fixed_point,
 assembly.band_lu_factor_checked and assembly.band_lu_solver (two dtbsv sweeps,
 or dgbtrs after a row swap) with the stepper, so it stops, diverges, stalls,
 meets a DomainError and reports a singular level exactly as `run` does, under
-its own labels ("oracle corrector", "oracle level matrix").
+its own labels ("oracle corrector", "oracle level matrix").  Its passes are
+`run`'s pass on other operands: an identity band in place of T, so that the
+pass's dgbmv rounds u_n / tau + eta F_n once, and the oracle's base, negated,
+as the fixed right-hand side.
 """
 
 from __future__ import annotations
@@ -46,9 +49,10 @@ def compute_errors(numeric, exact_at_nodes, time=math.nan) -> ErrorReport:
         raise ValueError("need at least 3 nodes")
     e = exact[1:-1] - numeric[1:-1]
     np.abs(e, out=e)
-    # np.mean is this sum over the count, so the norms keep np.mean's bits
+    # np.mean is this sum over the count, so the norms keep np.mean's bits;
+    # e.max() is np.maximum.reduce behind a Python wrapper
     return ErrorReport(
-        l_inf=float(e.max()),
+        l_inf=float(np.maximum.reduce(e)),
         rms=math.sqrt(np.add.reduce(e * e) / e.size),
         n_interior=e.size,
         time=float(time),
@@ -61,14 +65,16 @@ def fd_oracle(problem: PdeProblem, grid: Grid, cfg: StepConfig, t_end,
 
     On the grid's own spacings, u_xx is 2 [(u_{i+1} - u_i)/h_i - (u_i - u_{i-1})/h_{i-1}]
     / (h_{i-1} + h_i) and u_x the weighted central difference.  No DRBEM operator is
-    shared: only the nonlinear policy (stepping.fixed_point), the level loop
+    shared: only the corrector pass and loop (stepping.fixed_point), the level loop
     (stepping.march, so time levels, horizon, initial values, snapshots and
     Trajectory are `run`'s) and the band kernel, the checked factorization and
     band_lu_solver's solve (two dtbsv sweeps, dgbtrs after a row swap), whose
     factors are carried over only while the coefficient triple stays the same:
     unlike build_level_system it refactors at any change and lags no drift, so
     it checks that lag too.  So discrepancies between the two solvers isolate the
-    spatial discretization.  The oracle solves for no flux: every state's fluxes are nan.
+    spatial discretization.  The reaction sees all N entries of a lag, the imposed
+    end values included, as in `run`.  The oracle solves for no flux: every
+    state's fluxes are nan.
     """
     tau, n = cfg.tau, grid.n
     h = np.diff(grid.nodes)
@@ -81,6 +87,10 @@ def fd_oracle(problem: PdeProblem, grid: Grid, cfg: StepConfig, t_end,
     d1[1, 2:], d1[2, 1:-1], d1[3, :-2] = h_l / right, (h_r - h_l) / mid, -h_r / left
     lam, nonlinear = problem.reaction.linear_slope, problem.reaction.nonlinear
     factors = (None,)  # (coeffs, solve, lower, upper) of the last factored level
+    # the pass's band: dgbmv adds eta F_n(u_tilde) to minus rhs_fixed with one
+    # rounding, as base + eta F_n does, the zeros beside it changing nothing
+    identity = np.zeros((3, n), order="F")
+    identity[1] = 1.0
 
     def level(t_n, u):
         nonlocal factors
@@ -97,19 +107,15 @@ def fd_oracle(problem: PdeProblem, grid: Grid, cfg: StepConfig, t_end,
         _, solve, lower, upper = factors
 
         g_left, g_right = float(problem.bc_left(t_n)), float(problem.bc_right(t_n))
-        base = u[1:-1] / tau
-        base[0] -= lower * g_left
-        base[-1] -= upper * g_right
-
-        def oracle_pass(u_tilde):
-            u_new = np.empty(n)
-            u_new[0], u_new[-1] = g_left, g_right
-            w = np.multiply(nonlinear(u_tilde[1:-1]), eta_n, out=u_new[1:-1])
-            w += base
-            solve(w)
-            return (u_new,)
-
-        (u,), iters = fixed_point(oracle_pass, u, cfg, t_n, "oracle corrector")
+        # minus the base u_n / tau - (lower g_left, 0, ..., 0, upper g_right) on
+        # the interior, with zero ends: rounding is symmetric, so each entry is
+        # the base's entry negated, bit for bit
+        rhs_fixed = np.zeros(n)
+        minus_base = np.divide(u[1:-1], -tau, out=rhs_fixed[1:-1])
+        minus_base[0] += lower * g_left
+        minus_base[-1] += upper * g_right
+        (u, _, _), iters = fixed_point(nonlinear, eta_n, identity, rhs_fixed, 0.0, solve,
+                                       g_left, g_right, u, cfg, t_n, "oracle corrector")
         return SolverState(u=u, q_left=math.nan, q_right=math.nan, t=t_n), iters
 
     return march(problem, grid, cfg, t_end, snapshots, level)

@@ -1,8 +1,10 @@
 """Shared helpers for the test suite."""
 
 import dataclasses
+import math
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import strategies as st
@@ -12,8 +14,8 @@ from drbem1d.assembly import LEVEL_BAND, Grid, band_lu_factor_checked
 from drbem1d.problems import make_generalized_fisher
 from drbem1d.reference import (assemble_interpolation, endpoint_matrices, fundamental_solution,
                                fundamental_solution_dx, psi)
-from drbem1d.stepping import (LevelFactors, TimeLevelSystem, _level_pass, _sup_gap,
-                              initial_values, level_coefficients)
+from drbem1d.stepping import (LevelFactors, TimeLevelSystem, fixed_point, initial_values,
+                              level_coefficients)
 
 
 def load_csv(path):
@@ -78,12 +80,18 @@ def back_substitution_gap(sys, problem, state):
 
     Measures how far the returned solution sits from the fixed point of the full
     nonlinear discrete system; a converged level should stay within a small
-    multiple of the corrector tolerance.  A non-finite pass raises as the
-    corrector does.
+    multiple of the corrector tolerance.  The pass is fixed_point's on the
+    level's operands, stopped after it by an infinite tolerance, so a non-finite
+    pass raises as the corrector does.
     """
+    _, mu, eta = sys.coeffs
+    one_pass = SimpleNamespace(epsilon=math.inf, max_corrector_iters=1)
     with np.errstate(over="ignore", invalid="ignore"):
-        u_again, _, _ = _level_pass(sys, problem)(state.u)
-        return _sup_gap(u_again, state.u, sys.t_n, "corrector")
+        (u_again, _, _), _ = fixed_point(
+            problem.reaction.nonlinear, eta / mu, sys.factorization.t_band, sys.rhs_fixed,
+            sys.drift, sys.factorization.solve, sys.g_left, sys.g_right, state.u, one_pass,
+            sys.t_n, "corrector")
+    return float(np.max(np.abs(u_again - state.u)))
 
 
 def eager_e_matrix(grid, interp):
@@ -158,9 +166,9 @@ def band_level_system(problem, ops, cfg, t_n, u_prev):
     """The level's system on the (2, 2) band with the fluxes among its unknowns,
     whatever its advection: gbtrf factors of level_band's A, and rhs_fixed with the
     full Dirichlet product, as the stepper built every level before it eliminated
-    the fluxes.  Its LevelFactors holds the gbtrf factors and no solve or ends, and
-    its dirichlet_rows the full Dirichlet columns' first and last three rows as
-    (row index, entry on u_1, entry on u_N).  A test reference only.
+    the fluxes.  Its LevelFactors holds the gbtrf factors and no solve, ends or
+    dirichlet_rows: the product takes level_band's Dirichlet columns whole.  A
+    test reference only.
     """
     n = u_prev.size
     coeffs = level_coefficients(problem, t_n)
@@ -170,12 +178,24 @@ def band_level_system(problem, ops, cfg, t_n, u_prev):
     g_left, g_right = float(problem.bc_left(t_n)), float(problem.bc_right(t_n))
     rhs_fixed = (blas.dgbmv(n, n, 1, 1, -1.0 / (cfg.tau * coeffs[1]), ops.t_band, u_prev)
                  - dirichlet_columns @ np.array([g_left, g_right]))
-    end_rows = tuple((i, *dirichlet_columns[i].tolist())
-                     for i in sorted({0, 1, 2, n - 3, n - 2, n - 1}))
     nu, mu, eta = coeffs
     weights = (1.0 / (cfg.tau * mu) - eta * problem.reaction.linear_slope / mu, nu / mu)
-    factorization = LevelFactors(weights, factors, None, None, end_rows, ops.t_band)
+    factorization = LevelFactors(weights, factors, None, None, None, ops.t_band)
     return TimeLevelSystem(factorization, coeffs, 0.0, rhs_fixed, t_n, g_left, g_right, u_prev)
+
+
+def dirichlet_columns(factorization, n):
+    """The level matrix's (n, 2) columns on u_1 and u_N, rebuilt from
+    factorization.dirichlet_rows, zero wherever it holds no entry."""
+    columns = np.zeros((n, 2))
+    left, right, both = factorization.dirichlet_rows
+    for i, on_left in left:
+        columns[i, 0] = on_left
+    for i, on_right in right:
+        columns[i, 1] = on_right
+    for i, on_left, on_right in both:
+        columns[i] = on_left, on_right
+    return columns
 
 
 def interior_band_factors(problem, ops, cfg, t_n):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 from drbem1d import presets, stepping, verification
 from drbem1d.assembly import (LEVEL_BAND, Grid, assemble_drbem, band_lu_factor_checked,
@@ -28,8 +28,8 @@ from drbem1d.stepping import (
 )
 from drbem1d.verification import compute_errors
 from helpers import (back_substitution_gap, band_level_system, bumped_generalized_fisher,
-                     dense_level_solve, graded_grids, interior_band_factors,
-                     reference_corrector, reference_interior_corrector, traced)
+                     dense_level_solve, dirichlet_columns, graded_grids, interior_band_factors,
+                     level_band, reference_corrector, reference_interior_corrector, traced)
 
 
 def zero_reaction():
@@ -288,11 +288,12 @@ def test_hand_assembled_three_node_system():
                                -band_expected[[0, 0, 0, 2, 2, 2], [0, 1, 2, 0, 1, 2]], atol=1e-13)
     np.testing.assert_allclose(band_factored_matrix(band.factorization.factors), band_expected,
                                atol=1e-13)
-    for level in (system, band):  # on three nodes the end rows are every row
-        rows = level.factorization.dirichlet_rows
-        assert [row[0] for row in rows] == [0, 1, 2]
-        np.testing.assert_allclose([row[1:] for row in rows], dirichlet_expected,
-                                   atol=1e-13)
+    # on three nodes the end rows are every row: the stepper's nonzero entries
+    # and the band reference's whole columns
+    for columns in (dirichlet_columns(system.factorization, 3),
+                    level_band(problem, ops, cfg, tau)[1]):
+        np.testing.assert_allclose(columns, dirichlet_expected, atol=1e-13)
+    for level in (system, band):
         np.testing.assert_allclose(level.rhs_fixed, rhs_fixed_spline, atol=1e-13)
 
     # replicate the corrector with plain dense solves and compare the fixed point
@@ -364,13 +365,22 @@ def assert_built_afresh(system, fresh):
 
 def test_a_previous_system_of_another_tau_or_grid_is_not_carried_over():
     # same coefficient triple, other matrix: s = 1/tau - 1 halves with the
-    # doubled tau, and a jittered grid of the same size has another T
+    # doubled tau, a jittered grid of the same size has another T, and a linear
+    # slope of 10 moves s = 1/tau - lambda from 99 to 90, past DRIFT_BOUND
     problem = make_fisher()
     grid = Grid.uniform(problem.a, problem.b, 17)
     ops = assemble_drbem(grid)
     u = initial_values(problem, grid.nodes)
     cfg = StepConfig(tau=0.01)
     previous = build_level_system(problem, grid, ops, cfg, 0.02, u)
+    # with all of them the same, the level takes the previous one's factors and drift
+    again = build_level_system(problem, grid, ops, cfg, 0.03, u, prev_system=previous)
+    assert again.factorization is previous.factorization and again.drift == 0.0
+
+    steeper = dataclasses.replace(
+        problem, reaction=dataclasses.replace(problem.reaction, linear_slope=10.0))
+    system = build_level_system(steeper, grid, ops, cfg, 0.02, u, prev_system=previous)
+    assert_built_afresh(system, build_level_system(steeper, grid, ops, cfg, 0.02, u))
 
     doubled = StepConfig(tau=0.02)
     system = build_level_system(problem, grid, ops, doubled, 0.02, u, prev_system=previous)
@@ -743,24 +753,51 @@ def test_a_seed_negative_where_u_n_is_gives_the_guarded_seeds_message():
         f"u[10] = {u[10]:.6g}")
 
 
-@pytest.mark.parametrize("name", ["fisher", "generalized_fn"])
+REFACTORING = "generalized_fn with nu scaled by 1 + t"
+GUARDED = "decaying bump under u^3.5"
+
+
+@pytest.mark.parametrize("name", [*sorted(REGISTRY), REFACTORING, GUARDED])
 def test_run_is_its_level_loop(name):
     # run's states and pass counts are those of the public level loop, bit for
     # bit: build_level_system with the previous system, then corrector_solve
-    # from the previous level; the first carries the factors over whole, the
-    # second lags the drift of its s from the factored one
-    problem = registry_problem(name)
-    grid = jittered(Grid.uniform(problem.a, problem.b, 33), seed=7)
+    # from the previous level.  Constant coefficients carry the factors over
+    # whole, generalized_fn lags the drift of its s from the factored one, its
+    # advection scaled by 1 + t refactors at every level, and the decaying
+    # bump's seed meets u^3.5 below zero, so its levels run again from the
+    # guarded seed
+    cfg, levels, rejected = StepConfig(tau=0.01), 12, []
+    if name == REFACTORING:
+        gfn = registry_problem("generalized_fn")
+        problem = dataclasses.replace(gfn, coeffs=dataclasses.replace(
+            gfn.coeffs, nu=lambda t, nu=gfn.coeffs.nu: (1.0 + t) * nu(t)))
+    elif name == GUARDED:
+        problem = bumped_generalized_fisher(2.5, height=3.0)
+
+        def counted(u, nonlinear=problem.reaction.nonlinear):
+            try:
+                return nonlinear(u)
+            except DomainError:
+                rejected.append(u)
+                raise
+
+        problem = dataclasses.replace(
+            problem, reaction=dataclasses.replace(problem.reaction, nonlinear=counted))
+    else:
+        problem = registry_problem(name)
+    n = 65 if name == GUARDED else 33
+    grid = jittered(Grid.uniform(problem.a, problem.b, n), seed=7)
     ops = assemble_drbem(grid)
-    cfg = StepConfig(tau=0.01)
-    levels = 12
     traj = run(problem, grid, cfg, levels * cfg.tau,
                snapshots=[k * cfg.tau for k in range(levels + 1)], ops=ops)
+    assert (len(rejected) > 0) == (name == GUARDED)
     u = initial_values(problem, grid.nodes)
     assert traj.states[0].u.tobytes() == u.tobytes()
-    system, passes = None, []
+    system, passes, factored = None, [], 0
     for k in range(1, levels + 1):
-        system = build_level_system(problem, grid, ops, cfg, k * cfg.tau, u, prev_system=system)
+        prev = system
+        system = build_level_system(problem, grid, ops, cfg, k * cfg.tau, u, prev_system=prev)
+        factored += prev is None or system.factorization is not prev.factorization
         state, iters = corrector_solve(system, problem, cfg, u)
         passes.append(iters)
         got = traj.states[k]
@@ -768,6 +805,35 @@ def test_run_is_its_level_loop(name):
         assert (got.q_left, got.q_right, got.t) == (state.q_left, state.q_right, state.t)
         u = state.u
     assert traj.level_iterations == passes
+    assert (factored == levels) == (name == REFACTORING)
+
+
+@pytest.mark.parametrize("n", [5, 7, 9, 33])
+@pytest.mark.parametrize("name", ["fisher", "generalized_fn"])
+def test_dirichlet_update_on_nonzero_entries_keeps_the_two_product_rows(name, n):
+    # rhs_fixed takes only the nonzero entries of the level matrix's columns on
+    # u_1 and u_N, byte for byte what each of the first three and last three
+    # rows gave with both products (below seven nodes those rows overlap):
+    # without advection (fisher) two rows at each end with one entry each
+    problem = registry_problem(name)
+    grid = jittered(Grid.uniform(problem.a, problem.b, n), seed=n)
+    ops = assemble_drbem(grid)
+    cfg = StepConfig(tau=0.01)
+    u = initial_values(problem, grid.nodes)
+    system = build_level_system(problem, grid, ops, cfg, cfg.tau, u)
+    left, right, both = system.factorization.dirichlet_rows
+    if name == "fisher":
+        assert [i for i, _ in left] == [0, 1] and [i for i, _ in right] == [n - 2, n - 1]
+        assert both == ()
+    else:
+        assert len(both) >= 2
+    _, columns = level_band(problem, ops, cfg, cfg.tau)
+    g_left, g_right = system.g_left, system.g_right
+    assert g_left != 0.0 and g_right != 0.0
+    want = blas.dgbmv(n, n, 1, 1, -1.0 / (cfg.tau * system.coeffs[1]), ops.t_band, u)
+    for i in sorted({0, 1, 2, n - 3, n - 2, n - 1}):
+        want[i] = want.item(i) - (columns.item(i, 0) * g_left + columns.item(i, 1) * g_right)
+    assert system.rhs_fixed.tobytes() == want.tobytes()
 
 
 @st.composite
@@ -1069,7 +1135,8 @@ def test_level_without_a_positive_implicit_scale_takes_the_band(slope):
     band = band_level_system(problem, ops, cfg, cfg.tau, u)
     assert_same_factors(system, problem, ops, cfg, cfg.tau)
     assert system.rhs_fixed.tobytes() == band.rhs_fixed.tobytes()
-    assert system.factorization.dirichlet_rows == band.factorization.dirichlet_rows
+    assert np.array_equal(dirichlet_columns(system.factorization, grid.n),
+                          level_band(problem, ops, cfg, cfg.tau)[1])
     # bit for bit the interior band's plain loop, and the full band's fixed point
     state, passes = corrector_solve(system, problem, cfg, u)
     u_plain, *rest = reference_interior_corrector(system, problem, cfg, u)
@@ -1200,6 +1267,55 @@ def test_corrector_cap_raises_with_context():
         corrector_solve(system, problem, cfg, grid.nodes)
     assert excinfo.value.time == pytest.approx(0.1)
     assert excinfo.value.last_diff == pytest.approx(6.929e-4, rel=1e-3)
+
+
+def counted_reaction(reaction, calls):
+    """reaction whose remainder appends to calls each time it is called."""
+    def nonlinear(u):
+        calls.append(1)
+        return reaction.nonlinear(u)
+    return dataclasses.replace(reaction, nonlinear=nonlinear)
+
+
+def rejecting_reaction(calls):
+    """A reaction term whose remainder rejects every lag with DomainError."""
+    def nonlinear(u):
+        calls.append(1)
+        raise DomainError("rejected lag")
+    return ReactionTerm(0.0, nonlinear, nonlinear)
+
+
+@pytest.mark.parametrize("solver", ["corrector_solve", "fd_oracle"])
+@pytest.mark.parametrize("cap", [2, 3])
+def test_a_failing_level_calls_the_reaction_once_a_pass(solver, cap):
+    # the loop's own failures are reported from what it already holds: a
+    # stalled level has called the reaction once for each of its passes, and a
+    # rejected seed, finite or not, once; no pass is run again for a message
+    grid = Grid.uniform(0.0, 1.0, 5)
+    cfg = StepConfig(tau=0.1, max_corrector_iters=cap, epsilon=1e-14)
+
+    def level(problem):
+        if solver == "fd_oracle":
+            return verification.fd_oracle(problem, grid, cfg, 0.1)
+        u = initial_values(problem, grid.nodes)
+        system = build_level_system(problem, grid, assemble_drbem(grid), cfg, 0.1, u)
+        with np.errstate(invalid="ignore"):
+            return corrector_solve(system, problem, cfg, u)
+
+    calls = []
+    with pytest.raises(ConvergenceError, match=f"stalled at t = 0.1: .* after {cap} iterations"):
+        level(reacting_heat_problem(counted_reaction(fisher_reaction(), calls)))
+    assert len(calls) == cap
+    # the seed is u_n = x, finite, and then nan at the middle node
+    for seed, error, text in ((lambda x: x, DomainError, "rejected lag at t = 0.1"),
+                              (lambda x: np.where(abs(x - 0.5) < 0.1, np.nan, x),
+                               ConvergenceError, "diverged at t = 0.1")):
+        calls = []
+        problem = dataclasses.replace(reacting_heat_problem(rejecting_reaction(calls)),
+                                      initial=seed)
+        with pytest.raises(error, match=text):
+            level(problem)
+        assert len(calls) == 1
 
 
 def test_back_substitution_gap_small_after_convergence():

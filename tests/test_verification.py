@@ -18,8 +18,8 @@ from drbem1d.problems import (
     make_generalized_fisher,
     make_generalized_fn,
 )
-from drbem1d.assembly import Grid
-from drbem1d.stepping import StepConfig, run
+from drbem1d.assembly import Grid, band_lu_factor_checked, band_lu_solver
+from drbem1d.stepping import StepConfig, level_coefficients, run
 from drbem1d.verification import (
     compute_errors,
     fd_oracle,
@@ -70,6 +70,42 @@ def test_rms_never_exceeds_l_inf():
         e = rng.standard_normal(rng.integers(3, 40))
         report = compute_errors(e, np.zeros_like(e))
         assert report.rms <= report.l_inf + 1e-15
+
+
+def interior_pass_level(problem, grid, cfg, t_n, u):
+    """One fd_oracle level from u as the oracle ran it on the interior alone: its
+    three-point band, factored by band_lu_factor_checked, and per pass
+    np.multiply(F_n(u_tilde[1:-1]), eta), then += the base u_n / tau less the
+    imposed values' terms, then band_lu_solver's solve, until two successive
+    iterates agree, u counting as iterate 0.  Returns (u, passes).  A test
+    reference only."""
+    tau, n = cfg.tau, grid.n
+    h = np.diff(grid.nodes)
+    h_l, h_r = h[:-1], h[1:]
+    left, mid, right = h_l * (h_l + h_r), h_l * h_r, h_r * (h_l + h_r)
+    d2, d1 = np.zeros((2, n, 4)).transpose(0, 2, 1)
+    d2[1, 2:], d2[2, 1:-1], d2[3, :-2] = 2.0 / right, -2.0 / mid, 2.0 / left
+    d1[1, 2:], d1[2, 1:-1], d1[3, :-2] = h_l / right, (h_r - h_l) / mid, -h_r / left
+    nu, mu, eta = level_coefficients(problem, t_n)
+    band = nu * d1 - mu * d2
+    band[2] += 1.0 / tau - eta * problem.reaction.linear_slope
+    _, piv = band_lu_factor_checked(band[:, 1:-1], 1, 1, "test band")
+    solve = band_lu_solver(band[:, 1:], piv, 1, 1)
+    g_left, g_right = float(problem.bc_left(t_n)), float(problem.bc_right(t_n))
+    base = u[1:-1] / tau
+    base[0] -= band.item(3, 0) * g_left
+    base[-1] -= band.item(1, -1) * g_right
+    u_last = u
+    for passes in range(1, cfg.max_corrector_iters + 1):
+        u_new = np.empty(n)
+        u_new[0], u_new[-1] = g_left, g_right
+        w = np.multiply(problem.reaction.nonlinear(u_last[1:-1]), eta, out=u_new[1:-1])
+        w += base
+        solve(w)
+        if float(np.max(np.abs(u_new - u_last))) <= cfg.epsilon:
+            return u_new, passes
+        u_last = u_new
+    raise AssertionError(f"interior pass level stalled at t = {t_n}")
 
 
 class TestFdOracle:
@@ -143,6 +179,25 @@ class TestFdOracle:
             grid = jittered_grid(problem.a, problem.b, n, seed=n)
         u = fd_oracle(problem, grid, StepConfig(tau=tau), t_end).states[-1].u
         assert u.tobytes() == reference_oracle(problem, grid, tau, t_end)[0].tobytes()
+
+    @pytest.mark.parametrize("spacing", ["uniform", "graded"])
+    @pytest.mark.parametrize("name", ["fisher", "generalized_fn"])
+    def test_a_level_is_its_hand_written_interior_pass(self, name, spacing):
+        # each level of the oracle, whose passes are the stepper's on an
+        # identity band, from the oracle's own previous state: the pass that
+        # wrote eta F_n(u_tilde) on the interior, added the base and solved,
+        # bit for bit, with the same pass count; fisher has no advection,
+        # generalized_fn(1) has
+        problem = make_fisher() if name == "fisher" else make_generalized_fn(1.0)
+        grid = (Grid.uniform(problem.a, problem.b, 33) if spacing == "uniform"
+                else tanh_graded_grid(problem.a, problem.b, 33))
+        cfg = StepConfig(tau=0.01)
+        traj = fd_oracle(problem, grid, cfg, 0.05, snapshots=[k * 0.01 for k in range(6)])
+        for k in range(1, 6):
+            u, passes = interior_pass_level(problem, grid, cfg, k * cfg.tau,
+                                            traj.states[k - 1].u)
+            assert traj.states[k].u.tobytes() == u.tobytes()
+            assert traj.level_iterations[k - 1] == passes
 
     @pytest.mark.parametrize("name, params, n, tau, t_end", [
         ("generalized_fisher", {"alpha": 2.0}, 65, 1e-3, 0.3),
