@@ -8,6 +8,7 @@ Log verbosity comes from the DRBEM1D_LOG environment variable (DEBUG..CRITICAL).
 from __future__ import annotations
 
 import argparse
+import csv
 import logging
 import math
 import os
@@ -204,19 +205,26 @@ def parse_config(text: str) -> RunConfig:
                      **raw)
 
 
-def _fmt(value) -> str:
-    """Scientific notation with 16 significant digits; empty for missing values."""
+def _cell(value) -> str:
+    """A value's CSV cell: a float in scientific notation with 16 significant
+    digits, an integer or text as it is, None empty."""
     if value is None:
         return ""
-    return f"{value:.15e}"
+    if isinstance(value, float):
+        return f"{value:.15e}"
+    return str(value)
 
 
-def _write_csv(path: Path, notes, columns, rows):
-    lines = [f"# {note}" for note in notes]
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(row))
-    path.write_text("\n".join(lines) + "\n", encoding="ascii", newline="\n")
+def _write_csv(path: Path, notes, rows):
+    """Write an RFC 4180 table in ASCII with "\\n" line ends: each note as a raw
+    "# " line, then a header of the first row's keys, then one line per row of
+    named values, each cell as `_cell` gives it; a cell that holds a comma or a
+    quote is quoted."""
+    with path.open("w", encoding="ascii", newline="") as file:
+        file.writelines(f"# {note}\n" for note in notes)
+        writer = csv.DictWriter(file, fieldnames=list(rows[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows({name: _cell(value) for name, value in row.items()} for row in rows)
 
 
 def _config_notes(config: RunConfig):
@@ -252,41 +260,30 @@ def cmd_solve(config: RunConfig) -> int:
         if config.compare_exact and problem.exact is not None:
             exact = np.asarray(problem.exact(grid.nodes, state.t), dtype=float)
 
-        columns = ["x", "u_numeric"]
-        series = [grid.nodes, state.u]
+        columns = {"x": grid.nodes, "u_numeric": state.u}
         if exact is not None:
-            columns += ["u_exact", "abs_error"]
-            series += [exact, np.abs(exact - state.u)]
+            columns |= {"u_exact": exact, "abs_error": np.abs(exact - state.u)}
         if oracle is not None:
-            columns.append("u_oracle")
-            series.append(oracle)
-        profile_rows = [
-            [_fmt(col[i]) for col in series] for i in range(grid.n)
-        ]
-        _write_csv(out_dir / _profile_name(state.t), notes, columns, profile_rows)
+            columns["u_oracle"] = oracle
+        _write_csv(out_dir / _profile_name(state.t), notes,
+                   [dict(zip(columns, cells)) for cells in zip(*columns.values())])
 
         report = compute_errors(state.u, exact, time=state.t) if exact is not None else None
         k = level_index(state.t, step.tau)  # level k took iters[k - 1] passes
         row = {
-            "t": _fmt(state.t),
-            "l_inf": _fmt(report.l_inf if report else None),
-            "rms": _fmt(report.rms if report else None),
-            "corrector_iters": str(iters[k - 1] if k > 0 else 0),
-            "corrector_iters_max_to_t": str(max(iters[:k], default=0)),
+            "t": state.t,
+            "l_inf": report.l_inf if report else None,
+            "rms": report.rms if report else None,
+            "corrector_iters": iters[k - 1] if k > 0 else 0,
+            "corrector_iters_max_to_t": max(iters[:k], default=0),
         }
         if oracle is not None:
             oracle_report = compute_errors(oracle, exact, time=state.t) if exact is not None else None
-            row["l_inf_oracle"] = _fmt(oracle_report.l_inf if oracle_report else None)
-            row["drbem_vs_oracle"] = _fmt(compute_errors(state.u, oracle).l_inf)
+            row["l_inf_oracle"] = oracle_report.l_inf if oracle_report else None
+            row["drbem_vs_oracle"] = compute_errors(state.u, oracle).l_inf
         summary_rows.append(row)
 
-    summary_columns = list(summary_rows[0].keys())
-    _write_csv(
-        out_dir / "summary.csv",
-        notes,
-        summary_columns,
-        [[row[c] for c in summary_columns] for row in summary_rows],
-    )
+    _write_csv(out_dir / "summary.csv", notes, summary_rows)
     log.info("wrote %d profiles to %s", len(trajectory.states), out_dir)
     return 0
 
@@ -296,32 +293,25 @@ def _run_benchmark(bench: Benchmark, out_dir: Path) -> int:
                     track_peak=bench.track_peak)
 
     with_reference = any(row.reference_l_inf is not None for row in bench.rows)
-    columns = [name for name, _ in bench.rows[0].labels] + ["l_inf", "rms", "observed_order"]
-    if bench.track_peak:
-        columns.append("l_inf_peak")
-    if with_reference:
-        columns += ["l_inf_reference", "rms_reference", "l_inf_rel_dev"]
-    columns += ["iters_max", "status"]
-
     csv_rows = []
     for row, res in zip(bench.rows, results):
         if res.failure is not None:
             log.error("benchmark row %s failed: %s", dict(row.labels), res.failure)
-        cells = [text for _, text in row.labels]
-        cells += [_fmt(res.l_inf), _fmt(res.rms), _fmt(res.order)]
+        cells = dict(row.labels) | {"l_inf": res.l_inf, "rms": res.rms, "observed_order": res.order}
         if bench.track_peak:
-            cells.append(_fmt(res.peak))
+            cells["l_inf_peak"] = res.peak
         if with_reference:
             rel_dev = None
             if res.l_inf is not None and row.reference_l_inf:
                 rel_dev = (res.l_inf - row.reference_l_inf) / row.reference_l_inf
-            cells += [_fmt(row.reference_l_inf), _fmt(row.reference_rms), _fmt(rel_dev)]
-        status = "ok" if res.failure is None else f"error: {res.failure}"
-        cells += ["" if res.iters_max is None else str(res.iters_max), status]
+            cells |= {"l_inf_reference": row.reference_l_inf, "rms_reference": row.reference_rms,
+                      "l_inf_rel_dev": rel_dev}
+        cells["iters_max"] = res.iters_max
+        cells["status"] = "ok" if res.failure is None else f"error: {res.failure}"
         csv_rows.append(cells)
 
     notes = (f"generated by drbem1d reproduce {bench.name}",) + bench.notes
-    _write_csv(out_dir / f"{bench.name}.csv", notes, columns, csv_rows)
+    _write_csv(out_dir / f"{bench.name}.csv", notes, csv_rows)
     return 2 if any(res.failure is not None for res in results) else 0
 
 

@@ -1,5 +1,6 @@
 """Shared helpers for the test suite."""
 
+import csv
 import dataclasses
 import math
 import tracemalloc
@@ -19,18 +20,16 @@ from drbem1d.stepping import (LevelFactors, TimeLevelSystem, fixed_point, initia
 
 
 def load_csv(path):
-    """Read one of our CSVs: returns (comment lines, list of row dicts)."""
-    notes = []
-    rows = []
-    header = None
-    for line in path.read_text().splitlines():
-        if line.startswith("#"):
-            notes.append(line[1:].strip())
-        elif header is None:
-            header = line.split(",")
-        elif line:
-            rows.append(dict(zip(header, line.split(","))))
-    return notes, rows
+    """Read one of our CSVs: returns (comment lines, list of row dicts). The lines
+    that are not "#" notes are read by csv.reader; a row whose cell count differs
+    from the header's fails."""
+    with path.open(newline="") as file:
+        lines = list(file)
+    notes = [line[1:].strip() for line in lines if line.startswith("#")]
+    header, *rows = csv.reader(line for line in lines if not line.startswith("#"))
+    for row in rows:
+        assert len(row) in (0, len(header)), f"{path.name}: {row} under {header}"
+    return notes, [dict(zip(header, row)) for row in rows if row]
 
 
 def frac(text):

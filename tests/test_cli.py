@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import dataclasses
 import io
 import os
@@ -18,6 +19,7 @@ from helpers import bumped_generalized_fisher, load_csv
 
 import drbem1d
 from drbem1d import cli
+from drbem1d.assembly import Grid
 from drbem1d.cli import (
     PARAMETERS,
     RunConfig,
@@ -27,7 +29,7 @@ from drbem1d.cli import (
     main,
     parse_config,
 )
-from drbem1d.exceptions import ConfigError
+from drbem1d.exceptions import ConfigError, ConvergenceError
 from drbem1d.presets import Benchmark, BenchmarkRow
 from drbem1d.problems import (
     REGISTRY,
@@ -41,7 +43,7 @@ from drbem1d.problems import (
     make_generalized_fn,
     make_newell_whitehead,
 )
-from drbem1d.stepping import level_index, run
+from drbem1d.stepping import StepConfig, level_index, run
 from drbem1d.verification import compute_errors, fd_oracle
 
 GOOD_CONFIG = """\
@@ -188,6 +190,9 @@ def test_parse_config_rejects_non_divisor_spacing():
         parse_config("equation = fisher\nh = 0.3\ntau = 0.01\nt_end = 0.1\n")
 
 
+SUMMARY = "t,l_inf,rms,corrector_iters,corrector_iters_max_to_t"
+
+
 class TestCmdSolve:
     def make_config(self, tmp_path, extra=""):
         text = (
@@ -259,16 +264,28 @@ class TestCmdSolve:
         assert [(int(row["corrector_iters"]), int(row["corrector_iters_max_to_t"]))
                 for row in summary] == expected
 
-    def test_byte_identical_reruns(self, tmp_path):
+    # each layout of `solve`'s tables: the compare_exact and run_oracle settings,
+    # then the profile's and the summary's headers
+    @pytest.mark.parametrize("compare_exact, run_oracle, profile, summary", [
+        ("false", "false", "x,u_numeric", SUMMARY),
+        ("true", "false", "x,u_numeric,u_exact,abs_error", SUMMARY),
+        ("false", "true", "x,u_numeric,u_oracle", SUMMARY + ",l_inf_oracle,drbem_vs_oracle"),
+        ("true", "true", "x,u_numeric,u_exact,abs_error,u_oracle",
+         SUMMARY + ",l_inf_oracle,drbem_vs_oracle"),
+    ], ids=["plain", "exact", "oracle", "exact+oracle"])
+    def test_byte_identical_reruns(self, tmp_path, compare_exact, run_oracle, profile, summary):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         for out in (out_a, out_b):
             config = parse_config(
                 "equation = fisher\nn = 17\ntau = 0.01\nt_end = 0.1\n"
-                f'output_path = "{out}"\n'
+                f'output_path = "{out}"\ncompare_exact = {compare_exact}\n'
+                f"run_oracle = {run_oracle}\n"
             )
             assert cmd_solve(config) == 0
-        for name in ("profile_t0.100000.csv", "summary.csv"):
+        for name, header in (("profile_t0.100000.csv", profile), ("summary.csv", summary)):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+            lines = (out_a / name).read_text().splitlines()
+            assert [line for line in lines if not line.startswith("#")][0] == header
 
 
 def test_benchmark_records_row_failures_and_returns_2(tmp_path):
@@ -324,6 +341,47 @@ def test_benchmark_records_row_failures_and_returns_2(tmp_path):
     assert rows[3]["observed_order"] == ""
     assert rows[4]["observed_order"] == ""
     assert rows[5]["observed_order"] != ""
+
+
+def test_a_failed_row_whose_message_holds_a_comma_keeps_the_header_cell_count(tmp_path):
+    # at tau = 1/2 the corrector diverges at t = 0.5, and its message lists causes
+    # separated by commas
+    problem = make_generalized_fisher(6.0)
+    with pytest.raises(ConvergenceError) as excinfo:
+        run(problem, Grid.with_spacing(problem.a, problem.b, 0.25), StepConfig(tau=0.5), 1.0)
+    assert "," in str(excinfo.value)
+    bench = Benchmark(name="comma", t_end=1.0, notes=("a note, with a comma",), rows=tuple(
+        BenchmarkRow(labels=(("h", "1/4"), ("tau", label)), problem=problem, h=0.25, tau=tau)
+        for label, tau in (("1/100", 0.01), ("1/2", 0.5))))
+    assert _run_benchmark(bench, tmp_path) == 2
+    lines = (tmp_path / "comma.csv").read_text().splitlines()
+    assert lines[:2] == ["# generated by drbem1d reproduce comma", "# a note, with a comma"]
+    header, *rows = csv.reader(lines[2:])
+    assert header == ["h", "tau", "l_inf", "rms", "observed_order", "iters_max", "status"]
+    assert [len(row) for row in rows] == [len(header)] * 2
+    assert [row[-1] for row in rows] == ["ok", "error: " + str(excinfo.value)]
+
+
+# the optional columns of a `reproduce` table: track_peak, a reference on the
+# rows, and the header they give
+@pytest.mark.parametrize("track_peak, reference, header", [
+    (False, None, "h,tau,l_inf,rms,observed_order,iters_max,status"),
+    (True, None, "h,tau,l_inf,rms,observed_order,l_inf_peak,iters_max,status"),
+    (False, 1e-3, "h,tau,l_inf,rms,observed_order,l_inf_reference,rms_reference,"
+                  "l_inf_rel_dev,iters_max,status"),
+    (True, 1e-3, "h,tau,l_inf,rms,observed_order,l_inf_peak,l_inf_reference,rms_reference,"
+                 "l_inf_rel_dev,iters_max,status"),
+], ids=["plain", "peak", "reference", "peak+reference"])
+def test_each_benchmark_layout_names_its_columns(tmp_path, track_peak, reference, header):
+    rows = tuple(BenchmarkRow(labels=(("h", f"1/{den}"), ("tau", "1/100")), problem=make_fisher(),
+                              h=1.0 / den, tau=0.01, reference_l_inf=reference,
+                              reference_rms=reference) for den in (4, 8))
+    bench = Benchmark(name="layout", t_end=0.02, notes=(), rows=rows, track_peak=track_peak)
+    assert _run_benchmark(bench, tmp_path) == 0
+    lines = (tmp_path / "layout.csv").read_text().splitlines()
+    assert lines[1] == header and len(lines) == 4
+    _, table = load_csv(tmp_path / "layout.csv")
+    assert [row["status"] for row in table] == ["ok", "ok"]
 
 
 # one setting of a fisher run changed (None drops the key), the exit code of

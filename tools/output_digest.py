@@ -12,13 +12,14 @@ With --compare, the outputs are written the same way and compared cell by cell
 with those of another checkout in OTHERDIR instead: for each file, the largest
 relative change |a - b| / max(|a|, |b|) of its numeric cells, overall and by
 column, and every changed corrector-iteration cell (a CSV column whose name
-holds "iters") or text cell.  A CSV's cells are its comma-separated fields, with
-each "#" note line one cell; any other file's cells are its whitespace-separated
-words.
+holds "iters") or text cell.  A CSV's cells are its fields as csv.reader reads
+them, with each "#" note line one cell; any other file's cells are its
+whitespace-separated words.
 """
 
 import argparse
 import contextlib
+import csv
 import hashlib
 import math
 import os
@@ -36,9 +37,10 @@ def cell_rows(path):
     lines = path.read_text().splitlines()
     if path.suffix != ".csv":
         return [line.split() for line in lines], lambda j: f"word {j + 1}"
-    rows = [[line] if line.startswith("#") else line.split(",") for line in lines]
-    header = next((row for row, line in zip(rows, lines) if not line.startswith("#")), [])
-    return rows, lambda j: header[j] if j < len(header) else f"field {j + 1}"
+    notes = [[line] for line in lines if line.startswith("#")]
+    table = list(csv.reader(line for line in lines if not line.startswith("#")))
+    header = table[0] if table else []
+    return notes + table, lambda j: header[j] if j < len(header) else f"field {j + 1}"
 
 
 def number(text):
