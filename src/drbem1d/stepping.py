@@ -66,7 +66,7 @@ log = logging.getLogger(__name__)
 
 MU_FLOOR = 1e-12
 TIME_MULTIPLE_TOL = 1e-12
-# More time levels than this (9 hours at fig1's 33 us a level, 8 GB for
+# More time levels than this (5 hours at fig1's 18 us a level, 8 GB for
 # level_iterations alone) is a mistyped tau, not a run anyone waits for.
 MAX_LEVELS = 10**9
 # A cap above this lets iterates that cycle at rounding level, which no epsilon
@@ -79,7 +79,6 @@ MAX_CORRECTOR_ITERS = 10_000
 # a refactor at every level, LSODE's 0.3 takes 6% more (380 against 304 at
 # tau = 1/100).
 DRIFT_BOUND = 1.0 / 32.0
-_FLOAT64 = np.dtype(float)
 
 
 @dataclass
@@ -155,19 +154,16 @@ class TimeLevelSystem:
     """Factored system of one time level.
 
     factorization is the LevelFactors the level solves with, shared by the
-    levels of a run that carry it over.  coeffs is the level's own (nu, mu, eta)
-    and drift = s_0 - s, the factored s_0 less the level's own s: zero on the
-    level that factored it and whenever s is unchanged.  rhs_fixed collects every
-    term that does not involve the lagged iterate; the corrector adds only
-    -T ((eta/mu) F_n(u_tilde) + drift u_tilde) per pass, eta/mu the level's
-    own.  u_prev is the level the system was built from and earlier the
-    levels before it, newest first: at most three, fewer where the run has no
-    such level, none without a previous system.  All are references, not copies,
-    and the corrector's first lag is extrapolated from them.  tau and
-    linear_slope are the step and the reaction's linear slope the level's s was
-    taken with: a next level with the same ones, the same coefficients and the
-    same T has the same s, and takes this level's factorization and drift as
-    they are.  A system made without them (nan) passes nothing on that way.
+    levels of a run that carry it over by build_level_system's rule.  coeffs is
+    the level's own (nu, mu, eta) and drift = s_0 - s, the factored s_0 less the
+    level's own s: zero on the level that factored it and whenever s is
+    unchanged.  rhs_fixed collects every term that does not involve the lagged
+    iterate; the corrector adds only -T ((eta/mu) F_n(u_tilde) + drift u_tilde)
+    per pass, eta/mu the level's own.  u_prev is the level the system was built
+    from and earlier the levels before it, newest first: at most three, fewer
+    where the run has no such level, none without a previous system.  All are
+    references, not copies, and the corrector's first lag is extrapolated from
+    them.
     """
 
     factorization: LevelFactors
@@ -179,8 +175,6 @@ class TimeLevelSystem:
     g_right: float
     u_prev: np.ndarray
     earlier: tuple = ()
-    tau: float = math.nan
-    linear_slope: float = math.nan
 
 
 # the entries (i, j) that LevelFactors.ends holds, at their places in gbtrf layout
@@ -262,17 +256,13 @@ def build_level_system(
     matrix, the known endpoint values and the u_prev term move into rhs_fixed,
     and the lagged term stays per-iteration.  Every piece is O(N).
 
+    ops must have been built on the grid's nodes, as run checks; one built on
+    other nodes raises ValueError, whether or not the level carries factors.
     prev_system's LevelFactors is carried over, and only the right-hand side
     rebuilt, when it was factored on ops (its t_band is ops.t_band), with r =
     nu/mu equal to this level's, and with s either equal to its s_0 (constant
     coefficients) or, for s_0 > 0, within DRIFT_BOUND * s_0 of it; the system's
-    drift is then s_0 - s.  When prev_system was built with this level's tau,
-    reaction slope and coefficient triple on ops, its s is this level's, and its
-    factorization and drift are taken as they are, without the test.  Any other
-    level is factored afresh, with zero drift, and first checks that ops was
-    built on the grid's nodes, as run does (one built on other nodes raises
-    ValueError); a carried level's operators were checked when its factors were
-    made.
+    drift is then s_0 - s.  Any other level is factored afresh, with zero drift.
     prev_system's u_prev and the newer two of its earlier levels become this
     system's earlier levels, from which, with u_prev, corrector_solve
     extrapolates.
@@ -282,44 +272,36 @@ def build_level_system(
     nu_n, mu_n, eta_n = coeffs
 
     n = grid.n
-    if type(u_prev) is not np.ndarray or u_prev.dtype is not _FLOAT64:
-        u_prev = np.asarray(u_prev, dtype=float)
+    u_prev = np.asarray(u_prev, dtype=float)
     if u_prev.shape != (n,):
         raise ValueError(f"u_prev must have shape ({n},), got {u_prev.shape}")
 
     g_left, g_right = float(problem.bc_left(t_n)), float(problem.bc_right(t_n))
 
-    slope = problem.reaction.linear_slope
-    prev = prev_system
-    if (prev is not None and prev.coeffs == coeffs and prev.tau == tau
-            and prev.linear_slope == slope and prev.factorization.t_band is ops.t_band):
-        factorization, drift = prev.factorization, prev.drift
-    else:
-        implicit_scale = 1.0 / (tau * mu_n) - eta_n * slope / mu_n
-        ratio = nu_n / mu_n
-        factorization = None if prev is None else prev.factorization
-        if factorization is not None:
-            s_0, r_0 = factorization.weights
-            # no s_0 <= 0 meets the bound, only an unchanged s
-            if not (factorization.t_band is ops.t_band and ratio == r_0
-                    and (implicit_scale == s_0
-                         or abs(implicit_scale - s_0) <= DRIFT_BOUND * s_0)):
-                factorization = None
-        if factorization is None:
-            _check_operators(ops, grid)
-            weights = np.array([1.0, -implicit_scale, -ratio])
-            # a non-finite coefficient times a zero entry is nan, which the factor
-            # check reports as a singular level; numpy's warning would be noise
-            with np.errstate(over="ignore", invalid="ignore"):
-                # a product over every row: dgemv rounds the tail of its output
-                # apart, so one over the six rows alone would move the (N, N) entry
-                columns = (weights @ ops.dirichlet_pieces.reshape(3, -1)).reshape(n, 2)
-                kernel = (
-                    nu_n == 0.0 < implicit_scale and spd_factors(ops.level_pieces, implicit_scale)
-                    or band_factors(ops.level_pieces, weights, f"level matrix at t = {t_n:g}"))
-            factorization = LevelFactors((implicit_scale, ratio), *kernel,
-                                         _dirichlet_rows(columns), ops.t_band)
-        drift = factorization.weights[0] - implicit_scale
+    _check_operators(ops, grid)
+    implicit_scale = 1.0 / (tau * mu_n) - eta_n * problem.reaction.linear_slope / mu_n
+    ratio = nu_n / mu_n
+    factorization = None if prev_system is None else prev_system.factorization
+    if factorization is not None:
+        s_0, r_0 = factorization.weights
+        # no s_0 <= 0 meets the bound, only an unchanged s
+        if not (factorization.t_band is ops.t_band and ratio == r_0
+                and (implicit_scale == s_0 or abs(implicit_scale - s_0) <= DRIFT_BOUND * s_0)):
+            factorization = None
+    if factorization is None:
+        weights = np.array([1.0, -implicit_scale, -ratio])
+        # a non-finite coefficient times a zero entry is nan, which the factor
+        # check reports as a singular level; numpy's warning would be noise
+        with np.errstate(over="ignore", invalid="ignore"):
+            # a product over every row: dgemv rounds the tail of its output
+            # apart, so one over the six rows alone would move the (N, N) entry
+            columns = (weights @ ops.dirichlet_pieces.reshape(3, -1)).reshape(n, 2)
+            kernel = (
+                nu_n == 0.0 < implicit_scale and spd_factors(ops.level_pieces, implicit_scale)
+                or band_factors(ops.level_pieces, weights, f"level matrix at t = {t_n:g}"))
+        factorization = LevelFactors((implicit_scale, ratio), *kernel,
+                                     _dirichlet_rows(columns), ops.t_band)
+    drift = factorization.weights[0] - implicit_scale
 
     rhs_fixed = blas.dgbmv(n, n, 1, 1, -1.0 / (tau * mu_n), factorization.t_band, u_prev)
     # scalar updates on the nonzero entries cost less than a product; a zero
@@ -332,9 +314,9 @@ def build_level_system(
         rhs_fixed[i] = rhs_fixed.item(i) - on_right * g_right
     for i, on_left, on_right in both:
         rhs_fixed[i] = rhs_fixed.item(i) - (on_left * g_left + on_right * g_right)
-    earlier = () if prev is None else (prev.u_prev, *prev.earlier[:2])
+    earlier = () if prev_system is None else (prev_system.u_prev, *prev_system.earlier[:2])
     return TimeLevelSystem(factorization, coeffs, drift, rhs_fixed, t_n, g_left, g_right,
-                           u_prev, earlier, tau, slope)
+                           u_prev, earlier)
 
 
 def _diverged(t_n, who) -> ConvergenceError:
@@ -469,7 +451,7 @@ def corrector_solve(sys: TimeLevelSystem, problem: PdeProblem, cfg: StepConfig, 
     that seed is within epsilon of the first solve, the level takes that one
     solve; otherwise the corrector runs until two successive solves agree.  When
     the reaction raises DomainError and guarded_lag changes the seed, the level
-    runs again from the guarded seed, and only that run's solves are counted.
+    runs once more from the guarded seed, and only that run's solves are counted.
     u_prev must be the level the system was built from, sys.u_prev itself or an
     array equal to it; any other raises ValueError.  Failures are fixed_point's,
     and as there, a caller outside march holds its own np.errstate.
@@ -478,32 +460,29 @@ def corrector_solve(sys: TimeLevelSystem, problem: PdeProblem, cfg: StepConfig, 
     if u_prev is not sys.u_prev and not np.array_equal(u_prev, sys.u_prev):
         raise ValueError("u_prev is not the level the system was built from")
     factorization = sys.factorization
-    # the level's own eta/mu, not the factored level's; the problem's reaction,
-    # called once a pass.  Positional operands: a starred call costs 0.3 us
+    # the level's own eta/mu, not the factored level's
     _, mu_n, eta_n = sys.coeffs
-    nonlinear, alpha, t_band, solve = (problem.reaction.nonlinear, eta_n / mu_n,
-                                       factorization.t_band, factorization.solve)
-    rhs_fixed, drift, g_left, g_right, t_n = (sys.rhs_fixed, sys.drift, sys.g_left,
-                                              sys.g_right, sys.t_n)
     seed = extrapolated_lag(sys.u_prev, *sys.earlier)
-    try:
-        (u, r_left, r_right), iters = fixed_point(nonlinear, alpha, t_band, rhs_fixed, drift,
-                                                  solve, g_left, g_right, seed, cfg, t_n,
-                                                  "corrector")
-    except DomainError:
-        # the rare path: a reaction undefined below zero, such as u^3.5, met a
-        # negative lag, so the seed keeps u_n wherever u_n >= 0
-        seed = guarded_lag(seed, sys.u_prev)
-        if seed is None:
-            raise
-        (u, r_left, r_right), iters = fixed_point(nonlinear, alpha, t_band, rhs_fixed, drift,
-                                                  solve, g_left, g_right, seed, cfg, t_n,
-                                                  "corrector")
+    for rerun in (False, True):
+        try:
+            # the problem's reaction, called once a pass.  Positional operands: a
+            # starred call costs 0.3 us
+            (u, r_left, r_right), iters = fixed_point(
+                problem.reaction.nonlinear, eta_n / mu_n, factorization.t_band, sys.rhs_fixed,
+                sys.drift, factorization.solve, sys.g_left, sys.g_right, seed, cfg, sys.t_n,
+                "corrector")
+            break
+        except DomainError:
+            # the rare path: a reaction undefined below zero, such as u^3.5, met a
+            # negative lag, so the seed keeps u_n wherever u_n >= 0, once
+            seed = None if rerun else guarded_lag(seed, sys.u_prev)
+            if seed is None:
+                raise
     # the end rows of -A, whose right-hand side r is the pass's negated one
     b_11, b_12, b_13, b_nl, b_nm, b_nn = factorization.ends
     q_left = (r_left - b_12 * u.item(1) - b_13 * u.item(2)) / b_11
     q_right = (r_right - b_nm * u.item(-2) - b_nl * u.item(-3)) / b_nn
-    return SolverState(u, q_left, q_right, t_n), iters
+    return SolverState(u, q_left, q_right, sys.t_n), iters
 
 
 @dataclass

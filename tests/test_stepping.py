@@ -392,6 +392,27 @@ def test_a_previous_system_of_another_tau_or_grid_is_not_carried_over():
     assert_built_afresh(system, build_level_system(problem, other, other_ops, cfg, 0.02, u))
 
 
+def test_a_previous_system_of_a_nearby_tau_is_carried_with_its_drift_lagged():
+    # fisher's s = 1/tau - 1 is 99 at tau = 0.01 and 98.0099... at 0.0101, within
+    # DRIFT_BOUND * 99 of it: another tau keeps the factors and lags the drift
+    problem = make_fisher()
+    grid = Grid.uniform(problem.a, problem.b, 17)
+    ops = assemble_drbem(grid)
+    u = initial_values(problem, grid.nodes)
+    previous = build_level_system(problem, grid, ops, StepConfig(tau=0.01), 0.02, u)
+    assert previous.factorization.weights == (99.0, 0.0)
+    cfg = StepConfig(tau=0.0101)
+    system = build_level_system(problem, grid, ops, cfg, 0.0202, u, prev_system=previous)
+    fresh = build_level_system(problem, grid, ops, cfg, 0.0202, u)
+    assert system.factorization is previous.factorization
+    assert system.drift == 99.0 - fresh.factorization.weights[0] == pytest.approx(0.990099)
+    assert fresh.drift == 0.0 and system.coeffs == fresh.coeffs
+    # the carried level reaches the fresh build's fixed point
+    state, _ = corrector_solve(system, problem, cfg, u)
+    want, _ = corrector_solve(fresh, problem, cfg, u)
+    assert np.max(np.abs(state.u - want.u)) <= 3.0 * cfg.epsilon
+
+
 def scripted_problem(nu, eta):
     """u_t + nu u_x = u_xx + eta (u - 0.01 u^2) on [0, 1], nu and eta taken at
     level k of tau = 0.01 from the k-th entries of the lists: s = 100 - eta and
@@ -1039,8 +1060,14 @@ def test_build_level_system_rejects_an_operator_set_built_on_other_nodes(foreign
     else:
         other = Grid.uniform(-2.0, 2.0, 11)
     u = initial_values(problem, grid.nodes)
+    foreign_ops = assemble_drbem(other)
     with pytest.raises(ValueError, match="operator set was built on a different node set"):
-        build_level_system(problem, grid, assemble_drbem(other), cfg, 0.01, u)
+        build_level_system(problem, grid, foreign_ops, cfg, 0.01, u)
+    # so does a level that would carry factors made on those operators over
+    previous = build_level_system(problem, other, foreign_ops, cfg, 0.01,
+                                  initial_values(problem, other.nodes))
+    with pytest.raises(ValueError, match="operator set was built on a different node set"):
+        build_level_system(problem, grid, foreign_ops, cfg, 0.02, u, prev_system=previous)
     # operators of an equal node set are the grid's own
     own = build_level_system(problem, grid, assemble_drbem(grid), cfg, 0.01, u)
     equal = build_level_system(problem, grid, assemble_drbem(Grid(grid.nodes.copy())), cfg,
@@ -1316,6 +1343,23 @@ def test_a_failing_level_calls_the_reaction_once_a_pass(solver, cap):
         with pytest.raises(error, match=text):
             level(problem)
         assert len(calls) == 1
+    if solver == "fd_oracle":
+        return
+    # a seed negative where u_n = x is not: the guarded seed runs the level once
+    # more, and that run's rejection, which names no negative node, is raised
+    calls = []
+    problem = reacting_heat_problem(rejecting_reaction(calls))
+    u = initial_values(problem, grid.nodes)
+    u_older = u.copy()
+    u_older[2] = 2.0 * u[2] + 0.5
+    system = dataclasses.replace(
+        build_level_system(problem, grid, assemble_drbem(grid), cfg, 0.1, u), earlier=(u_older,))
+    seed = extrapolated_lag(u, u_older)
+    assert seed[2] < 0.0 <= u[2] and guarded_lag(seed, u).min() >= 0.0
+    with pytest.raises(DomainError) as excinfo:
+        corrector_solve(system, problem, cfg, u)
+    assert str(excinfo.value) == "rejected lag at t = 0.1"
+    assert len(calls) == 2
 
 
 def test_back_substitution_gap_small_after_convergence():

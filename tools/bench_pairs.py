@@ -3,6 +3,7 @@
     python tools/bench_pairs.py PARENT --workload all --seed 0 --seconds 3 --pairs 10
     python tools/bench_pairs.py PARENT --workload all --seed 0 --seconds 3 --pairs 1 --trace 1
     python tools/bench_pairs.py PARENT --run-fig1 --pairs 10 --out BENCH_x.json
+    python tools/bench_pairs.py COPY --workload all --seed 0 --pairs 10 --out BENCH_x.json
 
 PARENT is the checkout to compare against (a `git clone` of the parent commit,
 say); the change is the checkout this file is in.  Each pair runs
@@ -21,6 +22,11 @@ between the checkouts.
 With --out, the rows go into that JSON file, beside the rows already in it,
 under "end_to_end", "per_layer_traced" or "run_rows", keyed by workload and
 seed; its "environment" is the block perfbench writes, from the change's run.
+
+An A/A run compares the checkout with a copy of itself (COPY above, a `git
+archive` of it, say), so that its ratios show the host's spread.  When
+PARENT's src/ holds this checkout's Python files byte for byte, the rows go
+under the same section names prefixed with "a_a_".
 """
 
 from __future__ import annotations
@@ -184,6 +190,13 @@ def run_rows(runs) -> dict:
                             "us_per_level": m}}
 
 
+def same_source(parent) -> bool:
+    """Whether parent's src/ holds this checkout's Python files byte for byte."""
+    def files(root):
+        return {p.relative_to(root): p.read_bytes() for p in (root / "src").rglob("*.py")}
+    return files(parent.resolve()) == files(ROOT)
+
+
 def perfbench_environment(args) -> dict:
     """The environment block of the change's last perfbench record."""
     workload = "kink_const_n321" if args.workload == "all" else args.workload
@@ -203,6 +216,8 @@ def main(argv=None) -> int:
         bench = json.loads(args.out.read_text()) if args.out.exists() else {}
         if not args.run_fig1:
             bench["environment"] = perfbench_environment(args)
+        if same_source(args.parent):
+            section = "a_a_" + section
         bench.setdefault(section, {}).update(rows)
         args.out.write_text(json.dumps(bench, indent=1) + "\n")
     return 0
