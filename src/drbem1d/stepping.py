@@ -40,10 +40,12 @@ right-hand side, the drift, the interior solve and the imposed values), not a
 closure built per level, so `run`, the one-level API (build_level_system and
 corrector_solve) and verification.fd_oracle, which hands it an identity band,
 share one pass and one stopping rule.  It takes the sup-norm gap between
-successive iterates in place; the gap doubles as the divergence guard, being
-non-finite exactly when an iterate is, so no right-hand side is scanned.  A
-non-finite lag that the reaction rejects before its gap is taken is reported
-the same way.
+successive iterates in place, as the entry of |gap| at its argmax: argmax
+returns the first nan if there is one and the largest entry otherwise, so the
+norm is np.maximum.reduce's, bit for bit, at a smaller fixed cost per call.
+The gap doubles as the divergence guard, being non-finite exactly when an
+iterate is, so no right-hand side is scanned.  A non-finite lag that the
+reaction rejects before its gap is taken is reported the same way.
 """
 
 from __future__ import annotations
@@ -278,7 +280,9 @@ def build_level_system(
 
     g_left, g_right = float(problem.bc_left(t_n)), float(problem.bc_right(t_n))
 
-    _check_operators(ops, grid)
+    # identity first: run's levels, whose operators run checked once, pay no call
+    if ops.grid is not grid:
+        _check_operators(ops, grid)
     implicit_scale = 1.0 / (tau * mu_n) - eta_n * problem.reaction.linear_slope / mu_n
     ratio = nu_n / mu_n
     factorization = None if prev_system is None else prev_system.factorization
@@ -356,17 +360,20 @@ def fixed_point(nonlinear, alpha, band, rhs_fixed, drift, solve_interior, g_left
     solve reproduces the first bit for bit and the loop exits at zero difference.
     Returns (u, r_left, r_right) of the last pass and the number of solves.
 
-    A non-finite iterate raises ConvergenceError ("<who> diverged") at its gap,
-    the first iterate's included; a non-finite seed does when the reaction
-    rejects it.  A DomainError from the reaction on a finite lag is raised again
-    naming t_n, the lag's first negative node and, when the lag is not the seed,
-    the pass whose iterate it is.  The cap raises "<who> stalled".  numpy's
+    The gap's sup norm is the entry of |gap| at its argmax.  For floats argmax
+    returns the first nan if there is one, so the norm is nan exactly when
+    np.maximum.reduce's is, and equal to it otherwise.  A non-finite iterate
+    raises ConvergenceError ("<who> diverged") at its gap, the first iterate's
+    included; a non-finite seed does when the reaction rejects it.  A
+    DomainError from the reaction on a finite lag is raised again naming t_n,
+    the lag's first negative node and, when the lag is not the seed, the pass
+    whose iterate it is.  The cap raises "<who> stalled".  numpy's
     overflow warnings on the way are noise, silenced by march's np.errstate
     around every level loop; a direct caller holds its own.
     """
     n = rhs_fixed.size
     epsilon = cfg.epsilon
-    dgbmv, subtract, absolute, largest = blas.dgbmv, np.subtract, np.absolute, np.maximum.reduce
+    dgbmv, subtract, absolute = blas.dgbmv, np.subtract, np.absolute
     u_last = lag  # the lag of the pass under way
     try:
         for iters in range(1, cfg.max_corrector_iters + 1):
@@ -380,9 +387,11 @@ def fixed_point(nonlinear, alpha, band, rhs_fixed, drift, solve_interior, g_left
             r_left, r_right = u.item(0), u.item(-1)
             u[0] = g_left
             u[-1] = g_right
-            # non-finite exactly when an iterate is: the divergence guard
+            # non-finite exactly when an iterate is: the divergence guard.  argmax
+            # finds the first nan, so this is np.maximum.reduce's value at less cost
             gap = subtract(u, u_last)
-            diff = largest(absolute(gap, gap))
+            absolute(gap, gap)
+            diff = gap.item(gap.argmax())
             if not diff < math.inf:
                 raise _diverged(t_n, who)
             if diff <= epsilon:
@@ -400,15 +409,16 @@ def fixed_point(nonlinear, alpha, band, rhs_fixed, drift, solve_interior, g_left
         f"{who} stalled at t = {t_n:g}: difference {diff:.3e} after "
         f"{cfg.max_corrector_iters} iterations (tau too large or reaction too stiff)",
         time=t_n,
-        last_diff=float(diff),
+        last_diff=diff,
     )
 
 
-def extrapolated_lag(u_prev, *earlier) -> np.ndarray:
-    """The polynomial through u_prev and the earlier levels (newest first, at
-    most three), one step on: the cubic 4 (u_prev + u_2) - (6 u_1 + u_3) through
-    four levels, the quadratic 3 (u_prev - u_1) + u_2 through three, the line
-    2 u_prev - u_1 through two, and u_prev itself without an earlier level.
+def extrapolated_lag(u_prev, earlier=()) -> np.ndarray:
+    """The polynomial through u_prev and the tuple of earlier levels (newest
+    first, at most three), one step on: the cubic 4 (u_prev + u_2) -
+    (6 u_1 + u_3) through four levels, the quadratic 3 (u_prev - u_1) + u_2
+    through three, the line 2 u_prev - u_1 through two, and u_prev itself
+    without an earlier level.
     It may be negative where u_prev is not; guarded_lag keeps such nodes at
     u_prev, and corrector_solve applies it only when the reaction rejects a lag."""
     # ufuncs called with a positional out: the operators' Python layer costs
@@ -445,7 +455,7 @@ def guarded_lag(lag, u_prev) -> Optional[np.ndarray]:
 def corrector_solve(sys: TimeLevelSystem, problem: PdeProblem, cfg: StepConfig, u_prev):
     """The level's fixed point: the converged state and the number of solves.
 
-    The first lag is extrapolated_lag(sys.u_prev, *sys.earlier): cubic from the
+    The first lag is extrapolated_lag(sys.u_prev, sys.earlier): cubic from the
     fourth level of a run on, quadratic at the third, linear at the second, and
     sys.u_prev itself when the system was built without a previous one.  When
     that seed is within epsilon of the first solve, the level takes that one
@@ -462,7 +472,7 @@ def corrector_solve(sys: TimeLevelSystem, problem: PdeProblem, cfg: StepConfig, 
     factorization = sys.factorization
     # the level's own eta/mu, not the factored level's
     _, mu_n, eta_n = sys.coeffs
-    seed = extrapolated_lag(sys.u_prev, *sys.earlier)
+    seed = extrapolated_lag(sys.u_prev, sys.earlier)
     for rerun in (False, True):
         try:
             # the problem's reaction, called once a pass.  Positional operands: a

@@ -548,7 +548,7 @@ def test_banded_level_solve_matches_the_dense_reference(name, spacing):
         assert system.drift == system.factorization.weights[0] - implicit_scale
         assert system.u_prev is u and len(system.earlier) == len(earlier) == min(k - 1, 3)
         assert all(held is level for held, level in zip(system.earlier, earlier))
-        lag = extrapolated_lag(u, *earlier)
+        lag = extrapolated_lag(u, earlier)
         assert (lag is u) == (k == 1)
         state, passes = corrector_solve(system, problem, cfg, u)
         band = band_level_system(problem, ops, cfg, t_n, u)
@@ -646,34 +646,35 @@ def test_extrapolated_lag_keeps_nonnegative_nodes_nonnegative():
     u_older = np.array([0.5, 0.6, 0.1, -0.2, -0.4, 0.1])
     # 2 u_prev - u_older = [1.5, -0.2, -0.1, -0.8, 0.2, 0.5]: nodes 1 and 2 fall
     # below zero from u_prev >= 0 and keep u_prev; node 3 was negative already
-    lag = extrapolated_lag(u_prev, u_older)
+    lag = extrapolated_lag(u_prev, (u_older,))
     np.testing.assert_array_equal(lag, 2.0 * u_prev - u_older)
     np.testing.assert_array_equal(guarded_lag(lag, u_prev), [1.5, 0.2, 0.0, -0.8, 0.2, 0.5])
     np.testing.assert_array_equal(lag, 2.0 * u_prev - u_older)  # the guard copies
-    np.testing.assert_array_equal(extrapolated_lag(u_prev, u_prev), u_prev)
+    np.testing.assert_array_equal(extrapolated_lag(u_prev, (u_prev,)), u_prev)
     assert guarded_lag(u_prev, u_prev) is None  # no node to keep
     # three levels, in binary fractions so that the arithmetic is exact:
     # 3 (u_prev - u_older) + u_oldest = [2, -0.625, -0.125, -0.625, 0.625, 1.25]
     u_prev = np.array([1.0, 0.25, 0.0, -0.5, -0.125, 0.375])
     u_older = np.array([0.5, 0.625, 0.125, -0.25, -0.5, 0.125])
     u_oldest = np.array([0.5, 0.5, 0.25, 0.125, -0.5, 0.5])
-    lag = extrapolated_lag(u_prev, u_older, u_oldest)
+    lag = extrapolated_lag(u_prev, (u_older, u_oldest))
     np.testing.assert_array_equal(lag, [2.0, -0.625, -0.125, -0.625, 0.625, 1.25])
     np.testing.assert_array_equal(guarded_lag(lag, u_prev), [2.0, 0.25, 0.0, -0.625, 0.625, 1.25])
-    np.testing.assert_array_equal(extrapolated_lag(u_prev, u_prev, u_prev), u_prev)
+    np.testing.assert_array_equal(extrapolated_lag(u_prev, (u_prev, u_prev)), u_prev)
     # a quadratic in time is extrapolated exactly: u(t) = 1 + t + t^2 at t = 0, 1, 2
-    np.testing.assert_array_equal(extrapolated_lag(np.array([7.0]), np.array([3.0]),
-                                                   np.array([1.0])), [13.0])
+    np.testing.assert_array_equal(extrapolated_lag(np.array([7.0]), (np.array([3.0]),
+                                                                     np.array([1.0]))), [13.0])
     # four levels: 4 (u_prev + u_oldest) - (6 u_older + u_3) = [2.75, -1.25, -0.25,
     # -0.25, 0.5, 2.25]; nodes 1 and 2 keep u_prev, node 3 was negative already
     u_3 = np.array([0.25, 0.5, 0.5, 0.25, 0.0, 0.5])
-    lag = extrapolated_lag(u_prev, u_older, u_oldest, u_3)
+    lag = extrapolated_lag(u_prev, (u_older, u_oldest, u_3))
     np.testing.assert_array_equal(lag, [2.75, -1.25, -0.25, -0.25, 0.5, 2.25])
     np.testing.assert_array_equal(guarded_lag(lag, u_prev), [2.75, 0.25, 0.0, -0.25, 0.5, 2.25])
-    np.testing.assert_array_equal(extrapolated_lag(u_prev, u_prev, u_prev, u_prev), u_prev)
+    np.testing.assert_array_equal(extrapolated_lag(u_prev, (u_prev, u_prev, u_prev)), u_prev)
     # and a cubic exactly: u(t) = 1 + t + t^2 + t^3 at t = 3, 2, 1, 0 gives 85 at t = 4
     np.testing.assert_array_equal(
-        extrapolated_lag(*(np.array([v]) for v in (40.0, 15.0, 4.0, 1.0))), [85.0])
+        extrapolated_lag(np.array([40.0]), tuple(np.array([v]) for v in (15.0, 4.0, 1.0))),
+        [85.0])
     assert extrapolated_lag(u_prev) is u_prev  # no earlier level: the seed is u_n
 
 
@@ -738,7 +739,7 @@ def test_decaying_bump_under_a_fractional_power_marches(height, tau):
     u, system, guarded_levels = initial_values(problem, grid.nodes), None, 0
     for k in range(1, levels + 1):
         system = build_level_system(problem, grid, ops, cfg, k * tau, u, prev_system=system)
-        seed = extrapolated_lag(u, *system.earlier)
+        seed = extrapolated_lag(u, system.earlier)
         guarded = guarded_lag(seed, u)
         guarded_levels += guarded is not None
         u_ref, q_left, q_right, passes = reference_interior_corrector(
@@ -764,7 +765,7 @@ def test_a_seed_negative_where_u_n_is_gives_the_guarded_seeds_message():
     cfg = StepConfig(tau=0.01)
     system = dataclasses.replace(
         build_level_system(problem, grid, assemble_drbem(grid), cfg, 0.01, u), earlier=(u_older,))
-    seed = extrapolated_lag(u, u_older)
+    seed = extrapolated_lag(u, (u_older,))
     assert u[5] >= 0.0 and np.flatnonzero(seed < 0.0).tolist() == [5, 10]
     assert np.flatnonzero(guarded_lag(seed, u) < 0.0).tolist() == [10]
     with pytest.raises(DomainError) as excinfo:
@@ -1296,6 +1297,49 @@ def test_corrector_cap_raises_with_context():
     assert excinfo.value.last_diff == pytest.approx(6.929e-4, rel=1e-3)
 
 
+def scripted_fixed_point(iterate, cap=100):
+    """fixed_point on seven nodes whose pass from a lag gives iterate(lag): its
+    solve writes that on the interior, and the seed, the reaction, the band, the
+    right-hand side, the drift and the end values are all zero."""
+    n, lags = 7, []
+
+    def nonlinear(lag):
+        lags.append(lag)
+        return np.zeros(n)
+
+    def solve(b):
+        b[:] = iterate(lags[-1])[1:-1]
+        return b, 0
+
+    return stepping.fixed_point(nonlinear, 1.0, np.zeros((3, n), order="F"), np.zeros(n), 0.0,
+                                solve, 0.0, 0.0, np.zeros(n),
+                                StepConfig(tau=0.1, max_corrector_iters=cap), 0.1, "corrector")
+
+
+@pytest.mark.parametrize("planted", [
+    {3: np.nan}, {5: np.nan}, {2: np.inf, 4: np.nan}, {1: -np.inf}, {4: -np.inf, 5: np.nan}],
+    ids=["nan-3", "nan-5", "inf-before-nan", "-inf", "-inf-before-nan"])
+def test_the_gap_reports_a_non_finite_iterate_at_any_interior_node(planted):
+    # the gap's norm is the entry of |gap| at its argmax, which finds the first
+    # nan: every non-finite entry diverges, wherever it sits, an inf before a nan
+    # included; the finite entries are nonpositive, so a signed maximum would
+    # read 0 and pass a -inf iterate as converged
+    values = np.array([0.0, -4.0, -3.0, -2.0, -1.0, -5.0, 0.0])
+    for node, value in planted.items():
+        values[node] = value
+    with pytest.raises(ConvergenceError, match="corrector diverged at t = 0.1"):
+        scripted_fixed_point(lambda u: values.copy())
+
+
+def test_a_stall_reports_the_gaps_sup_norm():
+    # each pass gives 2 lag + b: the iterates are b and 3 b, so the last gap,
+    # 2 b, is largest in magnitude at its negative entry
+    b = np.array([0.0, 0.5, -3.0, 1.25, -0.75, 2.0, 0.0])
+    with pytest.raises(ConvergenceError, match=r"difference 6.000e\+00 after 2") as excinfo:
+        scripted_fixed_point(lambda u: 2.0 * u + b, cap=2)
+    assert excinfo.value.last_diff == np.max(np.abs(3.0 * b - b)) == 6.0
+
+
 def counted_reaction(reaction, calls):
     """reaction whose remainder appends to calls each time it is called."""
     def nonlinear(u):
@@ -1354,7 +1398,7 @@ def test_a_failing_level_calls_the_reaction_once_a_pass(solver, cap):
     u_older[2] = 2.0 * u[2] + 0.5
     system = dataclasses.replace(
         build_level_system(problem, grid, assemble_drbem(grid), cfg, 0.1, u), earlier=(u_older,))
-    seed = extrapolated_lag(u, u_older)
+    seed = extrapolated_lag(u, (u_older,))
     assert seed[2] < 0.0 <= u[2] and guarded_lag(seed, u).min() >= 0.0
     with pytest.raises(DomainError) as excinfo:
         corrector_solve(system, problem, cfg, u)

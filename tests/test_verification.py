@@ -19,8 +19,10 @@ from drbem1d.problems import (
     make_generalized_fn,
 )
 from drbem1d.assembly import Grid, band_lu_factor_checked, band_lu_solver
-from drbem1d.stepping import StepConfig, level_coefficients, run
+from drbem1d.presets import fig5_benchmark
+from drbem1d.stepping import StepConfig, level_coefficients, level_index, run
 from drbem1d.verification import (
+    PEAK_BLOCK,
     compute_errors,
     fd_oracle,
     observed_order,
@@ -29,13 +31,23 @@ from drbem1d.verification import (
 
 
 def test_compute_errors_keeps_the_numpy_reductions_bits():
+    # l_inf is nan exactly when |e| holds one, and np.max's value otherwise,
+    # whichever non-finite values sit at which interior nodes, in which order
     rng = np.random.default_rng(7)
-    for n in (3, 65, 1001):
-        numeric, exact = rng.standard_normal((2, n))
-        e = exact[1:-1] - numeric[1:-1]
-        report = compute_errors(numeric, exact)
-        assert report.l_inf == float(np.max(np.abs(e)))
-        assert report.rms == float(np.sqrt(np.mean(e * e)))
+    plants = ((), (np.nan,), (np.inf,), (-np.inf,), (np.inf, np.nan), (np.nan, -np.inf),
+              (-np.inf, np.inf, np.nan))
+    for n in (3, 4, 65, 1001):
+        for planted in plants:
+            numeric, exact = rng.standard_normal((2, n))
+            k = min(len(planted), n - 2)
+            numeric[np.sort(rng.choice(np.arange(1, n - 1), k, replace=False))] = planted[:k]
+            e = exact[1:-1] - numeric[1:-1]
+            report = compute_errors(numeric, exact)
+            if np.isnan(e).any():
+                assert math.isnan(report.l_inf) and math.isnan(report.rms)
+            else:
+                assert report.l_inf == float(np.max(np.abs(e)))
+                assert report.rms == float(np.sqrt(np.mean(e * e)))
 
 
 def test_compute_errors_hand_case():
@@ -387,6 +399,26 @@ class TestConvergenceStudy:
         traj = run(problem, grid, StepConfig(tau=0.01), 0.1, snapshots=times)
         assert row.peak == max(compute_errors(s.u, problem.exact(grid.nodes, s.t)).l_inf
                                for s in traj.states)
+
+    @pytest.mark.parametrize("name", ["fig5", "past-one-block"])
+    def test_peak_is_the_largest_per_state_report_bit_for_bit(self, name):
+        # every fig5 row, and a row of PEAK_BLOCK + 1 states, whose last block
+        # holds one state: the array pass gives compute_errors' bits
+        if name == "fig5":
+            bench = fig5_benchmark()
+            rows, t_end = [(r.problem, r.h, r.tau) for r in bench.rows], bench.t_end
+        else:
+            rows, t_end = [(make_generalized_fn(1.0), 0.25, 1e-3)], PEAK_BLOCK * 1e-3
+        for (problem, h, tau), row in zip(rows, sweep(rows, t_end, track_peak=True)):
+            grid = Grid.with_spacing(problem.a, problem.b, h)
+            times = [k * tau for k in range(level_index(t_end, tau) + 1)]
+            states = run(problem, grid, StepConfig(tau=tau), t_end, snapshots=times).states
+            assert len(states) > PEAK_BLOCK and len(states) % PEAK_BLOCK != 0
+            reports = [compute_errors(s.u, problem.exact(grid.nodes, s.t), time=s.t)
+                       for s in states]
+            assert row.peak.hex() == max(r.l_inf for r in reports).hex()
+            assert (row.l_inf.hex(), row.rms.hex()) == (reports[-1].l_inf.hex(),
+                                                        reports[-1].rms.hex())
 
     def test_spatial_refinement_against_reference(self):
         # published errors: 1.0914e-3 at h = 1/4 and 3.4491e-4 at h = 1/8

@@ -3,6 +3,7 @@
     python tools/bench_pairs.py PARENT --workload all --seed 0 --seconds 3 --pairs 10
     python tools/bench_pairs.py PARENT --workload all --seed 0 --seconds 3 --pairs 1 --trace 1
     python tools/bench_pairs.py PARENT --run-fig1 --pairs 10 --out BENCH_x.json
+    python tools/bench_pairs.py PARENT --run-fig5 --pairs 10 --out BENCH_x.json
     python tools/bench_pairs.py COPY --workload all --seed 0 --pairs 10 --out BENCH_x.json
 
 PARENT is the checkout to compare against (a `git clone` of the parent commit,
@@ -17,7 +18,9 @@ did better.  With --trace 1 it records each side's per-layer metrics.
 --run-fig1 times `run` itself instead, in process: fig1's problem (N = 161,
 tau = 0.001) to t = 5, the fastest of 5 marches in each process, in
 microseconds a level; the final state's sha256 and the pass count must agree
-between the checkouts.
+between the checkouts.  --run-fig5 times `sweep` over fig5's six rows with the
+peak error tracked, the fastest of 5 sweeps in each process, in seconds; every
+row's peak, l_inf and rms (as float.hex) and iters_max must agree.
 
 With --out, the rows go into that JSON file, beside the rows already in it,
 under "end_to_end", "per_layer_traced" or "run_rows", keyed by workload and
@@ -59,6 +62,27 @@ print(json.dumps({"us_per_level": 1e6 * best / len(traj.level_iterations),
                   "passes": sum(traj.level_iterations)}))
 """
 
+FIG5_SWEEP = """
+import json, sys
+from time import perf_counter
+sys.path.insert(0, sys.argv[1])
+from drbem1d.presets import fig5_benchmark
+from drbem1d.verification import sweep
+bench = fig5_benchmark()
+rows, best = [(row.problem, row.h, row.tau) for row in bench.rows], float("inf")
+for _ in range(5):
+    start = perf_counter()
+    results = sweep(rows, bench.t_end, track_peak=True)
+    best = min(best, perf_counter() - start)
+print(json.dumps({"sweep_s": best,
+                  "rows": [[r.peak.hex(), r.l_inf.hex(), r.rms.hex(), r.iters_max]
+                           for r in results]}))
+"""
+
+# the in-process rows: their script, and the timed key of what it prints (lower
+# is better); everything else it prints must agree between the checkouts
+IN_PROCESS = {"fig1_run_t5": (FIG1_RUN, "us_per_level"), "fig5_sweep": (FIG5_SWEEP, "sweep_s")}
+
 
 def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -68,8 +92,11 @@ def parse_args(argv):
     parser.add_argument("--seconds", type=float, default=3.0)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--run-fig1", action="store_true",
-                        help="time run on fig1's problem to t = 5 instead of perfbench")
+    in_process = parser.add_mutually_exclusive_group()
+    in_process.add_argument("--run-fig1", action="store_const", dest="row", const="fig1_run_t5",
+                            help="time run on fig1's problem to t = 5 instead of perfbench")
+    in_process.add_argument("--run-fig5", action="store_const", dest="row", const="fig5_sweep",
+                            help="time sweep over fig5's rows instead of perfbench")
     parser.add_argument("--out", type=Path, help="the BENCH_*.json to add the rows to")
     args = parser.parse_args(argv)
     if args.pairs < 1:
@@ -97,11 +124,12 @@ def perfbench(checkout, args) -> dict:
     return result if args.workload == "all" else {args.workload: result}
 
 
-def fig1_run(checkout, args) -> dict:
-    cmd = [sys.executable, "-c", FIG1_RUN, str(checkout / "src")]
+def in_process_run(checkout, args) -> dict:
+    """One process of args.row's script in checkout: what it prints."""
+    cmd = [sys.executable, "-c", IN_PROCESS[args.row][0], str(checkout / "src")]
     proc = subprocess.run(cmd, stdout=subprocess.PIPE, text=True, env=environment_vars(),
                           check=True)
-    return {"fig1_run_t5": json.loads(proc.stdout.splitlines()[-1])}
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 def pairs(args, measure):
@@ -170,24 +198,28 @@ def traced_rows(args, runs) -> dict:
     return rows
 
 
-def run_rows(runs) -> dict:
-    first = runs[0][1]
-    for _, got in runs:
-        for side in ("parent", "change"):
-            row = got[side]["fig1_run_t5"]
-            if (row["u_sha256"], row["passes"]) != (first["parent"]["fig1_run_t5"]["u_sha256"],
-                                                   first["parent"]["fig1_run_t5"]["passes"]):
-                raise SystemExit("fig1 run: final state or pass count differs between runs")
-    values = {s: [got[s]["fig1_run_t5"]["us_per_level"] for _, got in runs]
-              for s in ("parent", "change")}
+def outputs(row, record) -> dict:
+    """What an in-process record holds besides its timing."""
+    timed = IN_PROCESS[row][1]
+    return {key: value for key, value in record.items() if key != timed}
+
+
+def run_rows(row, runs) -> dict:
+    """The in-process row's timing over the pairs, once every process of both
+    checkouts gave the first one's outputs; SystemExit otherwise."""
+    want = outputs(row, runs[0][1]["parent"])
+    for i, (_, got) in enumerate(runs):
+        for side, record in got.items():
+            if outputs(row, record) != want:
+                raise SystemExit(f"{row}: the {side}'s outputs in pair {i + 1} differ "
+                                 "from the parent's in pair 1")
+    timed = IN_PROCESS[row][1]
+    values = {s: [got[s][timed] for _, got in runs] for s in ("parent", "change")}
     m = compare(values["parent"], values["change"], "lower")
-    print(f"fig1 run to t = 5, us a level: parent median {m['parent_quartiles'][1]:.4g}, "
+    print(f"{row} {timed}: parent median {m['parent_quartiles'][1]:.4g}, "
           f"change {m['change_quartiles'][1]:.4g}, ratio {m['ratio_of_medians']:.4f}, "
           f"change better in {m['change_better_pairs']}/{len(runs)} pairs")
-    return {"fig1_run_t5": {"pairs": len(runs), "first": [f for f, _ in runs],
-                            "u_sha256": first["parent"]["fig1_run_t5"]["u_sha256"],
-                            "passes": first["parent"]["fig1_run_t5"]["passes"],
-                            "us_per_level": m}}
+    return {row: {"pairs": len(runs), "first": [f for f, _ in runs], **want, timed: m}}
 
 
 def same_source(parent) -> bool:
@@ -206,15 +238,15 @@ def perfbench_environment(args) -> dict:
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    if args.run_fig1:
-        section, rows = "run_rows", run_rows(pairs(args, fig1_run))
+    if args.row is not None:
+        section, rows = "run_rows", run_rows(args.row, pairs(args, in_process_run))
     else:
         runs = pairs(args, perfbench)
         section, rows = (("per_layer_traced", traced_rows(args, runs)) if args.trace
                          else ("end_to_end", end_to_end_rows(args, runs)))
     if args.out is not None:
         bench = json.loads(args.out.read_text()) if args.out.exists() else {}
-        if not args.run_fig1:
+        if args.row is None:
             bench["environment"] = perfbench_environment(args)
         if same_source(args.parent):
             section = "a_a_" + section
