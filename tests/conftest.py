@@ -1,4 +1,15 @@
-"""Prints a compact verdict block for the acceptance gate at the end of a run."""
+"""Prints a compact verdict block for the acceptance gate at the end of a run,
+and provides the golden judge to every test module."""
+
+import pytest
+
+from helpers import load_tool
+
+
+@pytest.fixture(scope="session")
+def output_digest():
+    """tools/output_digest.py: the golden rules and the judge."""
+    return load_tool("output_digest")
 
 
 def pytest_terminal_summary(terminalreporter):

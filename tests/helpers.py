@@ -2,9 +2,11 @@
 
 import csv
 import dataclasses
+import importlib.util
 import math
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,6 +19,18 @@ from drbem1d.reference import (assemble_interpolation, endpoint_matrices, fundam
                                fundamental_solution_dx, psi)
 from drbem1d.stepping import (LevelFactors, TimeLevelSystem, fixed_point, initial_values,
                               level_coefficients)
+
+# what tools/output_digest.py writes on the committed tree
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def load_tool(name):
+    """tools/<name>.py, imported by path."""
+    path = Path(__file__).resolve().parents[1] / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def load_csv(path):

@@ -1,20 +1,15 @@
 """tools/bench_pairs.py's statistics and identity gate, on hand-made readings:
 no checkout is run and no process started."""
 
-import importlib.util
-from pathlib import Path
-
 import pytest
+
+from helpers import load_tool
 
 
 @pytest.fixture(scope="module")
 def bench_pairs():
     """tools/bench_pairs.py, imported by path."""
-    path = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
-    spec = importlib.util.spec_from_file_location("bench_pairs", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_tool("bench_pairs")
 
 
 def test_compare_takes_medians_quartiles_and_wins(bench_pairs):

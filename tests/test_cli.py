@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import bumped_generalized_fisher, load_csv
+from helpers import GOLDEN, bumped_generalized_fisher, load_csv
 
 import drbem1d
 from drbem1d import cli
@@ -720,26 +720,17 @@ def test_cmd_check_passes(capsys):
                                                                 for name in CHECK_LINES]
 
 
-# every figure in check's details is printed as :.2e
-CHECK_NUMBER = re.compile(r"\d\.\d+e[+-]\d+")
-
-
-def test_check_matches_the_golden_output(capsys):
+def test_check_matches_the_golden_output(capsys, tmp_path, output_digest):
     # tests/golden/check.txt holds what `drbem1d check` printed.  Verdicts, names
     # and the text around the figures must be the same; a figure whose golden
     # value is at least 1e-6 (the transcribed wave's residual, run = fd_oracle's
     # four constants) must be within 1% of it, and the roundoff-level ones count
     # only through their line's PASS
     assert main(["check"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    golden = (Path(__file__).resolve().parent / "golden" / "check.txt").read_text().splitlines()
-    assert len(lines) == len(golden)
-    for got, want in zip(lines, golden):
-        where = f"{got!r} against golden {want!r}"
-        assert CHECK_NUMBER.sub("#", got) == CHECK_NUMBER.sub("#", want), where
-        for a, b in zip(map(float, CHECK_NUMBER.findall(got)),
-                        map(float, CHECK_NUMBER.findall(want))):
-            assert b < 1e-6 or abs(a - b) <= 0.01 * b, where
+    (tmp_path / "check.txt").write_text(capsys.readouterr().out)
+    report, breaches = output_digest.compare_file("check.txt", tmp_path / "check.txt",
+                                                  GOLDEN / "check.txt")
+    assert breaches == [], "\n".join(report)
 
 
 def test_check_passes_without_importing_numpy_random():
@@ -755,31 +746,61 @@ def test_check_passes_without_importing_numpy_random():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_output_digest_compare_reports_numeric_iteration_and_text_changes(tmp_path):
-    import importlib.util
-
-    path = Path(__file__).resolve().parent.parent / "tools" / "output_digest.py"
-    spec = importlib.util.spec_from_file_location("output_digest", path)
-    digest = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(digest)
-    old, new = tmp_path / "old.csv", tmp_path / "new.csv"
-    old.write_text("# note, kept whole\nt,u,iters_max,status\n1,2.0,3,ok\n2,0,4,ok\n")
-    new.write_text("# note, kept whole\nt,u,iters_max,status\n1,2.5,3,ok\n2,0,3,failed\n")
-    assert digest.compare_file("new.csv", new, old) == [
-        "new.csv: largest relative change 0.2 (line 3 u)",
-        "  by column: t 0, u 0.2",
-        "  line 4 iters_max: '4' -> '3'",
-        "  line 4 status: 'ok' -> 'failed'",
+def test_output_digest_compare_reports_numeric_iteration_and_text_changes(tmp_path,
+                                                                          output_digest):
+    golden, new = tmp_path / "golden", tmp_path / "new"
+    golden.mkdir()
+    new.mkdir()
+    notes = "# note, kept whole\nh,l_inf,observed_order,l_inf_rel_dev,iters_max,status\n"
+    (golden / "t.csv").write_text(notes + "1/4,1.0,,-0.2,3,ok\n"
+                                  "1/8,0.5,1.5,-0.2,4,ok\n1/16,0.25,1.5,-0.2,4,ok\n")
+    # inside every rule: l_inf 5e-10 relative, observed_order 2e-9 absolute (its
+    # bound is 2e-9 / ln 2), l_inf_rel_dev 5e-10 absolute, which is 6.25e-10
+    # relative on its 1 + value 0.8
+    (new / "t.csv").write_text(notes + "1/4,1.0000000005,,-0.1999999995,3,ok\n"
+                               "1/8,0.5,1.500000002,-0.2,4,ok\n1/16,0.25,1.5,-0.2,4,ok\n")
+    report, breaches = output_digest.compare_file("t.csv", new / "t.csv", golden / "t.csv")
+    assert breaches == []
+    assert report[0] == "t.csv: largest relative change 2.5e-09 (line 3 l_inf_rel_dev)"
+    # beyond them: l_inf 2e-9 relative, observed_order 4e-9 absolute,
+    # l_inf_rel_dev 1.25e-9 relative on its 1 + value, a corrector count, a status
+    (new / "t.csv").write_text(notes + "1/4,1.000000002,,-0.2,3,ok\n"
+                               "1/8,0.5,1.500000004,-0.199999999,3,ok\n"
+                               "1/16,0.25,1.5,-0.2,4,failed\n")
+    report, breaches = output_digest.compare_file("t.csv", new / "t.csv", golden / "t.csv")
+    assert report == [
+        "t.csv: largest relative change 5e-09 (line 4 l_inf_rel_dev)",
+        "  by column: l_inf 2e-09, l_inf_rel_dev 5e-09, observed_order 2.7e-09",
+        *(f"  {breach}" for breach in breaches),
     ]
-    assert digest.compare_file("old.csv", old, old) == ["old.csv: largest relative change 0"]
-    old, new = tmp_path / "old.txt", tmp_path / "new.txt"
-    old.write_text("PASS  band dgbtrs: defect 1e-16\n")
-    new.write_text("PASS  band solve: defect 1e-16\nPASS  more\n")
-    assert digest.compare_file("new.txt", new, old) == [
-        "new.txt: largest relative change 0",
-        "  line count: 1 -> 2",
-        "  line 1 word 3: 'dgbtrs:' -> 'solve:'",
+    assert breaches == [
+        "line 3 l_inf: '1.0' -> '1.000000002' breaches its rule",
+        "line 4 observed_order: '1.5' -> '1.500000004' breaches its rule",
+        "line 4 l_inf_rel_dev: '-0.2' -> '-0.199999999' breaches its rule",
+        "line 4 iters_max: '4' -> '3'",
+        "line 5 status: 'ok' -> 'failed'",
     ]
+    # check.txt: a figure of at least 1e-6 within 1% and a roundoff-level one
+    # anywhere pass; 2% off, a PASS that became FAIL and a new line breach
+    (golden / "check.txt").write_text("PASS  wave: residual 4.64e-02\n"
+                                      "PASS  identity: residual 2.22e-16\n")
+    (new / "check.txt").write_text("PASS  wave: residual 4.66e-02\n"
+                                   "PASS  identity: residual 9.99e-16\n")
+    assert output_digest.compare_file("check.txt", new / "check.txt",
+                                      golden / "check.txt")[1] == []
+    (new / "check.txt").write_text("PASS  wave: residual 4.74e-02\n"
+                                   "FAIL  identity: residual 2.22e-16\nall checks passed\n")
+    assert output_digest.compare_file("check.txt", new / "check.txt",
+                                      golden / "check.txt")[1] == [
+        "line count: 2 -> 3",
+        "line 1 figure: '4.64e-02' -> '4.74e-02' breaches its rule",
+        "line 2 text: 'PASS  identity: residual #' -> 'FAIL  identity: residual #'",
+    ]
+    # a file on one side only breaches; so do the two above
+    (new / "extra.csv").write_text(notes)
+    report, breached = output_digest.compare_dirs(new, golden)
+    assert f"extra.csv: only in {new}" in report
+    assert breached == [Path("check.txt"), Path("extra.csv"), Path("t.csv")]
 
 
 def test_shipped_configs_parse_and_build():
